@@ -330,6 +330,9 @@ let bench_analysis_blocking_stellarbeat =
 let subject_minq_parallel_stellarbeat =
   "analysis/min-quorums-parallel stellarbeat n=46"
 
+let subject_blocking_parallel_stellarbeat =
+  "analysis/blocking-parallel stellarbeat n=46"
+
 let subject_splitting_stellarbeat =
   "analysis/splitting-sequential stellarbeat n=46"
 
@@ -345,6 +348,13 @@ let bench_analysis_minq_parallel_stellarbeat =
   Test.make ~name:subject_minq_parallel_stellarbeat
     (Staged.stage (fun () ->
          ignore (Fbqs.Enum.minimal_quorums ~jobs:4 (Fbqs.Enum.prepare sys))))
+
+let bench_analysis_blocking_parallel_stellarbeat =
+  let sys = small_stellarbeat () in
+  Test.make ~name:subject_blocking_parallel_stellarbeat
+    (Staged.stage (fun () ->
+         ignore
+           (Fbqs.Enum.minimal_blocking_sets ~jobs:4 (Fbqs.Enum.prepare sys))))
 
 let bench_analysis_splitting_stellarbeat =
   let sys = small_stellarbeat () in
@@ -506,6 +516,7 @@ let microbenches () =
       bench_analysis_intersection_stellarbeat;
       bench_analysis_blocking_stellarbeat;
       bench_analysis_minq_parallel_stellarbeat;
+      bench_analysis_blocking_parallel_stellarbeat;
       bench_analysis_splitting_stellarbeat;
       bench_analysis_splitting_parallel_stellarbeat;
       bench_exec_warm;
@@ -533,6 +544,7 @@ let analysis_subjects =
     subject_inter_stellarbeat;
     subject_blocking_stellarbeat;
     subject_minq_parallel_stellarbeat;
+    subject_blocking_parallel_stellarbeat;
     subject_splitting_stellarbeat;
     subject_splitting_parallel_stellarbeat;
   ]
@@ -603,6 +615,7 @@ let write_analysis_json rows =
       [
         (subject_minq_bb, subject_minq_gosper);
         (subject_minq_parallel_stellarbeat, subject_minq_stellarbeat);
+        (subject_blocking_parallel_stellarbeat, subject_blocking_stellarbeat);
         (subject_splitting_parallel_stellarbeat, subject_splitting_stellarbeat);
       ]
   in

@@ -7,8 +7,8 @@
     experiments are deterministic in [seed].
 
     Sampled experiments additionally take [?jobs] (default [1]): the
-    per-sample runs are farmed out to a {!Simkit.Pool} of that many
-    worker processes. Every sample is a pure function of its seed, so
+    per-sample runs are farmed out through {!Simkit.Exec.map} to that
+    many workers. Every sample is a pure function of its seed, so
     the rendered table is byte-identical for every [jobs] value —
     parallelism only buys wall-clock. *)
 

@@ -81,8 +81,9 @@ val sweep :
   int list ->
   (int * verdict) list
 (** [sweep ~jobs ~stack ... seeds] runs one independent consensus
-    instance per seed through {!Simkit.Pool.map} and returns
+    instance per seed through {!Simkit.Exec.map} and returns
     [(seed, verdict)] pairs in input order — byte-identical to the
     sequential run for every [jobs]. The config's [metrics]/[trace]
-    sinks are stripped (each worker is its own process; see DESIGN.md
-    §10); use the single-run entry points to observe one run. *)
+    sinks are stripped (parallel workers must not share them; see
+    DESIGN.md §10); use the single-run entry points to observe one
+    run. *)

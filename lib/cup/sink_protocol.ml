@@ -249,18 +249,3 @@ let run_cfg ?(cfg = Run_config.default) ?max_copies_per_origin ~graph ~f
 (* lint: allow R2 — immutable constant; the type's only mutable capability (metrics/trace sinks) is None here *)
 let default_run_config =
   { Run_config.default with delta = 10; max_time = 100_000 }
-
-let run ?(seed = 0) ?(gst = 50) ?(delta = 10) ?(max_time = 100_000)
-    ?max_copies_per_origin ?metrics ?trace ~graph ~f ~fault_of () =
-  let cfg =
-    {
-      Run_config.seed;
-      gst;
-      delta;
-      max_time;
-      delay = None;
-      metrics;
-      trace;
-    }
-  in
-  run_cfg ~cfg ?max_copies_per_origin ~graph ~f ~fault_of ()

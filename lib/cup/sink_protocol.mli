@@ -70,30 +70,9 @@ val run_cfg :
     behaviour. Observability sinks in [cfg] instrument the engine and
     every honest node. *)
 
-val run :
-  ?seed:int ->
-  ?gst:int ->
-  ?delta:int ->
-  ?max_time:int ->
-  ?max_copies_per_origin:int ->
-  ?metrics:Obs.Metrics.t ->
-  ?trace:Obs.Trace.sink ->
-  graph:Digraph.t ->
-  f:int ->
-  fault_of:(Pid.t -> fault option) ->
-  unit ->
-  run_result
-[@@deprecated
-  "use run_cfg (default_run_config carries the historical defaults)"]
-(** Flat-parameter wrapper over {!run_cfg} preserving the historical
-    defaults ([gst] 50, [delta] 10, [max_time] 100_000).
-    @deprecated Use {!run_cfg}; {!default_run_config} carries these
-    historical timing defaults (which differ from
-    {!Simkit.Run_config.default}). *)
-
 val default_run_config : Simkit.Run_config.t
-(** The deprecated {!run} wrapper's historical timing:
-    {!Simkit.Run_config.default} with [delta = 10] and
-    [max_time = 100_000]. The detector settles well before the generic
-    200k budget, so its callers historically ran on this shorter,
-    coarser clock; migrated callers keep it for byte-stable traces. *)
+(** The detector's historical timing: {!Simkit.Run_config.default}
+    with [delta = 10] and [max_time = 100_000]. The detector settles
+    well before the generic 200k budget, so its callers have always
+    run on this shorter, coarser clock, and keep it for byte-stable
+    traces. *)

@@ -24,24 +24,31 @@ module D = Pid.Dense_set
 
    Found quorums are confirmed minimal on the spot (dropping any single
    member must leave no quorum), so no superset bookkeeping or global
-   minimisation pass is needed and enumeration can stream with early
-   exit — which is what makes the quorum-intersection check on a
-   n=200-validator topology answer in well under a second. *)
+   minimisation pass is needed — which is what makes the
+   quorum-intersection check on a n=200-validator topology answer in
+   well under a second. *)
 
 type stats = { explored : int; pruned : int; found : int }
+
+(* The counts behind [stats], plus the metrics counters they drive. An
+   analyzer owns one; every parallel job walks on a fresh one with no
+   counters, and [absorb] folds it back. *)
+type tally = {
+  mutable explored : int;
+  mutable pruned : int;
+  mutable found : int;
+  c_explored : Obs.Metrics.counter option;
+  c_pruned : Obs.Metrics.counter option;
+  c_found : Obs.Metrics.counter option;
+}
 
 type t = {
   compiled : Quorum.Compiled.t;
   sys : Quorum.system;
   parts : Pid.Set.t;
   fallback : bool;  (* negative pids: Pid.Set brute-force path *)
-  mutable explored : int;
-  mutable pruned : int;
-  mutable found : int;
+  tally : tally;
   mutable minimal : Pid.Set.t list option;  (* cache, canonical order *)
-  c_explored : Obs.Metrics.counter option;
-  c_pruned : Obs.Metrics.counter option;
-  c_found : Obs.Metrics.counter option;
 }
 
 let has_negative sys =
@@ -55,76 +62,180 @@ let has_negative sys =
          | None -> false)
        sys
 
-let prepare ?metrics sys =
+let new_tally ?metrics () =
   let counter name =
     Option.map (fun m -> Obs.Metrics.counter m name) metrics
   in
   {
-    compiled = Quorum.compiled_of sys;
-    sys;
-    parts = Quorum.participants sys;
-    fallback = has_negative sys;
     explored = 0;
     pruned = 0;
     found = 0;
-    minimal = None;
     c_explored = counter "fbqs_enum_explored";
     c_pruned = counter "fbqs_enum_pruned";
     c_found = counter "fbqs_enum_quorums_found";
   }
 
+let prepare ?metrics sys =
+  {
+    compiled = Quorum.compiled_of sys;
+    sys;
+    parts = Quorum.participants sys;
+    fallback = has_negative sys;
+    tally = new_tally ?metrics ();
+    minimal = None;
+  }
+
 let system t = t.sys
-let stats t = { explored = t.explored; pruned = t.pruned; found = t.found }
 
-let tick_explored t =
-  t.explored <- t.explored + 1;
-  Option.iter (fun c -> Obs.Metrics.incr c) t.c_explored
+let stats t : stats =
+  {
+    explored = t.tally.explored;
+    pruned = t.tally.pruned;
+    found = t.tally.found;
+  }
 
-let tick_pruned t =
-  t.pruned <- t.pruned + 1;
-  Option.iter (fun c -> Obs.Metrics.incr c) t.c_pruned
+let tick_explored tl =
+  tl.explored <- tl.explored + 1;
+  Option.iter (fun c -> Obs.Metrics.incr c) tl.c_explored
 
-let tick_found t =
-  t.found <- t.found + 1;
-  Option.iter (fun c -> Obs.Metrics.incr c) t.c_found
+let tick_pruned tl =
+  tl.pruned <- tl.pruned + 1;
+  Option.iter (fun c -> Obs.Metrics.incr c) tl.c_pruned
 
-(* ---- the search primitive -------------------------------------------- *)
+let tick_found tl =
+  tl.found <- tl.found + 1;
+  Option.iter (fun c -> Obs.Metrics.incr c) tl.c_found
+
+(* Adds a finished job's counts to [into] and drives [into]'s counters
+   by the same amounts, so they end where ticking one by one would
+   have left them. *)
+let absorb into (tl : tally) =
+  let bump counter by =
+    match counter with
+    | Some c when by > 0 -> Obs.Metrics.incr ~by c
+    | _ -> ()
+  in
+  into.explored <- into.explored + tl.explored;
+  bump into.c_explored tl.explored;
+  into.pruned <- into.pruned + tl.pruned;
+  bump into.c_pruned tl.pruned;
+  into.found <- into.found + tl.found;
+  bump into.c_found tl.found
+
+let canonical sets =
+  List.sort
+    (fun a b ->
+      match Int.compare (Pid.Set.cardinal a) (Pid.Set.cardinal b) with
+      | 0 -> Pid.Set.compare a b
+      | c -> c)
+    sets
+
+(* ---- one walk per search, at any jobs count ---------------------------- *)
+
+(* Each search below is written once, as a walk: [walk tally ~frontier
+   ~emit node] visits the search tree below [node], ticking [tally] and
+   passing every find to [emit], except that calls reaching depth
+   [frontier] are returned, in visiting order, instead of descended.
+
+   [search] runs a walk at any [jobs] count. At [jobs = 1] it walks
+   every root to the bottom on the analyzer's own tally. At [jobs > 1]
+   it walks them down to [frontier] the same way, then runs each
+   deferred call as a {!Simkit.Exec.map} job: the same walk, to the
+   bottom, on a fresh tally with no counters (a live registry is shared
+   mutable state no job may touch), folded back by [absorb]. Subtrees
+   are independent and finds merge through {!canonical}, so results,
+   [stats] and metrics are byte-identical at every [jobs] count. Nodes
+   are dense-set/int data and a job captures only the walk's compiled
+   system or quorum array (plain data), so jobs survive the fork
+   backend's closure [Marshal] unchanged; the compiled handle's own
+   query statistics are the only shared mutable state jobs touch, and
+   nothing downstream reads them.
+
+   A finite [limit] stops the walk at the [limit]-th find and keeps the
+   sequential path: which finds survive a truncation depends on
+   discovery order, which sharding does not preserve. *)
 
 exception Stop
 
-(* Depth-first enumeration of the minimal quorums inside [universe]
-   (already contracted to a greatest quorum). [emit] returns [false] to
-   abort the traversal. Candidates branch in ascending pid order, so
-   the emission order — and with it every downstream report — is
-   deterministic. *)
-let explore t ~universe emit =
-  let c = t.compiled in
+(* One deferred call, walked to the bottom: the body of every job. *)
+let finish walk node =
+  let tl = new_tally () and found = ref [] in
+  ignore
+    (walk tl ~frontier:max_int
+       ~emit:(fun x -> found := D.to_set x :: !found)
+       node);
+  (!found, tl)
+
+let search ?(limit = max_int) ~jobs ~frontier tl walk roots =
+  let found = ref [] and count = ref 0 in
+  let emit x =
+    found := D.to_set x :: !found;
+    incr count;
+    if !count >= limit then raise Stop
+  in
+  let complete =
+    if jobs > 1 && limit = max_int then begin
+      let deferred = List.concat_map (walk tl ~frontier ~emit) roots in
+      List.iter
+        (fun (sets, job) ->
+          found := List.rev_append sets !found;
+          absorb tl job)
+        (Simkit.Exec.map ~jobs (finish walk) deferred);
+      true
+    end
+    else
+      match
+        List.iter
+          (fun root -> ignore (walk tl ~frontier:max_int ~emit root))
+          roots
+      with
+      | () -> true
+      | exception Stop -> false
+  in
+  (canonical !found, complete)
+
+(* ---- minimal quorums -------------------------------------------------- *)
+
+(* Depth-first enumeration of the minimal quorums inside a universe
+   already contracted to a greatest quorum. A node is (selection,
+   remaining candidates, available pool). Candidates branch in
+   ascending pid order, so the emission order — and with it every
+   downstream report — is deterministic. *)
+let quorum_walk c tl ~frontier ~emit (selection, remaining, available) =
   let minimal_quorum q =
     D.for_all
       (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
       q
   in
-  let rec go selection remaining available =
-    tick_explored t;
-    if Quorum.Compiled.is_quorum_d c selection then begin
-      (* Supersets of a quorum cannot be minimal: stop descending. *)
-      if minimal_quorum selection then begin
-        tick_found t;
-        if not (emit selection) then raise Stop
+  let deferred = ref [] in
+  let rec go depth selection remaining available =
+    if depth >= frontier then
+      deferred := (selection, remaining, available) :: !deferred
+    else begin
+      tick_explored tl;
+      if Quorum.Compiled.is_quorum_d c selection then begin
+        (* Supersets of a quorum cannot be minimal: stop descending. *)
+        if minimal_quorum selection then begin
+          tick_found tl;
+          emit selection
+        end
       end
+      else
+        match remaining with
+        | [] -> ()
+        | v :: rest ->
+            go (depth + 1) (D.add v selection) rest available;
+            let available = D.remove v available in
+            let gq = Quorum.Compiled.greatest_quorum_within_d c available in
+            if D.subset selection gq then
+              go (depth + 1) selection
+                (List.filter (fun u -> D.mem u gq) rest)
+                gq
+            else tick_pruned tl
     end
-    else
-      match remaining with
-      | [] -> ()
-      | v :: rest ->
-          go (D.add v selection) rest available;
-          let available = D.remove v available in
-          let gq = Quorum.Compiled.greatest_quorum_within_d c available in
-          if D.subset selection gq then
-            go selection (List.filter (fun u -> D.mem u gq) rest) gq
-          else tick_pruned t
   in
-  go D.empty (D.elements universe) universe
+  go 0 selection remaining available;
+  List.rev !deferred
 
 (* The SCCs of the trust graph restricted to the greatest quorum, kept
    only when they contain a quorum — the contraction step. Returns
@@ -151,141 +262,9 @@ let quorum_sccs t =
       (Scc.components g)
   end
 
-let canonical sets =
-  List.sort
-    (fun a b ->
-      match Int.compare (Pid.Set.cardinal a) (Pid.Set.cardinal b) with
-      | 0 -> Pid.Set.compare a b
-      | c -> c)
-    sets
-
-(* ---- parallel sharding ------------------------------------------------ *)
-
-(* The search trees shard for {!Simkit.Exec.map}: the DFS above a
-   fixed frontier depth runs in the caller — ticking the analyzer
-   exactly as the sequential walk does — and each call that would
-   cross the frontier is captured (its exact [go] arguments) instead
-   of descending. Subtrees are independent, results merge through
-   {!canonical} (order-independent) and tick deltas are summed back
-   afterwards, so output and stats are byte-identical to the
-   sequential run at every [jobs] count. Shards are dense-set/int
-   data and the job closures capture only the compiled system (bitset
-   arrays and slice maps — plain data), so they survive the fork
-   backend's closure [Marshal] unchanged; the compiled handle's own
-   query tallies are the only shared mutable state jobs touch, and
-   nothing downstream reads them. *)
-
-let default_frontier_depth = 5
-
-type tick_delta = { d_explored : int; d_pruned : int; d_found : int }
-
-let apply_delta t d =
-  let bump counter by =
-    match counter with
-    | Some c when by > 0 -> Obs.Metrics.incr ~by c
-    | _ -> ()
-  in
-  t.explored <- t.explored + d.d_explored;
-  bump t.c_explored d.d_explored;
-  t.pruned <- t.pruned + d.d_pruned;
-  bump t.c_pruned d.d_pruned;
-  t.found <- t.found + d.d_found;
-  bump t.c_found d.d_found
-
-(* ---- minimal quorums -------------------------------------------------- *)
-
-type mq_shard = { mq_sel : D.t; mq_rem : Pid.t list; mq_avail : D.t }
-
-(* The prefix of [explore]'s DFS above the frontier: same branching,
-   same pruning, same ticks on [t]. Quorums found above the frontier
-   come back alongside the deferred frontier calls. *)
-let mq_cut t ~universe =
-  let c = t.compiled in
-  let minimal_quorum q =
-    D.for_all
-      (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
-      q
-  in
-  let shards = ref [] and above = ref [] in
-  let rec go depth selection remaining available =
-    if depth >= default_frontier_depth then
-      shards :=
-        { mq_sel = selection; mq_rem = remaining; mq_avail = available }
-        :: !shards
-    else begin
-      tick_explored t;
-      if Quorum.Compiled.is_quorum_d c selection then begin
-        if minimal_quorum selection then begin
-          tick_found t;
-          above := D.to_set selection :: !above
-        end
-      end
-      else
-        match remaining with
-        | [] -> ()
-        | v :: rest ->
-            go (depth + 1) (D.add v selection) rest available;
-            let available = D.remove v available in
-            let gq = Quorum.Compiled.greatest_quorum_within_d c available in
-            if D.subset selection gq then
-              go (depth + 1) selection
-                (List.filter (fun u -> D.mem u gq) rest)
-                gq
-            else tick_pruned t
-    end
-  in
-  go 0 D.empty (D.elements universe) universe;
-  (List.rev !shards, !above)
-
-(* One deferred subtree, recursed to the bottom with local counters —
-   the body of [explore], minus the shared analyzer state. *)
-let mq_run c sh =
-  let explored = ref 0 and pruned = ref 0 and found = ref 0 in
-  let acc = ref [] in
-  let minimal_quorum q =
-    D.for_all
-      (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
-      q
-  in
-  let rec go selection remaining available =
-    incr explored;
-    if Quorum.Compiled.is_quorum_d c selection then begin
-      if minimal_quorum selection then begin
-        incr found;
-        acc := D.to_set selection :: !acc
-      end
-    end
-    else
-      match remaining with
-      | [] -> ()
-      | v :: rest ->
-          go (D.add v selection) rest available;
-          let available = D.remove v available in
-          let gq = Quorum.Compiled.greatest_quorum_within_d c available in
-          if D.subset selection gq then
-            go selection (List.filter (fun u -> D.mem u gq) rest) gq
-          else incr pruned
-  in
-  go sh.mq_sel sh.mq_rem sh.mq_avail;
-  (!acc, { d_explored = !explored; d_pruned = !pruned; d_found = !found })
-
-let minimal_quorums_sharded ~jobs t =
-  let c = t.compiled in
-  let acc = ref [] in
-  let shards =
-    List.concat_map
-      (fun universe ->
-        let shards, above = mq_cut t ~universe in
-        acc := List.rev_append above !acc;
-        shards)
-      (quorum_sccs t)
-  in
-  List.iter
-    (fun (sets, delta) ->
-      acc := List.rev_append sets !acc;
-      apply_delta t delta)
-    (Simkit.Exec.map ~jobs (mq_run c) shards);
-  canonical !acc
+(* The search tree is deep and narrow ("pid in / pid out"), so its
+   frontier sits five decisions down. *)
+let quorum_frontier_depth = 5
 
 let minimal_quorums ?(jobs = 1) t =
   match t.minimal with
@@ -293,17 +272,13 @@ let minimal_quorums ?(jobs = 1) t =
   | None ->
       let result =
         if t.fallback then canonical (Quorum.minimal_quorums t.sys)
-        else if jobs > 1 then minimal_quorums_sharded ~jobs t
-        else begin
-          let acc = ref [] in
-          List.iter
-            (fun universe ->
-              explore t ~universe (fun q ->
-                  acc := D.to_set q :: !acc;
-                  true))
-            (quorum_sccs t);
-          canonical !acc
-        end
+        else
+          fst
+            (search ~jobs ~frontier:quorum_frontier_depth t.tally
+               (quorum_walk t.compiled)
+               (List.map
+                  (fun universe -> (D.empty, D.elements universe, universe))
+                  (quorum_sccs t)))
       in
       t.minimal <- Some result;
       result
@@ -407,33 +382,20 @@ let bk_best uncovered excluded =
       | _ -> Some (usable, c))
     None uncovered
 
-type bk_shard = {
-  bk_chosen : D.t;
-  bk_uncovered : D.t list;
-  bk_excluded : D.t;
-}
-
-(* The hitting-set tree branches much wider than the quorum search
-   (one child per usable member of the pivot quorum), so its frontier
-   sits shallower. *)
-let blocking_frontier_depth = 3
-
-let bk_cut t quorums =
-  let shards = ref [] and above = ref [] in
+(* The minimal-hitting-set search. A node is (chosen, uncovered
+   quorums, excluded pids). *)
+let blocking_walk quorums tl ~frontier ~emit (chosen, uncovered, excluded) =
+  let deferred = ref [] in
   let rec go depth chosen uncovered excluded =
-    if depth >= blocking_frontier_depth then
-      shards :=
-        { bk_chosen = chosen; bk_uncovered = uncovered; bk_excluded = excluded }
-        :: !shards
+    if depth >= frontier then
+      deferred := (chosen, uncovered, excluded) :: !deferred
     else begin
-      tick_explored t;
+      tick_explored tl;
       match uncovered with
-      | [] ->
-          if bk_minimal quorums chosen then
-            above := D.to_set chosen :: !above
+      | [] -> if bk_minimal quorums chosen then emit chosen
       | _ ->
           let usable, card = Option.get (bk_best uncovered excluded) in
-          if card = 0 then tick_pruned t
+          if card = 0 then tick_pruned tl
           else
             ignore
               (D.fold
@@ -445,83 +407,26 @@ let bk_cut t quorums =
                  usable excluded)
     end
   in
-  go 0 D.empty (Array.to_list quorums) D.empty;
-  (List.rev !shards, !above)
+  go 0 chosen uncovered excluded;
+  List.rev !deferred
 
-let bk_run quorums sh =
-  let explored = ref 0 and pruned = ref 0 in
-  let results = ref [] in
-  let rec go chosen uncovered excluded =
-    incr explored;
-    match uncovered with
-    | [] ->
-        if bk_minimal quorums chosen then
-          results := D.to_set chosen :: !results
-    | _ ->
-        let usable, card = Option.get (bk_best uncovered excluded) in
-        if card = 0 then incr pruned
-        else
-          ignore
-            (D.fold
-               (fun v excluded ->
-                 go (D.add v chosen)
-                   (List.filter (fun q -> not (D.mem v q)) uncovered)
-                   excluded;
-                 D.add v excluded)
-               usable excluded)
-  in
-  go sh.bk_chosen sh.bk_uncovered sh.bk_excluded;
-  (!results, { d_explored = !explored; d_pruned = !pruned; d_found = 0 })
+(* The hitting-set tree branches much wider than the quorum search
+   (one child per usable member of the pivot quorum), so its frontier
+   sits shallower. *)
+let blocking_frontier_depth = 3
 
-let minimal_blocking_sets ?(limit = max_int) ?(jobs = 1) t =
+let minimal_blocking_sets ?limit ?(jobs = 1) t =
   let quorums =
     List.map D.of_set (minimal_quorums ~jobs t) |> Array.of_list
   in
   if Array.length quorums = 0 then { sets = []; complete = true }
-  else if jobs > 1 && limit = max_int then begin
-    (* Unlimited enumeration is order-independent, so subtrees below
-       the frontier shard out like the quorum search. A finite [limit]
-       keeps the sequential path: truncation depends on discovery
-       order, which sharding does not preserve. *)
-    let shards, above = bk_cut t quorums in
-    let acc = ref above in
-    List.iter
-      (fun (sets, delta) ->
-        acc := List.rev_append sets !acc;
-        apply_delta t delta)
-      (Simkit.Exec.map ~jobs (bk_run quorums) shards);
-    { sets = canonical !acc; complete = true }
-  end
-  else begin
-    let results = ref [] and count = ref 0 and complete = ref true in
-    let rec go chosen uncovered excluded =
-      tick_explored t;
-      match uncovered with
-      | [] ->
-          if bk_minimal quorums chosen then begin
-            results := D.to_set chosen :: !results;
-            incr count;
-            if !count >= limit then begin
-              complete := false;
-              raise Stop
-            end
-          end
-      | _ ->
-          let usable, card = Option.get (bk_best uncovered excluded) in
-          if card = 0 then tick_pruned t
-          else
-            ignore
-              (D.fold
-                 (fun v excluded ->
-                   go (D.add v chosen)
-                     (List.filter (fun q -> not (D.mem v q)) uncovered)
-                     excluded;
-                   D.add v excluded)
-                 usable excluded)
+  else
+    let sets, complete =
+      search ?limit ~jobs ~frontier:blocking_frontier_depth t.tally
+        (blocking_walk quorums)
+        [ (D.empty, Array.to_list quorums, D.empty) ]
     in
-    (try go D.empty (Array.to_list quorums) D.empty with Stop -> ());
-    { sets = canonical !results; complete = !complete }
-  end
+    { sets; complete }
 
 (* ---- minimal splitting sets -------------------------------------------- *)
 
@@ -554,27 +459,11 @@ let minimal_splitting_sets ?metrics ?universe ?max_size ?(jobs = 1) t =
     done;
     !s
   in
-  (* Candidate checks run metrics-free — a live registry is shared
-     mutable state no parallel job may touch — and return their tick
-     counts instead; the caller replays the deltas into [metrics] in
-     candidate order, so the counters come out identical to a
-     sequential sweep at every [jobs] count. *)
-  let counters =
-    Option.map
-      (fun m ->
-        ( Obs.Metrics.counter m "fbqs_enum_explored",
-          Obs.Metrics.counter m "fbqs_enum_pruned",
-          Obs.Metrics.counter m "fbqs_enum_quorums_found" ))
-      metrics
-  in
-  let replay (st : stats) =
-    match counters with
-    | None -> ()
-    | Some (ce, cp, cf) ->
-        if st.explored > 0 then Obs.Metrics.incr ~by:st.explored ce;
-        if st.pruned > 0 then Obs.Metrics.incr ~by:st.pruned cp;
-        if st.found > 0 then Obs.Metrics.incr ~by:st.found cf
-  in
+  (* Candidate checks run on fresh analyzers with no metrics — a live
+     registry is shared mutable state no parallel job may touch — and
+     return their tallies, which [sink] absorbs into [metrics]; so the
+     counters come out identical at every [jobs] count. *)
+  let sink = new_tally ?metrics () in
   let sys = t.sys in
   let splits_checked b =
     let t' = prepare (Quorum.delete sys b) in
@@ -583,10 +472,10 @@ let minimal_splitting_sets ?metrics ?universe ?max_size ?(jobs = 1) t =
       | Intersects -> false
       | Disjoint _ -> true
     in
-    (hit, stats t')
+    (hit, t'.tally)
   in
-  let hit0, st0 = splits_checked Pid.Set.empty in
-  replay st0;
+  let hit0, tl0 = splits_checked Pid.Set.empty in
+  absorb sink tl0;
   if hit0 then [ Pid.Set.empty ]
   else begin
     let found_masks = ref [] and found = ref [] in
@@ -608,16 +497,16 @@ let minimal_splitting_sets ?metrics ?universe ?max_size ?(jobs = 1) t =
         mask := next_same_popcount m
       done;
       List.iter
-        (fun (m, hit, st) ->
-          replay st;
+        (fun (m, hit, tl) ->
+          absorb sink tl;
           if hit then begin
             found_masks := m :: !found_masks;
             found := set_of_mask m :: !found
           end)
         (Simkit.Exec.map ~jobs
            (fun m ->
-             let hit, st = splits_checked (set_of_mask m) in
-             (m, hit, st))
+             let hit, tl = splits_checked (set_of_mask m) in
+             (m, hit, tl))
            (List.rev !candidates));
       incr k
     done;

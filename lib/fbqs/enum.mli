@@ -27,11 +27,12 @@
     Every entry point takes [?jobs] (default 1): with [jobs > 1] the
     search tree is cut at a fixed frontier depth and the independent
     subtrees run through {!Simkit.Exec.map} on the persistent worker
-    pool. The canonical ordering makes the merged output independent
-    of the partition and per-subtree tick deltas are summed back into
-    the analyzer, so results, [stats] and driven metrics are
-    byte-identical at every [jobs] count, on both executor backends.
-    See DESIGN.md §18.
+    pool. Each search is one walk, run to the frontier by the caller
+    and below it by the jobs. The canonical ordering makes the merged
+    output independent of the partition and the jobs' tallies are
+    summed back into the analyzer, so results, [stats] and driven
+    metrics are byte-identical at every [jobs] count, on both executor
+    backends. See DESIGN.md §18.
 
     Systems naming negative pids fall back to the brute-force
     reference paths (guarded to 20 participants), mirroring the
@@ -124,6 +125,6 @@ val minimal_splitting_sets :
     With [jobs > 1] each cardinality layer's candidates are checked
     in parallel (they are independent: a candidate can only be a
     superset of a strictly smaller splitting set), and when [metrics]
-    is given the per-candidate tick deltas are replayed into it in
-    candidate order — identical counters at every [jobs] count.
+    is given the per-candidate tallies are summed into it — identical
+    counters at every [jobs] count.
     @raise Invalid_argument when the universe exceeds 62 pids. *)

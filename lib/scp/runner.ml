@@ -174,24 +174,3 @@ let run_cfg ?(cfg = default_cfg) ~system ~peers_of ~initial_value_of ~fault_of
     validity;
     stats;
   }
-
-let run ?(seed = 0) ?(gst = 50) ?(delta = 5) ?(max_time = 200_000)
-    ?(ballot_timeout = 40) ?(nomination = Node.Echo_all) ?delay ?metrics
-    ?trace ~system ~peers_of ~initial_value_of ~fault_of () =
-  let cfg =
-    {
-      run =
-        {
-          Run_config.seed;
-          gst;
-          delta;
-          max_time;
-          delay;
-          metrics;
-          trace;
-        };
-      ballot_timeout;
-      nomination;
-    }
-  in
-  run_cfg ~cfg ~system ~peers_of ~initial_value_of ~fault_of ()

@@ -62,28 +62,3 @@ val run_cfg :
     instrumented, scope-["runner"] [run_start]/[run_end] events bracket
     the trace, and the process-global quorum-cache counters are scraped
     as per-run deltas ([fbqs_cache_hits]/[fbqs_cache_misses]). *)
-
-val run :
-  ?seed:int ->
-  ?gst:int ->
-  ?delta:int ->
-  ?max_time:int ->
-  ?ballot_timeout:int ->
-  ?nomination:Node.nomination_strategy ->
-  ?delay:Simkit.Delay.t ->
-  ?metrics:Obs.Metrics.t ->
-  ?trace:Obs.Trace.sink ->
-  system:Fbqs.Quorum.system ->
-  peers_of:(Pid.t -> Pid.Set.t) ->
-  initial_value_of:(Pid.t -> Value.t) ->
-  fault_of:(Pid.t -> fault option) ->
-  unit ->
-  outcome
-[@@deprecated "use run_cfg (default_cfg carries the historical defaults)"]
-(** Flat-parameter wrapper over {!run_cfg} preserving the historical
-    defaults (seed 0, gst 50, delta 5, max_time 200_000, ballot_timeout
-    40, [Echo_all]). [delay] overrides the default partial-synchrony
-    model — pass a {!Simkit.Delay.targeted} model to act as a network
-    adversary.
-    @deprecated Use {!run_cfg} with a {!type:cfg} built from
-    {!Simkit.Run_config.t} ({!default_cfg} carries these defaults). *)

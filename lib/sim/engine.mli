@@ -62,32 +62,18 @@ type stats = {
 
 type 'm t
 
-val create :
-  ?pp_msg:(Format.formatter -> 'm -> unit) ->
-  ?classify:('m -> string) ->
-  ?metrics:Obs.Metrics.t ->
-  ?trace:Obs.Trace.sink ->
-  ?max_time:int ->
-  delay:Delay.t ->
-  unit ->
-  'm t
-[@@deprecated "use create_cfg with a Run_config.t"]
-(** [pp_msg] enables human-readable traces through [Logs] at debug
-    level and, when a trace sink is attached, a rendered ["msg"] field
-    on send/deliver events; [classify] enables per-message-class
-    traffic accounting in {!type:stats}. [metrics] and [trace] attach
-    the observability sinks; [max_time] sets the default time budget
-    {!run} uses when not overridden (default [1_000_000]).
-    @deprecated Use {!create_cfg}: the delay model, observability
-    sinks and time budget all travel in one {!Run_config.t}. *)
-
 val create_cfg :
   ?pp_msg:(Format.formatter -> 'm -> unit) ->
   ?classify:('m -> string) ->
   Run_config.t ->
   'm t
-(** {!create} driven by a unified {!Run_config.t}: delay model,
-    observability sinks and time budget all come from the config. *)
+(** A fresh engine driven by a unified {!Run_config.t}: delay model,
+    observability sinks and time budget ([max_time], the default
+    budget {!run} uses when not overridden) all come from the config.
+    [pp_msg] enables human-readable traces through [Logs] at debug
+    level and, when a trace sink is attached, a rendered ["msg"] field
+    on send/deliver events; [classify] enables per-message-class
+    traffic accounting in {!type:stats}. *)
 
 val add_node : 'm t -> Pid.t -> 'm behavior -> unit
 (** Registers a process. Re-adding an id replaces its behaviour.

@@ -18,9 +18,6 @@ let backend ~jobs n =
   else if fork_available then Fork
   else Sequential
 
-let run_in_parallel ~jobs n =
-  match backend ~jobs n with Sequential -> false | Domains | Fork -> true
-
 (* Shared mutable state reachable from jobs (the Core.Cache handle
    memos and the lazy analysis fields inside compiled handles) is
    written with idempotent, input-determined values, so racing on it
@@ -61,30 +58,20 @@ let map_domains ~chunk ~jobs f xs =
              | Some y -> y | None -> raise (Job_failed "missing result"))
            slots)
 
-let map ?backend:forced ?chunk ~jobs f xs =
+let map ~jobs f xs =
   let n = List.length xs in
-  if jobs <= 1 || n <= 1 then List.map f xs
-  else
-    let chosen =
-      match forced with Some b -> b | None -> backend ~jobs n
-    in
-    let chunk =
-      match chunk with Some c -> max 1 c | None -> default_chunk ~jobs n
-    in
-    match chosen with
-    | Sequential -> List.map f xs
-    | Domains ->
-        if not domains_available then
-          invalid_arg "Simkit.Exec.map: domain backend unavailable";
-        map_domains ~chunk ~jobs f xs
-    | Fork ->
-        if not fork_available then
-          invalid_arg "Simkit.Exec.map: fork backend unavailable";
-        (* [chunk] is a throughput hint here, so raise it as needed to
-           fit the fork pool's one-byte chunk-token budget rather than
-           surface {!Pool.map_chunked}'s [Invalid_argument]. *)
-        let chunk = max chunk ((n + Pool.max_chunks - 1) / Pool.max_chunks) in
-        Pool.map_persistent ~chunk ~workers:(min jobs n) f xs
+  match backend ~jobs n with
+  | Sequential -> List.map f xs
+  | Domains -> map_domains ~chunk:(default_chunk ~jobs n) ~jobs f xs
+  | Fork ->
+      (* The chunk size is a throughput hint, so raise it as needed to
+         fit the fork pool's one-byte chunk-token budget rather than
+         surface {!Pool.map_persistent}'s [Invalid_argument]. *)
+      let chunk =
+        max (default_chunk ~jobs n)
+          ((n + Pool.max_chunks - 1) / Pool.max_chunks)
+      in
+      Pool.map_persistent ~chunk ~workers:(min jobs n) f xs
 
 (* ------------------------------------------------------------------ *)
 (* The persistent pool surface                                        *)

@@ -4,10 +4,11 @@
     [jobs] domains that pull chunks of job indices from a
     mutex-protected counter and write results straight into a
     preallocated slot array — shared heap, zero serialization. On 4.14
-    (or wherever domains are unavailable) the {b fork pool} of
-    {!Pool.map_chunked} takes over: the same chunked dynamic dispatch,
-    with results marshalled up a pipe per chunk. The backend is picked
-    at build time by a dune rule (see [lib/sim/dune]): [exec_domains.ml]
+    (or wherever domains are unavailable) the warm {b fork pool} of
+    {!Pool.map_persistent} takes over, falling back to a per-call
+    {!Pool.map_chunked} fork: the same chunked dynamic dispatch, with
+    results marshalled up a pipe per chunk. The backend is picked at
+    build time by a dune rule (see [lib/sim/dune]): [exec_domains.ml]
     is either the real domain pool or a stub that reports itself
     unavailable.
 
@@ -55,21 +56,11 @@ val backend : jobs:int -> int -> backend
 val backend_name : backend -> string
 (** ["domains"], ["fork"] or ["sequential"]. *)
 
-val run_in_parallel : jobs:int -> int -> bool
-(** Whether {!map} would actually run workers (i.e. {!backend} is not
-    [Sequential]). Drop-in for {!Pool.run_in_parallel}. *)
-
-val map :
-  ?backend:backend -> ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] evaluates [f] on every element of [xs] with up to
-    [jobs] workers and returns the results in input order —
-    byte-identical to [List.map f xs].
-
-    [?backend] forces a specific backend (tests use it to exercise the
-    fork path on OCaml 5); [jobs <= 1] and singleton/empty inputs run
-    sequentially regardless. [?chunk] overrides the dispatch chunk
-    size (results are invariant under it; it only moves the
-    throughput/balance trade-off).
+    [jobs] workers on the backend {!backend} picks, and returns the
+    results in input order — byte-identical to [List.map f xs]. Chunk
+    sizes follow the job count; results never depend on them.
 
     On the fork backend results travel by [Marshal], so ['b] must be
     marshal-safe plain data there; the domain backend has no such
@@ -84,8 +75,7 @@ val map :
     only dispatch.
 
     @raise Job_failed if any job raises (minimum-index failure wins),
-    after all workers are collected.
-    @raise Invalid_argument if a forced backend is unavailable. *)
+    after all workers are collected. *)
 
 (** {1 The persistent worker pool} *)
 

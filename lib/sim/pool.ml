@@ -2,121 +2,22 @@ exception Job_failed of string
 
 let has_fork = not Sys.win32
 
-let run_in_parallel ~jobs n = has_fork && jobs > 1 && n > 1
-
-(* Round-robin partition: worker [w] of [nw] owns the items at indices
-   [i] with [i mod nw = w]. A pure function of the input list and the
-   worker count, so the parent can scatter results back into input
-   order without shipping indices over the pipe. *)
-let partition nw xs =
-  let buckets = Array.make nw [] in
-  List.iteri (fun i x -> buckets.(i mod nw) <- (i, x) :: buckets.(i mod nw)) xs;
-  Array.map List.rev buckets
-
-(* One worker: compute the assigned jobs sequentially, stopping at the
-   first failure (exactly the prefix a sequential [List.map] would have
-   computed before raising), and marshal the outcome up the pipe. The
-   child exits with [Unix._exit] so the duplicated stdio buffers and
-   [at_exit] handlers of the parent never run twice. *)
-let worker_main fd f items =
-  let outcome : (_ list, string) result =
-    try Ok (List.map (fun (_, x) -> f x) items)
-    with e ->
-      let bt = Printexc.get_backtrace () in
-      Error
-        (Printexc.to_string e ^ if bt = "" then "" else "\n" ^ String.trim bt)
-  in
-  (try
-     let oc = Unix.out_channel_of_descr fd in
-     Marshal.to_channel oc outcome [];
-     flush oc
-   with _ -> Unix._exit 2);
-  Unix._exit 0
-
-let map_forked ~workers f xs =
-  let n = List.length xs in
-  let buckets = partition workers xs in
-  flush stdout;
-  flush stderr;
-  let spawned =
-    Array.map
-      (fun items ->
-        let r, w = Unix.pipe ~cloexec:false () in
-        match Unix.fork () with
-        | 0 ->
-            Unix.close r;
-            worker_main w f items
-        | pid ->
-            Unix.close w;
-            (pid, r, items))
-      buckets
-  in
-  (* Collect every worker before acting on any failure: a crashed job
-     must surface as an exception, never as a hang or a zombie. *)
-  let outcomes =
-    Array.map
-      (fun (pid, r, items) ->
-        let outcome =
-          try
-            let ic = Unix.in_channel_of_descr r in
-            let (o : (_ list, string) result) = Marshal.from_channel ic in
-            close_in ic;
-            o
-          with e ->
-            (try Unix.close r with Unix.Unix_error _ -> ());
-            Error ("worker died before reporting: " ^ Printexc.to_string e)
-        in
-        let _, status = Unix.waitpid [] pid in
-        match (outcome, status) with
-        | Ok results, Unix.WEXITED 0 -> Ok (items, results)
-        | Error msg, _ -> Error msg
-        | Ok _, status ->
-            let s =
-              match status with
-              | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-              | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-              | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
-            in
-            Error ("worker terminated abnormally: " ^ s))
-      spawned
-  in
-  let slots = Array.make n None in
-  Array.iter
-    (fun outcome ->
-      match outcome with
-      | Error msg -> raise (Job_failed msg)
-      | Ok (items, results) ->
-          (* A well-behaved worker answers one result per item; anything
-             else means the transport lost data. *)
-          if List.length items <> List.length results then
-            raise (Job_failed "worker returned a truncated result list");
-          List.iter2 (fun (i, _) y -> slots.(i) <- Some y) items results)
-    outcomes;
-  Array.to_list
-    (Array.map
-       (function Some y -> y | None -> raise (Job_failed "missing result"))
-       slots)
-
-let map ~jobs f xs =
-  let n = List.length xs in
-  if not (run_in_parallel ~jobs n) then List.map f xs
-  else map_forked ~workers:(min jobs n) f xs
-
 (* ------------------------------------------------------------------ *)
-(* Chunked dynamic-dispatch variant, used by {!Exec} as the fork
-   backend. Differences from {!map_forked}:
+(* The per-call fork pool: [map_chunked] forks its workers for one
+   batch and reaps them before returning.
 
    - Work is handed out dynamically through a make-jobserver-style
      token pipe: the parent writes one byte per chunk id and closes
      the write end before forking, each worker loops single-byte reads
      until EOF. One-byte reads from a pipe are atomic among competing
      readers, so a token goes to exactly one worker and a slow chunk
-     no longer staticly pins the rest of its round-robin bucket to the
-     same worker.
+     never pins a statically assigned share of the batch.
    - Each chunk's results travel as their own compact marshalled frame
-     [(chunk_id, rows)] instead of one whole-bucket message, so the
-     parent can drain pipes while workers still compute and the
-     Marshal tax is paid per result row, never per retained table. *)
+     [(chunk_id, rows)], so the parent can drain pipes while workers
+     still compute and the Marshal tax is paid per result row, never
+     per retained table.
+   - The child exits with [Unix._exit] so the duplicated stdio buffers
+     and [at_exit] handlers of the parent never run twice. *)
 
 (* Chunk ids must fit the one-byte token, so at most 256 chunks: a
    request for more is refused loudly (callers — {!Exec} — raise the
@@ -136,24 +37,26 @@ let check_chunk_budget ~where ~chunk n =
 
 type 'b chunk_outcome = ('b list, int * string) result
 
-let chunk_worker ~token_r ~result_w ~chunk ~n f (input : _ array) =
-  let compute cid =
-    let start = cid * chunk in
-    let stop = min n (start + chunk) in
-    let rec go i acc =
-      if i >= stop then Ok (List.rev acc)
-      else
-        match f input.(i) with
-        | y -> go (i + 1) (y :: acc)
-        | exception e ->
-            let bt = Printexc.get_backtrace () in
-            Error
-              ( i,
-                Printexc.to_string e
-                ^ if bt = "" then "" else "\n" ^ String.trim bt )
-    in
-    go start []
+(* Chunk [cid]'s results in input order, or the index and exception
+   text (plus backtrace) of its first failing job. *)
+let run_chunk ~chunk ~n f (input : _ array) cid : _ chunk_outcome =
+  let start = cid * chunk in
+  let stop = min n (start + chunk) in
+  let rec go i acc =
+    if i >= stop then Ok (List.rev acc)
+    else
+      match f input.(i) with
+      | y -> go (i + 1) (y :: acc)
+      | exception e ->
+          let bt = Printexc.get_backtrace () in
+          Error
+            ( i,
+              Printexc.to_string e
+              ^ if bt = "" then "" else "\n" ^ String.trim bt )
   in
+  go start []
+
+let chunk_worker ~token_r ~result_w ~chunk ~n f (input : _ array) =
   (try
      let oc = Unix.out_channel_of_descr result_w in
      let buf = Bytes.create 1 in
@@ -162,7 +65,7 @@ let chunk_worker ~token_r ~result_w ~chunk ~n f (input : _ array) =
        | 0 -> ()
        | _ ->
            let cid = Char.code (Bytes.get buf 0) in
-           let frame : int * _ chunk_outcome = (cid, compute cid) in
+           let frame = (cid, run_chunk ~chunk ~n f input cid) in
            Marshal.to_channel oc frame [];
            loop ()
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -205,9 +108,8 @@ let map_chunked ~chunk ~workers f xs =
               (pid, r))
     in
     Unix.close token_r;
-    (* Drain every worker before acting on any failure, like
-       {!map_forked}: a crashed job must surface as an exception, never
-       as a hang or a zombie. *)
+    (* Drain every worker before acting on any failure: a crashed job
+       must surface as an exception, never as a hang or a zombie. *)
     let outcomes : _ chunk_outcome option array = Array.make nchunks None in
     let transport = ref [] in
     Array.iter
@@ -299,17 +201,21 @@ let map_chunked ~chunk ~workers f xs =
    jobserver-style one-byte token pipe as [map_chunked] for dynamic
    chunk claiming.
 
-   Batch protocol: the parent writes the batch descriptor to EVERY
-   worker's command pipe (participants get the job, the rest an
-   explicit stand-down, so a stale job can never grab a token), then
-   writes one token per chunk, then drains exactly [nchunks] frames
-   off the result pipes. Descriptors are fully written before any
-   token exists and each pipe delivers in order, so whenever a token
-   is readable the worker's descriptor is already queued — and the
-   workers drain their command pipe before touching the token pipe,
-   so a token is always computed under the batch it belongs to.
-   Batches are collected to completion before the next is submitted,
-   so the token pipe is empty between batches.
+   Batch protocol: the parent writes the batch descriptor — the job,
+   and whether this worker claims tokens — to EVERY worker's command
+   pipe, then writes one token per chunk, then drains exactly
+   [nchunks] frames off all the result pipes. Batches are collected to
+   completion before the next is submitted, so the token pipe is empty
+   between batches. A token is always computed under the batch it
+   belongs to: a worker drains its command pipe after reading a token
+   and before computing it, and at that moment the token's descriptor
+   is already queued (descriptors are fully written before any token
+   exists, and each pipe delivers in order) while the next batch's
+   cannot exist yet (that waits for this token's frame). Several
+   workers can wake for one token, and the losers block in [read]
+   until the next batch, possibly one that stands them down; since
+   every descriptor carries the job and the parent reads every result
+   pipe, such a late token is still computed and collected.
 
    Failure envelope: a job exception travels as an [Error] frame and
    the pool stays warm (minimum-index [Job_failed] semantics as
@@ -363,20 +269,21 @@ let read_frame fd =
 
 let persistent_worker ~cmd_r ~token_r ~result_w =
   let job : (int -> string) option ref = ref None in
+  let claims = ref false in
   (* [false] on command-pipe EOF: the parent shut the pool down. *)
   let read_cmd () =
     match read_frame cmd_r with
     | exception End_of_file -> false
     | s ->
         let participate, (j : int -> string) = Marshal.from_string s 0 in
-        job := (if participate then Some j else None);
+        job := Some j;
+        claims := participate;
         true
   in
   let buf = Bytes.create 1 in
   let run () =
-    (* Descriptors first — always. This both applies any batches this
-       worker slept through and guarantees a token is never claimed
-       under a stale job. *)
+    (* Applies every queued descriptor, including batches this worker
+       slept through. *)
     let rec drain_cmd () =
       match Unix.select [ cmd_r ] [] [] 0.0 with
       | [ _ ], _, _ -> read_cmd () && drain_cmd ()
@@ -385,9 +292,7 @@ let persistent_worker ~cmd_r ~token_r ~result_w =
     in
     let rec loop () =
       if drain_cmd () then begin
-        let watch =
-          match !job with None -> [ cmd_r ] | Some _ -> [ cmd_r; token_r ]
-        in
+        let watch = if !claims then [ cmd_r; token_r ] else [ cmd_r ] in
         match Unix.select watch [] [] (-1.0) with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
         | ready, _, _ ->
@@ -398,12 +303,14 @@ let persistent_worker ~cmd_r ~token_r ~result_w =
               match Unix.read token_r buf 0 1 with
               | 0 -> () (* parent gone: no more batches *)
               | _ ->
-                  let cid = Char.code (Bytes.get buf 0) in
-                  let out =
-                    match !job with Some j -> j cid | None -> assert false
-                  in
-                  write_frame result_w out;
-                  loop ()
+                  if drain_cmd () then begin
+                    let cid = Char.code (Bytes.get buf 0) in
+                    let out =
+                      match !job with Some j -> j cid | None -> assert false
+                    in
+                    write_frame result_w out;
+                    loop ()
+                  end
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
             end
       end
@@ -517,39 +424,18 @@ let map_persistent ~chunk ~workers f xs =
       check_chunk_budget ~where:"Simkit.Pool.map_persistent" ~chunk n
     in
     let workers = max 1 (min workers nchunks) in
-    let compute cid =
-      let start = cid * chunk in
-      let stop = min n (start + chunk) in
-      let rec go i acc =
-        if i >= stop then Ok (List.rev acc)
-        else
-          match f input.(i) with
-          | y -> go (i + 1) (y :: acc)
-          | exception e ->
-              let bt = Printexc.get_backtrace () in
-              Error
-                ( i,
-                  Printexc.to_string e
-                  ^ if bt = "" then "" else "\n" ^ String.trim bt )
-      in
-      go start []
-    in
-    let job cid =
-      let frame : int * _ chunk_outcome = (cid, compute cid) in
-      Marshal.to_string frame []
-    in
+    let job cid = Marshal.to_string (cid, run_chunk ~chunk ~n f input cid) [] in
     (* The job ships to long-lived workers by closure marshalling, so
        its captures ([f]'s environment, the input array) must be
        marshal-safe. When they are not — abstract blocks, channels —
        fall back to the per-call pool, which inherits everything
-       through fork. Stand-down descriptors carry a dummy job (the
-       worker nulls its job slot without looking at it). *)
-    let standdown_desc =
-      Marshal.to_string (false, fun (_ : int) -> "") [ Marshal.Closures ]
-    in
+       through fork. *)
     match Marshal.to_string (true, job) [ Marshal.Closures ] with
     | exception _ -> map_chunked ~chunk ~workers f xs
     | active_desc -> (
+        let standdown_desc =
+          lazy (Marshal.to_string (false, job) [ Marshal.Closures ])
+        in
         let outcomes : _ chunk_outcome option array = Array.make nchunks None in
         let submitted =
           try
@@ -562,7 +448,8 @@ let map_persistent ~chunk ~workers f xs =
             List.iter
               (fun (participate, w) ->
                 write_frame w.cmd_w
-                  (if participate then active_desc else standdown_desc))
+                  (if participate then active_desc
+                   else Lazy.force standdown_desc))
               members;
             let tokens = Bytes.init nchunks Char.chr in
             let wrote =
@@ -571,12 +458,7 @@ let map_persistent ~chunk ~workers f xs =
             in
             if wrote <> nchunks then
               raise (Fork_transport "token pipe refused the chunk list");
-            let fds =
-              List.filter_map
-                (fun (participate, w) ->
-                  if participate then Some w.result_r else None)
-                members
-            in
+            let fds = List.map (fun w -> w.result_r) !fork_pool in
             let remaining = ref nchunks in
             while !remaining > 0 do
               match Unix.select fds [] [] (-1.0) with

@@ -1,48 +1,32 @@
-(** A deterministic parallel executor for independent simulation jobs.
+(** The fork backend of {!Exec}, for builds without domains (OCaml
+    4.14).
 
     Experiment sweeps are embarrassingly parallel: each sample is a
     pure function of its own seed, graph and config, and touches no
     shared mutable state (every worker builds its own engine, metrics
-    registry and trace buffer). {!map} farms such jobs out to forked
-    worker processes and returns the results in input order, so the
-    output is byte-identical to the sequential run — parallelism is a
-    pure wall-clock optimisation, never a semantic knob.
+    registry and trace buffer). The functions here farm such jobs out
+    to forked worker processes and return the results in input order,
+    so the output is byte-identical to the sequential run —
+    parallelism is a pure wall-clock optimisation, never a semantic
+    knob.
 
-    Portability: on Unix the pool uses [Unix.fork] plus [Marshal] over
-    pipes (works identically on OCaml 4.14 and 5.x — no dependency on
-    domains). Where [fork] is unavailable (Windows), or when
-    [jobs <= 1], {!map} degrades to a plain sequential [List.map].
+    Workers claim chunks of consecutive jobs from a jobserver-style
+    one-byte token pipe, so a slow chunk never stalls a statically
+    assigned share, and send each chunk's results back as one
+    [Marshal] frame. {!map_persistent} keeps its workers parked between
+    batches; {!map_chunked} forks them for one batch.
 
-    Jobs are distributed round-robin across workers before any of them
-    starts, so the partition — like everything else here — is a pure
-    function of the input list and [jobs]. *)
+    [Unix.fork] is refused on OCaml 5 once a second domain has been
+    started, so no other domain may be running when these functions
+    are called. {!Exec.map} calls them only where domains are
+    unavailable; on OCaml 5 they are exercised only from a process that
+    never starts a domain. *)
 
 exception Job_failed of string
 (** A job raised in a worker (the payload is the exception text plus
     the worker's backtrace), or a worker died before reporting results.
-    Re-raised in the parent by {!map}; remaining workers are reaped
-    first, so a crash never hangs the pool. *)
-
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] evaluates [f] on every element of [xs] using up to
-    [jobs] worker processes and returns the results in input order.
-
-    - [jobs <= 1] (or a singleton/empty [xs], or no [fork]) runs
-      sequentially in-process: [List.map f xs] exactly.
-    - Results are transported with [Marshal], so ['b] must be
-      marshal-safe plain data (no closures, no custom blocks). The
-      inputs and [f] itself are never marshalled — workers inherit them
-      through [fork] — so jobs may freely close over graphs, configs
-      and functions.
-    - If any job raises, {!map} raises {!Job_failed} after collecting
-      every worker.
-
-    @raise Job_failed as described above. *)
-
-val run_in_parallel : jobs:int -> int -> bool
-(** [run_in_parallel ~jobs n] — whether [map ~jobs] on an [n]-element
-    list would actually fork ([jobs > 1], [n > 1] and fork available).
-    Exposed so callers (CLI, bench) can report the execution mode. *)
+    Raised in the parent only after every worker of the batch has
+    reported or been reaped, so a crash never hangs the pool. *)
 
 val has_fork : bool
 (** Whether [Unix.fork] exists on this platform (everywhere but
@@ -55,17 +39,18 @@ val max_chunks : int
     the budget. *)
 
 val map_chunked : chunk:int -> workers:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_chunked ~chunk ~workers f xs] — the per-call fork backend of
-    {!Exec}: like {!map} but with dynamic load balancing (workers
-    claim chunks of [chunk] consecutive jobs from a jobserver-style
-    token pipe) and compact per-chunk result frames instead of one
-    whole-bucket message. Always forks — callers gate on {!has_fork}
-    and [jobs]; use {!map} for the self-dispatching entry point.
+(** [map_chunked ~chunk ~workers f xs] evaluates [f] on every element
+    of [xs] in up to [workers] forked processes, which claim chunks of
+    [chunk] consecutive jobs, and returns the results in input order:
+    byte-identical to [List.map f xs]. Always forks (for a non-empty
+    [xs]); callers gate on {!has_fork} and the job count. It is the
+    fallback of {!map_persistent}.
 
-    Same determinism contract as {!map}: results in input order,
-    byte-identical to [List.map], and on failure the exception of the
-    minimum-index failing job is re-raised as {!Job_failed} after all
-    workers are reaped.
+    [f] and [xs] are inherited through [fork], never marshalled, so
+    jobs may close over anything; results travel by [Marshal], so ['b]
+    must be plain data (no closures, no custom blocks). If jobs fail,
+    the exception of the minimum-index failing job is re-raised as
+    {!Job_failed} after all workers are reaped.
 
     @raise Job_failed as described above.
     @raise Invalid_argument when [xs] at chunk size [chunk] needs more
@@ -73,16 +58,17 @@ val map_chunked : chunk:int -> workers:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_persistent :
   chunk:int -> workers:int -> ('a -> 'b) -> 'a list -> 'b list
-(** The warm variant of {!map_chunked}: workers are forked once per
-    process, parked on a [select] between batches, and fed job
-    descriptors over private command pipes (closure [Marshal] — fork
-    guarantees the identical binary it requires) plus chunk ids over
-    the same shared one-byte token pipe as {!map_chunked}. Byte-for-
-    byte the same results, ordering and minimum-index [Job_failed]
-    semantics; a job failure leaves the pool warm. Jobs whose captures
-    are not marshal-safe, and any transport fault, transparently fall
-    back to a fresh per-call {!map_chunked} (after tearing the pool
-    down in the fault case) — the caller never sees the difference.
+(** The fork backend of {!Exec.map}: the warm variant of
+    {!map_chunked}. Workers are forked once per process, parked on a
+    [select] between batches, and fed job descriptors over private
+    command pipes (closure [Marshal] — fork guarantees the identical
+    binary it requires) plus chunk ids over one shared one-byte token
+    pipe. Byte-for-byte the same results, ordering and minimum-index
+    [Job_failed] semantics as {!map_chunked}; a job failure leaves the
+    pool warm. Jobs whose captures are not marshal-safe, and any
+    transport fault, transparently fall back to a fresh per-call
+    {!map_chunked} (after tearing the pool down in the fault case) —
+    the caller never sees the difference.
 
     @raise Job_failed as for {!map_chunked}.
     @raise Invalid_argument as for {!map_chunked}. *)

@@ -1,7 +1,7 @@
 (* Typedtree rule families (the --cmt phase).
 
    R1 — parallel capture safety, closure form: a literal closure in
-   the job position of Simkit.Exec.map / Simkit.Pool.map /
+   the job position of Simkit.Exec.map / Simkit.Pool.map_persistent /
    Simkit.Pool.map_chunked must not capture a variable of mutable
    type (ref, Hashtbl.t, Buffer.t, Bytes.t, arrays, queues/stacks,
    records with mutable fields — through type aliases) defined
@@ -34,7 +34,7 @@
 let exec_entry comps =
   match comps with
   | [ "Simkit"; "Exec"; "map" ]
-  | [ "Simkit"; "Pool"; "map" ]
+  | [ "Simkit"; "Pool"; "map_persistent" ]
   | [ "Simkit"; "Pool"; "map_chunked" ] ->
       true
   | _ -> false

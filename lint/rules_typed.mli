@@ -2,7 +2,8 @@
     {!Loader} from a [--cmt] directory.
 
     - R1 — a literal closure in the job position of
-      [Simkit.Exec.map] / [Simkit.Pool.map] / [Simkit.Pool.map_chunked]
+      [Simkit.Exec.map] / [Simkit.Pool.map_persistent] /
+      [Simkit.Pool.map_chunked]
       captures a variable of mutable type (ref, [Hashtbl.t],
       [Buffer.t], [Bytes.t], arrays, queues/stacks, records with
       mutable fields — resolved through aliases) defined outside the

@@ -1,10 +1,10 @@
-(* Simkit.Exec carries the same contract as Simkit.Pool — "byte-identical
-   to the sequential run, just faster" — across two backends (domain
-   pool on OCaml 5, fork pool otherwise). These tests exercise the
-   dispatch edges, crash propagation through whichever backend is
-   live, the minimum-index error determinism, chunking invariance, and
-   the forced-backend escape hatch; the experiment byte-identity cases
-   extend test_pool's jobs=4 coverage to jobs=2 and jobs=8. *)
+(* The parallel executor's whole contract is "byte-identical to the
+   sequential run, just faster", on whichever backend the build has
+   (domain pool on OCaml 5, fork pool otherwise): ordering, crash
+   propagation, the minimum-index error determinism, chunking
+   invariance and the jobs=1 degenerate case are the things that can
+   silently break it. The fork backend is also driven directly, in
+   the domain-free fork_main executable. *)
 
 let int_list = Alcotest.(list int)
 
@@ -60,11 +60,7 @@ let test_backend_dispatch () =
   in
   Alcotest.(check string)
     "parallel-sized input picks the best available backend" expected
-    (name (Simkit.Exec.backend ~jobs:4 100));
-  Alcotest.(check bool)
-    "run_in_parallel agrees with backend"
-    (expected <> "sequential")
-    (Simkit.Exec.run_in_parallel ~jobs:4 100)
+    (name (Simkit.Exec.backend ~jobs:4 100))
 
 let test_crash_propagates () =
   let raised =
@@ -104,7 +100,7 @@ let test_min_index_failure () =
       let raised =
         try
           ignore
-            (Simkit.Exec.map ~chunk:1 ~jobs
+            (Simkit.Exec.map ~jobs
                (fun x ->
                  if x = 3 || x = 11 then failwith (Printf.sprintf "job<%d>" x)
                  else x)
@@ -121,56 +117,19 @@ let test_min_index_failure () =
       Alcotest.(check bool) "Job_failed raised" true raised)
     [ 2; 4 ]
 
-(* The forced-backend escape hatch: each backend honours the full
-   contract when forced, and forcing a missing one is a loud error —
-   so the 4.14 leg tests fork, the 5.x leg tests both. *)
-let forced_backend_contract backend name () =
-  let available =
-    match backend with
-    | Simkit.Exec.Domains -> Simkit.Exec.domains_available
-    | Simkit.Exec.Fork -> Simkit.Exec.fork_available
-    | Simkit.Exec.Sequential -> true
-  in
-  if not available then
-    let raised =
-      try
-        ignore (Simkit.Exec.map ~backend ~jobs:4 Fun.id (List.init 8 Fun.id));
-        false
-      with Invalid_argument _ -> true
-    in
-    Alcotest.(check bool)
-      (name ^ " unavailable: forcing it is Invalid_argument")
-      true raised
-  else begin
-    let xs = List.init 20 Fun.id in
-    let f x = (x * 31) + 1 in
-    Alcotest.check int_list
-      (name ^ " matches List.map")
-      (List.map f xs)
-      (Simkit.Exec.map ~backend ~jobs:4 f xs);
-    let raised =
-      try
-        ignore
-          (Simkit.Exec.map ~backend ~jobs:4
-             (fun x -> if x = 7 then failwith "forced-boom" else x)
-             xs);
-        false
-      with Simkit.Exec.Job_failed msg ->
-        contains_substring ~sub:"forced-boom" msg
-    in
-    Alcotest.(check bool) (name ^ " propagates crashes") true raised
-  end
-
+(* Lists run long enough that the default chunk exceeds 1 (it does
+   from 64 jobs per worker). *)
 let prop_exec_equals_list_map =
   QCheck.Test.make ~count:100
-    ~name:"Exec.map = List.map (any jobs, any chunk)"
-    QCheck.(triple (small_list int) (int_range 1 8) (int_range 1 10))
-    (fun (xs, jobs, chunk) ->
-      Simkit.Exec.map ~chunk ~jobs (fun x -> (x * 17) - 5) xs
+    ~name:"Exec.map = List.map (any jobs, default chunks)"
+    QCheck.(pair (list_of_size Gen.(0 -- 1200) int) (int_range 1 8))
+    (fun (xs, jobs) ->
+      Simkit.Exec.map ~jobs (fun x -> (x * 17) - 5) xs
       = List.map (fun x -> (x * 17) - 5) xs)
 
-(* Experiment tables must come out byte-identical at every jobs count;
-   test_pool pins jobs=4, these extend the sweep to 2 and 8. *)
+(* The experiments are the real workload: their tables must come out
+   byte-identical whatever the jobs count. Small sample counts keep
+   this a unit test, not a benchmark. *)
 let experiment_determinism name build () =
   let baseline = Stellar_cup.Report.to_markdown (build ~jobs:1) in
   List.iter
@@ -179,11 +138,11 @@ let experiment_determinism name build () =
         (Printf.sprintf "%s table identical at jobs=%d" name jobs)
         baseline
         (Stellar_cup.Report.to_markdown (build ~jobs)))
-    [ 2; 8 ]
+    [ 2; 4; 8 ]
 
 let det_case name build =
   Alcotest.test_case
-    (name ^ ": jobs in {2,8} byte-identical")
+    (name ^ ": jobs in {2,4,8} byte-identical")
     `Slow
     (experiment_determinism name build)
 
@@ -206,10 +165,6 @@ let suites =
           test_pool_exception_compatible;
         Alcotest.test_case "minimum-index failure wins" `Quick
           test_min_index_failure;
-        Alcotest.test_case "forced domain backend" `Quick
-          (forced_backend_contract Simkit.Exec.Domains "domains");
-        Alcotest.test_case "forced fork backend" `Quick
-          (forced_backend_contract Simkit.Exec.Fork "fork");
         QCheck_alcotest.to_alcotest prop_exec_equals_list_map;
       ] );
     ( "exec-experiments",
@@ -217,12 +172,18 @@ let suites =
         det_case "e3" (fun ~jobs ->
             Stellar_cup.Experiments.e3_theorem2_violation ~seed:1 ~samples:2
               ~jobs ());
+        det_case "e4" (fun ~jobs ->
+            Stellar_cup.Experiments.e4_algorithm2_intertwined ~seed:2
+              ~samples:2 ~jobs ());
         det_case "e5" (fun ~jobs ->
             Stellar_cup.Experiments.e5_availability ~seed:3 ~samples:2 ~jobs
               ());
         det_case "e6" (fun ~jobs ->
             Stellar_cup.Experiments.e6_sink_detector ~seed:4 ~samples:2 ~jobs
               ());
+        det_case "e7" (fun ~jobs ->
+            Stellar_cup.Experiments.e7_reachable_broadcast ~seed:5 ~samples:2
+              ~jobs ());
         det_case "e8" (fun ~jobs ->
             Stellar_cup.Experiments.e8_pipelines ~seed:6 ~samples:2 ~jobs ());
       ] );

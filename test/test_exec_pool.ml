@@ -1,8 +1,9 @@
 (* The persistent worker pool behind Simkit.Exec (DESIGN.md §18):
    lifecycle (lazy spawn, reuse across batches, idempotent shutdown,
-   respawn), the chunk-token budget guard, the warm fork pool's
-   closure-Marshal transport with its silent per-call fallback, and
-   the STELLAR_CUP_JOBS environment default.
+   respawn) and the STELLAR_CUP_JOBS environment default. The fork
+   pool's own cases (chunk-token budget, closure-Marshal transport and
+   its per-call fallback) run in fork_main, which never starts a
+   domain.
 
    Worker counts are capped by the machine (one core spawns no domain
    workers at all), so nothing here asserts absolute pool sizes — only
@@ -11,7 +12,6 @@
    shutdown leaves the pool empty but usable. *)
 
 module Exec = Simkit.Exec
-module Pool = Simkit.Pool
 
 let int_list = Alcotest.(list int)
 
@@ -56,7 +56,7 @@ let test_min_index_failure_on_warm_pool () =
   ignore (Exec.map ~jobs:4 (fun x -> x + 1) xs);
   (try
      ignore
-       (Exec.map ~chunk:1 ~jobs:4
+       (Exec.map ~jobs:4
           (fun x ->
             if x = 3 || x = 11 then failwith (Printf.sprintf "boom %d" x);
             x)
@@ -68,88 +68,6 @@ let test_min_index_failure_on_warm_pool () =
   Alcotest.check int_list "pool still serves after a failure"
     (List.map (fun x -> x - 1) xs)
     (Exec.map ~jobs:4 (fun x -> x - 1) xs)
-
-(* ---- chunk-token budget ------------------------------------------------ *)
-
-let test_chunk_budget_guard () =
-  if Exec.fork_available then begin
-    let xs n = List.init n Fun.id in
-    (* exactly at the budget: fine *)
-    Alcotest.check int_list "256 chunks fit"
-      (List.map succ (xs Pool.max_chunks))
-      (Pool.map_chunked ~chunk:1 ~workers:2 succ (xs Pool.max_chunks));
-    (* one over: a clear refusal, not a silent re-chunk *)
-    (try
-       ignore
-         (Pool.map_chunked ~chunk:1 ~workers:2 succ (xs (Pool.max_chunks + 1)));
-       Alcotest.fail "expected Invalid_argument"
-     with Invalid_argument msg ->
-       Alcotest.(check bool) "names the caller" true
-         (contains ~affix:"Simkit.Pool.map_chunked" msg);
-       Alcotest.(check bool) "suggests a chunk size" true
-         (contains ~affix:"raise ~chunk" msg));
-    (* Exec.map pre-clamps instead of surfacing the refusal *)
-    Alcotest.check int_list "Exec.map re-chunks transparently"
-      (List.map succ (xs 300))
-      (Exec.map ~backend:Exec.Fork ~chunk:1 ~jobs:2 succ (xs 300))
-  end
-
-(* ---- the warm fork pool ------------------------------------------------ *)
-
-let test_persistent_fork_lifecycle () =
-  if Exec.fork_available then begin
-    Pool.shutdown_persistent ();
-    let xs = List.init 20 Fun.id in
-    let expected = List.map succ xs in
-    Alcotest.check int_list "cold batch" expected
-      (Pool.map_persistent ~chunk:2 ~workers:2 succ xs);
-    let w = Pool.persistent_workers () in
-    Alcotest.(check bool) "workers parked between batches" true (w >= 2);
-    let b = Pool.persistent_batches () in
-    Alcotest.check int_list "warm batch, same workers" expected
-      (Pool.map_persistent ~chunk:2 ~workers:2 succ xs);
-    Alcotest.(check int) "no respawn on reuse" w (Pool.persistent_workers ());
-    Alcotest.(check bool) "batch counted" true (Pool.persistent_batches () > b);
-    (* a failing job leaves the pool warm *)
-    (try
-       ignore
-         (Pool.map_persistent ~chunk:1 ~workers:2
-            (fun x -> if x = 5 then failwith "kaput" else x)
-            xs);
-       Alcotest.fail "expected Job_failed"
-     with Pool.Job_failed msg ->
-       Alcotest.(check bool) "job error transported" true
-         (contains ~affix:"kaput" msg));
-    Alcotest.(check int) "still the same workers after a job failure" w
-      (Pool.persistent_workers ());
-    Pool.shutdown_persistent ();
-    Alcotest.(check int) "drained" 0 (Pool.persistent_workers ())
-  end
-
-let test_unmarshalable_capture_falls_back () =
-  if Exec.fork_available then begin
-    (* A channel capture cannot cross the command pipe by Marshal; the
-       call must silently revert to the per-call fork (which inherits
-       the closure) and still return List.map's bytes. *)
-    let ic = stdin in
-    let f x =
-      ignore (ic == ic);
-      x * 3
-    in
-    let xs = List.init 12 Fun.id in
-    Alcotest.check int_list "fallback result identical" (List.map f xs)
-      (Pool.map_persistent ~chunk:1 ~workers:2 f xs)
-  end
-
-let prop_persistent_matches_list_map =
-  QCheck.Test.make ~count:30
-    ~name:"Pool.map_persistent = List.map (any chunk, any workers)"
-    QCheck.(triple (small_list small_int) (int_range 1 5) (int_range 1 4))
-    (fun (xs, chunk, workers) ->
-      if not Exec.fork_available then true
-      else
-        let f x = (x * 31) land 255 in
-        Pool.map_persistent ~chunk ~workers f xs = List.map f xs)
 
 (* ---- the environment default ------------------------------------------- *)
 
@@ -189,13 +107,6 @@ let suites =
           test_shutdown_idempotent_and_respawn;
         Alcotest.test_case "min-index failure on a warm pool" `Quick
           test_min_index_failure_on_warm_pool;
-        Alcotest.test_case "chunk-token budget guard" `Quick
-          test_chunk_budget_guard;
-        Alcotest.test_case "persistent fork pool lifecycle" `Quick
-          test_persistent_fork_lifecycle;
-        Alcotest.test_case "unmarshalable capture falls back" `Quick
-          test_unmarshalable_capture_falls_back;
-        QCheck_alcotest.to_alcotest prop_persistent_matches_list_map;
         Alcotest.test_case "STELLAR_CUP_JOBS parsing" `Quick test_jobs_from_env;
       ] );
   ]

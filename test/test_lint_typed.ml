@@ -46,7 +46,7 @@ let test_r1 () =
     "captured Hashtbl [table] is flagged" true
     (List.exists (mentions "table") r1);
   Alcotest.(check bool)
-    "captured ref [seen] is flagged through Pool.map" true
+    "captured ref [seen] is flagged through Pool.map_persistent" true
     (List.exists (mentions "seen") r1);
   Alcotest.(check bool)
     "Core.Cache capture is exempt" false

@@ -16,8 +16,6 @@ let own_value i = v [ i ]
 
 let no_faults _ = None
 
-(* The flat [Runner.run] wrapper's historical defaults, through the
-   Run_config-based entry point. *)
 let run ?(seed = 0) ?delay ?max_time ~system ~peers_of ~initial_value_of
     ~fault_of () =
   let d = Runner.default_cfg in

@@ -3,8 +3,6 @@ open Cup
 
 let no_faults _ = None
 
-(* The flat [Sink_protocol.run] wrapper's historical defaults, through
-   the Run_config-based entry point. *)
 let run ?(seed = 0) ~graph ~f ~fault_of () =
   Sink_protocol.run_cfg
     ~cfg:{ Sink_protocol.default_run_config with seed }

@@ -10,8 +10,6 @@ let system n t =
   Fbqs.Quorum.system_of_list
     (List.init n (fun i -> (i + 1, threshold_slices n t)))
 
-(* The flat [Runner.run] wrapper's historical defaults, through the
-   Run_config-based entry point. *)
 let run_scp ?(seed = 0) ~system ~peers_of ~initial_value_of ~fault_of () =
   let d = Runner.default_cfg in
   Runner.run_cfg

@@ -30,10 +30,10 @@ let local_table xs =
       Hashtbl.length h)
     xs
 
-(* R1-positive via Pool: a captured ref. *)
+(* R1-positive via the fork backend Exec uses: a captured ref. *)
 let pool_ref xs =
   let seen = ref 0 in
-  Simkit.Pool.map ~jobs:2
+  Simkit.Pool.map_persistent ~chunk:1 ~workers:2
     (fun x ->
       incr seen;
       x + !seen)
