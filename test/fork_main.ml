@@ -1,7 +1,9 @@
 (* The fork backend of Simkit.Exec (Simkit.Pool), driven directly:
    the chunk-token budget guard, the warm pool's lifecycle and
    closure-Marshal transport with its silent per-call fallback, and
-   byte-identity with List.map on toy and real workloads.
+   the executor contract (input order, crash propagation, any worker
+   count, byte-identity with List.map on toy and real workloads) for
+   both fork maps.
 
    OCaml 5 refuses Unix.fork once a second domain has been started, and
    the main test executable starts the domain pool, so these cases run
@@ -20,23 +22,6 @@ let contains ~affix s =
 
 let test_no_domain_pool () =
   Alcotest.(check int) "no worker pool running" 0 (Exec.Pool.size ())
-
-let test_matches_list_map () =
-  let xs = List.init 20 Fun.id in
-  let f x = (x * 31) + 1 in
-  Alcotest.check int_list "map_persistent matches List.map" (List.map f xs)
-    (Pool.map_persistent ~chunk:1 ~workers:4 f xs)
-
-let test_crash_propagates () =
-  match
-    Pool.map_persistent ~chunk:1 ~workers:4
-      (fun x -> if x = 7 then failwith "fork-boom" else x)
-      (List.init 20 Fun.id)
-  with
-  | _ -> Alcotest.fail "expected Job_failed"
-  | exception Pool.Job_failed msg ->
-      Alcotest.(check bool) "failure text carries the exception" true
-        (contains ~affix:"fork-boom" msg)
 
 let test_chunk_budget_guard () =
   let xs n = List.init n Fun.id in
@@ -111,6 +96,78 @@ let prop_persistent_matches_list_map =
       let f x = (x * 31) land 255 in
       Pool.map_persistent ~chunk ~workers f xs = List.map f xs)
 
+(* The executor contract, checked on both fork maps: [map_persistent]
+   (Exec.map's fork backend) and [map_chunked] (its per-call
+   fallback). [workers] plays the part of Exec.map's [~jobs]. *)
+let fork_maps =
+  [ ("map_persistent", Pool.map_persistent); ("map_chunked", Pool.map_chunked) ]
+
+let each_map check = List.iter (fun (name, map) -> check name map) fork_maps
+
+let test_empty_and_singleton () =
+  each_map (fun name map ->
+      Alcotest.check int_list (name ^ ": empty list") []
+        (map ~chunk:1 ~workers:4 (fun x -> x + 1) []);
+      Alcotest.check int_list (name ^ ": singleton") [ 43 ]
+        (map ~chunk:1 ~workers:4 (fun x -> x + 1) [ 42 ]))
+
+let test_workers_degenerate () =
+  let xs = List.init 10 Fun.id in
+  let f x = (x * x) - (3 * x) in
+  each_map (fun name map ->
+      List.iter
+        (fun workers ->
+          Alcotest.check int_list
+            (Printf.sprintf "%s: workers=%d" name workers)
+            (List.map f xs)
+            (map ~chunk:1 ~workers f xs))
+        [ -1; 0; 1; 2; 3; 10; 64 ])
+
+let test_order_preserved_more_workers_than_items () =
+  each_map (fun name map ->
+      Alcotest.(check (list string))
+        (name ^ ": order follows input, not workers")
+        [ "c!"; "a!"; "b!" ]
+        (map ~chunk:1 ~workers:16 (fun s -> s ^ "!") [ "c"; "a"; "b" ]))
+
+let test_closure_capture () =
+  (* map_chunked's workers inherit the closure through fork;
+     map_persistent's were forked from this binary, so the marshalled
+     closure's code pointers hold there too. *)
+  let shift = ref 7 in
+  let adder x = x + !shift in
+  each_map (fun name map ->
+      Alcotest.check int_list
+        (name ^ ": captured state visible in workers")
+        [ 8; 9; 10 ]
+        (map ~chunk:1 ~workers:2 adder [ 1; 2; 3 ]))
+
+let test_crash_propagates () =
+  (* A raising job must surface as Job_failed in the parent — and must
+     not hang the pool or leave siblings unreaped. *)
+  each_map (fun name map ->
+      match
+        map ~chunk:1 ~workers:3
+          (fun x -> if x = 5 then failwith "boom" else x)
+          (List.init 9 Fun.id)
+      with
+      | _ -> Alcotest.fail (name ^ ": expected Job_failed")
+      | exception Pool.Job_failed msg ->
+          Alcotest.(check bool)
+            (name ^ ": failure text carries the exception")
+            true
+            (contains ~affix:"boom" msg))
+
+(* "Pool.map" in the name stands for both of the pool's maps. *)
+let prop_maps_equal_list_map =
+  QCheck.Test.make ~count:100 ~name:"Pool.map = List.map (any jobs)"
+    QCheck.(pair (small_list int) (int_range 1 8))
+    (fun (xs, workers) ->
+      let f x = (x * 31) + 1 in
+      List.for_all
+        (fun (_, map) -> map ~chunk:1 ~workers f xs = List.map f xs)
+        fork_maps)
+
 (* A real job: one E8 sample of the Corollary 2 stack (sink detector,
    then SCP) on a seeded Byzantine-safe graph, reduced to its verdict. *)
 let e8_run k =
@@ -139,14 +196,12 @@ let test_e8_runs () =
 let () =
   Alcotest.run "stellar_cup_fork"
     [
-      ( "fork-pool",
+      (* 18 characters, like main's longest suite name, so that both
+         executables truncate long case names at the same column. *)
+      ( "fork-pool-protocol",
         [
           Alcotest.test_case "no domain pool in this process" `Quick
             test_no_domain_pool;
-          Alcotest.test_case "map_persistent = List.map" `Quick
-            test_matches_list_map;
-          Alcotest.test_case "worker crash raises Job_failed" `Quick
-            test_crash_propagates;
           Alcotest.test_case "chunk-token budget guard" `Quick
             test_chunk_budget_guard;
           Alcotest.test_case "persistent fork pool lifecycle" `Quick
@@ -155,5 +210,19 @@ let () =
             test_unmarshalable_capture_falls_back;
           QCheck_alcotest.to_alcotest prop_persistent_matches_list_map;
           Alcotest.test_case "16 E8 runs = List.map" `Quick test_e8_runs;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "empty and singleton inputs" `Quick
+            test_empty_and_singleton;
+          Alcotest.test_case "degenerate and oversubscribed jobs" `Quick
+            test_workers_degenerate;
+          Alcotest.test_case "order preserved with jobs > items" `Quick
+            test_order_preserved_more_workers_than_items;
+          Alcotest.test_case "closures inherited through fork" `Quick
+            test_closure_capture;
+          Alcotest.test_case "worker crash raises Job_failed" `Quick
+            test_crash_propagates;
+          QCheck_alcotest.to_alcotest prop_maps_equal_list_map;
         ] );
     ]

@@ -129,22 +129,53 @@ let prop_exec_equals_list_map =
 
 (* The experiments are the real workload: their tables must come out
    byte-identical whatever the jobs count. Small sample counts keep
-   this a unit test, not a benchmark. *)
-let experiment_determinism name build () =
-  let baseline = Stellar_cup.Report.to_markdown (build ~jobs:1) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s table identical at jobs=%d" name jobs)
-        baseline
-        (Stellar_cup.Report.to_markdown (build ~jobs)))
-    [ 2; 4; 8 ]
+   this a unit test, not a benchmark. Each table is checked at jobs 2
+   and 8 (exec-experiments) and at jobs 4 (pool-experiments) against
+   one shared jobs=1 baseline. *)
+let experiments =
+  List.map
+    (fun (name, build) ->
+      let render ~jobs = Stellar_cup.Report.to_markdown (build ~jobs) in
+      (name, render, lazy (render ~jobs:1)))
+    [
+      ( "e3",
+        fun ~jobs ->
+          Stellar_cup.Experiments.e3_theorem2_violation ~seed:1 ~samples:2
+            ~jobs () );
+      ( "e4",
+        fun ~jobs ->
+          Stellar_cup.Experiments.e4_algorithm2_intertwined ~seed:2 ~samples:2
+            ~jobs () );
+      ( "e5",
+        fun ~jobs ->
+          Stellar_cup.Experiments.e5_availability ~seed:3 ~samples:2 ~jobs () );
+      ( "e6",
+        fun ~jobs ->
+          Stellar_cup.Experiments.e6_sink_detector ~seed:4 ~samples:2 ~jobs ()
+      );
+      ( "e7",
+        fun ~jobs ->
+          Stellar_cup.Experiments.e7_reachable_broadcast ~seed:5 ~samples:2
+            ~jobs () );
+      ( "e8",
+        fun ~jobs ->
+          Stellar_cup.Experiments.e8_pipelines ~seed:6 ~samples:2 ~jobs () );
+    ]
 
-let det_case name build =
-  Alcotest.test_case
-    (name ^ ": jobs in {2,4,8} byte-identical")
-    `Slow
-    (experiment_determinism name build)
+let det_cases ~label jobs_list =
+  List.map
+    (fun (name, render, baseline) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: %s byte-identical" name label)
+        `Slow
+        (fun () ->
+          List.iter
+            (fun jobs ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s table identical at jobs=%d" name jobs)
+                (Lazy.force baseline) (render ~jobs))
+            jobs_list))
+    experiments
 
 let suites =
   [
@@ -167,24 +198,6 @@ let suites =
           test_min_index_failure;
         QCheck_alcotest.to_alcotest prop_exec_equals_list_map;
       ] );
-    ( "exec-experiments",
-      [
-        det_case "e3" (fun ~jobs ->
-            Stellar_cup.Experiments.e3_theorem2_violation ~seed:1 ~samples:2
-              ~jobs ());
-        det_case "e4" (fun ~jobs ->
-            Stellar_cup.Experiments.e4_algorithm2_intertwined ~seed:2
-              ~samples:2 ~jobs ());
-        det_case "e5" (fun ~jobs ->
-            Stellar_cup.Experiments.e5_availability ~seed:3 ~samples:2 ~jobs
-              ());
-        det_case "e6" (fun ~jobs ->
-            Stellar_cup.Experiments.e6_sink_detector ~seed:4 ~samples:2 ~jobs
-              ());
-        det_case "e7" (fun ~jobs ->
-            Stellar_cup.Experiments.e7_reachable_broadcast ~seed:5 ~samples:2
-              ~jobs ());
-        det_case "e8" (fun ~jobs ->
-            Stellar_cup.Experiments.e8_pipelines ~seed:6 ~samples:2 ~jobs ());
-      ] );
+    ("exec-experiments", det_cases ~label:"jobs in {2,8}" [ 2; 8 ]);
+    ("pool-experiments", det_cases ~label:"jobs=4" [ 4 ]);
   ]
