@@ -145,8 +145,8 @@ let canonical sets =
    mutable state no job may touch), folded back by [absorb]. Subtrees
    are independent and finds merge through {!canonical}, so results,
    [stats] and metrics are byte-identical at every [jobs] count. Nodes
-   are dense-set/int data and a job captures only the walk's compiled
-   system or quorum array (plain data), so jobs survive the fork
+   are dense sets and a job captures only the walk's compiled system
+   or quorum-incidence arrays (plain data), so jobs survive the fork
    backend's closure [Marshal] unchanged; the compiled handle's own
    query statistics are the only shared mutable state jobs touch, and
    nothing downstream reads them.
@@ -245,21 +245,15 @@ let quorum_sccs t =
   let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set t.parts) in
   if D.is_empty w then []
   else begin
-    let g =
-      D.fold
-        (fun i g ->
-          let dom = Slice.domain (Quorum.slices_of t.sys i) in
-          Pid.Set.fold
-            (fun j g -> if D.mem j w then Digraph.add_edge i j g else g)
-            dom
-            (Digraph.add_vertex i g))
-        w Digraph.empty
+    let row i =
+      let dom = Slice.domain (Quorum.slices_of t.sys i) in
+      (i, Pid.Set.fold (fun j js -> if D.mem j w then j :: js else js) dom [])
     in
     List.filter_map
       (fun scc ->
         let gq = Quorum.Compiled.greatest_quorum_within_d c (D.of_set scc) in
         if D.is_empty gq then None else Some gq)
-      (Scc.components g)
+      (Scc.components (Digraph.of_adjacency (List.map row (D.elements w))))
   end
 
 (* The search tree is deep and narrow ("pid in / pid out"), so its
@@ -359,52 +353,89 @@ type blocking = { sets : Pid.Set.t list; complete : bool }
    hitting sets of the minimal-quorum family, enumerated by branching
    on the members of an uncovered quorum with the usual
    "exclude-previous-branches" discipline (each hitting set is reached
-   exactly once). *)
+   exactly once).
 
-(* each member must be the sole hitter of some quorum *)
-let bk_minimal quorums chosen =
-  D.for_all
-    (fun b ->
-      Array.exists
-        (fun q -> D.mem b q && D.inter_cardinal q chosen = 1)
-        quorums)
-    chosen
+   The search runs on quorum-incidence bitsets: quorums are named by
+   their index in the canonical minimal-quorum array, [hits.(v)] is the
+   set of indices of the quorums that contain pid [v], and a node's
+   uncovered quorums are a set of indices, so choosing [v] uncovers
+   [D.diff uncovered hits.(v)]. *)
 
-(* branch on the uncovered quorum with the fewest usable members;
-   first such quorum wins ties (deterministic) *)
-let bk_best uncovered excluded =
-  List.fold_left
-    (fun best q ->
-      let usable = D.diff q excluded in
-      let c = D.cardinal usable in
-      match best with
-      | Some (_, bc) when bc <= c -> best
-      | _ -> Some (usable, c))
-    None uncovered
+type incidence = {
+  quorums : D.t array;
+  sizes : int array;  (* [D.cardinal quorums.(k)] *)
+  hits : D.t array;  (* pid -> indices of the quorums containing it *)
+}
 
-(* The minimal-hitting-set search. A node is (chosen, uncovered
-   quorums, excluded pids). *)
-let blocking_walk quorums tl ~frontier ~emit (chosen, uncovered, excluded) =
+let incidence quorums =
+  let bound =
+    Array.fold_left
+      (fun b q ->
+        match D.max_elt_opt q with Some v -> max b (v + 1) | None -> b)
+      0 quorums
+  in
+  let hits = Array.make bound [] in
+  Array.iteri
+    (fun k q -> D.iter (fun v -> hits.(v) <- k :: hits.(v)) q)
+    quorums;
+  {
+    quorums;
+    sizes = Array.map D.cardinal quorums;
+    hits = Array.map D.of_list hits;
+  }
+
+(* Each member must be the sole hitter of some quorum, that is, hit a
+   quorum outside [twice], the quorums hit by two or more members. *)
+let bk_minimal inc chosen =
+  let _, twice =
+    D.fold
+      (fun b (once, twice) ->
+        let h = inc.hits.(b) in
+        (D.union once h, D.union twice (D.inter once h)))
+      chosen (D.empty, D.empty)
+  in
+  D.for_all (fun b -> not (D.subset inc.hits.(b) twice)) chosen
+
+(* The usable members of the uncovered quorum with the fewest of them;
+   the first such quorum wins ties (deterministic). *)
+let bk_best inc uncovered excluded =
+  let best = ref 0 and best_usable = ref max_int in
+  D.iter
+    (fun k ->
+      let usable =
+        inc.sizes.(k) - D.inter_cardinal inc.quorums.(k) excluded
+      in
+      if usable < !best_usable then begin
+        best := k;
+        best_usable := usable
+      end)
+    uncovered;
+  D.diff inc.quorums.(!best) excluded
+
+(* The minimal-hitting-set search. A node is (chosen pids, uncovered
+   quorum indices, excluded pids). *)
+let blocking_walk inc tl ~frontier ~emit (chosen, uncovered, excluded) =
   let deferred = ref [] in
   let rec go depth chosen uncovered excluded =
     if depth >= frontier then
       deferred := (chosen, uncovered, excluded) :: !deferred
     else begin
       tick_explored tl;
-      match uncovered with
-      | [] -> if bk_minimal quorums chosen then emit chosen
-      | _ ->
-          let usable, card = Option.get (bk_best uncovered excluded) in
-          if card = 0 then tick_pruned tl
-          else
-            ignore
-              (D.fold
-                 (fun v excluded ->
-                   go (depth + 1) (D.add v chosen)
-                     (List.filter (fun q -> not (D.mem v q)) uncovered)
-                     excluded;
-                   D.add v excluded)
-                 usable excluded)
+      if D.is_empty uncovered then begin
+        if bk_minimal inc chosen then emit chosen
+      end
+      else
+        let usable = bk_best inc uncovered excluded in
+        if D.is_empty usable then tick_pruned tl
+        else
+          ignore
+            (D.fold
+               (fun v excluded ->
+                 go (depth + 1) (D.add v chosen)
+                   (D.diff uncovered inc.hits.(v))
+                   excluded;
+                 D.add v excluded)
+               usable excluded)
     end
   in
   go 0 chosen uncovered excluded;
@@ -419,12 +450,13 @@ let minimal_blocking_sets ?limit ?(jobs = 1) t =
   let quorums =
     List.map D.of_set (minimal_quorums ~jobs t) |> Array.of_list
   in
-  if Array.length quorums = 0 then { sets = []; complete = true }
+  let n = Array.length quorums in
+  if n = 0 then { sets = []; complete = true }
   else
     let sets, complete =
       search ?limit ~jobs ~frontier:blocking_frontier_depth t.tally
-        (blocking_walk quorums)
-        [ (D.empty, Array.to_list quorums, D.empty) ]
+        (blocking_walk (incidence quorums))
+        [ (D.empty, D.of_range 0 (n - 1), D.empty) ]
     in
     { sets; complete }
 

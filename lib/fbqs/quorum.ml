@@ -120,9 +120,14 @@ let member_ok c counts qd i =
   match c.entries.(i) with
   | Absent -> false
   | Explicit_d slices ->
+      (* a loop: a capturing [let rec] is allocated per call without
+         flambda (DESIGN.md §8) *)
       let n = Array.length slices in
-      let rec go k = k < n && (D.subset slices.(k) qd || go (k + 1)) in
-      go 0
+      let k = ref 0 in
+      while !k < n && not (D.subset slices.(!k) qd) do
+        incr k
+      done;
+      !k < n
   | Threshold_d { sat; threshold; cls } ->
       sat
       && threshold

@@ -48,11 +48,30 @@ let remove_vertices vs g =
 
 let of_edges es = List.fold_left (fun g (i, j) -> add_edge i j g) empty es
 
+(* One set per row (a repeated source merges its rows), then one pass
+   over the edges buckets the reverse rows and adds the targets that
+   are never a source. *)
 let of_adjacency adj =
-  List.fold_left
-    (fun g (i, js) ->
-      List.fold_left (fun g j -> add_edge i j g) (add_vertex i g) js)
-    empty adj
+  let add_row m (i, js) =
+    let row = Pid.Set.of_list js in
+    Pid.Map.update i
+      (function None -> Some row | Some s -> Some (Pid.Set.union s row))
+      m
+  in
+  let rows = List.fold_left add_row Pid.Map.empty adj in
+  let sources = Hashtbl.create 64 in
+  let succ =
+    Pid.Map.fold
+      (fun i row succ ->
+        Pid.Set.fold
+          (fun j succ ->
+            Hashtbl.add sources j i;
+            touch j succ)
+          row succ)
+      rows rows
+  in
+  let pred_row j _ = Pid.Set.of_list (Hashtbl.find_all sources j) in
+  { succ; pred = Pid.Map.mapi pred_row succ }
 
 let edges g =
   Pid.Map.fold

@@ -27,7 +27,9 @@ val of_edges : (Pid.t * Pid.t) list -> t
 
 val of_adjacency : (Pid.t * Pid.t list) list -> t
 (** [of_adjacency [(i, succs); ...]] builds the graph in which each [i]
-    has exactly the listed successors. *)
+    has exactly the listed successors: the graph [add_vertex]/[add_edge]
+    would build from the same rows (a repeated source gets the union of
+    its rows, and every listed successor is a vertex), in one pass. *)
 
 val vertices : t -> Pid.Set.t
 

@@ -154,19 +154,38 @@ module Dense_set = struct
     done;
     !c
 
+  (* The scans below are [while] loops over local refs, never capturing
+     local closures or exceptions: the build has no flambda, so a local
+     [let rec] that captures a variable is allocated at every call,
+     while a ref that does not escape lives in a register. *)
+
   let subset a b =
     let la = Array.length a in
     la <= Array.length b
     &&
-    let rec go i = i >= la || (a.(i) land lnot b.(i) = 0 && go (i + 1)) in
-    go 0
+    let i = ref 0 in
+    while !i < la && a.(!i) land lnot b.(!i) = 0 do
+      incr i
+    done;
+    !i = la
 
   let disjoint a b =
     let l = min (Array.length a) (Array.length b) in
-    let rec go i = i >= l || (a.(i) land b.(i) = 0 && go (i + 1)) in
-    go 0
+    let i = ref 0 in
+    while !i < l && a.(!i) land b.(!i) = 0 do
+      incr i
+    done;
+    !i = l
 
-  let equal (a : t) (b : t) = a = b
+  let equal (a : t) (b : t) =
+    let l = Array.length a in
+    l = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < l && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = l
 
   let iter f t =
     for w = 0 to Array.length t - 1 do
@@ -184,28 +203,38 @@ module Dense_set = struct
     iter (fun i -> acc := f i !acc) t;
     !acc
 
-  exception Found of int
+  (* Whether some member [i] of [t] has [p i = want], stopping at the
+     first one. [want] is annotated so that [=] compiles to an integer
+     compare, not a call to the polymorphic one. *)
+  let some_member p (want : bool) t =
+    let n = Array.length t in
+    let w = ref 0 and found = ref false in
+    while (not !found) && !w < n do
+      let base = !w * bits_per_word in
+      let x = ref t.(!w) in
+      while (not !found) && !x <> 0 do
+        let b = !x land - !x in
+        if p (base + ntz_of_bit b) = want then found := true
+        else x := !x lxor b
+      done;
+      incr w
+    done;
+    !found
 
-  let for_all p t =
-    try
-      iter (fun i -> if not (p i) then raise (Found i)) t;
-      true
-    with Found _ -> false
-
-  let exists p t =
-    try
-      iter (fun i -> if p i then raise (Found i)) t;
-      false
-    with Found _ -> true
+  let for_all p t = not (some_member p false t)
+  let exists p t = some_member p true t
 
   let filter p t =
     let r = Array.make (Array.length t) 0 in
-    iter
-      (fun i ->
-        if p i then
-          r.(i / bits_per_word) <-
-            r.(i / bits_per_word) lor (1 lsl (i mod bits_per_word)))
-      t;
+    for w = 0 to Array.length t - 1 do
+      let base = w * bits_per_word in
+      let x = ref t.(w) in
+      while !x <> 0 do
+        let b = !x land - !x in
+        if p (base + ntz_of_bit b) then r.(w) <- r.(w) lor b;
+        x := !x lxor b
+      done
+    done;
     normalize r
 
   let elements t = List.rev (fold (fun i acc -> i :: acc) t [])

@@ -317,7 +317,8 @@ let dispatch t fields =
         | other ->
             error_lines ~id ~verb:(J.String other)
               (Printf.sprintf "unknown verb %S" other)
-      with Bad_request msg | Failure msg | Sys_error msg ->
+      with
+      | Bad_request msg | Failure msg | Sys_error msg | Invalid_argument msg ->
         error_lines ~id ~verb:(J.String verb) msg)
   | Some _ -> error_lines ~id ~verb:J.Null "field \"verb\" must be a string"
   | None -> error_lines ~id ~verb:J.Null "missing required field \"verb\""

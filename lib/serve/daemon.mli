@@ -37,7 +37,8 @@ val create : ?cache_capacity:int -> ?jobs:int -> unit -> t
 val handle_line : t -> string -> string list
 (** Handles one request line, returning the output lines (each a
     serialized envelope, no trailing newline). Blank lines yield no
-    output; malformed JSON or a bad request yields one error
+    output; malformed JSON, a bad request or an analysis the engine
+    refuses (a splitting sweep over more than 62 pids) yields one error
     response. Never raises on bad input. *)
 
 val stopping : t -> bool

@@ -64,6 +64,34 @@ let prop_preds_succs_agree =
             (Digraph.succs g i))
         (Digraph.vertices g))
 
+(* Adjacency lists with repeated sources, duplicate targets, self-loops
+   and targets (up to [n + 2]) that never appear as a source. *)
+let adjacency_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 8 in
+    list_size (int_bound 10)
+      (pair (int_bound (n - 1)) (list_size (int_bound 6) (int_bound (n + 2)))))
+
+let arb_adjacency =
+  QCheck.make ~print:QCheck.Print.(list (pair int (list int))) adjacency_gen
+
+let edge_by_edge adj =
+  List.fold_left
+    (fun g (i, js) ->
+      List.fold_left
+        (fun g j -> Digraph.add_edge i j g)
+        (Digraph.add_vertex i g) js)
+    Digraph.empty adj
+
+let prop_of_adjacency_edge_by_edge =
+  (* [equal] compares successor rows; the transposes compare the
+     predecessor rows. *)
+  QCheck.Test.make ~count:300 ~name:"of_adjacency = edge-by-edge build"
+    arb_adjacency (fun adj ->
+      let bulk = Digraph.of_adjacency adj and reference = edge_by_edge adj in
+      Digraph.equal bulk reference
+      && Digraph.equal (Digraph.transpose bulk) (Digraph.transpose reference))
+
 let suites =
   [
     ( "digraph",
@@ -76,5 +104,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_transpose_involutive;
         QCheck_alcotest.to_alcotest prop_transpose_preserves_edges;
         QCheck_alcotest.to_alcotest prop_preds_succs_agree;
+        QCheck_alcotest.to_alcotest prop_of_adjacency_edge_by_edge;
       ] );
   ]

@@ -236,6 +236,110 @@ let prop_blocking_equiv =
       let r = Enum.minimal_blocking_sets (Enum.prepare sys) in
       r.Enum.complete && sets_equal r.Enum.sets brute)
 
+(* ---- blocking sets against the list-based reference walk -------------- *)
+
+(* A list-based reference for Enum's minimal-hitting-set walk: a node's
+   uncovered quorums are a list of quorum bitsets, and the minimality
+   check rescans every quorum per chosen member. Enum must visit the
+   same tree in the same order, so at any [limit] the finds, the
+   [complete] flag and the tick counts agree. *)
+module Blocking_reference = struct
+  module D = Pid.Dense_set
+
+  exception Stop
+
+  (* each member must be the sole hitter of some quorum *)
+  let minimal quorums chosen =
+    D.for_all
+      (fun b ->
+        Array.exists
+          (fun q -> D.mem b q && D.inter_cardinal q chosen = 1)
+          quorums)
+      chosen
+
+  (* the uncovered quorum with the fewest usable members, first wins *)
+  let best uncovered excluded =
+    List.fold_left
+      (fun best q ->
+        let usable = D.diff q excluded in
+        let c = D.cardinal usable in
+        match best with
+        | Some (_, bc) when bc <= c -> best
+        | _ -> Some (usable, c))
+      None uncovered
+
+  (* [(sets, complete, explored, pruned)] *)
+  let run ?(limit = max_int) quorums =
+    let explored = ref 0 and pruned = ref 0 in
+    let found = ref [] and count = ref 0 in
+    let rec go chosen uncovered excluded =
+      incr explored;
+      match uncovered with
+      | [] ->
+          if minimal quorums chosen then begin
+            found := D.to_set chosen :: !found;
+            incr count;
+            if !count >= limit then raise Stop
+          end
+      | _ ->
+          let usable, card = Option.get (best uncovered excluded) in
+          if card = 0 then incr pruned
+          else
+            ignore
+              (D.fold
+                 (fun v excluded ->
+                   go (D.add v chosen)
+                     (List.filter (fun q -> not (D.mem v q)) uncovered)
+                     excluded;
+                   D.add v excluded)
+                 usable excluded)
+    in
+    let complete =
+      match go D.empty (Array.to_list quorums) D.empty with
+      | () -> true
+      | exception Stop -> false
+    in
+    (canonical !found, complete, !explored, !pruned)
+end
+
+let test_blocking_reference () =
+  (* 18 top validators and 105 minimal quorums: the quorum-index
+     bitsets span two words. *)
+  let sys =
+    Topology.stellarbeat_like ~orgs:6 ~validators_per_org:3 ~mid:6 ~leaves:6
+      ()
+  in
+  let quorums =
+    Array.of_list
+      (List.map Pid.Dense_set.of_set (Enum.minimal_quorums (Enum.prepare sys)))
+  in
+  Alcotest.(check bool) "more minimal quorums than one word holds" true
+    (Array.length quorums > Sys.int_size);
+  List.iter
+    (fun (jobs, limit) ->
+      let case field =
+        Printf.sprintf "jobs=%d limit=%s: %s" jobs
+          (Option.fold ~none:"none" ~some:string_of_int limit)
+          field
+      in
+      let sets, complete, explored, pruned =
+        Blocking_reference.run ?limit quorums
+      in
+      let t = Enum.prepare sys in
+      ignore (Enum.minimal_quorums ~jobs t);
+      let before = Enum.stats t in
+      let r = Enum.minimal_blocking_sets ?limit ~jobs t in
+      let after = Enum.stats t in
+      Alcotest.check pid_sets (case "sets") sets r.Enum.sets;
+      Alcotest.(check bool) (case "complete") complete r.Enum.complete;
+      Alcotest.(check int) (case "explored") explored
+        (after.Enum.explored - before.Enum.explored);
+      Alcotest.(check int) (case "pruned") pruned
+        (after.Enum.pruned - before.Enum.pruned);
+      Alcotest.(check int) (case "found") 0
+        (after.Enum.found - before.Enum.found))
+    [ (1, None); (2, None); (1, Some 1); (1, Some 150); (2, Some 150) ]
+
 let prop_splitting_equiv =
   QCheck.Test.make ~count:100 ~name:"splitting sets = baseline"
     sys_arb
@@ -300,6 +404,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_intersection_equiv;
         QCheck_alcotest.to_alcotest prop_despite_equiv;
         QCheck_alcotest.to_alcotest prop_blocking_equiv;
+        Alcotest.test_case "blocking = reference walk, two words" `Quick
+          test_blocking_reference;
         QCheck_alcotest.to_alcotest prop_splitting_equiv;
         QCheck_alcotest.to_alcotest prop_fbas_io_roundtrip;
         QCheck_alcotest.to_alcotest prop_fbas_io_threshold_roundtrip;

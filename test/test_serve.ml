@@ -129,6 +129,35 @@ let test_stats_reports_pool () =
         (contains ~affix:{|"active_clients":0,"clients_served":0|} line)
   | l -> Alcotest.failf "expected one stats line, got %d" (List.length l)
 
+let test_oversized_splitting_is_an_error () =
+  (* A 63-pid top tier is past the splitting sweep's 62-pid limit: the
+     request gets an error envelope carrying the engine's message, and
+     the daemon goes on to answer the next request. *)
+  let path = Filename.temp_file "stellar_cup_wide" ".fbas" in
+  let members = String.concat " " (List.init 63 string_of_int) in
+  let oc = open_out path in
+  for i = 0 to 62 do
+    Printf.fprintf oc "%d threshold 63 of %s\n" i members
+  done;
+  close_out oc;
+  let d = Serve.Daemon.create () in
+  let split =
+    req 1 "analyze" [ ("file", Printf.sprintf "%S" path); ("splitting", "true") ]
+  in
+  let answer = Serve.Daemon.handle_line d split in
+  Sys.remove path;
+  (match answer with
+  | [ line ] ->
+      Alcotest.(check bool) "not ok" true (contains ~affix:{|"ok":false|} line);
+      Alcotest.(check bool) "carries the message" true
+        (contains ~affix:"larger than 62" line)
+  | l -> Alcotest.failf "expected one error line, got %d" (List.length l));
+  match Serve.Daemon.handle_line d (req 2 "ping" []) with
+  | [ line ] ->
+      Alcotest.(check bool) "next request ok" true
+        (contains ~affix:{|"ok":true|} line)
+  | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
+
 (* ---- the concurrent socket transport ----------------------------------- *)
 
 let socket_path () =
@@ -273,5 +302,7 @@ let suites =
           test_warm_repeat_identical_and_cached;
         Alcotest.test_case "repeated analyze differs only in id" `Quick
           test_repeat_analyze_reuses_payload;
+        Alcotest.test_case "oversized splitting sweep is an error" `Quick
+          test_oversized_splitting_is_an_error;
       ] );
   ]
