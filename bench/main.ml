@@ -140,12 +140,12 @@ let subject_reach_tree = "reach/tree circulant n=2000"
 let subject_kosr_csr = "k-osr-check/csr n=14 k=2"
 let subject_kosr_tree = "k-osr-check n=14 k=2"
 
-(* The seed tree-set Tarjan: the baseline the compiled CSR kernel is
-   measured against on the same graph. *)
+(* The seed tree-set Tarjan (test/oracle): the baseline the compiled
+   CSR kernel is measured against on the same graph. *)
 let bench_scc =
   let g = Generators.circulant ~n:2000 ~k:3 in
   Test.make ~name:subject_scc_tree (Staged.stage (fun () ->
-      ignore (Scc.components_baseline g)))
+      ignore (Oracle.Scc.components g)))
 
 (* Fresh [Csr.of_graph] each run (deliberately bypassing the handle
    memo), so the subject prices the full compile + array Tarjan and the
@@ -153,9 +153,7 @@ let bench_scc =
 let bench_scc_csr =
   let g = Generators.circulant ~n:2000 ~k:3 in
   Test.make ~name:subject_scc_csr (Staged.stage (fun () ->
-      match Csr.of_graph g with
-      | Some h -> ignore (Csr.scc_components h)
-      | None -> assert false))
+      ignore (Csr.scc_components (Csr.of_graph g))))
 
 (* Reachability through the public API, memoized handle included: this
    is what a sink-oracle query pays after the first analysis of a
@@ -168,21 +166,22 @@ let bench_reach_csr =
 let bench_reach_tree =
   let g = Generators.circulant ~n:2000 ~k:3 in
   Test.make ~name:subject_reach_tree (Staged.stage (fun () ->
-      ignore (Traversal.reachable_baseline g 0)))
+      ignore (Oracle.Traversal.reachable g 0)))
 
 let bench_disjoint_paths =
   let g = Generators.random_k_osr ~seed:5 ~sink_size:20 ~non_sink:20 ~k:3 () in
   Test.make ~name:"menger/disjoint-paths n=40" (Staged.stage (fun () ->
       ignore (Connectivity.node_disjoint_paths g 39 0)))
 
-(* The full Definition 6 check through the seed algorithms (the
-   pre-CSR cost of this subject), and the CSR-backed public entry
-   point. [is_k_osr] builds a fresh sink subgraph per run, so the
-   handle memo only amortises the base graph, not the per-run work. *)
+(* The full Definition 6 check through the seed algorithms of
+   test/oracle (the pre-CSR cost of this subject), and the CSR-backed
+   public entry point. [is_k_osr] builds a fresh sink subgraph per run,
+   so the handle memo only amortises the base graph, not the per-run
+   work. *)
 let bench_kosr_check =
   let g = Generators.random_k_osr ~seed:6 ~sink_size:8 ~non_sink:6 ~k:2 () in
   Test.make ~name:subject_kosr_tree (Staged.stage (fun () ->
-      ignore (Properties.is_k_osr_baseline g 2)))
+      ignore (Oracle.Properties.is_k_osr g 2)))
 
 let bench_kosr_csr =
   let g = Generators.random_k_osr ~seed:6 ~sink_size:8 ~non_sink:6 ~k:2 () in
@@ -194,12 +193,12 @@ let subject_event_heap = "event-heap/flat push+pop x1000"
 
 let bench_event_queue =
   Test.make ~name:subject_event_queue (Staged.stage (fun () ->
-      let q = Simkit.Event_queue.create () in
+      let q = Oracle.Event_queue.create () in
       for i = 0 to 999 do
-        Simkit.Event_queue.push q ~time:(i * 7919 mod 1000) i
+        Oracle.Event_queue.push q ~time:(i * 7919 mod 1000) i
       done;
       let rec drain () =
-        match Simkit.Event_queue.pop q with
+        match Oracle.Event_queue.pop q with
         | Some _ -> drain ()
         | None -> ()
       in
@@ -481,9 +480,7 @@ let bench_parse_roundtrip =
 let bench_scc_csr_large () =
   let g = Generators.circulant ~n:50_000 ~k:3 in
   Test.make ~name:"scc/csr circulant n=50000" (Staged.stage (fun () ->
-      match Csr.of_graph g with
-      | Some h -> ignore (Csr.scc_components h)
-      | None -> assert false))
+      ignore (Csr.scc_components (Csr.of_graph g))))
 
 let microbenches () =
   Test.make_grouped ~name:"kernels" ~fmt:"%s %s"

@@ -500,7 +500,7 @@ let experiment_cmd =
 let load_system path =
   match Fbqs.Fbas_io.of_file path with
   | Ok sys -> sys
-  | Error e -> failwith (Printf.sprintf "cannot read %s: %s" path e)
+  | Error e -> failwith ("cannot read " ^ e)
 
 let fbas_analyze file despite_ids blocking splitting max_size cap want_metrics
     jobs json =
@@ -752,7 +752,16 @@ let () =
       ~doc:
         "Stellar consensus with minimal knowledge (ICDCS 2023 reproduction)"
   in
+  let cmd =
+    Cmd.group ~default info
+      [ run_cmd; sink_cmd; graph_cmd; experiment_cmd; fbas_cmd; serve_cmd ]
+  in
+  (* Bad input (an unreadable or malformed file, an unknown graph kind
+     or experiment) surfaces as one of the exceptions the daemon also
+     turns into error envelopes: report it as a usage-level error, not
+     as cmdliner's "internal error". *)
   exit
-    (Cmd.eval
-       (Cmd.group ~default info
-          [ run_cmd; sink_cmd; graph_cmd; experiment_cmd; fbas_cmd; serve_cmd ]))
+    (try Cmd.eval ~catch:false cmd
+     with Failure msg | Sys_error msg | Invalid_argument msg ->
+       prerr_endline ("stellar-cup: " ^ msg);
+       Cmd.Exit.some_error)

@@ -61,34 +61,11 @@ let liveness_level sys =
   | Some s -> Pid.Set.cardinal s
   | None -> Pid.Set.cardinal participants + 1
 
-let breaks_intersection sys b =
-  not (Dset.quorum_intersection_despite_baseline sys b)
-
-let safety_level_baseline sys =
-  let participants = Quorum.participants sys in
-  match
-    List.find_opt (breaks_intersection sys) (subsets_by_size participants)
-  with
-  | Some s -> Pid.Set.cardinal s
-  | None -> Pid.Set.cardinal participants + 1
-
-let splitting_sets_baseline sys =
-  let candidates =
-    List.filter (breaks_intersection sys)
-      (subsets_by_size (Quorum.participants sys))
-  in
-  List.filter
-    (fun b ->
-      not
-        (List.exists
-           (fun b' -> (not (Pid.Set.equal b b')) && Pid.Set.subset b' b)
-           candidates))
-    candidates
-
-(* The production paths delegate to [Enum]'s branch-and-bound engine.
-   Splitting sets sweep the full participant set (not just the top
-   tier) so the semantics match the baseline exactly; the sweep is
-   still exponential in the participant count, but the per-candidate
+(* Safety level, splitting sets and top tier delegate to [Enum]'s
+   branch-and-bound engine. Splitting sets sweep the full participant
+   set (not just the top tier) so the semantics match the seed subset
+   sweep (the test oracle in [test/oracle]) exactly; the sweep is still
+   exponential in the participant count, but the per-candidate
    intersection check is the scalable one. *)
 let safety_level sys =
   let participants = Quorum.participants sys in
@@ -104,6 +81,3 @@ let splitting_sets sys =
     (Enum.prepare sys)
 
 let top_tier sys = Enum.top_tier (Enum.prepare sys)
-
-let top_tier_baseline sys =
-  List.fold_left Pid.Set.union Pid.Set.empty (Quorum.minimal_quorums sys)

@@ -37,10 +37,6 @@ val safety_level : Quorum.system -> int
     already fails with nobody deleted, this is [0]. Backed by
     {!Enum.minimal_splitting_sets} over the full participant set. *)
 
-val safety_level_baseline : Quorum.system -> int
-(** The pre-[Enum] subset-sweep path ([<= 20] participants), kept for
-    the equivalence property tests. *)
-
 val splitting_sets : Quorum.system -> Pid.Set.t list
 (** The inclusion-minimal sets whose deletion breaks quorum
     intersection ("splitting sets"), in canonical order (ascending
@@ -50,16 +46,8 @@ val splitting_sets : Quorum.system -> Pid.Set.t list
     itself remains exponential in the participant count (guarded to 62
     pids). *)
 
-val splitting_sets_baseline : Quorum.system -> Pid.Set.t list
-(** The pre-[Enum] subset-sweep path ([<= 20] participants), kept for
-    the equivalence property tests. *)
-
 val top_tier : Quorum.system -> Pid.Set.t
 (** The union of all inclusion-minimal quorums: the nodes that actually
     matter for consensus (everything outside is a pure follower).
     Backed by {!Enum}'s branch-and-bound enumeration — scales to
     live-network topologies. *)
-
-val top_tier_baseline : Quorum.system -> Pid.Set.t
-(** The same union over {!Quorum.minimal_quorums} (Gosper enumeration,
-    [<= 20] participants), kept for the equivalence property tests. *)

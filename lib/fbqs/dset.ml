@@ -9,81 +9,9 @@ let quorum_availability_despite sys b =
   let survivors = Pid.Set.diff (Quorum.participants sys) b in
   Pid.Set.is_empty survivors || Quorum.is_quorum sys survivors
 
-(* Gosper's hack: the next bitmask with the same popcount, in
-   increasing numeric order. *)
-let next_same_popcount c =
-  let lo = c land -c in
-  let ripple = c + lo in
-  ripple lor (((c lxor ripple) lsr 2) / lo)
-
-(* Intersection despite [b] fails iff the deleted system has two
-   disjoint quorums, and any such pair can be shrunk to two disjoint
-   {e minimal} quorums. So instead of enumerating all [2^n] subsets and
-   testing every pair (the seed path — the [dset/is_dset n=10] outlier
-   in BENCH_quorum.json), enumerate candidate sets by increasing
-   cardinality with two prunings:
-
-   - supersets of an already-found quorum are skipped by a constant-time
-     mask test (they cannot be minimal);
-   - once the smallest quorum size [kmin] is known, no minimal quorum
-     larger than [n - kmin] can have a disjoint partner, so enumeration
-     stops at that cardinality — for well-connected systems this exits
-     almost immediately after the first quorum is found.
-
-   Each minimal quorum [q] is checked on the spot: a disjoint partner
-   exists iff the complement of [q] still contains a quorum. Kept as
-   the reference implementation; the production path below delegates
-   to [Enum]'s branch-and-bound, which drops the 20-participant guard
-   (equivalence is property-tested in test/test_enum.ml). *)
-let quorum_intersection_despite_baseline sys b =
-  let deleted = delete sys b in
-  let parts = Quorum.participants deleted in
-  let elts = Array.of_list (Pid.Set.elements parts) in
-  let n = Array.length elts in
-  if n > 20 then invalid_arg "Dset: more than 20 participants";
-  if n = 0 then true
-  else begin
-    let compiled = Quorum.compile deleted in
-    let set_of_mask mask =
-      let s = ref Pid.Set.empty in
-      for i = 0 to n - 1 do
-        if mask land (1 lsl i) <> 0 then s := Pid.Set.add elts.(i) !s
-      done;
-      !s
-    in
-    let minimal_masks = ref [] in
-    let smallest_quorum = ref max_int in
-    let violated = ref false in
-    let k = ref 1 in
-    while
-      (not !violated)
-      && !k <= n
-      && (!smallest_quorum = max_int || !k <= n - !smallest_quorum)
-    do
-      let mask = ref ((1 lsl !k) - 1) in
-      let limit = 1 lsl n in
-      while (not !violated) && !mask < limit do
-        let m = !mask in
-        if
-          (not (List.exists (fun q -> m land q = q) !minimal_masks))
-          &&
-          let s = set_of_mask m in
-          Quorum.Compiled.is_quorum compiled s
-        then begin
-          minimal_masks := m :: !minimal_masks;
-          if !smallest_quorum = max_int then smallest_quorum := !k;
-          if
-            Quorum.Compiled.contains_quorum compiled
-              (Pid.Set.diff parts (set_of_mask m))
-          then violated := true
-        end;
-        mask := next_same_popcount m
-      done;
-      incr k
-    done;
-    not !violated
-  end
-
+(* Delegates to [Enum]'s branch-and-bound, which has no participant
+   guard; the seed Gosper sweep it replaced is the test oracle in
+   [test/oracle] (equivalence is property-tested in test/test_enum.ml). *)
 let quorum_intersection_despite sys b = Enum.quorum_intersection_despite sys b
 
 (* [b] may name nodes outside the slice map (e.g. Byzantine processes

@@ -22,14 +22,7 @@ val quorum_intersection_despite : Quorum.system -> Pid.Set.t -> bool
 (** Every two quorums of [delete sys b] intersect. Vacuously true when
     the deleted system has at most one quorum. Delegates to
     {!Enum.quorum_intersection_despite}, so it scales to live-network
-    topologies (no participant-count guard on non-negative pids). *)
-
-val quorum_intersection_despite_baseline :
-  Quorum.system -> Pid.Set.t -> bool
-(** The pre-[Enum] reference path: a Gosper sweep over survivors in
-    increasing cardinality with superset pruning and a smallest-quorum
-    early exit. Guarded to 20 survivors. Kept for the equivalence
-    property tests and benchmark comparisons. *)
+    topologies (no participant-count guard). *)
 
 val quorum_availability_despite : Quorum.system -> Pid.Set.t -> bool
 (** The survivors [participants sys \ b] form a quorum of the

@@ -46,21 +46,9 @@ type t = {
   compiled : Quorum.Compiled.t;
   sys : Quorum.system;
   parts : Pid.Set.t;
-  fallback : bool;  (* negative pids: Pid.Set brute-force path *)
   tally : tally;
   mutable minimal : Pid.Set.t list option;  (* cache, canonical order *)
 }
-
-let has_negative sys =
-  (match Pid.Map.min_binding_opt sys with
-  | Some (k, _) -> k < 0
-  | None -> false)
-  || Pid.Map.exists
-       (fun _ s ->
-         match Pid.Set.min_elt_opt (Slice.domain s) with
-         | Some m -> m < 0
-         | None -> false)
-       sys
 
 let new_tally ?metrics () =
   let counter name =
@@ -80,7 +68,6 @@ let prepare ?metrics sys =
     compiled = Quorum.compiled_of sys;
     sys;
     parts = Quorum.participants sys;
-    fallback = has_negative sys;
     tally = new_tally ?metrics ();
     minimal = None;
   }
@@ -265,14 +252,12 @@ let minimal_quorums ?(jobs = 1) t =
   | Some q -> q
   | None ->
       let result =
-        if t.fallback then canonical (Quorum.minimal_quorums t.sys)
-        else
-          fst
-            (search ~jobs ~frontier:quorum_frontier_depth t.tally
-               (quorum_walk t.compiled)
-               (List.map
-                  (fun universe -> (D.empty, D.elements universe, universe))
-                  (quorum_sccs t)))
+        fst
+          (search ~jobs ~frontier:quorum_frontier_depth t.tally
+             (quorum_walk t.compiled)
+             (List.map
+                (fun universe -> (D.empty, D.elements universe, universe))
+                (quorum_sccs t)))
       in
       t.minimal <- Some result;
       result
@@ -292,48 +277,33 @@ let complement_witness t q =
   if D.is_empty partner then None else Some (q, D.to_set partner)
 
 let check_intersection ?jobs t =
-  if t.fallback then begin
-    (* Negative pids: minimal quorums via the enumeration reference,
-       then a pairwise scan (tiny systems only — the reference is
-       guarded to 20 participants). *)
-    let quorums = minimal_quorums t in
-    let rec scan = function
-      | [] -> Intersects
-      | q :: rest -> (
-          match List.find_opt (Pid.Set.disjoint q) rest with
-          | Some q' -> Disjoint (q, q')
-          | None -> scan rest)
-    in
-    scan quorums
-  end
-  else
-    match t.minimal with
-    | Some quorums -> (
-        (* Enumeration already ran: one complement check per cached
-           minimal quorum, no new search. *)
-        match List.find_map (complement_witness t) quorums with
-        | Some (q, q') -> Disjoint (q, q')
-        | None -> Intersects)
-    | None -> (
-        match quorum_sccs t with
-        | [] -> Intersects (* no quorums at all: vacuously true *)
-        | s1 :: s2 :: _ ->
-            (* Two disjoint SCCs each containing a quorum: their
-               greatest quorums are disjoint witnesses, no search
-               needed. *)
-            Disjoint (D.to_set s1, D.to_set s2)
-        | [ _ ] -> (
-            (* Any two disjoint quorums can be shrunk so one is
-               minimal, so it suffices to test, per minimal quorum,
-               whether its complement still contains a quorum.
-               Enumeration runs to completion (filling the cache) at
-               every [jobs] count, so the result — witness choice
-               included — and the tick totals never depend on the
-               degree of parallelism. *)
-            let quorums = minimal_quorums ?jobs t in
-            match List.find_map (complement_witness t) quorums with
-            | Some (q, q') -> Disjoint (q, q')
-            | None -> Intersects))
+  match t.minimal with
+  | Some quorums -> (
+      (* Enumeration already ran: one complement check per cached
+         minimal quorum, no new search. *)
+      match List.find_map (complement_witness t) quorums with
+      | Some (q, q') -> Disjoint (q, q')
+      | None -> Intersects)
+  | None -> (
+      match quorum_sccs t with
+      | [] -> Intersects (* no quorums at all: vacuously true *)
+      | s1 :: s2 :: _ ->
+          (* Two disjoint SCCs each containing a quorum: their
+             greatest quorums are disjoint witnesses, no search
+             needed. *)
+          Disjoint (D.to_set s1, D.to_set s2)
+      | [ _ ] -> (
+          (* Any two disjoint quorums can be shrunk so one is
+             minimal, so it suffices to test, per minimal quorum,
+             whether its complement still contains a quorum.
+             Enumeration runs to completion (filling the cache) at
+             every [jobs] count, so the result — witness choice
+             included — and the tick totals never depend on the
+             degree of parallelism. *)
+          let quorums = minimal_quorums ?jobs t in
+          match List.find_map (complement_witness t) quorums with
+          | Some (q, q') -> Disjoint (q, q')
+          | None -> Intersects))
 
 let quorum_intersection ?metrics ?jobs sys =
   check_intersection ?jobs (prepare ?metrics sys)

@@ -34,10 +34,10 @@
     metrics are byte-identical at every [jobs] count, on both executor
     backends. See DESIGN.md §18.
 
-    Systems naming negative pids fall back to the brute-force
-    reference paths (guarded to 20 participants), mirroring the
-    {!Quorum.Compiled} and {!Graphkit.Csr} fallback contracts.
-    Equivalence with the brute-force paths at small [n] is
+    Process ids are non-negative: {!prepare} raises [Invalid_argument]
+    on a system naming a negative pid, like {!Quorum.Compiled.compile}.
+    Equivalence with the brute-force paths (the Gosper sweeps in
+    {!Quorum} and the oracles in [test/oracle]) at small [n] is
     property-tested in [test/test_enum.ml]. See DESIGN.md §13. *)
 
 open Graphkit
@@ -56,7 +56,8 @@ val prepare : ?metrics:Obs.Metrics.t -> Quorum.system -> t
 (** Compiles the system. When [metrics] is given, the search also
     drives the [fbqs_enum_explored] / [fbqs_enum_pruned] /
     [fbqs_enum_quorums_found] counters, so analysis runs are traceable
-    like every other subsystem. *)
+    like every other subsystem.
+    @raise Invalid_argument when the system names a negative pid. *)
 
 val system : t -> Quorum.system
 

@@ -59,10 +59,12 @@ let to_file path sys =
 let tokens line =
   String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
 
+(* Process ids index the dense kernels (DESIGN.md §8), so a negative
+   one is refused here rather than by every kernel downstream. *)
 let parse_pid lineno tok =
   match int_of_string_opt tok with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "line %d: %S is not a process id" lineno tok)
+  | Some i when i >= 0 -> Ok i
+  | _ -> Error (Printf.sprintf "line %d: %S is not a process id" lineno tok)
 
 (* [{ 1 2 } { 3 }] -> explicit slice list *)
 let parse_slices lineno toks =
@@ -141,11 +143,4 @@ let of_string text =
   in
   go 1 Pid.Map.empty lines
 
-let of_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      of_string s
+let of_file = Parse.parse_file of_string

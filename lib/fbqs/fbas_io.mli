@@ -24,6 +24,9 @@ val to_buffer : Buffer.t -> Quorum.system -> unit
 val to_file : string -> Quorum.system -> unit
 
 val of_string : string -> (Quorum.system, string) result
-(** Parse errors name the offending line. *)
+(** Parse errors name the offending line. Process ids follow
+    [int_of_string] and must be non-negative. *)
 
 val of_file : string -> (Quorum.system, string) result
+(** [Graphkit.Parse.parse_file of_string]: every error is
+    [Error "<path>: <reason>"]. *)

@@ -37,85 +37,59 @@ type compiled = {
   bound : int;  (** pids outside [0, bound) are [Absent] *)
   entries : entry array;
   class_sets : D.t array;  (** distinct threshold member sets *)
-  fallback : bool;
-      (** a negative pid appears somewhere: evaluate on [Pid.Set]
-          directly (dense bitsets only cover non-negative ids) *)
   mutable queries : int;  (** membership queries answered *)
   mutable popcounts : int;  (** D.inter_cardinal calls performed *)
 }
 
-let slice_has_negative = function
-  | Slice.Explicit slices ->
-      List.exists
-        (fun s ->
-          match Pid.Set.min_elt_opt s with Some m -> m < 0 | None -> false)
-        slices
-  | Slice.Threshold { members; _ } -> (
-      match Pid.Set.min_elt_opt members with Some m -> m < 0 | None -> false)
-
+(* Process ids are non-negative (DESIGN.md §8): a negative owner is
+   refused here, a negative slice member by [D.of_set]. *)
 let compile_raw sys =
-  let negative =
-    (match Pid.Map.min_binding_opt sys with
-    | Some (k, _) -> k < 0
-    | None -> false)
-    || Pid.Map.exists (fun _ s -> slice_has_negative s) sys
+  (match Pid.Map.min_binding_opt sys with
+  | Some (i, _) when i < 0 ->
+      invalid_arg "Quorum.Compiled.compile: negative process id"
+  | _ -> ());
+  let bound =
+    match Pid.Map.max_binding_opt sys with Some (k, _) -> k + 1 | None -> 0
   in
-  if negative then
-    {
-      csys = sys;
-      bound = 0;
-      entries = [||];
-      class_sets = [||];
-      fallback = true;
-      queries = 0;
-      popcounts = 0;
-    }
-  else begin
-    let bound =
-      match Pid.Map.max_binding_opt sys with Some (k, _) -> k + 1 | None -> 0
-    in
-    let entries = Array.make bound Absent in
-    let classes : (D.t, int) Hashtbl.t = Hashtbl.create 7 in
-    let class_sets = ref [] in
-    let n_classes = ref 0 in
-    let class_of d =
-      match Hashtbl.find_opt classes d with
-      | Some c -> c
-      | None ->
-          let c = !n_classes in
-          incr n_classes;
-          Hashtbl.add classes d c;
-          class_sets := d :: !class_sets;
-          c
-    in
-    Pid.Map.iter
-      (fun i slice ->
-        entries.(i) <-
-          (match slice with
-          | Slice.Explicit [] -> Absent
-          | Slice.Explicit slices ->
-              Explicit_d (Array.of_list (List.map D.of_set slices))
-          | Slice.Threshold { members; threshold } ->
-              let sat = threshold <= Pid.Set.cardinal members in
-              Threshold_d { sat; threshold; cls = class_of (D.of_set members) }))
-      sys;
-    {
-      csys = sys;
-      bound;
-      entries;
-      class_sets = Array.of_list (List.rev !class_sets);
-      fallback = false;
-      queries = 0;
-      popcounts = 0;
-    }
-  end
+  let entries = Array.make bound Absent in
+  let classes : (D.t, int) Hashtbl.t = Hashtbl.create 7 in
+  let class_sets = ref [] in
+  let n_classes = ref 0 in
+  let class_of d =
+    match Hashtbl.find_opt classes d with
+    | Some c -> c
+    | None ->
+        let c = !n_classes in
+        incr n_classes;
+        Hashtbl.add classes d c;
+        class_sets := d :: !class_sets;
+        c
+  in
+  Pid.Map.iter
+    (fun i slice ->
+      entries.(i) <-
+        (match slice with
+        | Slice.Explicit [] -> Absent
+        | Slice.Explicit slices ->
+            Explicit_d (Array.of_list (List.map D.of_set slices))
+        | Slice.Threshold { members; threshold } ->
+            let sat = threshold <= Pid.Set.cardinal members in
+            Threshold_d { sat; threshold; cls = class_of (D.of_set members) }))
+    sys;
+  {
+    csys = sys;
+    bound;
+    entries;
+    class_sets = Array.of_list (List.rev !class_sets);
+    queries = 0;
+    popcounts = 0;
+  }
 
 (* The per-member test of Algorithm 1. [counts] memoizes one
    intersection cardinality per member-set class for the duration of a
    single candidate-set evaluation. *)
 let member_ok c counts qd i =
-  i >= 0
-  && i < c.bound
+  i < c.bound
   &&
   match c.entries.(i) with
   | Absent -> false
@@ -141,49 +115,26 @@ let member_ok c counts qd i =
             cnt
           end)
 
-let has_negative_member set =
-  match Pid.Set.min_elt_opt set with Some m -> m < 0 | None -> false
-
-(* Reference path kept for systems or candidates naming negative pids
-   (which the dense kernel cannot represent): Algorithm 1 verbatim. *)
-let tree_member_ok sys q i = Slice.has_slice_within (slices_of sys i) q
-
 module Compiled = struct
   type t = compiled
 
   let compile = compile_raw
   let system c = c.csys
 
-  let is_quorum c q =
-    c.queries <- c.queries + 1;
-    (not (Pid.Set.is_empty q))
-    &&
-    if c.fallback || has_negative_member q then
-      Pid.Set.for_all (tree_member_ok c.csys q) q
-    else begin
-      let qd = D.of_set q in
-      let counts = Array.make (Array.length c.class_sets) (-1) in
-      D.for_all (member_ok c counts qd) qd
-    end
-
-  let is_quorum_of c i q = Pid.Set.mem i q && is_quorum c q
-
-  let require_dense c who =
-    if c.fallback then
-      invalid_arg
-        (Printf.sprintf
-           "Quorum.Compiled.%s: system has negative pids (no dense form)" who)
-
   let is_quorum_d c qd =
-    require_dense c "is_quorum_d";
     c.queries <- c.queries + 1;
     (not (D.is_empty qd))
     &&
     let counts = Array.make (Array.length c.class_sets) (-1) in
     D.for_all (member_ok c counts qd) qd
 
+  let is_quorum c q = is_quorum_d c (D.of_set q)
+  let is_quorum_of c i q = Pid.Set.mem i q && is_quorum c q
+
+  (* Discard members with no slice inside the current candidate until
+     a fixpoint. Since the union of two quorums is a quorum, the
+     fixpoint is the union of all quorums within [set]. *)
   let greatest_quorum_within_d c set =
-    require_dense c "greatest_quorum_within_d";
     c.queries <- c.queries + 1;
     let rec go qd =
       let counts = Array.make (Array.length c.class_sets) (-1) in
@@ -196,34 +147,16 @@ module Compiled = struct
     not (D.is_empty (greatest_quorum_within_d c set))
 
   let greatest_quorum_within c set =
-    (* Discard members with no slice inside the current candidate until
-       a fixpoint. Since the union of two quorums is a quorum, the
-       fixpoint is the union of all quorums within [set]. *)
-    c.queries <- c.queries + 1;
-    if c.fallback || has_negative_member set then
-      let rec go cur =
-        let keep = Pid.Set.filter (tree_member_ok c.csys cur) cur in
-        if Pid.Set.equal keep cur then cur else go keep
-      in
-      go set
-    else begin
-      let rec go qd =
-        let counts = Array.make (Array.length c.class_sets) (-1) in
-        let keep = D.filter (member_ok c counts qd) qd in
-        if D.equal keep qd then qd else go keep
-      in
-      D.to_set (go (D.of_set set))
-    end
+    D.to_set (greatest_quorum_within_d c (D.of_set set))
 
   let contains_quorum c set =
     not (Pid.Set.is_empty (greatest_quorum_within c set))
 
   (* Declared after the queries so the immutable stats fields do not
      shadow the compiled record's mutable counters of the same name. *)
-  type stats = { queries : int; popcounts : int; fallback : bool }
+  type stats = { queries : int; popcounts : int }
 
-  let stats (c : t) =
-    { queries = c.queries; popcounts = c.popcounts; fallback = c.fallback }
+  let stats (c : t) = { queries = c.queries; popcounts = c.popcounts }
 end
 
 let compile = Compiled.compile

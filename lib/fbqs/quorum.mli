@@ -11,7 +11,9 @@
     bounded per-system-value cache; they suit callers whose system
     evolves mid-run (SCP federated voting learns slices from
     envelopes), while stable-system callers should compile explicitly.
-    See DESIGN.md §8 and §9. *)
+    Process ids are non-negative: every query raises
+    [Invalid_argument] on a system or candidate set naming a negative
+    pid, as {!Pid.Dense_set} does. See DESIGN.md §8 and §9. *)
 
 open Graphkit
 
@@ -38,6 +40,8 @@ module Compiled : sig
       the compiled structure itself is immutable. *)
 
   val compile : system -> t
+  (** @raise Invalid_argument when the system names a negative pid, as
+      an owner or as a slice member. *)
 
   val system : t -> system
   (** The system this value was compiled from. *)
@@ -66,11 +70,7 @@ module Compiled : sig
       The same queries, over {!Pid.Dense_set} candidates — no
       [Pid.Set] conversion on either side. These are the inner-loop
       entry points of the {!Enum} branch-and-bound analyzer, which
-      evaluates thousands of candidate sets per enumeration.
-
-      @raise Invalid_argument on a system compiled in fallback mode
-      (negative pids have no dense representation; callers are
-      expected to take a [Pid.Set] path there, as {!Enum} does). *)
+      evaluates thousands of candidate sets per enumeration. *)
 
   val is_quorum_d : t -> Pid.Dense_set.t -> bool
 
@@ -81,7 +81,6 @@ module Compiled : sig
   type stats = {
     queries : int;  (** membership evaluations answered so far *)
     popcounts : int;  (** dense intersection-cardinality calls *)
-    fallback : bool;  (** negative pids forced the [Pid.Set] path *)
   }
 
   val stats : t -> stats

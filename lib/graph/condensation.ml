@@ -1,73 +1,24 @@
-(* A condensation is either a thin view over the memoized CSR handle
-   (the fast path — the SCC partition and DAG are computed once per
-   graph value and shared by every query) or the seed record built from
-   the tree-set algorithms (negative-pid fallback and test baseline).
-   Both constructions produce identical component ids, DAG successor
-   lists and sink ids — Csr's determinism contract. *)
+(* A condensation is a view of the memoized CSR handle: the SCC
+   partition and DAG are computed once per graph value and shared by
+   every query. Component ids, DAG successor lists and sink ids equal
+   the seed construction's (the oracle in [test/oracle]) — Csr's
+   determinism contract. *)
 
-type seed = {
-  comps : Pid.Set.t array;
-  index : int Pid.Map.t;
-  dag : int list array;
-}
+type t = Csr.t
 
-type t = Dense of Csr.t | Seed of seed
+let make = Csr.get
+let components = Csr.scc_component_sets
 
-let make_baseline g =
-  let comps = Array.of_list (Scc.components_baseline g) in
-  let index =
-    Array.to_seqi comps
-    |> Seq.fold_left
-         (fun m (k, c) -> Pid.Set.fold (fun v m -> Pid.Map.add v k m) c m)
-         Pid.Map.empty
-  in
-  let n = Array.length comps in
-  let succ_sets = Array.make n [] in
-  Digraph.fold_edges
-    (fun i j () ->
-      let ci = Pid.Map.find i index and cj = Pid.Map.find j index in
-      if ci <> cj && not (List.mem cj succ_sets.(ci)) then
-        succ_sets.(ci) <- cj :: succ_sets.(ci))
-    g ();
-  Seed { comps; index; dag = succ_sets }
+let component_of h i =
+  match Csr.scc_component_of h i with Some k -> k | None -> raise Not_found
 
-let make g =
-  match Csr.get g with Some h -> Dense h | None -> make_baseline g
-
-let components = function
-  | Dense h -> Csr.scc_component_sets h
-  | Seed s -> s.comps
-
-let component_of t i =
-  match t with
-  | Dense h -> (
-      match Csr.scc_component_of h i with
-      | Some k -> k
-      | None -> raise Not_found)
-  | Seed s -> (
-      match Pid.Map.find_opt i s.index with
-      | Some k -> k
-      | None -> raise Not_found)
-
-let dag_succs t k =
-  match t with Dense h -> (Csr.dag_succs h).(k) | Seed s -> s.dag.(k)
-
-let sinks = function
-  | Dense h -> Csr.dag_sinks h
-  | Seed s ->
-      let acc = ref [] in
-      Array.iteri (fun k succs -> if succs = [] then acc := k :: !acc) s.dag;
-      List.rev !acc
+let dag_succs h k = (Csr.dag_succs h).(k)
+let sinks = Csr.dag_sinks
 
 let sink_components g =
-  let t = make g in
-  let comps = components t in
-  List.map (fun k -> comps.(k)) (sinks t)
-
-let sink_components_baseline g =
-  let t = make_baseline g in
-  let comps = components t in
-  List.map (fun k -> comps.(k)) (sinks t)
+  let h = make g in
+  let comps = components h in
+  List.map (fun k -> comps.(k)) (sinks h)
 
 let unique_sink g =
   match sink_components g with [ c ] -> Some c | _ -> None

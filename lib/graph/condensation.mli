@@ -6,22 +6,17 @@
     member of [C] to any vertex outside [C]. The k-OSR property requires
     the condensation to have exactly one sink.
 
-    Queries run on the compiled {!Csr} kernel when the graph has no
-    negative pid: [make] is then a memoized handle lookup, so the
-    consumers that condense per query (the sink oracle, k-OSR checks,
-    pipeline sweeps) compute the SCC partition and DAG once per graph.
-    Negative-pid graphs fall back to the seed tree-set construction,
-    also exposed as {!make_baseline} for equivalence tests. Both paths
-    produce identical component ids, DAG lists and sink ids. *)
+    Queries run on the compiled {!Csr} kernel: [make] is a memoized
+    handle lookup, so the consumers that condense per query (the sink
+    oracle, k-OSR checks, pipeline sweeps) compute the SCC partition
+    and DAG once per graph. It raises [Invalid_argument] on a graph
+    naming a negative pid. Component ids, DAG lists and sink ids equal
+    the seed tree-set construction's, which is the test oracle in
+    [test/oracle]. *)
 
 type t
 
 val make : Digraph.t -> t
-
-val make_baseline : Digraph.t -> t
-(** The seed construction (tree-set Tarjan + map-indexed DAG), kept as
-    the negative-pid fallback and the qcheck baseline for the CSR
-    path. *)
 
 val components : t -> Pid.Set.t array
 (** All SCCs. Indices are the component ids used below. *)
@@ -37,9 +32,6 @@ val sinks : t -> int list
 
 val sink_components : Digraph.t -> Pid.Set.t list
 (** Vertex sets of all sink components of a graph. *)
-
-val sink_components_baseline : Digraph.t -> Pid.Set.t list
-(** [sink_components] forced through {!make_baseline}. *)
 
 val unique_sink : Digraph.t -> Pid.Set.t option
 (** [Some v_sink] when the condensation has exactly one sink component,

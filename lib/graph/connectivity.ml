@@ -4,36 +4,13 @@
    internally disjoint paths can never share an edge, because sharing an
    edge implies sharing one of its endpoints as an internal vertex.
 
-   The fast path builds the network straight from the compiled CSR rows
-   (dense index k maps to nodes 2k / 2k+1) — for the masked variant
-   used by f-reachability it applies a bool mask instead of
-   materialising an induced subgraph. Max-flow values are unique, so
-   every path agrees with the seed construction, kept below as the
-   negative-pid fallback and test baseline. *)
+   The network is built straight from the compiled CSR rows (dense
+   index k maps to nodes 2k / 2k+1) — for the masked variant used by
+   f-reachability a bool mask replaces an induced subgraph. Max-flow
+   values are unique, so every count agrees with the seed construction
+   kept as the test oracle in [test/oracle]. *)
 
 let big = 1_000_000
-
-let node_disjoint_paths_baseline g src dst =
-  if Pid.equal src dst then 0
-  else if not (Digraph.mem_vertex src g && Digraph.mem_vertex dst g) then 0
-  else begin
-    let verts = Pid.Set.elements (Digraph.vertices g) in
-    let id = Hashtbl.create (List.length verts) in
-    List.iteri (fun k v -> Hashtbl.replace id v k) verts;
-    let n = List.length verts in
-    let v_in v = 2 * Hashtbl.find id v in
-    let v_out v = (2 * Hashtbl.find id v) + 1 in
-    let net = Flow.create ~n:(2 * n) ~source:(v_in src) ~sink:(v_out dst) in
-    List.iter
-      (fun v ->
-        let cap = if Pid.equal v src || Pid.equal v dst then big else 1 in
-        Flow.add_edge net (v_in v) (v_out v) cap)
-      verts;
-    Digraph.fold_edges
-      (fun u v () -> Flow.add_edge net (v_out u) (v_in v) 1)
-      g ();
-    Flow.max_flow net
-  end
 
 (* Menger on the compiled handle, restricted to dense vertices with
    [mask.(v)] set (the endpoints [s] and [t] must be masked). *)
@@ -56,15 +33,12 @@ let menger_masked h mask s t =
   Flow.max_flow net
 
 let node_disjoint_paths g src dst =
-  match Csr.get g with
-  | None -> node_disjoint_paths_baseline g src dst
-  | Some h -> (
-      if Pid.equal src dst then 0
-      else
-        match (Csr.index_of h src, Csr.index_of h dst) with
-        | Some s, Some t ->
-            menger_masked h (Array.make (Csr.n_vertices h) true) s t
-        | _ -> 0)
+  let h = Csr.get g in
+  if Pid.equal src dst then 0
+  else
+    match (Csr.index_of h src, Csr.index_of h dst) with
+    | Some s, Some t -> menger_masked h (Array.make (Csr.n_vertices h) true) s t
+    | _ -> 0
 
 let is_k_strongly_connected g k =
   let verts = Pid.Set.elements (Digraph.vertices g) in
@@ -93,26 +67,20 @@ let vertex_connectivity g =
         max_int verts
 
 let disjoint_paths_within g ~allowed src dst =
-  match Csr.get g with
-  | None ->
-      let keep = Pid.Set.add src (Pid.Set.add dst allowed) in
-      node_disjoint_paths_baseline (Digraph.subgraph keep g) src dst
-  | Some h -> (
-      if Pid.equal src dst then 0
-      else
-        match (Csr.index_of h src, Csr.index_of h dst) with
-        | Some s, Some t ->
-            let mask = Array.make (Csr.n_vertices h) false in
-            Pid.Set.iter
-              (fun v ->
-                match Csr.index_of h v with
-                | Some k -> mask.(k) <- true
-                | None -> ())
-              allowed;
-            mask.(s) <- true;
-            mask.(t) <- true;
-            menger_masked h mask s t
-        | _ -> 0)
+  let h = Csr.get g in
+  if Pid.equal src dst then 0
+  else
+    match (Csr.index_of h src, Csr.index_of h dst) with
+    | Some s, Some t ->
+        let mask = Array.make (Csr.n_vertices h) false in
+        Pid.Set.iter
+          (fun v ->
+            match Csr.index_of h v with Some k -> mask.(k) <- true | None -> ())
+          allowed;
+        mask.(s) <- true;
+        mask.(t) <- true;
+        menger_masked h mask s t
+    | _ -> 0
 
 let f_reachable g ~correct f src dst =
   Pid.Set.mem src correct && Pid.Set.mem dst correct

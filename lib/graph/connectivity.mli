@@ -8,9 +8,10 @@
 
     Networks are built straight from the compiled {!Csr} rows (for the
     restricted variant, via a bool mask rather than an induced
-    subgraph); graphs naming negative pids fall back to the seed
-    construction, also exposed as {!node_disjoint_paths_baseline}.
-    Max-flow values are unique, so all paths agree exactly. *)
+    subgraph), so every count raises [Invalid_argument] on a graph
+    naming a negative pid. Max-flow values are unique, so the counts
+    equal the seed construction's, the test oracle in
+    [test/oracle]. *)
 
 val node_disjoint_paths : Digraph.t -> Pid.t -> Pid.t -> int
 (** Maximum number of internally node-disjoint directed paths from the
@@ -35,8 +36,3 @@ val f_reachable : Digraph.t -> correct:Pid.Set.t -> int -> Pid.t -> Pid.t -> boo
 val disjoint_paths_within : Digraph.t -> allowed:Pid.Set.t -> Pid.t -> Pid.t -> int
 (** Disjoint-path count restricted to the subgraph induced by
     [allowed] (the endpoints are added to [allowed] implicitly). *)
-
-val node_disjoint_paths_baseline : Digraph.t -> Pid.t -> Pid.t -> int
-(** The seed construction (Hashtbl-interned node-split network), kept
-    as the negative-pid fallback and the qcheck baseline for the CSR
-    path. *)

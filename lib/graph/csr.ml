@@ -14,9 +14,9 @@
    Tarjan below visits vertices and successors in exactly the order the
    seed tree-set implementation does — component emission order,
    condensation ids, DAG successor lists and sink ids are all
-   byte-identical to the seed algorithms. Graphs naming negative pids
-   cannot be interned densely and fall back to the seed path, exactly
-   like the quorum kernel. *)
+   byte-identical to the seed algorithms (kept in [test/oracle]).
+   Process ids are non-negative (DESIGN.md §8): compiling a graph that
+   names a negative pid raises, exactly like the quorum kernel. *)
 
 type scc_data = { comp_of : int array; n_comps : int }
 
@@ -70,61 +70,59 @@ let of_graph g =
       incr k)
     g;
   (* [iter_succs] is ascending, so a negative pid shows up first. *)
-  if n > 0 && pids.(0) < 0 then None
-  else begin
-    let bound = if n = 0 then 0 else pids.(n - 1) + 1 in
-    let inv = Array.make bound (-1) in
-    Array.iteri (fun k p -> inv.(p) <- k) pids;
-    for v = 1 to n do
-      succ_off.(v) <- succ_off.(v) + succ_off.(v - 1)
-    done;
-    let m = succ_off.(n) in
-    let succ_arr = Array.make m 0 in
-    let pred_off = Array.make (n + 1) 0 in
-    let si = ref 0 in
-    (* [Pid.Set.iter] is ascending, so each succ row comes out
-       sorted. *)
-    Array.iter
-      (fun s ->
-        Pid.Set.iter
-          (fun w ->
-            let d = inv.(w) in
-            succ_arr.(!si) <- d;
-            incr si;
-            pred_off.(d + 1) <- pred_off.(d + 1) + 1)
-          s)
-      rows;
-    for v = 1 to n do
-      pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
-    done;
-    let pred_arr = Array.make m 0 in
-    let pred_cur = Array.make (n + 1) 0 in
-    Array.blit pred_off 0 pred_cur 0 n;
-    (* Pred rows receive their entries as [u] ascends, so they come out
-       sorted too. *)
-    for u = 0 to n - 1 do
-      for i = succ_off.(u) to succ_off.(u + 1) - 1 do
-        let d = succ_arr.(i) in
-        pred_arr.(pred_cur.(d)) <- u;
-        pred_cur.(d) <- pred_cur.(d) + 1
-      done
-    done;
-    Some
-      {
-        graph = g;
-        n;
-        pids;
-        inv;
-        succ_off;
-        succ_arr;
-        pred_off;
-        pred_arr;
-        scc = None;
-        comp_sets = None;
-        comp_list = None;
-        dag = None;
-      }
-  end
+  if n > 0 && pids.(0) < 0 then
+    invalid_arg "Csr.of_graph: negative process id";
+  let bound = if n = 0 then 0 else pids.(n - 1) + 1 in
+  let inv = Array.make bound (-1) in
+  Array.iteri (fun k p -> inv.(p) <- k) pids;
+  for v = 1 to n do
+    succ_off.(v) <- succ_off.(v) + succ_off.(v - 1)
+  done;
+  let m = succ_off.(n) in
+  let succ_arr = Array.make m 0 in
+  let pred_off = Array.make (n + 1) 0 in
+  let si = ref 0 in
+  (* [Pid.Set.iter] is ascending, so each succ row comes out
+     sorted. *)
+  Array.iter
+    (fun s ->
+      Pid.Set.iter
+        (fun w ->
+          let d = inv.(w) in
+          succ_arr.(!si) <- d;
+          incr si;
+          pred_off.(d + 1) <- pred_off.(d + 1) + 1)
+        s)
+    rows;
+  for v = 1 to n do
+    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
+  done;
+  let pred_arr = Array.make m 0 in
+  let pred_cur = Array.make (n + 1) 0 in
+  Array.blit pred_off 0 pred_cur 0 n;
+  (* Pred rows receive their entries as [u] ascends, so they come out
+     sorted too. *)
+  for u = 0 to n - 1 do
+    for i = succ_off.(u) to succ_off.(u + 1) - 1 do
+      let d = succ_arr.(i) in
+      pred_arr.(pred_cur.(d)) <- u;
+      pred_cur.(d) <- pred_cur.(d) + 1
+    done
+  done;
+  {
+    graph = g;
+    n;
+    pids;
+    inv;
+    succ_off;
+    succ_arr;
+    pred_off;
+    pred_arr;
+    scc = None;
+    comp_sets = None;
+    comp_list = None;
+    dag = None;
+  }
 
 (* ---- per-graph memo -------------------------------------------------- *)
 
@@ -133,8 +131,7 @@ let of_graph g =
    kernel's compiled-handle cache. Graphs are immutable, so a hit can
    never be stale; a hit is promoted to the front so a working set of
    up to the capacity (a sweep's base graph plus the sink subgraphs of
-   its k-OSR checks) never thrashes. Negative-pid graphs have no dense
-   form: the lookup still counts a miss, but nothing is inserted. *)
+   its k-OSR checks) never thrashes. *)
 
 let cache : (Digraph.t, t) Core.Cache.t =
   Core.Cache.create ~name:"graphkit_csr" ~capacity:16 ()
@@ -143,15 +140,7 @@ let cache_stats () = Core.Cache.stats cache
 let set_cache_capacity n = Core.Cache.set_capacity cache n
 let attach_cache_metrics registry = Core.Cache.attach_metrics cache registry
 
-let get g =
-  match Core.Cache.find_opt cache g with
-  | Some h -> Some h
-  | None -> (
-      match of_graph g with
-      | None -> None
-      | Some h ->
-          Core.Cache.add cache g h;
-          Some h)
+let get g = Core.Cache.find_or_add cache g (fun () -> of_graph g)
 
 (* ---- strongly connected components ----------------------------------- *)
 

@@ -8,26 +8,25 @@
     that condense the same graph once per query (the sink oracle of
     Definition 8, the k-OSR checks, pipeline sweeps) pay for the
     analysis once per graph instead. Results are guaranteed identical to
-    the seed tree-set algorithms, including SCC emission order and
-    condensation successor-list order; graphs naming negative pids are
-    not representable and make {!of_graph}/{!get} return [None], in
-    which case callers fall back to the seed path (exactly the quorum
-    kernel's fallback rule). *)
+    the seed tree-set algorithms (the oracles in [test/oracle]),
+    including SCC emission order and condensation successor-list order.
+    Process ids are non-negative (DESIGN.md §8): a graph naming a
+    negative pid is refused, exactly like the quorum kernel. *)
 
 type t
 (** A compiled graph handle. Immutable as seen through this interface;
     internally it caches analysis results on first use. *)
 
-val of_graph : Digraph.t -> t option
-(** Compiles the graph: O(V log V + E). [None] when some vertex is a
-    negative pid. *)
+val of_graph : Digraph.t -> t
+(** Compiles the graph: O(V log V + E).
+    @raise Invalid_argument when some vertex is a negative pid. *)
 
-val get : Digraph.t -> t option
+val get : Digraph.t -> t
 (** Memoized {!of_graph}: a bounded most-recently-used {!Core.Cache}
     keyed by {e physical} equality of the graph value (graphs are
     immutable, so hits can never be stale). This is the entry point the
-    rewired analyses use. Negative-pid graphs count as misses but are
-    never inserted. *)
+    graph analyses use.
+    @raise Invalid_argument when some vertex is a negative pid. *)
 
 val cache_stats : unit -> Core.Cache.stats
 (** Cumulative shared-cache accounting for this process — the same
@@ -51,7 +50,8 @@ val pid_of : t -> int -> Pid.t
 (** Dense index -> pid. Indices are assigned in ascending pid order. *)
 
 val index_of : t -> Pid.t -> int option
-(** Pid -> dense index; [None] when the pid is not a vertex. *)
+(** Pid -> dense index; [None] when the pid is not a vertex (a negative
+    pid included). *)
 
 val succ_off : t -> int array
 (** Offsets into {!succ_arr}: the successors of dense vertex [v] are

@@ -5,7 +5,7 @@
    sort is stable, so per-vertex arc order is insertion order: exactly
    the order the seed's append-based adjacency lists iterate in, which
    keeps the chosen flow (and hence [min_cut_side]) identical to the
-   seed implementation, preserved below as {!Baseline}. *)
+   seed implementation, the test oracle in [test/oracle]. *)
 
 type t = {
   n : int;
@@ -186,116 +186,3 @@ let min_cut_side net =
     done
   done;
   side
-
-(* ---- seed implementation, kept verbatim as the test baseline --------- *)
-
-module Baseline = struct
-  type edge = { dst : int; mutable cap : int; rev : int }
-
-  type t = {
-    n : int;
-    source : int;
-    sink : int;
-    adj : edge list ref array;
-    mutable level : int array;
-    mutable iter : edge list array;
-  }
-
-  let create ~n ~source ~sink =
-    {
-      n;
-      source;
-      sink;
-      adj = Array.init n (fun _ -> ref []);
-      level = [||];
-      iter = [||];
-    }
-
-  let add_edge net u v cap =
-    let fwd_pos = List.length !(net.adj.(u)) in
-    let bwd_pos = List.length !(net.adj.(v)) in
-    net.adj.(u) := !(net.adj.(u)) @ [ { dst = v; cap; rev = bwd_pos } ];
-    net.adj.(v) := !(net.adj.(v)) @ [ { dst = u; cap = 0; rev = fwd_pos } ]
-
-  let edge_at net u k = List.nth !(net.adj.(u)) k
-
-  let bfs net =
-    let level = Array.make net.n (-1) in
-    level.(net.source) <- 0;
-    let q = Queue.create () in
-    Queue.add net.source q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      List.iter
-        (fun e ->
-          if e.cap > 0 && level.(e.dst) < 0 then begin
-            level.(e.dst) <- level.(u) + 1;
-            Queue.add e.dst q
-          end)
-        !(net.adj.(u))
-    done;
-    net.level <- level;
-    level.(net.sink) >= 0
-
-  let rec dfs net u f =
-    if u = net.sink then f
-    else begin
-      let result = ref 0 in
-      let rec try_edges () =
-        match net.iter.(u) with
-        | [] -> ()
-        | e :: rest ->
-            if e.cap > 0 && net.level.(e.dst) = net.level.(u) + 1 then begin
-              let d = dfs net e.dst (min f e.cap) in
-              if d > 0 then begin
-                e.cap <- e.cap - d;
-                let back = edge_at net e.dst e.rev in
-                back.cap <- back.cap + d;
-                result := d
-              end
-              else begin
-                net.iter.(u) <- rest;
-                try_edges ()
-              end
-            end
-            else begin
-              net.iter.(u) <- rest;
-              try_edges ()
-            end
-      in
-      try_edges ();
-      !result
-    end
-
-  let max_flow net =
-    let flow = ref 0 in
-    while bfs net do
-      net.iter <- Array.map (fun l -> !l) net.adj;
-      let rec push () =
-        let f = dfs net net.source max_int in
-        if f > 0 then begin
-          flow := !flow + f;
-          push ()
-        end
-      in
-      push ()
-    done;
-    !flow
-
-  let min_cut_side net =
-    let side = Array.make net.n false in
-    side.(net.source) <- true;
-    let q = Queue.create () in
-    Queue.add net.source q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      List.iter
-        (fun e ->
-          if e.cap > 0 && not side.(e.dst) then begin
-            side.(e.dst) <- true;
-            Queue.add e.dst q
-          end)
-        !(net.adj.(u))
-    done;
-    side
-end

@@ -7,8 +7,8 @@
     Arcs are stored in flat int arrays (reverse arc of [a] is
     [a lxor 1]) and compiled into a CSR adjacency when [max_flow] runs;
     the per-vertex arc order is insertion order, matching the seed
-    implementation kept as {!Baseline}, so both compute the same flow
-    and the same residual cut. *)
+    list-based implementation (the test oracle in [test/oracle]), so
+    both compute the same flow and the same residual cut. *)
 
 type t
 (** A mutable flow network under construction. *)
@@ -29,14 +29,3 @@ val min_cut_side : t -> bool array
 (** After [max_flow], the set of nodes reachable from the source in the
     residual network ([true] entries); its outgoing saturated edges form
     a minimum cut. *)
-
-(** The seed list-based implementation, kept verbatim as an equivalence
-    baseline for tests and benchmarks. Same API, same results. *)
-module Baseline : sig
-  type t
-
-  val create : n:int -> source:int -> sink:int -> t
-  val add_edge : t -> int -> int -> int -> unit
-  val max_flow : t -> int
-  val min_cut_side : t -> bool array
-end

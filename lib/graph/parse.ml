@@ -2,16 +2,17 @@
    stripping, trimming and token parsing all work on index ranges into
    the input, so a parse allocates nothing per line beyond the graph
    itself (the seed split/trim/filter_map pipeline allocated several
-   intermediate strings and lists per line). Semantics are unchanged:
-   same accepted inputs — including signed, hex and underscored ids,
-   via the [int_of_string_opt] fallback — and the same error messages,
-   line numbers included. *)
+   intermediate strings and lists per line). Ids are read with
+   [int_of_string] semantics (so [+2], hex and underscored forms
+   parse) and must come out non-negative: process ids index the dense
+   kernels (DESIGN.md §8), so a negative one is a line-numbered error
+   here rather than a second code path in every kernel. *)
 
 let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
 
-(* [int_of_string_opt] on [text[s..e)], with an allocation-free fast
-   path for the all-digit tokens that dominate real inputs (18 digits
-   always fit in an OCaml int). *)
+(* A process id in [text[s..e)]: [int_of_string_opt], [None] when
+   negative, with an allocation-free fast path for the all-digit tokens
+   that dominate real inputs (18 digits always fit in an OCaml int). *)
 let parse_int text s e =
   let len = e - s in
   if len = 0 then None
@@ -29,7 +30,10 @@ let parse_int text s e =
       done;
       Some !v
     end
-    else int_of_string_opt (String.sub text s len)
+    else
+      match int_of_string_opt (String.sub text s len) with
+      | Some v when v >= 0 -> Some v
+      | _ -> None
   end
 
 let of_string text =
@@ -118,15 +122,22 @@ let of_string text =
   done;
   match !err with Some e -> Error e | None -> Ok !g
 
-let of_file path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let n = in_channel_length ic in
-          of_string (really_input_string ic n))
+let parse_file parse path =
+  let text =
+    match open_in_bin path with
+    | exception Sys_error msg -> Error msg (* already "<path>: <reason>" *)
+    | ic ->
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            match really_input_string ic (in_channel_length ic) with
+            | text -> Ok text
+            | exception Sys_error msg -> Error (path ^ ": " ^ msg))
+  in
+  Result.bind text (fun text ->
+      Result.map_error (fun e -> path ^ ": " ^ e) (parse text))
+
+let of_file = parse_file of_string
 
 let to_string g =
   let buf = Buffer.create 128 in

@@ -51,35 +51,6 @@ let check_k_osr g k =
 
 let is_k_osr g k = Result.is_ok (check_k_osr g k)
 
-(* The same Definition 6 check forced through the seed algorithms (no
-   CSR, no memo): the benchmark/qcheck counterpart of [is_k_osr]. *)
-let is_k_osr_baseline g k =
-  Traversal.is_connected_undirected_baseline g
-  &&
-  match Condensation.sink_components_baseline g with
-  | [ sink ] ->
-      let sink_graph = Digraph.subgraph sink g in
-      let sink_verts = Pid.Set.elements sink in
-      (match sink_verts with
-      | [] | [ _ ] -> true
-      | _ ->
-          List.for_all
-            (fun i ->
-              List.for_all
-                (fun j ->
-                  Pid.equal i j
-                  || Connectivity.node_disjoint_paths_baseline sink_graph i j
-                     >= k)
-                sink_verts)
-            sink_verts)
-      && Pid.Set.for_all
-           (fun i ->
-             Pid.Set.for_all
-               (fun j -> Connectivity.node_disjoint_paths_baseline g i j >= k)
-               sink)
-           (Pid.Set.diff (Digraph.vertices g) sink)
-  | _ -> false
-
 let is_byzantine_safe g ~f ~faulty =
   Pid.Set.cardinal faulty <= f
   && is_k_osr (Digraph.remove_vertices faulty g) (f + 1)

@@ -19,11 +19,6 @@ val check_k_osr : Digraph.t -> int -> (Pid.Set.t, osr_failure) result
 
 val is_k_osr : Digraph.t -> int -> bool
 
-val is_k_osr_baseline : Digraph.t -> int -> bool
-(** [is_k_osr] forced through the seed algorithms (tree-set traversal,
-    baseline condensation, Hashtbl-interned Menger): the qcheck/bench
-    baseline for the CSR-backed check. *)
-
 val is_byzantine_safe : Digraph.t -> f:int -> faulty:Pid.Set.t -> bool
 (** Definition 7: removing the faulty set (of size at most [f]) leaves a
     graph in (f+1)-OSR. *)

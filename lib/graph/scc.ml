@@ -1,119 +1,23 @@
-(* The fast path compiles the graph to CSR int arrays (memoized in
-   Csr's handle cache) and runs the allocation-free array Tarjan there;
-   the seed tree-set implementation below is kept verbatim as the
-   fallback for negative-pid graphs and as the qcheck/bench baseline.
-   Both emit components in the same order — Csr's determinism
-   contract. *)
+(* Every query runs on the compiled CSR handle (memoized in Csr's
+   handle cache) and its allocation-free array Tarjan. The seed
+   tree-set Tarjan lives on as the test oracle in [test/oracle]; both
+   emit components in the same order — Csr's determinism contract. *)
 
-(* ---- seed implementation (baseline + negative-pid fallback) ---------- *)
-
-(* Iterative Tarjan: an explicit stack mirrors the recursion so large
-   graphs cannot overflow the OCaml stack. *)
-
-type state = {
-  mutable index : int;
-  indices : (Pid.t, int) Hashtbl.t;
-  lowlinks : (Pid.t, int) Hashtbl.t;
-  on_stack : (Pid.t, unit) Hashtbl.t;
-  stack : Pid.t Stack.t;
-  mutable sccs : Pid.Set.t list;
-}
-
-let components_baseline g =
-  let st =
-    {
-      index = 0;
-      indices = Hashtbl.create 64;
-      lowlinks = Hashtbl.create 64;
-      on_stack = Hashtbl.create 64;
-      stack = Stack.create ();
-      sccs = [];
-    }
-  in
-  let visit root =
-    (* Each frame is (vertex, remaining successors). *)
-    let frames = Stack.create () in
-    let push v =
-      Hashtbl.replace st.indices v st.index;
-      Hashtbl.replace st.lowlinks v st.index;
-      st.index <- st.index + 1;
-      Stack.push v st.stack;
-      Hashtbl.replace st.on_stack v ();
-      Stack.push (v, ref (Pid.Set.elements (Digraph.succs g v))) frames
-    in
-    push root;
-    while not (Stack.is_empty frames) do
-      let v, rest = Stack.top frames in
-      match !rest with
-      | w :: tl ->
-          rest := tl;
-          if not (Hashtbl.mem st.indices w) then push w
-          else if Hashtbl.mem st.on_stack w then
-            Hashtbl.replace st.lowlinks v
-              (min (Hashtbl.find st.lowlinks v) (Hashtbl.find st.indices w))
-      | [] ->
-          (* The popped frame is [v]'s own — its fields live on in
-             [v]/[rest]; only the stack slot is being retired. *)
-          let (_ : Pid.t * Pid.t list ref) = Stack.pop frames in
-          if Hashtbl.find st.lowlinks v = Hashtbl.find st.indices v then begin
-            let rec collect acc =
-              let w = Stack.pop st.stack in
-              Hashtbl.remove st.on_stack w;
-              let acc = Pid.Set.add w acc in
-              if Pid.equal w v then acc else collect acc
-            in
-            st.sccs <- collect Pid.Set.empty :: st.sccs
-          end;
-          if not (Stack.is_empty frames) then begin
-            let parent, _ = Stack.top frames in
-            Hashtbl.replace st.lowlinks parent
-              (min (Hashtbl.find st.lowlinks parent) (Hashtbl.find st.lowlinks v))
-          end
-    done
-  in
-  Pid.Set.iter
-    (fun v -> if not (Hashtbl.mem st.indices v) then visit v)
-    (Digraph.vertices g);
-  List.rev st.sccs
-
-(* ---- public API: CSR with seed fallback ------------------------------ *)
-
-let components g =
-  match Csr.get g with
-  | Some h -> Csr.scc_components h
-  | None -> components_baseline g
+let components g = Csr.scc_components (Csr.get g)
 
 let component_of g i =
-  match Csr.get g with
-  | Some h -> (
-      match Csr.scc_component_of h i with
-      | Some k -> (Csr.scc_component_sets h).(k)
-      | None -> raise Not_found)
-  | None -> (
-      match List.find_opt (Pid.Set.mem i) (components_baseline g) with
-      | Some c -> c
-      | None -> raise Not_found)
+  let h = Csr.get g in
+  match Csr.scc_component_of h i with
+  | Some k -> (Csr.scc_component_sets h).(k)
+  | None -> raise Not_found
 
 let component_index g =
-  match Csr.get g with
-  | Some h ->
-      let comp_of = Csr.scc_comp_of_dense h in
-      let m = ref Pid.Map.empty in
-      for v = 0 to Csr.n_vertices h - 1 do
-        m := Pid.Map.add (Csr.pid_of h v) comp_of.(v) !m
-      done;
-      !m
-  | None ->
-      let _, m =
-        List.fold_left
-          (fun (k, m) c ->
-            (k + 1, Pid.Set.fold (fun v m -> Pid.Map.add v k m) c m))
-          (0, Pid.Map.empty) (components_baseline g)
-      in
-      m
+  let h = Csr.get g in
+  let comp_of = Csr.scc_comp_of_dense h in
+  let m = ref Pid.Map.empty in
+  for v = 0 to Csr.n_vertices h - 1 do
+    m := Pid.Map.add (Csr.pid_of h v) comp_of.(v) !m
+  done;
+  !m
 
-let is_strongly_connected g =
-  match Csr.get g with
-  | Some h -> Csr.scc_count h <= 1
-  | None -> (
-      match components_baseline g with [] -> true | [ _ ] -> true | _ -> false)
+let is_strongly_connected g = Csr.scc_count (Csr.get g) <= 1

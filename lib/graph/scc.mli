@@ -1,10 +1,10 @@
 (** Strongly connected components (Tarjan's algorithm).
 
     Queries run on the compiled {!Csr} kernel (memoized per graph
-    value); graphs naming negative pids fall back to the seed tree-set
-    implementation, which is also exposed as {!components_baseline} for
-    equivalence tests and benchmarks. Both paths emit identical
-    results, ordering included. *)
+    value), so every function here raises [Invalid_argument] on a graph
+    naming a negative pid. The seed tree-set Tarjan is the test oracle
+    in [test/oracle]; both emit identical results, ordering
+    included. *)
 
 val components : Digraph.t -> Pid.Set.t list
 (** The strongly connected components of the graph, in reverse
@@ -23,8 +23,3 @@ val component_index : Digraph.t -> int Pid.Map.t
 val is_strongly_connected : Digraph.t -> bool
 (** Whether the whole (non-empty) graph is a single SCC. The empty graph
     is considered strongly connected. *)
-
-val components_baseline : Digraph.t -> Pid.Set.t list
-(** The seed tree-set Tarjan, kept verbatim: the fallback for
-    negative-pid graphs and the qcheck/bench baseline for the CSR
-    kernel. Same emission order as {!components}. *)

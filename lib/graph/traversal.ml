@@ -1,38 +1,8 @@
 (* Reachability on the compiled CSR kernel: one int-array BFS (dense
    queue + distance array) replaces the seed's set-union frontier
-   expansion. The seed implementations are kept as the negative-pid
-   fallback and as qcheck baselines. Layers, distances and reachable
-   sets are canonical values, so both paths agree exactly. *)
-
-(* ---- seed implementations (baseline + negative-pid fallback) --------- *)
-
-let bfs_layers_baseline g src =
-  if not (Digraph.mem_vertex src g) then []
-  else
-    let rec go seen frontier layers =
-      if Pid.Set.is_empty frontier then List.rev layers
-      else
-        let next =
-          Pid.Set.fold
-            (fun i acc -> Pid.Set.union acc (Digraph.succs g i))
-            frontier Pid.Set.empty
-        in
-        let next = Pid.Set.diff next seen in
-        go (Pid.Set.union seen next) next
-          (if Pid.Set.is_empty next then layers else next :: layers)
-    in
-    let start = Pid.Set.singleton src in
-    go start start [ start ]
-
-let reachable_baseline g src =
-  List.fold_left Pid.Set.union Pid.Set.empty (bfs_layers_baseline g src)
-
-let is_connected_undirected_baseline g =
-  match Pid.Set.choose_opt (Digraph.vertices g) with
-  | None -> true
-  | Some v ->
-      let u = Digraph.undirected g in
-      Pid.Set.equal (reachable_baseline u v) (Digraph.vertices g)
+   expansion, which lives on as the test oracle in [test/oracle].
+   Layers, distances and reachable sets are canonical values, so the
+   two agree exactly. *)
 
 (* ---- CSR kernels ------------------------------------------------------ *)
 
@@ -69,84 +39,67 @@ let set_of_reached h dist =
   done;
   !acc
 
-(* ---- public API: CSR with seed fallback ------------------------------- *)
+(* ---- public API -------------------------------------------------------- *)
 
 let bfs_layers g src =
-  match Csr.get g with
-  | None -> bfs_layers_baseline g src
-  | Some h -> (
-      match Csr.index_of h src with
-      | None -> []
-      | Some s ->
-          let dist = bfs_dist h s in
-          let maxd = Array.fold_left max 0 dist in
-          let layers = Array.make (maxd + 1) Pid.Set.empty in
-          for v = 0 to Csr.n_vertices h - 1 do
-            let d = dist.(v) in
-            if d >= 0 then layers.(d) <- Pid.Set.add (Csr.pid_of h v) layers.(d)
-          done;
-          Array.to_list layers)
+  let h = Csr.get g in
+  match Csr.index_of h src with
+  | None -> []
+  | Some s ->
+      let dist = bfs_dist h s in
+      let maxd = Array.fold_left max 0 dist in
+      let layers = Array.make (maxd + 1) Pid.Set.empty in
+      for v = 0 to Csr.n_vertices h - 1 do
+        let d = dist.(v) in
+        if d >= 0 then layers.(d) <- Pid.Set.add (Csr.pid_of h v) layers.(d)
+      done;
+      Array.to_list layers
 
 let reachable g src =
-  match Csr.get g with
-  | None -> reachable_baseline g src
-  | Some h -> (
-      match Csr.index_of h src with
-      | None -> Pid.Set.empty
-      | Some s -> set_of_reached h (bfs_dist h s))
+  let h = Csr.get g in
+  match Csr.index_of h src with
+  | None -> Pid.Set.empty
+  | Some s -> set_of_reached h (bfs_dist h s)
 
 let reachable_from_set g srcs =
-  match Csr.get g with
-  | None ->
-      Pid.Set.fold
-        (fun i acc -> Pid.Set.union acc (reachable_baseline g i))
-        srcs Pid.Set.empty
-  | Some h ->
-      (* One multi-source BFS: the union of per-source reachable sets is
-         exactly the set reached from all (present) sources at once. *)
-      let n = Csr.n_vertices h in
-      let off = Csr.succ_off h and arr = Csr.succ_arr h in
-      let dist = Array.make n (-1) in
-      let queue = Array.make n 0 in
-      let head = ref 0 and tail = ref 0 in
-      Pid.Set.iter
-        (fun i ->
-          match Csr.index_of h i with
-          | Some s when dist.(s) < 0 ->
-              dist.(s) <- 0;
-              queue.(!tail) <- s;
-              incr tail
-          | _ -> ())
-        srcs;
-      while !head < !tail do
-        let v = queue.(!head) in
-        incr head;
-        for i = off.(v) to off.(v + 1) - 1 do
-          let w = arr.(i) in
-          if dist.(w) < 0 then begin
-            dist.(w) <- 0;
-            queue.(!tail) <- w;
-            incr tail
-          end
-        done
-      done;
-      set_of_reached h dist
+  (* One multi-source BFS: the union of per-source reachable sets is
+     exactly the set reached from all (present) sources at once. *)
+  let h = Csr.get g in
+  let n = Csr.n_vertices h in
+  let off = Csr.succ_off h and arr = Csr.succ_arr h in
+  let dist = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  Pid.Set.iter
+    (fun i ->
+      match Csr.index_of h i with
+      | Some s when dist.(s) < 0 ->
+          dist.(s) <- 0;
+          queue.(!tail) <- s;
+          incr tail
+      | _ -> ())
+    srcs;
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    for i = off.(v) to off.(v + 1) - 1 do
+      let w = arr.(i) in
+      if dist.(w) < 0 then begin
+        dist.(w) <- 0;
+        queue.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  set_of_reached h dist
 
 let distance g src dst =
-  match Csr.get g with
-  | None ->
-      let rec find d = function
-        | [] -> None
-        | layer :: rest ->
-            if Pid.Set.mem dst layer then Some d else find (d + 1) rest
-      in
-      find 0 (bfs_layers_baseline g src)
-  | Some h -> (
-      match (Csr.index_of h src, Csr.index_of h dst) with
-      | Some s, Some t ->
-          let d = (bfs_dist h s).(t) in
-          if d < 0 then None else Some d
-      | _ -> None)
+  let h = Csr.get g in
+  match (Csr.index_of h src, Csr.index_of h dst) with
+  | Some s, Some t ->
+      let d = (bfs_dist h s).(t) in
+      if d < 0 then None else Some d
+  | _ -> None
 
 let shortest_path g src dst =
   if not (Digraph.mem_vertex src g && Digraph.mem_vertex dst g) then None
@@ -180,47 +133,41 @@ let shortest_path g src dst =
     loop ()
 
 let is_connected_undirected g =
-  match Csr.get g with
-  | None -> is_connected_undirected_baseline g
-  | Some h ->
-      let n = Csr.n_vertices h in
-      n = 0
-      ||
-      (* BFS over the symmetric closure directly on the compiled rows —
-         no undirected copy of the graph is materialised. *)
-      let soff = Csr.succ_off h and sarr = Csr.succ_arr h in
-      let poff = Csr.pred_off h and parr = Csr.pred_arr h in
-      let seen = Array.make n false in
-      let queue = Array.make n 0 in
-      let head = ref 0 and tail = ref 0 in
-      seen.(0) <- true;
-      queue.(0) <- 0;
-      incr tail;
-      let visit w =
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          queue.(!tail) <- w;
-          incr tail
-        end
-      in
-      while !head < !tail do
-        let v = queue.(!head) in
-        incr head;
-        for i = soff.(v) to soff.(v + 1) - 1 do
-          visit sarr.(i)
-        done;
-        for i = poff.(v) to poff.(v + 1) - 1 do
-          visit parr.(i)
-        done
-      done;
-      !tail = n
+  let h = Csr.get g in
+  let n = Csr.n_vertices h in
+  n = 0
+  ||
+  (* BFS over the symmetric closure directly on the compiled rows — no
+     undirected copy of the graph is materialised. *)
+  let soff = Csr.succ_off h and sarr = Csr.succ_arr h in
+  let poff = Csr.pred_off h and parr = Csr.pred_arr h in
+  let seen = Array.make n false in
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  seen.(0) <- true;
+  queue.(0) <- 0;
+  incr tail;
+  let visit w =
+    if not seen.(w) then begin
+      seen.(w) <- true;
+      queue.(!tail) <- w;
+      incr tail
+    end
+  in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    for i = soff.(v) to soff.(v + 1) - 1 do
+      visit sarr.(i)
+    done;
+    for i = poff.(v) to poff.(v + 1) - 1 do
+      visit parr.(i)
+    done
+  done;
+  !tail = n
 
 let eccentricity g i =
-  match Csr.get g with
-  | None ->
-      if not (Digraph.mem_vertex i g) then None
-      else Some (List.length (bfs_layers_baseline g i) - 1)
-  | Some h -> (
-      match Csr.index_of h i with
-      | None -> None
-      | Some s -> Some (Array.fold_left max 0 (bfs_dist h s)))
+  let h = Csr.get g in
+  match Csr.index_of h i with
+  | None -> None
+  | Some s -> Some (Array.fold_left max 0 (bfs_dist h s))

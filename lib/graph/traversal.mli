@@ -1,9 +1,10 @@
 (** Graph traversals and reachability queries.
 
-    Queries run as int-array BFS on the compiled {!Csr} kernel; graphs
-    naming negative pids fall back to the seed set-union
-    implementations, also exposed as [*_baseline] for equivalence tests
-    and benchmarks. Both paths return identical (canonical) values. *)
+    Queries run as int-array BFS on the compiled {!Csr} kernel, so they
+    raise [Invalid_argument] on a graph naming a negative pid
+    ({!shortest_path} excepted: it walks the graph directly). The seed
+    set-union implementations are the test oracle in [test/oracle];
+    both return identical (canonical) values. *)
 
 val reachable : Digraph.t -> Pid.t -> Pid.Set.t
 (** [reachable g i] is the set of vertices reachable from [i] following
@@ -31,12 +32,3 @@ val is_connected_undirected : Digraph.t -> bool
 val eccentricity : Digraph.t -> Pid.t -> int option
 (** Longest directed distance from the vertex to any vertex reachable
     from it; [None] when the vertex is absent from the graph. *)
-
-(** {1 Seed baselines}
-
-    The pre-CSR implementations, kept for negative-pid graphs and as
-    qcheck/bench baselines. *)
-
-val reachable_baseline : Digraph.t -> Pid.t -> Pid.Set.t
-val bfs_layers_baseline : Digraph.t -> Pid.t -> Pid.Set.t list
-val is_connected_undirected_baseline : Digraph.t -> bool

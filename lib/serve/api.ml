@@ -37,7 +37,7 @@ let build_graph spec =
       let path = String.sub other 5 (String.length other - 5) in
       match Parse.of_file path with
       | Ok g -> g
-      | Error e -> failwith (Printf.sprintf "cannot read %s: %s" path e))
+      | Error e -> failwith ("cannot read " ^ e))
   | other -> failwith (Printf.sprintf "unknown graph kind %S" other)
 
 (* ---- consensus runs --------------------------------------------------- *)

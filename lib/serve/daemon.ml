@@ -178,7 +178,7 @@ let load_system t path =
   Core.Cache.find_or_add t.files path (fun () ->
       match Fbqs.Fbas_io.of_file path with
       | Ok sys -> sys
-      | Error e -> bad "cannot read %s: %s" path e)
+      | Error e -> bad "cannot read %s" e)
 
 let analyze_verb t fields =
   let path = req_string_field fields "file" in

@@ -28,18 +28,17 @@ type meters = {
 type 'm t = {
   delay : Delay.t;
   (* The flat {!Event_heap}: same (time, seq) order as the general
-     {!Event_queue} it replaced, but pushes and pops allocate nothing
-     — the per-event cost is array stores, not heap blocks. *)
+     binary-heap event queue it replaced (now the test oracle in
+     [test/oracle]), but pushes and pops allocate nothing — the
+     per-event cost is array stores, not heap blocks. *)
   queue : 'm Event_heap.t;
   nodes : (Pid.t, 'm behavior) Hashtbl.t;
   (* Dispatch goes through [slots]: a dense array indexed by pid holding
      the behaviour together with a preallocated ctx, so the per-event
      path is one bounds check and one array load — no hashing, no ctx
-     allocation. Negative pids (used by some adversarial setups) fall
-     back to a hash table. [nodes] stays the registration record that
-     {!run} iterates for Start events. *)
+     allocation. [nodes] stays the registration record that {!run}
+     iterates for Start events. *)
   mutable slots : 'm slot option array;
-  neg_slots : (Pid.t, 'm slot) Hashtbl.t;
   pp_msg : (Format.formatter -> 'm -> unit) option;
   classify : ('m -> string) option;
   class_counts : (string, int) Hashtbl.t;
@@ -137,7 +136,6 @@ let create ?pp_msg ?classify ?metrics ?trace ?(max_time = 1_000_000) ~delay ()
     queue = Event_heap.create ();
     nodes = Hashtbl.create 32;
     slots = [||];
-    neg_slots = Hashtbl.create 4;
     pp_msg;
     classify;
     class_counts = Hashtbl.create 8;
@@ -159,23 +157,21 @@ let create_cfg ?pp_msg ?classify (cfg : Run_config.t) =
     ()
 
 let add_node t pid behavior =
+  if pid < 0 then invalid_arg "Engine.add_node: negative process id";
   Hashtbl.replace t.nodes pid behavior;
-  let slot = { b = behavior; ctx = { engine = t; owner = pid } } in
-  if pid >= 0 then begin
-    if pid >= Array.length t.slots then begin
-      let len = max 16 (max (pid + 1) (2 * Array.length t.slots)) in
-      let grown = Array.make len None in
-      Array.blit t.slots 0 grown 0 (Array.length t.slots);
-      t.slots <- grown
-    end;
-    t.slots.(pid) <- Some slot
-  end
-  else Hashtbl.replace t.neg_slots pid slot
+  if pid >= Array.length t.slots then begin
+    let len = max 16 (max (pid + 1) (2 * Array.length t.slots)) in
+    let grown = Array.make len None in
+    Array.blit t.slots 0 grown 0 (Array.length t.slots);
+    t.slots <- grown
+  end;
+  t.slots.(pid) <- Some { b = behavior; ctx = { engine = t; owner = pid } }
 
+(* Any pid outside the table, a negative one included, has no
+   behaviour: a message sent there is dropped. *)
 let slot_of t pid =
-  if pid >= 0 then
-    if pid < Array.length t.slots then Array.unsafe_get t.slots pid else None
-  else Hashtbl.find_opt t.neg_slots pid
+  if pid >= 0 && pid < Array.length t.slots then Array.unsafe_get t.slots pid
+  else None
 
 let stats_of t =
   {

@@ -77,7 +77,8 @@ val create_cfg :
 
 val add_node : 'm t -> Pid.t -> 'm behavior -> unit
 (** Registers a process. Re-adding an id replaces its behaviour.
-    Must be called before {!run}. *)
+    Must be called before {!run}.
+    @raise Invalid_argument on a negative pid. *)
 
 val run : ?max_time:int -> ?stop:(unit -> bool) -> 'm t -> stats
 (** Starts every registered process and processes events in timestamp

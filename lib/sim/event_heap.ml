@@ -1,16 +1,20 @@
 (* Flat engine event heap: structure-of-arrays, zero allocation per
-   event. The seed {!Event_queue} allocates a variant payload plus an
-   entry record per push; at sweep scale that is two heap blocks per
-   simulated message, all garbage by the next pop. Here an event is a
-   row across parallel arrays — packed ordering key, kind code, two
-   node ids, timer tag, message payload — and the binary heap orders
+   event. The seed's generic event queue (the test oracle in
+   [test/oracle]) allocates a variant payload plus an entry record
+   per push; at sweep scale that is two heap blocks per simulated
+   message, all garbage by the next pop. Here an event is a row
+   across parallel arrays — packed ordering key, kind code, two node
+   ids, timer tag, message payload — and the binary heap orders
    small int row ids, so a sift step moves one int, never a row.
 
-   Ordering matches {!Event_queue} exactly: (time, push sequence),
-   packed into one int key [(time lsl 31) lor seq] so heap comparisons
-   are single int compares. Times must fit 31 bits — simulation clocks
-   are bounded by [max_time] (~10^6 in every config) — and a run would
-   need 2^31 pushes to exhaust the sequence space.
+   Ordering matches that queue exactly: (time, push sequence),
+   packed into one int key [(time lsl 31) lor seq] so heap
+   comparisons are single int compares. Times must fit 31 bits —
+   simulation clocks are bounded by [max_time] (~10^6 in every
+   config) — and a run would need 2^31 pushes to exhaust the
+   sequence space.
+
+
 
    Row slots are recycled through an intrusive free list threaded
    through the key array (a freed row's key field holds the next free

@@ -1,22 +1,20 @@
 (** Flat, allocation-free event heap — the engine's internal queue.
 
     A structure-of-arrays binary min-heap specialised to the three
-    engine event shapes (start, timer, deliver). Where {!Event_queue}
-    allocates an entry record plus a payload block per push, a push
-    here writes one row across preallocated parallel arrays (row slots
-    are recycled through an intrusive free list) and the heap itself
-    orders int row ids, so sifting moves single ints; the per-event
-    hot path allocates nothing.
+    engine event shapes (start, timer, deliver). Where the seed's
+    generic event queue allocates an entry record plus a payload block
+    per push, a push here writes one row across preallocated parallel
+    arrays (row slots are recycled through an intrusive free list) and
+    the heap itself orders int row ids, so sifting moves single ints;
+    the per-event hot path allocates nothing.
 
-    Ordering is identical to {!Event_queue}: strictly by
+    Ordering is identical to that queue's: strictly by
     [(time, push sequence)], packed into a single int key, so swapping
     the engine onto this heap changes no schedule — traces and tables
     stay byte-identical. Times must fit 31 bits (every simulation
-    budget in this codebase is ~10^6).
-
-    {!Event_queue} remains the general-purpose priority queue (and the
-    bench baseline this module is measured against); this one trades
-    genericity for the engine's hot path. *)
+    budget in this codebase is ~10^6). The generic queue is now a test
+    oracle in [test/oracle], and the bench baseline this module is
+    measured against. *)
 
 module Kind : sig
   type t = private int

@@ -1,11 +1,11 @@
-(* Equivalence suites for the compiled CSR kernel: every rewired
-   algorithm must return exactly what its seed baseline returns —
-   ordering included, since EXPERIMENTS.md reproducibility rides on
-   it — and negative-pid graphs must take the seed fallback. *)
+(* Equivalence suites for the compiled CSR kernel: every graph
+   analysis must return exactly what its seed implementation in
+   [Oracle] returns — ordering included, since EXPERIMENTS.md
+   reproducibility rides on it — and a graph naming a negative pid
+   must be refused, by the kernel and by the parser in front of it. *)
 
 open Graphkit
 
-let pid_set = Alcotest.testable Pid.Set.pp Pid.Set.equal
 let comps_eq = List.equal Pid.Set.equal
 
 let comps_pp ppf cs =
@@ -26,8 +26,7 @@ let arb_graph =
       return (Digraph.of_edges edges))
 
 (* Edge lists rather than graphs, so the same topology can be built
-   twice: once on pids [0..] (CSR path) and once shifted negative (seed
-   fallback path). *)
+   twice: once on pids [0..] and once shifted negative. *)
 let arb_edges =
   QCheck.make
     ~print:(fun es ->
@@ -41,130 +40,116 @@ let arb_edges =
 
 let test_compile_structure () =
   let g = Digraph.of_edges [ (5, 1); (1, 3); (3, 5); (3, 1); (7, 3) ] in
-  match Csr.of_graph g with
-  | None -> Alcotest.fail "of_graph returned None on a non-negative graph"
-  | Some h ->
-      Alcotest.(check int) "n_vertices" 4 (Csr.n_vertices h);
-      Alcotest.(check (list int))
-        "pids ascending"
-        [ 1; 3; 5; 7 ]
-        (List.init 4 (Csr.pid_of h));
-      List.iteri
-        (fun k p ->
-          Alcotest.(check (option int))
-            (Printf.sprintf "index_of %d" p)
-            (Some k) (Csr.index_of h p))
-        [ 1; 3; 5; 7 ];
-      Alcotest.(check (option int)) "index_of absent" None (Csr.index_of h 2);
-      Alcotest.(check (option int)) "index_of negative" None (Csr.index_of h (-1));
-      let row off arr v =
-        List.init (off.(v + 1) - off.(v)) (fun i ->
-            Csr.pid_of h arr.(off.(v) + i))
-      in
-      for v = 0 to 3 do
-        let p = Csr.pid_of h v in
-        Alcotest.(check (list int))
-          (Printf.sprintf "succ row of %d" p)
-          (Pid.Set.elements (Digraph.succs g p))
-          (row (Csr.succ_off h) (Csr.succ_arr h) v);
-        Alcotest.(check (list int))
-          (Printf.sprintf "pred row of %d" p)
-          (Pid.Set.elements (Digraph.preds g p))
-          (row (Csr.pred_off h) (Csr.pred_arr h) v)
-      done
+  let h = Csr.of_graph g in
+  Alcotest.(check int) "n_vertices" 4 (Csr.n_vertices h);
+  Alcotest.(check (list int))
+    "pids ascending"
+    [ 1; 3; 5; 7 ]
+    (List.init 4 (Csr.pid_of h));
+  List.iteri
+    (fun k p ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "index_of %d" p)
+        (Some k) (Csr.index_of h p))
+    [ 1; 3; 5; 7 ];
+  Alcotest.(check (option int)) "index_of absent" None (Csr.index_of h 2);
+  Alcotest.(check (option int)) "index_of negative" None (Csr.index_of h (-1));
+  let row off arr v =
+    List.init (off.(v + 1) - off.(v)) (fun i -> Csr.pid_of h arr.(off.(v) + i))
+  in
+  for v = 0 to 3 do
+    let p = Csr.pid_of h v in
+    Alcotest.(check (list int))
+      (Printf.sprintf "succ row of %d" p)
+      (Pid.Set.elements (Digraph.succs g p))
+      (row (Csr.succ_off h) (Csr.succ_arr h) v);
+    Alcotest.(check (list int))
+      (Printf.sprintf "pred row of %d" p)
+      (Pid.Set.elements (Digraph.preds g p))
+      (row (Csr.pred_off h) (Csr.pred_arr h) v)
+  done
 
 let test_memo_is_physical () =
   let g = Digraph.of_edges [ (1, 2); (2, 1) ] in
-  match (Csr.get g, Csr.get g) with
-  | Some a, Some b ->
-      Alcotest.(check bool) "same handle on repeat get" true (a == b)
-  | _ -> Alcotest.fail "get returned None on a non-negative graph"
+  Alcotest.(check bool) "same handle on repeat get" true
+    (Csr.get g == Csr.get g)
 
 let test_empty_and_singleton () =
-  (match Csr.of_graph Digraph.empty with
-  | None -> Alcotest.fail "empty graph should compile"
-  | Some h ->
-      Alcotest.(check int) "empty has 0 vertices" 0 (Csr.n_vertices h);
-      Alcotest.(check int) "empty has 0 components" 0 (Csr.scc_count h);
-      Alcotest.(check (list int)) "empty has no sinks" [] (Csr.dag_sinks h));
-  let g = Digraph.add_vertex 3 Digraph.empty in
-  match Csr.of_graph g with
-  | None -> Alcotest.fail "singleton graph should compile"
-  | Some h ->
-      Alcotest.(check int) "singleton component count" 1 (Csr.scc_count h);
-      Alcotest.check comps "singleton component"
-        [ Pid.Set.singleton 3 ]
-        (Csr.scc_components h);
-      Alcotest.(check (list int)) "singleton is the sink" [ 0 ]
-        (Csr.dag_sinks h)
+  let h = Csr.of_graph Digraph.empty in
+  Alcotest.(check int) "empty has 0 vertices" 0 (Csr.n_vertices h);
+  Alcotest.(check int) "empty has 0 components" 0 (Csr.scc_count h);
+  Alcotest.(check (list int)) "empty has no sinks" [] (Csr.dag_sinks h);
+  let h = Csr.of_graph (Digraph.add_vertex 3 Digraph.empty) in
+  Alcotest.(check int) "singleton component count" 1 (Csr.scc_count h);
+  Alcotest.check comps "singleton component"
+    [ Pid.Set.singleton 3 ]
+    (Csr.scc_components h);
+  Alcotest.(check (list int)) "singleton is the sink" [ 0 ] (Csr.dag_sinks h)
 
+(* The name is a stable test id. Every kernel entry point refuses a
+   graph naming a negative pid. *)
 let test_negative_pid_fallback () =
   let g = Digraph.of_edges [ (-1, 2); (2, -1); (2, 3) ] in
-  Alcotest.(check bool) "of_graph is None" true (Option.is_none (Csr.of_graph g));
-  Alcotest.(check bool) "get is None" true (Option.is_none (Csr.get g));
-  Alcotest.check comps "components via fallback"
-    (Scc.components_baseline g) (Scc.components g);
-  Alcotest.check comps "sink components via fallback"
-    (Condensation.sink_components_baseline g)
-    (Condensation.sink_components g);
-  Alcotest.check pid_set "reachable via fallback"
-    (Traversal.reachable_baseline g (-1))
-    (Traversal.reachable g (-1));
-  Alcotest.(check int)
-    "menger via fallback"
-    (Connectivity.node_disjoint_paths_baseline g (-1) 3)
-    (Connectivity.node_disjoint_paths g (-1) 3)
+  let refused what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Csr.of_graph: negative process id") (fun () ->
+        ignore (f ()))
+  in
+  refused "of_graph" (fun () -> Csr.of_graph g);
+  refused "components" (fun () -> Scc.components g);
+  refused "sink components" (fun () -> Condensation.sink_components g);
+  refused "reachable" (fun () -> Traversal.reachable g (-1));
+  refused "menger" (fun () -> Connectivity.node_disjoint_paths g (-1) 3)
 
 let test_fig2_exact () =
   let g = Generators.fig2_family ~sink_size:4 ~non_sink:3 in
   Alcotest.check comps "fig2 components, order included"
-    (Scc.components_baseline g) (Scc.components g);
+    (Oracle.Scc.components g) (Scc.components g);
   Alcotest.check comps "fig2 sink components"
-    (Condensation.sink_components_baseline g)
+    (Oracle.Condensation.sink_components g)
     (Condensation.sink_components g);
   Alcotest.(check bool) "fig2 is 3-OSR both ways" true
-    (Properties.is_k_osr g 3 = Properties.is_k_osr_baseline g 3)
+    (Properties.is_k_osr g 3 = Oracle.Properties.is_k_osr g 3)
 
 let test_big_circulant_smoke () =
-  let g = Generators.circulant ~n:50_000 ~k:3 in
-  match Csr.of_graph g with
-  | None -> Alcotest.fail "circulant should compile"
-  | Some h ->
-      Alcotest.(check int) "one component, no stack overflow" 1
-        (Csr.scc_count h);
-      Alcotest.(check (list int)) "one sink" [ 0 ] (Csr.dag_sinks h)
+  let h = Csr.of_graph (Generators.circulant ~n:50_000 ~k:3) in
+  Alcotest.(check int) "one component, no stack overflow" 1 (Csr.scc_count h);
+  Alcotest.(check (list int)) "one sink" [ 0 ] (Csr.dag_sinks h)
 
 (* ---- qcheck equivalence ----------------------------------------------- *)
 
 let prop_scc_exact =
   QCheck.Test.make ~count:300 ~name:"csr SCC = seed SCC, order included"
     arb_graph (fun g ->
-      comps_eq (Scc.components g) (Scc.components_baseline g))
+      comps_eq (Scc.components g) (Oracle.Scc.components g))
 
 let prop_condensation_exact =
   QCheck.Test.make ~count:300 ~name:"csr condensation = seed condensation"
     arb_graph (fun g ->
-      let d = Condensation.make g and s = Condensation.make_baseline g in
-      let dc = Condensation.components d and sc = Condensation.components s in
+      let d = Condensation.make g and s = Oracle.Condensation.make g in
+      let dc = Condensation.components d
+      and sc = Oracle.Condensation.components s in
       Array.length dc = Array.length sc
       && Array.for_all2 Pid.Set.equal dc sc
       && List.for_all
            (fun v ->
-             Condensation.component_of d v = Condensation.component_of s v)
+             Condensation.component_of d v
+             = Oracle.Condensation.component_of s v)
            (Pid.Set.elements (Digraph.vertices g))
       && List.init (Array.length dc) Fun.id
          |> List.for_all (fun k ->
                 List.equal Int.equal
                   (Condensation.dag_succs d k)
-                  (Condensation.dag_succs s k))
-      && List.equal Int.equal (Condensation.sinks d) (Condensation.sinks s))
+                  (Oracle.Condensation.dag_succs s k))
+      && List.equal Int.equal (Condensation.sinks d)
+           (Oracle.Condensation.sinks s))
 
 let prop_sink_components_exact =
   QCheck.Test.make ~count:300 ~name:"csr sink components = seed" arb_graph
     (fun g ->
       comps_eq
         (Condensation.sink_components g)
-        (Condensation.sink_components_baseline g))
+        (Oracle.Condensation.sink_components g))
 
 let prop_reachability_equal =
   QCheck.Test.make ~count:200 ~name:"csr reachability = seed traversal"
@@ -172,13 +157,13 @@ let prop_reachability_equal =
       List.for_all
         (fun v ->
           Pid.Set.equal (Traversal.reachable g v)
-            (Traversal.reachable_baseline g v)
+            (Oracle.Traversal.reachable g v)
           && comps_eq (Traversal.bfs_layers g v)
-               (Traversal.bfs_layers_baseline g v))
+               (Oracle.Traversal.bfs_layers g v))
         (Pid.Set.elements (Digraph.vertices g))
       && Bool.equal
            (Traversal.is_connected_undirected g)
-           (Traversal.is_connected_undirected_baseline g))
+           (Oracle.Traversal.is_connected_undirected g))
 
 let prop_menger_equal =
   QCheck.Test.make ~count:100 ~name:"csr menger = seed menger" arb_graph
@@ -189,7 +174,7 @@ let prop_menger_equal =
           List.for_all
             (fun j ->
               Connectivity.node_disjoint_paths g i j
-              = Connectivity.node_disjoint_paths_baseline g i j)
+              = Oracle.Connectivity.node_disjoint_paths g i j)
             vs)
         vs)
 
@@ -207,7 +192,7 @@ let prop_masked_menger_equal =
             (fun j ->
               let keep = Pid.Set.add i (Pid.Set.add j allowed) in
               Connectivity.disjoint_paths_within g ~allowed i j
-              = Connectivity.node_disjoint_paths_baseline
+              = Oracle.Connectivity.node_disjoint_paths
                   (Digraph.subgraph keep g) i j)
             vs)
         vs)
@@ -217,26 +202,30 @@ let prop_kosr_equal =
     (fun g ->
       List.for_all
         (fun k ->
-          Bool.equal (Properties.is_k_osr g k) (Properties.is_k_osr_baseline g k))
+          Bool.equal (Properties.is_k_osr g k) (Oracle.Properties.is_k_osr g k))
         [ 1; 2; 3 ])
 
-(* The same topology on [0..] (CSR path) and shifted to negative pids
-   (seed fallback path) must analyse identically modulo the shift. *)
+(* The name is a stable test id. A graph's text form round-trips, and
+   the same topology shifted below zero is refused on its first line,
+   the one naming the smallest pid. Vertices are below 8, so a shift of
+   -8 makes every one of them negative. *)
 let prop_negative_shift_equal =
   QCheck.Test.make ~count:200 ~name:"negative-pid fallback matches CSR path"
     arb_edges (fun es ->
-      let shift = -5 in
+      let shift = -8 in
       let g0 = Digraph.of_edges es in
       let gn =
         Digraph.of_edges (List.map (fun (i, j) -> (i + shift, j + shift)) es)
       in
-      let shifted s = Pid.Set.map (fun v -> v + shift) s in
-      comps_eq
-        (List.map shifted (Scc.components g0))
-        (Scc.components gn)
-      && comps_eq
-           (List.map shifted (Condensation.sink_components g0))
-           (Condensation.sink_components gn))
+      let refused_on_line_1 =
+        match Parse.of_string (Parse.to_string gn) with
+        | Error e -> String.starts_with ~prefix:"line 1: " e
+        | Ok _ -> Digraph.n_vertices gn = 0
+      in
+      (match Parse.of_string (Parse.to_string g0) with
+      | Ok g -> Digraph.equal g g0
+      | Error _ -> false)
+      && refused_on_line_1)
 
 let arb_network =
   QCheck.make
@@ -261,10 +250,10 @@ let prop_flow_equal =
         net
       in
       let a = mk Flow.add_edge Flow.create in
-      let b = mk Flow.Baseline.add_edge Flow.Baseline.create in
-      Flow.max_flow a = Flow.Baseline.max_flow b
+      let b = mk Oracle.Flow.add_edge Oracle.Flow.create in
+      Flow.max_flow a = Oracle.Flow.max_flow b
       && Array.to_list (Flow.min_cut_side a)
-         = Array.to_list (Flow.Baseline.min_cut_side b))
+         = Array.to_list (Oracle.Flow.min_cut_side b))
 
 let suites =
   [

@@ -39,7 +39,19 @@ let test_negative_rejected () =
     (fun () -> ignore (D.add (-1) D.empty));
   Alcotest.check_raises "of_list" (Invalid_argument "Pid.Dense_set: negative process id")
     (fun () -> ignore (D.of_list [ 3; -2 ]));
-  Alcotest.(check bool) "mem is total" false (D.mem (-1) (D.of_list [ 0 ]))
+  Alcotest.(check bool) "mem is total" false (D.mem (-1) (D.of_list [ 0 ]));
+  (* The kernels built on dense ids refuse a negative pid the same way. *)
+  Alcotest.check_raises "Quorum.Compiled.compile"
+    (Invalid_argument "Quorum.Compiled.compile: negative process id")
+    (fun () ->
+      ignore
+        (Fbqs.Quorum.Compiled.compile
+           (Fbqs.Quorum.system_of_list [ (-1, Fbqs.Slice.Explicit []) ])));
+  Alcotest.check_raises "Engine.add_node"
+    (Invalid_argument "Engine.add_node: negative process id") (fun () ->
+      Simkit.Engine.add_node
+        (Simkit.Engine.create_cfg Simkit.Run_config.default)
+        (-1) Simkit.Engine.idle_behavior)
 
 (* ---- qcheck: agreement with Pid.Set on random operation sequences ---- *)
 

@@ -106,7 +106,7 @@ let test_fig2_algorithm2 () =
   | Enum.Intersects -> ()
   | Enum.Disjoint _ -> Alcotest.fail "fig2 quorums intersect");
   Alcotest.check pid_set "top tier matches baseline"
-    (Analysis.top_tier_baseline sys)
+    (Oracle.Analysis.top_tier sys)
     (Enum.top_tier t)
 
 let test_stats_move () =
@@ -203,7 +203,7 @@ let prop_intersection_equiv =
         | Enum.Intersects -> true
         | Enum.Disjoint _ -> false
       in
-      bb = Dset.quorum_intersection_despite_baseline sys Pid.Set.empty)
+      bb = Oracle.Dset.quorum_intersection_despite sys Pid.Set.empty)
 
 let prop_despite_equiv =
   QCheck.Test.make ~count:200 ~name:"intersection despite = baseline"
@@ -215,7 +215,7 @@ let prop_despite_equiv =
           (Pid.Set.of_range 1 n)
       in
       Enum.quorum_intersection_despite sys b
-      = Dset.quorum_intersection_despite_baseline sys b)
+      = Oracle.Dset.quorum_intersection_despite sys b)
 
 let prop_blocking_equiv =
   (* Brute force: a set blocks iff its complement contains no quorum;
@@ -345,7 +345,7 @@ let prop_splitting_equiv =
     sys_arb
     (fun (_, _, sys) ->
       sets_equal
-        (canonical (Analysis.splitting_sets_baseline sys))
+        (canonical (Oracle.Analysis.splitting_sets sys))
         (Enum.minimal_splitting_sets
            ~universe:(Quorum.participants sys)
            (Enum.prepare sys)))
@@ -387,6 +387,43 @@ let prop_fbas_io_threshold_roundtrip =
           && sets_equal (Quorum.minimal_quorums sys)
                (Quorum.minimal_quorums sys'))
 
+(* Every Fbas_io error path, with its exact message and line number.
+   A negative id is refused wherever a pid may appear. *)
+let test_fbas_io_malformed () =
+  let check name want text =
+    match Fbas_io.of_string text with
+    | Error e -> Alcotest.(check string) name want e
+    | Ok _ -> Alcotest.failf "%s: expected an error for %S" name text
+  in
+  check "non-numeric pid" {|line 1: "x" is not a process id|} "x none\n";
+  check "negative owner" {|line 1: "-1" is not a process id|} "-1 none\n";
+  check "negative slice member" {|line 1: "-2" is not a process id|}
+    "0 slices { 0 -2 }\n";
+  check "negative threshold member" {|line 1: "-1" is not a process id|}
+    "0 threshold 1 of 0 -1\n";
+  check "missing {" {|line 1: expected '{', found "1"|} "0 slices 1 }\n";
+  check "unclosed {" "line 1: unclosed '{'" "0 slices { 1 2\n";
+  check "slices with no set" "line 1: 'slices' needs at least one {...}"
+    "0 slices\n";
+  check "non-integer threshold" {|line 1: threshold "two" is not an integer|}
+    "0 threshold two of 0 1\n";
+  check "unknown keyword"
+    "line 1: expected 'none', 'slices {...}...' or 'threshold T of ...'"
+    "0 quorum 1\n";
+  check "duplicate process" "line 2: duplicate process 0" "0 none\n0 none\n";
+  check "comments and blanks count" {|line 4: "y" is not a process id|}
+    "# header\n\n0 none\ny none\n";
+  List.iter
+    (fun path ->
+      match Fbas_io.of_file path with
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the path" e)
+            true
+            (String.starts_with ~prefix:(path ^ ": ") e)
+      | Ok _ -> Alcotest.failf "expected an error for %S" path)
+    [ "/nonexistent/system.fbas"; Filename.current_dir_name ]
+
 let suites =
   [
     ( "enum",
@@ -409,5 +446,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_splitting_equiv;
         QCheck_alcotest.to_alcotest prop_fbas_io_roundtrip;
         QCheck_alcotest.to_alcotest prop_fbas_io_threshold_roundtrip;
+        Alcotest.test_case "fbas_io malformed inputs" `Quick
+          test_fbas_io_malformed;
       ] );
   ]

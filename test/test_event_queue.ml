@@ -1,4 +1,4 @@
-open Simkit
+module Event_queue = Oracle.Event_queue
 
 let test_ordering () =
   let q = Event_queue.create () in

@@ -154,12 +154,12 @@ let test_engine_drop_accounting () =
   Alcotest.(check int) "nothing delivered" 0 stats.messages_delivered
 
 let test_queue_high_water () =
-  let q = Simkit.Event_queue.create () in
-  List.iter (fun t -> Simkit.Event_queue.push q ~time:t t) [ 3; 1; 2 ];
-  ignore (Simkit.Event_queue.pop q);
-  Simkit.Event_queue.push q ~time:9 9;
+  let q = Simkit.Event_heap.create () in
+  List.iter (fun t -> Simkit.Event_heap.push_start q ~time:t t) [ 3; 1; 2 ];
+  ignore (Simkit.Event_heap.pop q);
+  Simkit.Event_heap.push_start q ~time:9 9;
   Alcotest.(check int) "high water tracks the peak" 3
-    (Simkit.Event_queue.high_water q)
+    (Simkit.Event_heap.high_water q)
 
 (* ---- scp run metrics -------------------------------------------------- *)
 

@@ -32,7 +32,8 @@ let test_errors_name_the_line () =
   | Ok _ -> Alcotest.fail "expected bad successor error"
 
 (* The single-pass scanner must keep the seed's exact error strings and
-   its [int_of_string] token semantics (hex, signs, underscores). *)
+   its [int_of_string] token semantics (hex, a leading [+],
+   underscores), except that a negative id is an error. *)
 let test_malformed_inputs () =
   let err text = match Parse.of_string text with
     | Error e -> e
@@ -52,14 +53,18 @@ let test_malformed_inputs () =
     "line 1: bad successor id" (err "1: 2:3\n");
   Alcotest.(check string) "line numbers count blanks and comments"
     "line 4: bad successor id" (err "# header\n\n1: 2\n2: z\n");
+  Alcotest.(check string) "negative successor id"
+    "line 1: bad successor id" (err "1: 0x10 +2 -3 1_0\n");
+  Alcotest.(check string) "negative vertex id"
+    "line 1: bad vertex id \"-1\"" (err "-1: 2\n");
   (* Accepted edge cases, unchanged from the seed parser. *)
   let ok text = match Parse.of_string text with
     | Ok g -> g
     | Error e -> Alcotest.failf "expected %S to parse: %s" text e
   in
-  let g = ok "1: 0x10 +2 -3 1_0\n" in
+  let g = ok "1: 0x10 +2 1_0\n" in
   Alcotest.check pid_set "int_of_string successor forms"
-    (Pid.Set.of_list [ 16; 2; -3; 10 ])
+    (Pid.Set.of_list [ 16; 2; 10 ])
     (Digraph.succs g 1);
   let g = ok "  7  :\t8   9 # tail\n" in
   Alcotest.check pid_set "whitespace-heavy line"
@@ -70,10 +75,19 @@ let test_malformed_inputs () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* A path that cannot be read, a directory included, is an [Error]
+   naming the path, not an escaping [Sys_error]. *)
 let test_of_file_missing () =
-  match Parse.of_file "/nonexistent/graph.txt" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected an error for a missing file"
+  List.iter
+    (fun path ->
+      match Parse.of_file path with
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the path" e)
+            true
+            (String.starts_with ~prefix:(path ^ ": ") e)
+      | Ok _ -> Alcotest.failf "expected an error for %S" path)
+    [ "/nonexistent/graph.txt"; Filename.current_dir_name ]
 
 let prop_roundtrip_random =
   QCheck.Test.make ~count:100 ~name:"parse roundtrip on random graphs"

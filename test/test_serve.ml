@@ -158,6 +158,32 @@ let test_oversized_splitting_is_an_error () =
         (contains ~affix:{|"ok":true|} line)
   | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
 
+let test_negative_pid_is_an_error () =
+  (* A file naming pid -1 is refused by the parser with its line
+     number; the daemon answers with one error envelope and keeps
+     serving. *)
+  let path = Filename.temp_file "stellar_cup_negative" ".fbas" in
+  let oc = open_out path in
+  output_string oc "0 threshold 1 of 0 -1\n";
+  close_out oc;
+  let d = Serve.Daemon.create () in
+  let answer =
+    Serve.Daemon.handle_line d
+      (req 1 "analyze" [ ("file", Printf.sprintf "%S" path) ])
+  in
+  Sys.remove path;
+  (match answer with
+  | [ line ] ->
+      Alcotest.(check bool) "not ok" true (contains ~affix:{|"ok":false|} line);
+      Alcotest.(check bool) "names the line" true
+        (contains ~affix:"line 1" line)
+  | l -> Alcotest.failf "expected one error line, got %d" (List.length l));
+  match Serve.Daemon.handle_line d (req 2 "ping" []) with
+  | [ line ] ->
+      Alcotest.(check bool) "next request ok" true
+        (contains ~affix:{|"ok":true|} line)
+  | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
+
 (* ---- the concurrent socket transport ----------------------------------- *)
 
 let socket_path () =
@@ -304,5 +330,7 @@ let suites =
           test_repeat_analyze_reuses_payload;
         Alcotest.test_case "oversized splitting sweep is an error" `Quick
           test_oversized_splitting_is_an_error;
+        Alcotest.test_case "negative pid is a line-numbered error" `Quick
+          test_negative_pid_is_an_error;
       ] );
   ]
