@@ -189,9 +189,23 @@ let search ?(limit = max_int) ~jobs ~frontier tl walk roots =
    ascending pid order, so the emission order — and with it every
    downstream report — is deterministic. *)
 let quorum_walk c tl ~frontier ~emit (selection, remaining, available) =
+  (* [q] is minimal iff every member [v] is essential: [q \ v] holds no
+     quorum. Members are tried in ascending order and the ones already
+     shown essential are passed as [keep]: a fixpoint that drops an
+     essential [w] proves [gq (q \ v) ⊆ gq (q \ w) = ∅], so only the
+     first member runs its fixpoint to the end. *)
   let minimal_quorum q =
+    let essential = ref D.empty in
     D.for_all
-      (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
+      (fun v ->
+        match
+          Quorum.Compiled.greatest_quorum_keeping_d c ~keep:!essential
+            (D.remove v q)
+        with
+        | Some gq when not (D.is_empty gq) -> false
+        | _ ->
+            essential := D.add v !essential;
+            true)
       q
   in
   let deferred = ref [] in
@@ -212,13 +226,15 @@ let quorum_walk c tl ~frontier ~emit (selection, remaining, available) =
         | [] -> ()
         | v :: rest ->
             go (depth + 1) (D.add v selection) rest available;
-            let available = D.remove v available in
-            let gq = Quorum.Compiled.greatest_quorum_within_d c available in
-            if D.subset selection gq then
-              go (depth + 1) selection
-                (List.filter (fun u -> D.mem u gq) rest)
-                gq
-            else tick_pruned tl
+            match
+              Quorum.Compiled.greatest_quorum_keeping_d c ~keep:selection
+                (D.remove v available)
+            with
+            | Some gq ->
+                go (depth + 1) selection
+                  (List.filter (fun u -> D.mem u gq) rest)
+                  gq
+            | None -> tick_pruned tl
     end
   in
   go 0 selection remaining available;
@@ -232,10 +248,7 @@ let quorum_sccs t =
   let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set t.parts) in
   if D.is_empty w then []
   else begin
-    let row i =
-      let dom = Slice.domain (Quorum.slices_of t.sys i) in
-      (i, Pid.Set.fold (fun j js -> if D.mem j w then j :: js else js) dom [])
-    in
+    let row i = (i, D.elements (D.inter (Quorum.Compiled.domain_d c i) w)) in
     List.filter_map
       (fun scc ->
         let gq = Quorum.Compiled.greatest_quorum_within_d c (D.of_set scc) in
@@ -269,21 +282,31 @@ let top_tier ?jobs t =
 
 type intersection = Intersects | Disjoint of Pid.Set.t * Pid.Set.t
 
-let complement_witness t q =
-  let partner =
-    Quorum.Compiled.greatest_quorum_within_d t.compiled
-      (D.diff (D.of_set t.parts) (D.of_set q))
+(* The first minimal quorum, in canonical order, whose complement
+   holds a quorum, with the greatest quorum of that complement. Any
+   quorum outside [q] contains a minimal quorum, and every minimal
+   quorum lies in the top tier [T], so the test runs on [T \ q]; only a
+   hit pays for the fixpoint over the whole complement. *)
+let verdict t quorums =
+  let gq = Quorum.Compiled.greatest_quorum_within_d t.compiled in
+  let tier =
+    List.fold_left (fun acc q -> D.union acc (D.of_set q)) D.empty quorums
   in
-  if D.is_empty partner then None else Some (q, D.to_set partner)
+  let parts = D.of_set t.parts in
+  List.find_map
+    (fun q ->
+      let qd = D.of_set q in
+      if D.is_empty (gq (D.diff tier qd)) then None
+      else Some (Disjoint (q, D.to_set (gq (D.diff parts qd)))))
+    quorums
+  |> Option.value ~default:Intersects
 
 let check_intersection ?jobs t =
   match t.minimal with
-  | Some quorums -> (
+  | Some quorums ->
       (* Enumeration already ran: one complement check per cached
          minimal quorum, no new search. *)
-      match List.find_map (complement_witness t) quorums with
-      | Some (q, q') -> Disjoint (q, q')
-      | None -> Intersects)
+      verdict t quorums
   | None -> (
       match quorum_sccs t with
       | [] -> Intersects (* no quorums at all: vacuously true *)
@@ -300,10 +323,7 @@ let check_intersection ?jobs t =
              every [jobs] count, so the result — witness choice
              included — and the tick totals never depend on the
              degree of parallelism. *)
-          let quorums = minimal_quorums ?jobs t in
-          match List.find_map (complement_witness t) quorums with
-          | Some (q, q') -> Disjoint (q, q')
-          | None -> Intersects))
+          verdict t (minimal_quorums ?jobs t)))
 
 let quorum_intersection ?metrics ?jobs sys =
   check_intersection ?jobs (prepare ?metrics sys)

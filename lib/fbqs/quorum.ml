@@ -27,7 +27,8 @@ module D = Pid.Dense_set
 
 type entry =
   | Absent  (** no declared slices: never satisfies Algorithm 1 *)
-  | Explicit_d of D.t array
+  | Explicit_d of { slices : D.family; domain : D.t }
+      (** [domain]: the union of the slices. *)
   | Threshold_d of { sat : bool; threshold : int; cls : int }
       (** [sat]: the slice set is non-empty ([threshold <= |members|]);
           [cls] indexes the shared member-set class. *)
@@ -71,7 +72,12 @@ let compile_raw sys =
         (match slice with
         | Slice.Explicit [] -> Absent
         | Slice.Explicit slices ->
-            Explicit_d (Array.of_list (List.map D.of_set slices))
+            let ds = List.map D.of_set slices in
+            Explicit_d
+              {
+                slices = D.family ds;
+                domain = List.fold_left D.union D.empty ds;
+              }
         | Slice.Threshold { members; threshold } ->
             let sat = threshold <= Pid.Set.cardinal members in
             Threshold_d { sat; threshold; cls = class_of (D.of_set members) }))
@@ -93,15 +99,7 @@ let member_ok c counts qd i =
   &&
   match c.entries.(i) with
   | Absent -> false
-  | Explicit_d slices ->
-      (* a loop: a capturing [let rec] is allocated per call without
-         flambda (DESIGN.md §8) *)
-      let n = Array.length slices in
-      let k = ref 0 in
-      while !k < n && not (D.subset slices.(!k) qd) do
-        incr k
-      done;
-      !k < n
+  | Explicit_d { slices; _ } -> D.exists_subset slices qd
   | Threshold_d { sat; threshold; cls } ->
       sat
       && threshold
@@ -133,21 +131,34 @@ module Compiled = struct
 
   (* Discard members with no slice inside the current candidate until
      a fixpoint. Since the union of two quorums is a quorum, the
-     fixpoint is the union of all quorums within [set]. *)
-  let greatest_quorum_within_d c set =
+     fixpoint is the union of all quorums within [set]. Rounds only
+     shrink the candidate, so once one drops a member of [keep], the
+     fixpoint cannot hold [keep] and the remaining rounds are skipped. *)
+  let greatest_quorum_keeping_d c ~keep set =
     c.queries <- c.queries + 1;
     let rec go qd =
       let counts = Array.make (Array.length c.class_sets) (-1) in
-      let keep = D.filter (member_ok c counts qd) qd in
-      if D.equal keep qd then qd else go keep
+      let next = D.filter (member_ok c counts qd) qd in
+      if not (D.subset keep next) then None
+      else if D.equal next qd then Some qd
+      else go next
     in
     go set
 
-  let contains_quorum_d c set =
-    not (D.is_empty (greatest_quorum_within_d c set))
+  let greatest_quorum_within_d c set =
+    Option.get (greatest_quorum_keeping_d c ~keep:D.empty set)
 
   let greatest_quorum_within c set =
     D.to_set (greatest_quorum_within_d c (D.of_set set))
+
+  let domain_d c i =
+    if i >= c.bound then D.empty
+    else
+      match c.entries.(i) with
+      | Absent -> D.empty
+      | Explicit_d { domain; _ } -> domain
+      | Threshold_d { sat; cls; _ } ->
+          if sat then c.class_sets.(cls) else D.empty
 
   let contains_quorum c set =
     not (Pid.Set.is_empty (greatest_quorum_within c set))

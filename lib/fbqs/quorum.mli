@@ -74,9 +74,24 @@ module Compiled : sig
 
   val is_quorum_d : t -> Pid.Dense_set.t -> bool
 
-  val greatest_quorum_within_d : t -> Pid.Dense_set.t -> Pid.Dense_set.t
+  val greatest_quorum_keeping_d :
+    t -> keep:Pid.Dense_set.t -> Pid.Dense_set.t -> Pid.Dense_set.t option
+  (** [greatest_quorum_keeping_d c ~keep s] is [Some g] when the
+      greatest quorum [g] within [s] contains [keep], and [None]
+      otherwise. It runs the rounds of {!greatest_quorum_within} but
+      stops at the first round that drops a member of [keep]: rounds
+      only shrink the candidate, so from then on [keep ⊄ g] is
+      decided. The branch bound and the minimality check of {!Enum}
+      need only this answer. *)
 
-  val contains_quorum_d : t -> Pid.Dense_set.t -> bool
+  val greatest_quorum_within_d : t -> Pid.Dense_set.t -> Pid.Dense_set.t
+  (** {!greatest_quorum_keeping_d} with an empty [keep], which every
+      greatest quorum contains: the same fixpoint, run to the end. *)
+
+  val domain_d : t -> Pid.t -> Pid.Dense_set.t
+  (** The compiled [Slice.domain (slices_of (system c) i)]: the union
+      of [i]'s explicit slices, or its threshold member set when that
+      threshold can be met; empty for a process with no slices. *)
 
   type stats = {
     queries : int;  (** membership evaluations answered so far *)

@@ -187,6 +187,41 @@ module Dense_set = struct
     done;
     !i = l
 
+  (* A family of sets packed into one word array, each member padded
+     to the width of the widest one, so that [exists_subset] scans it
+     in one loop with no call per member. A non-empty family has a
+     stride of at least one word, which lets an empty member (one zero
+     word) be told apart from no member at all. *)
+  type family = { stride : int; words : int array }
+
+  let family members =
+    let stride = List.fold_left (fun s m -> max s (Array.length m)) 1 members in
+    let words = Array.make (stride * List.length members) 0 in
+    List.iteri (fun k m -> Array.blit m 0 words (k * stride) (Array.length m))
+      members;
+    { stride; words }
+
+  (* One pass over the packed words: [i] indexes [words], [w] is the
+     word of the current member being compared; a word outside [q]
+     fails unless it is zero, and a failing word jumps [i] to the next
+     member. *)
+  let exists_subset f q =
+    let stride = f.stride and words = f.words in
+    let n = Array.length words and lq = Array.length q in
+    let i = ref 0 and w = ref 0 in
+    while !w < stride && !i < n do
+      let qw = if !w < lq then q.(!w) else 0 in
+      if words.(!i) land lnot qw = 0 then begin
+        incr i;
+        incr w
+      end
+      else begin
+        i := !i - !w + stride;
+        w := 0
+      end
+    done;
+    !w = stride
+
   let iter f t =
     for w = 0 to Array.length t - 1 do
       let base = w * bits_per_word in

@@ -74,6 +74,20 @@ module Dense_set : sig
 
   val equal : t -> t -> bool
 
+  type family
+  (** A fixed list of sets packed into one flat word array, every
+      member padded to the widest member's width: the explicit slices
+      of one process in the quorum kernel. *)
+
+  val family : t list -> family
+
+  val exists_subset : family -> t -> bool
+  (** [exists_subset (family l) q = List.exists (fun s -> subset s q) l],
+      in one loop over the packed words with no call per member — the
+      build has no flambda, so a per-member [subset] call is never
+      inlined. False on the empty family; true whenever a member is
+      empty. *)
+
   val iter : (int -> unit) -> t -> unit
   (** Ascending id order, like [Set.iter]. *)
 

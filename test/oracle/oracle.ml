@@ -1,10 +1,11 @@
 (* Reference implementations, kept with the tests: the seed's tree-set
-   graph algorithms, its list-based Dinic, its subset sweeps for the
-   FBQS analyses and its generic event queue. [lib/] holds one
-   implementation per function, the fast one; the qcheck suites check
-   it against these, and [bench micro] prices the gap. Each submodule
-   names the [lib/] module whose functions it mirrors, and later
-   submodules build on the earlier ones, as the seed's did. *)
+   graph algorithms, its list-based Dinic, its tree-set Algorithm 1,
+   its subset sweeps for the FBQS analyses and its generic event
+   queue. [lib/] holds one implementation per function, the fast one;
+   the qcheck suites check it against these, and [bench micro] prices
+   the gap. Each submodule names the [lib/] module whose functions it
+   mirrors, and later submodules build on the earlier ones, as the
+   seed's did. *)
 
 open Graphkit
 
@@ -324,6 +325,20 @@ module Flow = struct
         !(net.adj.(u))
     done;
     side
+end
+
+(* Algorithm 1 verbatim on tree sets, off [Slice.has_slice_within]:
+   what the dense compiled kernel must match bit for bit. *)
+module Quorum = struct
+  let has_slice sys i q =
+    Fbqs.Slice.has_slice_within (Fbqs.Quorum.slices_of sys i) q
+
+  let is_quorum sys q =
+    (not (Pid.Set.is_empty q)) && Pid.Set.for_all (fun i -> has_slice sys i q) q
+
+  let rec greatest_quorum_within sys set =
+    let next = Pid.Set.filter (fun i -> has_slice sys i set) set in
+    if Pid.Set.equal next set then set else greatest_quorum_within sys next
 end
 
 (* A Gosper sweep over the survivors. *)

@@ -138,26 +138,49 @@ let prop_add_remove =
           in
           agrees s' d'))
 
-(* ---- qcheck: the rewired Quorum vs the seed Algorithm 1 -------------- *)
+(* ---- qcheck: packed families over members of one to four words ------ *)
 
-(* Algorithm 1 verbatim, straight off Pid.Set + Slice.has_slice_within:
-   the reference the dense compiled path must match bit for bit. *)
-let ref_is_quorum sys q =
-  (not (Pid.Set.is_empty q))
-  && Pid.Set.for_all
-       (fun i -> Fbqs.Slice.has_slice_within (Fbqs.Quorum.slices_of sys i) q)
-       q
+(* A member of [words] words (0: the empty member): one id in its top
+   word, so families mix widths, and ids never above 250. *)
+let gen_member =
+  QCheck.Gen.(
+    let* words = int_bound 4 in
+    if words = 0 then return []
+    else
+      let hi = min 250 ((words * Sys.int_size) - 1) in
+      let* top = int_range ((words - 1) * Sys.int_size) hi in
+      let* rest = list_size (int_bound 6) (int_bound hi) in
+      return (top :: rest))
 
-let ref_greatest_quorum_within sys set =
-  let rec go cur =
-    let keep =
-      Pid.Set.filter
-        (fun i -> Fbqs.Slice.has_slice_within (Fbqs.Quorum.slices_of sys i) cur)
-        cur
+(* A family of zero to five members, and a candidate that is either
+   random (of any width, so often shorter than the widest member) or a
+   member with ids added and maybe one removed. *)
+let gen_family_and_candidate =
+  QCheck.Gen.(
+    let* members = list_size (int_bound 5) gen_member in
+    let* extra = gen_member in
+    let* base =
+      match members with
+      | [] -> return []
+      | _ ->
+          let* k = int_bound (List.length members - 1) in
+          let* use = bool in
+          return (if use then List.nth members k else [])
     in
-    if Pid.Set.equal keep cur then cur else go keep
-  in
-  go set
+    let* drop = int_range (-1) 250 in
+    return (members, List.filter (fun i -> i <> drop) (base @ extra)))
+
+let prop_family_exists_subset =
+  QCheck.Test.make ~count ~name:"exists_subset (family l) = exists subset"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list (list int)) (list int))
+       gen_family_and_candidate)
+    (fun (members, q) ->
+      let ds = List.map D.of_list members and qd = D.of_list q in
+      D.exists_subset (D.family ds) qd
+      = List.exists (fun s -> D.subset s qd) ds)
+
+(* ---- qcheck: the rewired Quorum vs the seed Algorithm 1 -------------- *)
 
 (* Random mixed systems: explicit slice lists, threshold slices (some
    shared, some unsatisfiable), absent processes — plus a random
@@ -203,14 +226,14 @@ let arb_system_and_candidate =
 let prop_is_quorum_equiv =
   QCheck.Test.make ~count ~name:"is_quorum = seed Algorithm 1"
     arb_system_and_candidate (fun (sys, q) ->
-      Fbqs.Quorum.is_quorum sys q = ref_is_quorum sys q)
+      Fbqs.Quorum.is_quorum sys q = Oracle.Quorum.is_quorum sys q)
 
 let prop_greatest_equiv =
   QCheck.Test.make ~count ~name:"greatest_quorum_within = seed fixpoint"
     arb_system_and_candidate (fun (sys, q) ->
       Pid.Set.equal
         (Fbqs.Quorum.greatest_quorum_within sys q)
-        (ref_greatest_quorum_within sys q))
+        (Oracle.Quorum.greatest_quorum_within sys q))
 
 let prop_threshold_sharing =
   (* Algorithm 2 shape: every process shares one threshold record. The
@@ -229,10 +252,10 @@ let prop_threshold_sharing =
           (List.map (fun i -> (i, slice)) (Pid.Set.elements members))
       in
       let q = Pid.Set.of_range 1 (min (max 1 k) n) in
-      Fbqs.Quorum.is_quorum sys q = ref_is_quorum sys q
+      Fbqs.Quorum.is_quorum sys q = Oracle.Quorum.is_quorum sys q
       && Pid.Set.equal
            (Fbqs.Quorum.greatest_quorum_within sys q)
-           (ref_greatest_quorum_within sys q))
+           (Oracle.Quorum.greatest_quorum_within sys q))
 
 let suites =
   [
@@ -248,6 +271,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_inter_cardinal;
         QCheck_alcotest.to_alcotest prop_fold_order;
         QCheck_alcotest.to_alcotest prop_add_remove;
+        QCheck_alcotest.to_alcotest prop_family_exists_subset;
         QCheck_alcotest.to_alcotest prop_is_quorum_equiv;
         QCheck_alcotest.to_alcotest prop_greatest_equiv;
         QCheck_alcotest.to_alcotest prop_threshold_sharing;

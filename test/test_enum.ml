@@ -142,16 +142,31 @@ let test_fixture_analysis () =
   match Fbas_io.of_file "fixtures/live_network.fbas" with
   | Error e -> Alcotest.fail e
   | Ok sys ->
+      (* The search trees are pinned too: a kernel change that keeps
+         the answers must keep every explored, pruned and found node. *)
+      let check_stats what (explored, pruned, found) t =
+        let s = Enum.stats t in
+        Alcotest.(check (list int))
+          (what ^ ": explored, pruned, found")
+          [ explored; pruned; found ]
+          [ s.Enum.explored; s.Enum.pruned; s.Enum.found ]
+      in
       let t = Enum.prepare sys in
       Alcotest.(check int) "participants" 210
         (Pid.Set.cardinal (Quorum.participants sys));
       Alcotest.(check int) "minimal quorums" 519
         (List.length (Enum.minimal_quorums t));
+      check_stats "minimal quorums" (5549, 3812, 519) t;
       Alcotest.check pid_set "top tier = the 21 top validators"
         (Pid.Set.of_range 0 20) (Enum.top_tier t);
       (match Enum.check_intersection t with
       | Enum.Intersects -> ()
-      | Enum.Disjoint _ -> Alcotest.fail "fixture enjoys intersection")
+      | Enum.Disjoint _ -> Alcotest.fail "fixture enjoys intersection");
+      let t' = Enum.prepare (Quorum.delete sys (set [ 0; 1; 2 ])) in
+      (match Enum.check_intersection t' with
+      | Enum.Intersects -> ()
+      | Enum.Disjoint _ -> Alcotest.fail "intersection despite {0,1,2}");
+      check_stats "despite {0,1,2}" (3192, 2041, 306) t'
 
 (* ---- random systems ---------------------------------------------------- *)
 
@@ -235,6 +250,107 @@ let prop_blocking_equiv =
       in
       let r = Enum.minimal_blocking_sets (Enum.prepare sys) in
       r.Enum.complete && sets_equal r.Enum.sets brute)
+
+(* ---- the Disjoint witness ---------------------------------------------- *)
+
+(* A tiered system: a core 0..k-1 (4 <= k <= 7) whose members each
+   trust the whole core plus one or two small slices of their own, and
+   up to four followers whose slices each name a core pid and a few
+   random pids. No core slice names a follower and every follower
+   slice names a core pid, so the core is the one SCC holding a quorum
+   and the fresh path reaches the per-minimal-quorum rule. The small
+   core slices make disjoint quorums common, and followers can join a
+   complement's greatest quorum. *)
+let gen_tiered =
+  QCheck.Gen.(
+    let* k = int_range 4 7 in
+    let* m = int_bound 4 in
+    let core = List.init k Fun.id and all = List.init (k + m) Fun.id in
+    let* core_slices =
+      flatten_l
+        (List.map
+           (fun i ->
+             let* own =
+               list_size (int_range 1 2)
+                 (list_size (int_range 1 3) (oneofl core))
+             in
+             return
+               ( i,
+                 Slice.explicit
+                   (Pid.Set.of_list core
+                   :: List.map (fun l -> Pid.Set.of_list (i :: l)) own) ))
+           core)
+    in
+    let* follower_slices =
+      flatten_l
+        (List.init m (fun j ->
+             let* slices =
+               list_size (int_range 1 2)
+                 (let* anchor = oneofl core in
+                  let* rest = list_size (int_bound 3) (oneofl all) in
+                  return (Pid.Set.of_list (anchor :: rest)))
+             in
+             return (k + j, Slice.explicit slices)))
+    in
+    return (Quorum.system_of_list (core_slices @ follower_slices)))
+
+(* The witness rule, off Algorithm 1 on tree sets: the first canonical
+   minimal quorum whose complement holds a quorum, paired with the
+   greatest quorum of that complement. *)
+let reference_intersection sys =
+  let parts = Quorum.participants sys in
+  let minimal =
+    canonical
+      (minimal_of
+         (List.filter (Oracle.Quorum.is_quorum sys) (subsets parts)))
+  in
+  match
+    List.find_map
+      (fun q ->
+        let q' =
+          Oracle.Quorum.greatest_quorum_within sys (Pid.Set.diff parts q)
+        in
+        if Pid.Set.is_empty q' then None else Some (q, q'))
+      minimal
+  with
+  | Some (q, q') -> Enum.Disjoint (q, q')
+  | None -> Enum.Intersects
+
+let same_intersection a b =
+  match (a, b) with
+  | Enum.Intersects, Enum.Intersects -> true
+  | Enum.Disjoint (a1, a2), Enum.Disjoint (b1, b2) ->
+      Pid.Set.equal a1 b1 && Pid.Set.equal a2 b2
+  | _ -> false
+
+let disjoint_cases = ref 0
+
+let prop_disjoint_witness =
+  QCheck.Test.make ~count:200 ~name:"Disjoint witness = reference rule"
+    (QCheck.make
+       ~print:(Format.asprintf "%a" (Pid.Map.pp Slice.pp))
+       gen_tiered)
+    (fun sys ->
+      let want = reference_intersection sys in
+      (match want with
+      | Enum.Disjoint _ -> incr disjoint_cases
+      | Enum.Intersects -> ());
+      let fresh = Enum.check_intersection (Enum.prepare sys) in
+      let t = Enum.prepare sys in
+      ignore (Enum.minimal_quorums t);
+      same_intersection want fresh
+      && same_intersection want (Enum.check_intersection t))
+
+(* The qcheck case, then a check that its generator reached Disjoint. *)
+let test_disjoint_witness =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_disjoint_witness in
+  ( name,
+    speed,
+    fun () ->
+      disjoint_cases := 0;
+      run ();
+      Alcotest.(check bool) "some generated systems are Disjoint" true
+        (!disjoint_cases > 0) )
 
 (* ---- blocking sets against the list-based reference walk -------------- *)
 
@@ -440,6 +556,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_minimal_quorums_equiv;
         QCheck_alcotest.to_alcotest prop_intersection_equiv;
         QCheck_alcotest.to_alcotest prop_despite_equiv;
+        test_disjoint_witness;
         QCheck_alcotest.to_alcotest prop_blocking_equiv;
         Alcotest.test_case "blocking = reference walk, two words" `Quick
           test_blocking_reference;

@@ -126,6 +126,93 @@ let prop_wrappers_agree_with_compiled =
              = Quorum.Compiled.is_quorum_of c i probe)
            (Quorum.participants sys))
 
+(* ---- systems over sparse pids up to 200 --------------------------------
+
+   Explicit slices here span up to four words, so the packed slice
+   families are padded and candidates are often shorter than a
+   family's stride. Each process declares explicit slices (possibly
+   [Explicit []]), a threshold (possibly unsatisfiable) or nothing. *)
+
+module D = Pid.Dense_set
+
+let gen_wide_system =
+  QCheck.Gen.(
+    let* pids = list_size (int_range 2 10) (int_bound 200) in
+    let pool = List.sort_uniq Int.compare pids in
+    let subset_of_pool =
+      let* l = list_size (int_range 1 4) (oneofl pool) in
+      return (Pid.Set.of_list l)
+    in
+    let* assoc =
+      flatten_l
+        (List.map
+           (fun i ->
+             let* kind = int_bound 2 in
+             match kind with
+             | 0 ->
+                 let* slices = list_size (int_bound 3) subset_of_pool in
+                 return (Some (i, Slice.explicit slices))
+             | 1 ->
+                 let* members = subset_of_pool in
+                 let* threshold = int_bound (Pid.Set.cardinal members + 1) in
+                 return (Some (i, Slice.threshold ~members ~threshold))
+             | _ -> return None)
+           pool)
+    in
+    return (pool, Quorum.system_of_list (List.filter_map Fun.id assoc)))
+
+(* A candidate [s] (participants plus strangers up to 200) and a [keep]
+   that is empty, inside [s], or drawn from all participants. *)
+let gen_wide_query =
+  QCheck.Gen.(
+    let* pool, sys = gen_wide_system in
+    let* s = list_size (int_bound 10) (oneofl pool) in
+    let* strangers = list_size (int_bound 2) (int_bound 200) in
+    let s = s @ strangers in
+    let* keep =
+      oneof
+        [
+          return [];
+          list_size (int_bound 3)
+            (oneofl (match s with [] -> pool | _ -> s));
+          list_size (int_bound 3) (oneofl pool);
+        ]
+    in
+    return (sys, Pid.Set.of_list s, Pid.Set.of_list keep))
+
+let print_wide (sys, s, keep) =
+  Format.asprintf "system=%a s=%a keep=%a" (Pid.Map.pp Slice.pp) sys
+    Pid.Set.pp s Pid.Set.pp keep
+
+let prop_keeping_decides =
+  QCheck.Test.make ~count:500
+    ~name:"greatest_quorum_keeping_d = within_d, then keep test"
+    (QCheck.make ~print:print_wide gen_wide_query)
+    (fun (sys, s, keep) ->
+      let c = Quorum.Compiled.compile sys in
+      let s = D.of_set s and keep = D.of_set keep in
+      let g = Quorum.Compiled.greatest_quorum_within_d c s in
+      D.equal g
+        (D.of_set (Oracle.Quorum.greatest_quorum_within sys (D.to_set s)))
+      &&
+      match Quorum.Compiled.greatest_quorum_keeping_d c ~keep s with
+      | Some g' -> D.subset keep g && D.equal g g'
+      | None -> not (D.subset keep g))
+
+let prop_compiled_domain =
+  QCheck.Test.make ~count:200 ~name:"compiled domain = Slice.domain"
+    (QCheck.make
+       ~print:(fun (_, sys) -> Format.asprintf "%a" (Pid.Map.pp Slice.pp) sys)
+       gen_wide_system)
+    (fun (_, sys) ->
+      let c = Quorum.Compiled.compile sys in
+      List.for_all
+        (fun i ->
+          D.equal
+            (Quorum.Compiled.domain_d c i)
+            (D.of_set (Slice.domain (Quorum.slices_of sys i))))
+        (List.init 202 Fun.id))
+
 let suites =
   [
     ( "quorum_compiled",
@@ -136,5 +223,7 @@ let suites =
         Alcotest.test_case "wrapper cache accounting" `Quick
           test_wrapper_cache_stats_move;
         QCheck_alcotest.to_alcotest prop_wrappers_agree_with_compiled;
+        QCheck_alcotest.to_alcotest prop_keeping_decides;
+        QCheck_alcotest.to_alcotest prop_compiled_domain;
       ] );
   ]
