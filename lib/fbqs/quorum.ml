@@ -160,6 +160,21 @@ module Compiled = struct
       | Threshold_d { sat; cls; _ } ->
           if sat then c.class_sets.(cls) else D.empty
 
+  (* A slice of [i] avoids [b] iff it lies within [i]'s domain minus
+     [b], so [b] blocks [i] iff [i] declares a slice and has none
+     within [domain_d c i \ b]. For a threshold class that count is
+     [|members \ b|], taken without building the difference. *)
+  let is_v_blocking_d c i b =
+    i < c.bound
+    &&
+    match c.entries.(i) with
+    | Absent -> false
+    | Explicit_d { slices; domain } ->
+        not (D.exists_subset slices (D.diff domain b))
+    | Threshold_d { sat; threshold; cls } ->
+        let members = c.class_sets.(cls) in
+        sat && D.cardinal members - D.inter_cardinal members b < threshold
+
   let contains_quorum c set =
     not (Pid.Set.is_empty (greatest_quorum_within c set))
 
@@ -175,14 +190,13 @@ let compile = Compiled.compile
 (* ---- shared compiled-handle cache ------------------------------------
 
    Bounded most-recently-used cache over {!Core.Cache}, keyed by
-   physical equality of the system map. Sized for a simulation's worth
-   of per-node evolving slice views; a miss costs one O(system)
-   compilation, about the price of a single tree-set query. SCP
-   federated voting, whose system grows as envelopes arrive, is the
-   intended client; so is the analysis daemon, whose file cache keeps
-   hot systems alive so repeated analyses reuse one handle. Code
-   holding a stable system may call {!Compiled.compile} directly to
-   bypass the cache. *)
+   physical equality of the system map; a miss costs one O(system)
+   compilation. Its clients are the {!Enum} analyzer and the analysis
+   daemon, whose file cache keeps hot systems alive so repeated
+   analyses reuse one handle. SCP federated voting keeps one handle
+   per node instead ([Scp.Fvoting]): its views evolve with every
+   learned declaration, and through a shared cache concurrent runs
+   would count each other's lookups. *)
 
 let cache : (system, compiled) Core.Cache.t =
   Core.Cache.create ~name:"fbqs_quorum_compiled" ~capacity:64 ()

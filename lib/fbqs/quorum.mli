@@ -8,9 +8,11 @@
     and each compiled system counts its own queries and popcounts for
     the observability layer. The historical implicit entry points
     ({!is_quorum} on a raw [system]) remain as thin wrappers over a
-    bounded per-system-value cache; they suit callers whose system
-    evolves mid-run (SCP federated voting learns slices from
-    envelopes), while stable-system callers should compile explicitly.
+    bounded per-system-value cache, which the analyzer and the daemon
+    share; a caller whose system evolves mid-run keeps its own handle
+    (SCP federated voting recompiles its view when it learns a slice
+    declaration, [Scp.Fvoting]), and stable-system callers compile
+    explicitly.
     Process ids are non-negative: every query raises
     [Invalid_argument] on a system or candidate set naming a negative
     pid, as {!Pid.Dense_set} does. See DESIGN.md §8 and §9. *)
@@ -93,6 +95,11 @@ module Compiled : sig
       of [i]'s explicit slices, or its threshold member set when that
       threshold can be met; empty for a process with no slices. *)
 
+  val is_v_blocking_d : t -> Pid.t -> Pid.Dense_set.t -> bool
+  (** The compiled [is_v_blocking] below: [i] declares at least one
+      slice and [b] meets every slice of [i]. Exact, because a slice
+      avoids [b] iff it lies within [domain_d c i] minus [b]. *)
+
   type stats = {
     queries : int;  (** membership evaluations answered so far *)
     popcounts : int;  (** dense intersection-cardinality calls *)
@@ -115,9 +122,9 @@ val compile : system -> Compiled.t
     ({!set_cache_capacity}); hit/miss/evict counters can be surfaced
     in any metrics registry ({!attach_cache_metrics}).
 
-    @deprecated New code holding a stable system should use
-    {!Compiled.compile} + the [Compiled] queries; these wrappers remain
-    for callers whose system value evolves during a run. *)
+    @deprecated New code should use {!Compiled.compile} + the
+    [Compiled] queries, holding the handle as long as its system value
+    lives. *)
 
 val compiled_of : system -> Compiled.t
 (** The cache lookup itself: the compiled handle for [sys], reused
@@ -177,6 +184,7 @@ val minimal_quorums_of : ?universe:Pid.Set.t -> system -> Pid.t -> Pid.Set.t lis
     on this list. *)
 
 val is_v_blocking : system -> Pid.t -> Pid.Set.t -> bool
-(** [is_v_blocking sys i b]: the set [b] intersects every slice of [i].
-    Used by SCP federated voting; false when [i] declared no slices
-    (with no slices nothing can be accepted through blocking). *)
+(** [is_v_blocking sys i b]: the set [b] intersects every slice of [i];
+    false when [i] declared no slices (with no slices nothing can be
+    accepted through blocking). SCP federated voting asks the compiled
+    form, {!Compiled.is_v_blocking_d}. *)

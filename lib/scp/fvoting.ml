@@ -1,8 +1,10 @@
 open Graphkit
+module D = Pid.Dense_set
+module Compiled = Fbqs.Quorum.Compiled
 
 type tally = {
-  voters : Pid.Set.t;
-  acceptors : Pid.Set.t;
+  mutable voters : D.t;
+  mutable acceptors : D.t;
   mutable i_voted : bool;
   mutable i_accepted : bool;
   mutable i_confirmed : bool;
@@ -10,33 +12,40 @@ type tally = {
 
 type t = {
   self : Pid.t;
+  keep : D.t;  (* {self}: the member a quorum check must keep *)
   system : unit -> Fbqs.Quorum.system;
+  mutable view : Compiled.t option;
+      (* compiled from the last value [system ()] returned *)
   mutable tallies : tally Statement.Map.t;
   c_quorum_checks : Obs.Metrics.counter option;
   c_vblocking_checks : Obs.Metrics.counter option;
+  c_view_hits : Obs.Metrics.counter option;
+  c_view_misses : Obs.Metrics.counter option;
 }
 
 let empty_tally () =
   {
-    voters = Pid.Set.empty;
-    acceptors = Pid.Set.empty;
+    voters = D.empty;
+    acceptors = D.empty;
     i_voted = false;
     i_accepted = false;
     i_confirmed = false;
   }
 
 let create ?metrics ~self ~system () =
+  let c name = Option.map (fun r -> Obs.Metrics.counter r name) metrics in
   {
     self;
+    keep = D.singleton self;
     system;
+    view = None;
     tallies = Statement.Map.empty;
-    c_quorum_checks =
-      Option.map (fun r -> Obs.Metrics.counter r "scp_quorum_checks") metrics;
-    c_vblocking_checks =
-      Option.map
-        (fun r -> Obs.Metrics.counter r "scp_vblocking_checks")
-        metrics;
+    c_quorum_checks = c "scp_quorum_checks";
+    c_vblocking_checks = c "scp_vblocking_checks";
+    c_view_hits = c "fbqs_cache_hits";
+    c_view_misses = c "fbqs_cache_misses";
   }
+
 let self t = t.self
 
 let tally t stmt =
@@ -44,56 +53,75 @@ let tally t stmt =
   | Some tl -> tl
   | None -> empty_tally ()
 
-let update t stmt f =
-  let tl = tally t stmt in
-  t.tallies <- Statement.Map.add stmt (f tl) t.tallies
+(* The statement's live record, added on first use and never replaced,
+   so the records an iteration hands out stay current. *)
+let live t stmt =
+  match Statement.Map.find_opt stmt t.tallies with
+  | Some tl -> tl
+  | None ->
+      let tl = empty_tally () in
+      t.tallies <- Statement.Map.add stmt tl t.tallies;
+      tl
 
 let rec record_vote t stmt src =
-  update t stmt (fun tl -> { tl with voters = Pid.Set.add src tl.voters });
+  let tl = live t stmt in
+  tl.voters <- D.add src tl.voters;
   List.iter (fun s -> record_vote t s src) (Statement.implied stmt)
 
 let rec record_accept t stmt src =
-  update t stmt (fun tl ->
-      {
-        tl with
-        voters = Pid.Set.add src tl.voters;
-        acceptors = Pid.Set.add src tl.acceptors;
-      });
+  let tl = live t stmt in
+  tl.voters <- D.add src tl.voters;
+  tl.acceptors <- D.add src tl.acceptors;
   List.iter (fun s -> record_accept t s src) (Statement.implied stmt)
 
-let tally_exn t stmt =
-  (match Statement.Map.find_opt stmt t.tallies with
-  | Some _ -> ()
-  | None -> t.tallies <- Statement.Map.add stmt (empty_tally ()) t.tallies);
-  Statement.Map.find stmt t.tallies
+let set_voted t stmt = (live t stmt).i_voted <- true
+let mark_accepted t stmt = (live t stmt).i_accepted <- true
+let mark_confirmed t stmt = (live t stmt).i_confirmed <- true
+let bump = function Some c -> Obs.Metrics.incr c | None -> ()
 
-let set_voted t stmt = (tally_exn t stmt).i_voted <- true
+(* The compiled view of [system ()]. The system value changes only when
+   the node learns a new origin, so the view is recompiled only when
+   that value is physically new. *)
+let view t ~hits ~misses =
+  let sys = t.system () in
+  match t.view with
+  | Some c when Compiled.system c == sys ->
+      bump hits;
+      c
+  | Some _ | None ->
+      bump misses;
+      let c = Compiled.compile sys in
+      t.view <- Some c;
+      c
 
 (* Rule (a) of accept and the confirm rule demand a quorum containing
    this node all of whose members assert the statement — the node's own
    assertion is part of the tally (recorded when it broadcasts), so no
-   special-casing of [self] here. *)
-let bump = function Some c -> Obs.Metrics.incr c | None -> ()
-
-let member_of_quorum_within t s =
+   special-casing of [self] here. [self ∈ gq(s)] is decided by the
+   first fixpoint round that drops [self]. *)
+let quorum_within t s =
   bump t.c_quorum_checks;
-  Pid.Set.mem t.self (Fbqs.Quorum.greatest_quorum_within (t.system ()) s)
+  let c = view t ~hits:t.c_view_hits ~misses:t.c_view_misses in
+  D.mem t.self s
+  && Option.is_some (Compiled.greatest_quorum_keeping_d c ~keep:t.keep s)
 
-let quorum_votes t stmt = member_of_quorum_within t (tally t stmt).voters
-
-let blocking_accepts t stmt =
+let v_blocking t b =
   bump t.c_vblocking_checks;
-  Fbqs.Quorum.is_v_blocking (t.system ()) t.self (tally t stmt).acceptors
+  Compiled.is_v_blocking_d (view t ~hits:None ~misses:None) t.self b
+
+let quorum_votes t stmt = quorum_within t (tally t stmt).voters
+let blocking_accepts t stmt = v_blocking t (tally t stmt).acceptors
 
 let can_accept t stmt =
   let tl = tally t stmt in
-  (not tl.i_accepted) && (quorum_votes t stmt || blocking_accepts t stmt)
+  (not tl.i_accepted)
+  && (quorum_within t tl.voters || v_blocking t tl.acceptors)
 
 let can_confirm t stmt =
   let tl = tally t stmt in
-  (not tl.i_confirmed) && member_of_quorum_within t tl.acceptors
+  (not tl.i_confirmed) && quorum_within t tl.acceptors
 
-let mark_accepted t stmt = (tally_exn t stmt).i_accepted <- true
-let mark_confirmed t stmt = (tally_exn t stmt).i_confirmed <- true
-
-let statements t = List.map fst (Statement.Map.bindings t.tallies)
+let iter f t = Statement.Map.iter f t.tallies
+let fold f t acc = Statement.Map.fold f t.tallies acc
+let exists f t = Statement.Map.exists f t.tallies
+let for_all f t = Statement.Map.for_all f t.tallies

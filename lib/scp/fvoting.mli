@@ -11,17 +11,24 @@
 
     Quorum membership is evaluated against a slice system: a set [S]
     holds a quorum containing the node iff the node belongs to the
-    greatest quorum within [S ∪ {self}]. *)
+    greatest quorum within [S]. The node's own assertion counts only
+    once it is in the tally (the node records it when it broadcasts).
+    The checks run on a compiled view of the system, kept per voter
+    and recompiled only when the system value changes. *)
 
 open Graphkit
 
 type tally = {
-  voters : Pid.Set.t;  (** nodes seen voting-or-accepting *)
-  acceptors : Pid.Set.t;  (** nodes seen accepting *)
+  mutable voters : Pid.Dense_set.t;  (** nodes seen voting-or-accepting *)
+  mutable acceptors : Pid.Dense_set.t;  (** nodes seen accepting *)
   mutable i_voted : bool;
   mutable i_accepted : bool;
   mutable i_confirmed : bool;
 }
+(** A statement's live record. Each tallied statement has exactly one,
+    which the recording and marking functions below update in place and
+    never replace, so a record obtained from {!tally} or an iterator
+    always reflects the latest state. *)
 
 type t
 
@@ -33,14 +40,18 @@ val create :
   t
 (** [system] is consulted at every evaluation, so the slice knowledge
     may grow while voting is under way (nodes learn declarations from
-    envelopes). [metrics] counts the federated-voting quorum and
-    v-blocking evaluations ([scp_quorum_checks],
-    [scp_vblocking_checks]). *)
+    envelopes); the view is recompiled when [system ()] returns a value
+    physically different from the last one. [metrics] counts the quorum
+    and v-blocking evaluations ([scp_quorum_checks],
+    [scp_vblocking_checks]) and, once per quorum evaluation, whether
+    the view was reused ([fbqs_cache_hits]) or compiled
+    ([fbqs_cache_misses]); so hits + misses = quorum checks. *)
 
 val self : t -> Pid.t
 
 val tally : t -> Statement.t -> tally
-(** The current tally for a statement (all-empty if never seen). *)
+(** The live record of a statement; for a statement never tallied, a
+    fresh all-empty record that is not stored. *)
 
 val record_vote : t -> Statement.t -> Pid.t -> unit
 (** Registers that a node voted for the statement (also counts implied
@@ -53,6 +64,14 @@ val record_accept : t -> Statement.t -> Pid.t -> unit
 val set_voted : t -> Statement.t -> unit
 (** Marks the local vote (the caller must also broadcast it and call
     {!record_vote} for itself). *)
+
+val quorum_within : t -> Pid.Dense_set.t -> bool
+(** [quorum_within t s]: some quorum containing this node lies within
+    [s], i.e. this node belongs to the greatest quorum within [s]. *)
+
+val v_blocking : t -> Pid.Dense_set.t -> bool
+(** [v_blocking t b]: [b] meets every slice of this node, which
+    declares at least one. *)
 
 val quorum_votes : t -> Statement.t -> bool
 (** Whether a quorum containing this node voted-or-accepted it. *)
@@ -68,5 +87,16 @@ val mark_accepted : t -> Statement.t -> unit
 
 val mark_confirmed : t -> Statement.t -> unit
 
-val statements : t -> Statement.t list
-(** All statements with a non-trivial tally, in statement order. *)
+(** {2 Iterating over the tallies}
+
+    Each runs over the statements tallied when the call starts, with
+    their live records; a statement first tallied during the call is
+    not visited. {!iter} and {!fold} visit in statement order. *)
+
+val iter : (Statement.t -> tally -> unit) -> t -> unit
+
+val fold : (Statement.t -> tally -> 'a -> 'a) -> t -> 'a -> 'a
+
+val exists : (Statement.t -> tally -> bool) -> t -> bool
+
+val for_all : (Statement.t -> tally -> bool) -> t -> bool

@@ -26,16 +26,20 @@ let compare_slices a b =
   | Fbqs.Slice.Threshold _, Fbqs.Slice.Explicit _ -> -1
   | Fbqs.Slice.Explicit _, Fbqs.Slice.Threshold _ -> 1
 
+(* Relayers forward the envelope they stored, so a duplicate is
+   usually the very value already in the dedup set. *)
 let compare a b =
-  match Pid.compare a.origin b.origin with
-  | 0 -> (
-      match Int.compare (kind_tag a.kind) (kind_tag b.kind) with
-      | 0 -> (
-          match Statement.compare a.stmt b.stmt with
-          | 0 -> compare_slices a.slices b.slices
-          | c -> c)
-      | c -> c)
-  | c -> c
+  if a == b then 0
+  else
+    match Pid.compare a.origin b.origin with
+    | 0 -> (
+        match Int.compare (kind_tag a.kind) (kind_tag b.kind) with
+        | 0 -> (
+            match Statement.compare a.stmt b.stmt with
+            | 0 -> compare_slices a.slices b.slices
+            | c -> c)
+        | c -> c)
+    | c -> c
 
 let pp ppf m =
   Format.fprintf ppf "%s(%d, %a)"

@@ -38,10 +38,6 @@ type node_obs = {
   c_ballots : Obs.Metrics.counter option;
   c_nom_rounds : Obs.Metrics.counter option;
   c_decides : Obs.Metrics.counter option;
-  c_quorum_checks : Obs.Metrics.counter option;
-      (* shared with Fvoting's counter of the same name: the node's
-         merged-tally evaluations bypass Fvoting's entry points *)
-  c_vblocking_checks : Obs.Metrics.counter option;
 }
 
 type state = {
@@ -70,8 +66,6 @@ let make_obs ?metrics ?trace () =
     c_ballots = c "scp_ballots_entered";
     c_nom_rounds = c "scp_nomination_rounds";
     c_decides = c "scp_decisions";
-    c_quorum_checks = c "scp_quorum_checks";
-    c_vblocking_checks = c "scp_vblocking_checks";
   }
 
 let bump = function Some c -> Obs.Metrics.incr c | None -> ()
@@ -173,72 +167,57 @@ let accept st ctx stmt =
 
 (* A vote for Prepare (n', x) with n' >= n supports Prepare (n, x): the
    higher prepare aborts strictly more ballots. Concrete SCP messages
-   carry ballot ranges; here we merge tallies at evaluation time. *)
-let merged_sets st stmt =
+   carry ballot ranges; here we merge tallies at evaluation time.
+   [pick] selects the voters or the acceptors of a tally. *)
+let merged st stmt (tl : Fvoting.tally) pick =
   match stmt with
   | Statement.Prepare b ->
-      List.fold_left
-        (fun (voters, acceptors) s ->
+      Fvoting.fold
+        (fun s tl' acc ->
           match s with
           | Statement.Prepare b'
             when Ballot.compatible b b' && b'.Ballot.counter >= b.Ballot.counter
             ->
-              let tl = Fvoting.tally st.fv s in
-              ( Pid.Set.union voters tl.voters,
-                Pid.Set.union acceptors tl.acceptors )
-          | _ -> (voters, acceptors))
-        (Pid.Set.empty, Pid.Set.empty)
-        (Fvoting.statements st.fv)
-  | _ ->
-      let tl = Fvoting.tally st.fv stmt in
-      (tl.voters, tl.acceptors)
+              Pid.Dense_set.union acc (pick tl')
+          | _ -> acc)
+        st.fv Pid.Dense_set.empty
+  | Statement.Nominate _ | Statement.Commit _ -> pick tl
 
-let member_of_quorum st s =
-  bump st.obs.c_quorum_checks;
-  Pid.Set.mem st.cfg.self
-    (Fbqs.Quorum.greatest_quorum_within !(st.known_slices) s)
+let voters (tl : Fvoting.tally) = tl.voters
+let acceptors (tl : Fvoting.tally) = tl.acceptors
 
 (* Accepting a statement is forbidden when we already accepted a
    contradicting one: prepare(b) aborts lower incompatible ballots, so
    it contradicts their commits, and vice versa. *)
 let contradicts_accepted st stmt =
-  let accepted s = (Fvoting.tally st.fv s).i_accepted in
   match stmt with
   | Statement.Prepare b ->
-      List.exists
-        (fun s ->
+      Fvoting.exists
+        (fun s (tl : Fvoting.tally) ->
           match s with
           | Statement.Commit b' ->
-              accepted s && Ballot.less_and_incompatible b' b
+              tl.i_accepted && Ballot.less_and_incompatible b' b
           | _ -> false)
-        (Fvoting.statements st.fv)
+        st.fv
   | Statement.Commit b ->
-      List.exists
-        (fun s ->
+      Fvoting.exists
+        (fun s (tl : Fvoting.tally) ->
           match s with
           | Statement.Prepare b' ->
-              accepted s && Ballot.less_and_incompatible b b'
+              tl.i_accepted && Ballot.less_and_incompatible b b'
           | _ -> false)
-        (Fvoting.statements st.fv)
+        st.fv
   | Statement.Nominate _ -> false
 
-let can_accept st stmt =
-  let tl = Fvoting.tally st.fv stmt in
+let can_accept st stmt (tl : Fvoting.tally) =
   (not tl.i_accepted)
   && (not (contradicts_accepted st stmt))
-  &&
-  let voters, acceptors = merged_sets st stmt in
-  member_of_quorum st voters
-  ||
-  (bump st.obs.c_vblocking_checks;
-   Fbqs.Quorum.is_v_blocking !(st.known_slices) st.cfg.self acceptors)
+  && (Fvoting.quorum_within st.fv (merged st stmt tl voters)
+     || Fvoting.v_blocking st.fv (merged st stmt tl acceptors))
 
-let can_confirm st stmt =
-  let tl = Fvoting.tally st.fv stmt in
+let can_confirm st stmt (tl : Fvoting.tally) =
   (not tl.i_confirmed)
-  &&
-  let _, acceptors = merged_sets st stmt in
-  member_of_quorum st acceptors
+  && Fvoting.quorum_within st.fv (merged st stmt tl acceptors)
 
 (* ---- ballot machinery ------------------------------------------------ *)
 
@@ -266,15 +245,14 @@ let enter_ballot st ctx b =
 (* May we vote to commit b? Not if we asserted any higher incompatible
    prepare (which voted to abort b). *)
 let may_vote_commit st b =
-  List.for_all
-    (fun s ->
+  Fvoting.for_all
+    (fun s (tl : Fvoting.tally) ->
       match s with
       | Statement.Prepare b' ->
-          let tl = Fvoting.tally st.fv s in
           (not (tl.i_voted || tl.i_accepted))
           || not (Ballot.less_and_incompatible b b')
       | _ -> true)
-    (Fvoting.statements st.fv)
+    st.fv
 
 let on_confirmed st ctx stmt =
   match stmt with
@@ -309,38 +287,37 @@ let on_confirmed st ctx stmt =
    unlock further acceptances and confirmations. *)
 let rec progress st ctx =
   let changed = ref false in
-  List.iter
-    (fun stmt ->
-      if can_accept st stmt then begin
+  Fvoting.iter
+    (fun stmt tl ->
+      if can_accept st stmt tl then begin
         accept st ctx stmt;
         changed := true
       end;
-      if can_confirm st stmt then begin
+      if can_confirm st stmt tl then begin
         Fvoting.mark_confirmed st.fv stmt;
         bump st.obs.c_confirms;
         obs_event st ctx "confirm" (stmt_field stmt);
         on_confirmed st ctx stmt;
         changed := true
       end)
-    (Fvoting.statements st.fv);
+    st.fv;
   if !changed then progress st ctx
 
 (* Catching up: accepting a prepare above our ballot pulls us onto it
    (the v-blocking "jump" of concrete SCP). *)
 let maybe_jump st ctx =
-  List.iter
-    (fun stmt ->
+  Fvoting.iter
+    (fun stmt (tl : Fvoting.tally) ->
       match stmt with
       | Statement.Prepare b ->
-          let accepted = (Fvoting.tally st.fv stmt).i_accepted in
           let above_current =
             match st.current with
             | None -> true
             | Some cur -> Ballot.compare b cur > 0
           in
-          if accepted && above_current then enter_ballot st ctx b
+          if tl.i_accepted && above_current then enter_ballot st ctx b
       | Statement.Nominate _ | Statement.Commit _ -> ())
-    (Fvoting.statements st.fv)
+    st.fv
 
 (* ---- the behaviour ---------------------------------------------------- *)
 
@@ -365,15 +342,14 @@ let bump_nomination_round st ctx timeout =
   let ls = leaders st in
   if Pid.Set.mem st.cfg.self ls then
     vote st ctx (Statement.Nominate st.cfg.initial_value);
-  List.iter
-    (fun stmt ->
+  Fvoting.iter
+    (fun stmt (tl : Fvoting.tally) ->
       match stmt with
       | Statement.Nominate _ ->
-          let tl = Fvoting.tally st.fv stmt in
-          if not (Pid.Set.is_empty (Pid.Set.inter tl.voters ls)) then
+          if Pid.Set.exists (fun l -> Pid.Dense_set.mem l tl.voters) ls then
             vote st ctx stmt
       | Statement.Prepare _ | Statement.Commit _ -> ())
-    (Fvoting.statements st.fv);
+    st.fv;
   Engine.set_timer ctx
     ~delay:(timeout * st.nom_round)
     (Printf.sprintf "nom:%d" st.nom_round)

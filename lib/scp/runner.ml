@@ -47,9 +47,13 @@ let run_cfg ?(cfg = default_cfg) ~system ~peers_of ~initial_value_of ~fault_of
   let rc = cfg.run in
   let metrics = rc.Run_config.metrics and trace = rc.Run_config.trace in
   let engine = Engine.create_cfg ~pp_msg:Msg.pp rc in
-  (* Scrape the process-global quorum-cache counters as deltas so the
-     run's metrics reflect only this run. *)
-  let cache0 = Fbqs.Quorum.cache_stats () in
+  (* Each honest node counts its own view reuses and compiles into
+     these; registered here so a run without one still reports them. *)
+  Option.iter
+    (fun reg ->
+      ignore (Obs.Metrics.counter reg "fbqs_cache_hits");
+      ignore (Obs.Metrics.counter reg "fbqs_cache_misses"))
+    metrics;
   let trace_event ~time name fields =
     match trace with
     | None -> ()
@@ -150,16 +154,6 @@ let run_cfg ?(cfg = default_cfg) ~system ~peers_of ~initial_value_of ~fault_of
           (Value.to_list v))
       decided_values
   in
-  (match metrics with
-  | None -> ()
-  | Some reg ->
-      let cache1 = Fbqs.Quorum.cache_stats () in
-      Obs.Metrics.incr
-        ~by:(cache1.Core.Cache.hits - cache0.Core.Cache.hits)
-        (Obs.Metrics.counter reg "fbqs_cache_hits");
-      Obs.Metrics.incr
-        ~by:(cache1.Core.Cache.misses - cache0.Core.Cache.misses)
-        (Obs.Metrics.counter reg "fbqs_cache_misses"));
   trace_event ~time:stats.Engine.end_time "run_end"
     [
       ("end_time", Obs.Json.Int stats.Engine.end_time);

@@ -59,6 +59,8 @@ val run_cfg :
     (normally its slice domain). The run stops when every correct node
     has decided or at [cfg.run.max_time]. When [cfg.run] carries
     observability sinks, the engine and every honest node are
-    instrumented, scope-["runner"] [run_start]/[run_end] events bracket
-    the trace, and the process-global quorum-cache counters are scraped
-    as per-run deltas ([fbqs_cache_hits]/[fbqs_cache_misses]). *)
+    instrumented, and scope-["runner"] [run_start]/[run_end] events
+    bracket the trace. The registry's [fbqs_cache_hits] and
+    [fbqs_cache_misses] count, per quorum check of an honest node,
+    whether that node's compiled view of its learned slices was reused
+    or compiled ({!Fvoting.create}): they belong to this run alone. *)

@@ -1,7 +1,7 @@
 (* Reference implementations, kept with the tests: the seed's tree-set
    graph algorithms, its list-based Dinic, its tree-set Algorithm 1,
-   its subset sweeps for the FBQS analyses and its generic event
-   queue. [lib/] holds one implementation per function, the fast one;
+   its subset sweeps for the FBQS analyses, its generic event queue
+   and its Set-backed consensus value. [lib/] holds one implementation per function, the fast one;
    the qcheck suites check it against these, and [bench micro] prices
    the gap. Each submodule names the [lib/] module whose functions it
    mirrors, and later submodules build on the earlier ones, as the
@@ -524,4 +524,35 @@ module Event_queue = struct
 
   let peek_time q = if q.size = 0 then None else Some q.data.(0).time
   let high_water q = q.high_water
+end
+
+(* The seed's Set-backed consensus value: the order and the set algebra
+   [Scp.Value]'s ascending arrays must reproduce. *)
+module Value = struct
+  module S = Set.Make (Int)
+
+  type t = S.t
+
+  let of_ints = S.of_list
+  let empty = S.empty
+  let is_empty = S.is_empty
+  let singleton = S.singleton
+  let union = S.union
+  let combine = List.fold_left S.union S.empty
+
+  let compare a b =
+    match Int.compare (S.cardinal a) (S.cardinal b) with
+    | 0 -> S.compare a b
+    | c -> c
+
+  let equal = S.equal
+
+  let pp ppf v =
+    Format.fprintf ppf "{%a}"
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+         Format.pp_print_int)
+      (S.elements v)
+
+  let to_list = S.elements
 end

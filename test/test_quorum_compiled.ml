@@ -213,6 +213,82 @@ let prop_compiled_domain =
             (D.of_set (Slice.domain (Quorum.slices_of sys i))))
         (List.init 202 Fun.id))
 
+(* Systems for the v-blocking test: explicit slices that may include
+   an empty slice (or be [Explicit []]), and thresholds from negative
+   to above the member count, over pids up to 200. A query asks about
+   participants and absent pids alike. *)
+let gen_blocking_query =
+  QCheck.Gen.(
+    let* pids = list_size (int_range 1 10) (int_bound 200) in
+    let pool = List.sort_uniq Int.compare pids in
+    let subset_of_pool =
+      let* l = list_size (int_bound 4) (oneofl pool) in
+      return (Pid.Set.of_list l)
+    in
+    let* assoc =
+      flatten_l
+        (List.map
+           (fun i ->
+             let* kind = int_bound 2 in
+             match kind with
+             | 0 ->
+                 let* slices = list_size (int_bound 3) subset_of_pool in
+                 return (Some (i, Slice.explicit slices))
+             | 1 ->
+                 let* members = subset_of_pool in
+                 let* threshold =
+                   int_range (-2) (Pid.Set.cardinal members + 2)
+                 in
+                 return (Some (i, Slice.threshold ~members ~threshold))
+             | _ -> return None)
+           pool)
+    in
+    let* i = oneof [ oneofl pool; int_bound 200 ] in
+    let* b = list_size (int_bound 6) (oneof [ oneofl pool; int_bound 200 ]) in
+    return
+      (Quorum.system_of_list (List.filter_map Fun.id assoc), i, Pid.Set.of_list b))
+
+let prop_is_v_blocking_d =
+  QCheck.Test.make ~count:1000 ~name:"is_v_blocking_d = Quorum.is_v_blocking"
+    (QCheck.make
+       ~print:(fun (sys, i, b) ->
+         Format.asprintf "system=%a i=%d b=%a" (Pid.Map.pp Slice.pp) sys i
+           Pid.Set.pp b)
+       gen_blocking_query)
+    (fun (sys, i, b) ->
+      Bool.equal
+        (Quorum.Compiled.is_v_blocking_d (Quorum.Compiled.compile sys) i
+           (D.of_set b))
+        (Quorum.is_v_blocking sys i b))
+
+let test_is_v_blocking_d_edges () =
+  let m = set [ 1; 2; 3 ] in
+  let sys =
+    Quorum.system_of_list
+      [
+        (1, Slice.explicit []);
+        (2, Slice.explicit [ set [ 3 ]; Pid.Set.empty ]);
+        (3, Slice.threshold ~members:m ~threshold:0);
+        (4, Slice.threshold ~members:m ~threshold:(-1));
+        (5, Slice.threshold ~members:m ~threshold:4);
+        (6, Slice.threshold ~members:m ~threshold:2);
+        (7, Slice.explicit [ set [ 1; 150 ]; set [ 2 ] ]);
+      ]
+  in
+  let c = Quorum.Compiled.compile sys in
+  let b = set [ 1; 2; 3; 150 ] in
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pid %d" i)
+        (Quorum.is_v_blocking sys i b)
+        (Quorum.Compiled.is_v_blocking_d c i (D.of_set b)))
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 200 ];
+  Alcotest.(check bool) "2 of 3 blocks any 2 of 3" true
+    (Quorum.Compiled.is_v_blocking_d c 6 (D.of_set (set [ 1; 3 ])));
+  Alcotest.(check bool) "a slice avoids 150" false
+    (Quorum.Compiled.is_v_blocking_d c 7 (D.of_set (set [ 150 ])))
+
 let suites =
   [
     ( "quorum_compiled",
@@ -225,5 +301,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_wrappers_agree_with_compiled;
         QCheck_alcotest.to_alcotest prop_keeping_decides;
         QCheck_alcotest.to_alcotest prop_compiled_domain;
+        QCheck_alcotest.to_alcotest prop_is_v_blocking_d;
+        Alcotest.test_case "is_v_blocking_d edge cases" `Quick
+          test_is_v_blocking_d_edges;
       ] );
   ]

@@ -205,6 +205,54 @@ let prop_random_byzantine_safe_graphs_consensus =
       in
       o.all_decided && o.agreement && o.validity)
 
+(* A run's metrics are a function of the run alone: each node counts
+   its own compiled-view reuses and compiles, so neither runs in flight
+   beside it nor the process-wide compiled-handle cache's capacity may
+   move them. *)
+let run_metrics ~n ~t seed =
+  let metrics = Obs.Metrics.create () in
+  let d = Runner.default_cfg in
+  ignore
+    (Runner.run_cfg
+       ~cfg:{ d with run = { d.run with seed; metrics = Some metrics } }
+       ~system:(threshold_system n t) ~peers_of:(all_peers n)
+       ~initial_value_of:own_value ~fault_of:no_faults ());
+  metrics
+
+let metrics_json ~n ~t seed =
+  Obs.Json.to_string (Obs.Metrics.to_json (run_metrics ~n ~t seed))
+
+let test_overlapping_runs_metrics () =
+  let seeds = List.init 8 (fun k -> k + 1) in
+  Alcotest.(check (list string))
+    "metrics at jobs 2 = sequential"
+    (List.map (metrics_json ~n:7 ~t:5) seeds)
+    (Simkit.Exec.map ~jobs:2 (metrics_json ~n:7 ~t:5) seeds)
+
+let test_metrics_independent_of_cache_capacity () =
+  let n = 4 in
+  let capacity = (Fbqs.Quorum.cache_stats ()).capacity in
+  let at cap =
+    Fbqs.Quorum.set_cache_capacity cap;
+    run_metrics ~n ~t:3 1
+  in
+  let small, large =
+    Fun.protect
+      ~finally:(fun () -> Fbqs.Quorum.set_cache_capacity capacity)
+      (fun () ->
+        let small = at 2 in
+        (small, at 64))
+  in
+  let json m = Obs.Json.to_string (Obs.Metrics.to_json m) in
+  Alcotest.(check string) "capacity 2 = capacity 64" (json large) (json small);
+  let misses =
+    Obs.Metrics.counter_value (Obs.Metrics.counter small "fbqs_cache_misses")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d compiles <= n^2" misses)
+    true
+    (misses > 0 && misses <= n * n)
+
 let suites =
   [
     ( "scp_run",
@@ -230,5 +278,9 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_deterministic;
         QCheck_alcotest.to_alcotest
           prop_random_byzantine_safe_graphs_consensus;
+        Alcotest.test_case "overlapping runs keep their metrics" `Quick
+          test_overlapping_runs_metrics;
+        Alcotest.test_case "metrics independent of cache capacity" `Quick
+          test_metrics_independent_of_cache_capacity;
       ] );
   ]

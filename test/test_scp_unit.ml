@@ -100,7 +100,95 @@ let test_fv_commit_implies_prepare_tally () =
   Fvoting.record_vote fv (Statement.Commit b) 2;
   let tl = Fvoting.tally fv (Statement.Prepare b) in
   Alcotest.(check bool) "commit vote counted for prepare" true
-    (Graphkit.Pid.Set.mem 2 tl.voters)
+    (Graphkit.Pid.Dense_set.mem 2 tl.voters)
+
+(* ---- Value against the seed's Set-backed value ---------------------- *)
+
+module O = Oracle.Value
+
+let sign c = Int.compare c 0
+
+(* Unsorted lists with duplicates, negative and large ints. *)
+let gen_ints =
+  QCheck.Gen.(
+    list_size (int_bound 8)
+      (oneof
+         [
+           int_range (-5) 12;
+           oneofl [ min_int; max_int; -1_000_000_007; 1 lsl 40 ];
+         ]))
+
+let arb_ints = QCheck.make ~print:QCheck.Print.(list int) gen_ints
+
+let same_value v o =
+  Value.to_list v = O.to_list o
+  && String.equal
+       (Format.asprintf "%a" Value.pp v)
+       (Format.asprintf "%a" O.pp o)
+
+let prop_value_of_ints =
+  QCheck.Test.make ~count:500 ~name:"Value.of_ints/to_list/pp = oracle"
+    arb_ints (fun l ->
+      same_value (Value.of_ints l) (O.of_ints l)
+      && Bool.equal (Value.is_empty (Value.of_ints l)) (O.is_empty (O.of_ints l)))
+
+let prop_value_pairs =
+  QCheck.Test.make ~count:1000 ~name:"Value compare/equal/union = oracle"
+    (QCheck.pair arb_ints arb_ints) (fun (a, b) ->
+      let va = Value.of_ints a and vb = Value.of_ints b in
+      let oa = O.of_ints a and ob = O.of_ints b in
+      sign (Value.compare va vb) = sign (O.compare oa ob)
+      && Bool.equal (Value.equal va vb) (O.equal oa ob)
+      && same_value (Value.union va vb) (O.union oa ob)
+      && Value.compare va va = 0)
+
+let prop_value_combine =
+  QCheck.Test.make ~count:300 ~name:"Value.combine = oracle"
+    (QCheck.small_list arb_ints) (fun ls ->
+      same_value
+        (Value.combine (List.map Value.of_ints ls))
+        (O.combine (List.map O.of_ints ls)))
+
+(* Statements keyed by the oracle value, in the seed's statement order. *)
+let oracle_stmt_compare (ta, ca, oa) (tb, cb, ob) =
+  match Int.compare ta tb with
+  | 0 -> ( match Int.compare ca cb with 0 -> O.compare oa ob | c -> c)
+  | c -> c
+
+let gen_stmt =
+  QCheck.Gen.(
+    let* tag = int_bound 2 in
+    let* counter = int_range 1 3 in
+    let* ints = list_size (int_bound 3) (int_range 0 4) in
+    let v = Value.of_ints ints in
+    let stmt =
+      match tag with
+      | 0 -> Statement.Nominate v
+      | 1 -> Statement.Prepare (Ballot.make counter v)
+      | _ -> Statement.Commit (Ballot.make counter v)
+    in
+    return (stmt, (tag, (if tag = 0 then 0 else counter), O.of_ints ints)))
+
+let prop_statement_map_order =
+  QCheck.Test.make ~count:300
+    ~name:"Statement.Map bindings in the oracle's statement order"
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat "; "
+           (List.map (fun (s, _) -> Format.asprintf "%a" Statement.pp s) l))
+       QCheck.Gen.(list_size (int_bound 30) gen_stmt))
+    (fun stmts ->
+      let m =
+        List.fold_left
+          (fun m (s, key) -> Statement.Map.add s key m)
+          Statement.Map.empty stmts
+      in
+      let expected =
+        List.sort_uniq oracle_stmt_compare (List.map snd stmts)
+      in
+      let keys = List.map snd (Statement.Map.bindings m) in
+      List.length keys = List.length expected
+      && List.for_all2 (fun a b -> oracle_stmt_compare a b = 0) keys expected)
 
 let suites =
   [
@@ -119,5 +207,9 @@ let suites =
         Alcotest.test_case "FV confirm" `Quick test_fv_confirm;
         Alcotest.test_case "FV commit implies prepare" `Quick
           test_fv_commit_implies_prepare_tally;
+        QCheck_alcotest.to_alcotest prop_value_of_ints;
+        QCheck_alcotest.to_alcotest prop_value_pairs;
+        QCheck_alcotest.to_alcotest prop_value_combine;
+        QCheck_alcotest.to_alcotest prop_statement_map_order;
       ] );
   ]
