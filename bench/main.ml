@@ -224,7 +224,7 @@ let bench_v_blocking =
   let sys = threshold_system n ((2 * n / 3) + 1) in
   let b = Pid.Set.of_range 1 ((n / 3) + 1) in
   Test.make ~name:"v-blocking/symbolic n=1000" (Staged.stage (fun () ->
-      ignore (Fbqs.Quorum.is_v_blocking sys 1 b)))
+      ignore (Oracle.Quorum.is_v_blocking sys 1 b)))
 
 let bench_sink_oracle =
   let g = Generators.random_k_osr ~seed:7 ~sink_size:30 ~non_sink:30 ~k:3 () in
@@ -262,7 +262,7 @@ let subject_dset_enum_baseline = "dset/is_dset-enum-baseline n=10"
 let enum_baseline_is_dset sys b =
   Fbqs.Dset.quorum_availability_despite sys b
   &&
-  let quorums = Fbqs.Quorum.enum_quorums (Fbqs.Dset.delete sys b) in
+  let quorums = Fbqs.Quorum.enum_quorums (Fbqs.Quorum.delete sys b) in
   List.for_all
     (fun q1 ->
       List.for_all
@@ -554,16 +554,6 @@ let strip_group name =
          (String.length name - String.length prefix)
   else name
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The commit the numbers were measured at, so a BENCH_quorum.json in
    isolation still says what it describes. Wall-clock-free: a git SHA
    is repository state, not time, and [check-experiments] does not
@@ -597,10 +587,13 @@ let scp_run_counters () =
        ());
   Obs.Json.to_string (Obs.Metrics.to_json metrics)
 
-(* [rows]: (subject, ns/run) sorted by subject. The comparisons pit the
-   dense bitset kernel against the seed's tree-set path on the same
-   workload; [speedup] > 1 means the dense kernel is faster. *)
-let write_analysis_json rows =
+(* Writes one committed microbench file: its [schema], the [rows]
+   ((subject, ns/run), sorted by subject), a comparison per
+   (subject, baseline) pair in [pairs] that has both rows ([speedup] > 1
+   means the subject is faster), then the already-rendered [extra]
+   sections. One object per line, so diffs stay legible. A row Bechamel
+   could not estimate is written as [null]. *)
+let write_rows_json ~file ~schema ~pairs ?(extra = []) rows =
   let find name = List.assoc_opt name rows in
   let comparisons =
     List.filter_map
@@ -609,25 +602,22 @@ let write_analysis_json rows =
         | Some s, Some b when s > 0. && not (Float.is_nan b) ->
             Some (subject, baseline, b /. s)
         | _ -> None)
-      [
-        (subject_minq_bb, subject_minq_gosper);
-        (subject_minq_parallel_stellarbeat, subject_minq_stellarbeat);
-        (subject_blocking_parallel_stellarbeat, subject_blocking_stellarbeat);
-        (subject_splitting_parallel_stellarbeat, subject_splitting_stellarbeat);
-      ]
+      pairs
   in
-  let oc = open_out analysis_json_file in
+  let oc = open_out file in
   let out fmt = Printf.fprintf oc fmt in
+  let sep i l = if i = List.length l - 1 then "" else "," in
   out "{\n";
-  out "  \"schema\": \"stellar-cup/bench-analysis/v1\",\n";
-  out "  \"git_sha\": \"%s\",\n" (json_escape (git_sha ()));
+  out "  \"schema\": \"%s\",\n" schema;
+  out "  \"git_sha\": \"%s\",\n" (Obs.Json.escape (git_sha ()));
   out "  \"unit\": \"ns_per_run\",\n";
   out "  \"subjects\": [\n";
   List.iteri
     (fun i (name, ns) ->
-      out "    {\"name\": \"%s\", \"ns_per_run\": %.2f}%s\n"
-        (json_escape name) ns
-        (if i = List.length rows - 1 then "" else ","))
+      out "    {\"name\": \"%s\", \"ns_per_run\": %s}%s\n"
+        (Obs.Json.escape name)
+        (if Float.is_nan ns then "null" else Printf.sprintf "%.2f" ns)
+        (sep i rows))
     rows;
   out "  ],\n";
   out "  \"comparisons\": [\n";
@@ -635,31 +625,29 @@ let write_analysis_json rows =
     (fun i (subject, baseline, speedup) ->
       out
         "    {\"subject\": \"%s\", \"baseline\": \"%s\", \"speedup\": %.2f}%s\n"
-        (json_escape subject) (json_escape baseline) speedup
-        (if i = List.length comparisons - 1 then "" else ","))
+        (Obs.Json.escape subject) (Obs.Json.escape baseline) speedup
+        (sep i comparisons))
     comparisons;
-  out "  ]\n";
-  out "}\n";
+  out "  ]";
+  List.iter (fun (key, json) -> out ",\n  \"%s\": %s" key json) extra;
+  out "\n}\n";
   close_out oc;
   List.iter
     (fun (subject, baseline, speedup) ->
       Format.printf "speedup: %s is %.1fx the %s path@." subject speedup
         baseline)
     comparisons;
-  Format.printf "results written to %s@." analysis_json_file
+  Format.printf "results written to %s@." file
 
+(* The comparisons pit each fast path against the seed path it
+   replaced (or a parallel row against its sequential twin) on the same
+   workload. *)
 let write_bench_json all_rows =
   let analysis_rows, rows =
     List.partition (fun (name, _) -> List.mem name analysis_subjects) all_rows
   in
-  let find name = List.assoc_opt name rows in
-  let comparisons =
-    List.filter_map
-      (fun (subject, baseline) ->
-        match (find subject, find baseline) with
-        | Some s, Some b when s > 0. && not (Float.is_nan b) ->
-            Some (subject, baseline, b /. s)
-        | _ -> None)
+  write_rows_json ~file:bench_json_file ~schema:"stellar-cup/bench-quorum/v1"
+    ~pairs:
       [
         (subject_is_quorum_symbolic, subject_is_quorum_tree);
         (subject_inter_cardinal_dense, subject_inter_cardinal_tree);
@@ -671,40 +659,22 @@ let write_bench_json all_rows =
         (subject_reach_csr, subject_reach_tree);
         (subject_kosr_csr, subject_kosr_tree);
       ]
-  in
-  let oc = open_out bench_json_file in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": \"stellar-cup/bench-quorum/v1\",\n";
-  out "  \"git_sha\": \"%s\",\n" (json_escape (git_sha ()));
-  out "  \"unit\": \"ns_per_run\",\n";
-  out "  \"subjects\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      out "    {\"name\": \"%s\", \"ns_per_run\": %.2f}%s\n"
-        (json_escape name) ns
-        (if i = List.length rows - 1 then "" else ","))
+    ~extra:
+      [
+        ( "counters",
+          Printf.sprintf "{\"scp_4node_seed1\": %s}" (scp_run_counters ()) );
+      ]
     rows;
-  out "  ],\n";
-  out "  \"comparisons\": [\n";
-  List.iteri
-    (fun i (subject, baseline, speedup) ->
-      out
-        "    {\"subject\": \"%s\", \"baseline\": \"%s\", \"speedup\": %.2f}%s\n"
-        (json_escape subject) (json_escape baseline) speedup
-        (if i = List.length comparisons - 1 then "" else ","))
-    comparisons;
-  out "  ],\n";
-  out "  \"counters\": {\"scp_4node_seed1\": %s}\n" (scp_run_counters ());
-  out "}\n";
-  close_out oc;
-  List.iter
-    (fun (subject, baseline, speedup) ->
-      Format.printf "speedup: %s is %.1fx the %s path@." subject speedup
-        baseline)
-    comparisons;
-  Format.printf "results written to %s@." bench_json_file;
-  write_analysis_json analysis_rows
+  write_rows_json ~file:analysis_json_file
+    ~schema:"stellar-cup/bench-analysis/v1"
+    ~pairs:
+      [
+        (subject_minq_bb, subject_minq_gosper);
+        (subject_minq_parallel_stellarbeat, subject_minq_stellarbeat);
+        (subject_blocking_parallel_stellarbeat, subject_blocking_stellarbeat);
+        (subject_splitting_parallel_stellarbeat, subject_splitting_stellarbeat);
+      ]
+    analysis_rows
 
 let measure_rows () =
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None () in
@@ -863,47 +833,37 @@ let sweep_experiments =
 
 (* ---- bench regression gate ------------------------------------------- *)
 
-let find_sub hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i =
-    if i + nl > hl then None
-    else if String.sub hay i nl = needle then Some (i + nl)
-    else go (i + 1)
+(* The named rows of a committed BENCH file: [(name, value)] for each
+   object of its [section] list, [value_key] selecting the number
+   (["ns_per_run"] in the microbench files' ["subjects"],
+   ["sequential_s"] in the sweep file's ["experiments"]). A row without
+   a number (a [null] estimate) is skipped. *)
+let named_rows ~section ~value_key contents =
+  let open Obs.Json in
+  let number = function
+    | Float v -> Some v
+    | Int v -> Some (float_of_int v)
+    | _ -> None
   in
-  go 0
-
-(* Parses named rows back out of our own writers' output (one object
-   per line, both keys present): a hand-rolled scan keeps the harness
-   free of a JSON dependency. [value_key] selects the numeric field —
-   ["ns_per_run"] for the microbench files, ["sequential_s"] for the
-   sweep file. *)
-let parse_named_rows ~value_key contents =
-  let value_needle = Printf.sprintf "\"%s\": " value_key in
-  String.split_on_char '\n' contents
-  |> List.filter_map (fun line ->
-         match find_sub line "\"name\": \"" with
-         | None -> None
-         | Some ns -> (
-             match String.index_from_opt line ns '"' with
-             | None -> None
-             | Some ne -> (
-                 let name = String.sub line ns (ne - ns) in
-                 match find_sub line value_needle with
-                 | None -> None
-                 | Some vs -> (
-                     let ve = ref vs in
-                     while
-                       !ve < String.length line
-                       &&
-                       match line.[!ve] with
-                       | '0' .. '9' | '.' | '-' | '+' | 'e' -> true
-                       | _ -> false
-                     do
-                       incr ve
-                     done;
-                     match float_of_string_opt (String.sub line vs (!ve - vs)) with
-                     | Some v -> Some (name, v)
-                     | None -> None))))
+  match of_string contents with
+  | Error e -> Error e
+  | Ok (Obj fields) -> (
+      match List.assoc_opt section fields with
+      | Some (List rows) ->
+          Ok
+            (List.filter_map
+               (function
+                 | Obj row -> (
+                     match
+                       (List.assoc_opt "name" row, List.assoc_opt value_key row)
+                     with
+                     | Some (String name), Some v ->
+                         Option.map (fun v -> (name, v)) (number v)
+                     | _ -> None)
+                 | _ -> None)
+               rows)
+      | _ -> Error (Printf.sprintf "no %S list" section))
+  | Ok _ -> Error "not a JSON object"
 
 (* Re-measures the microbenches (and the sweep experiments' sequential
    legs) and compares each subject against the committed
@@ -913,27 +873,31 @@ let parse_named_rows ~value_key contents =
    gate can run in CI ahead of the [micro] and [sweep] modes that
    regenerate them. *)
 let check_regress ~tolerance =
-  let rows_of ~value_key file =
+  let rows_of ~section ~value_key file =
     match open_in_bin file with
     | exception Sys_error msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 2
-    | ic ->
+    | ic -> (
         let n = in_channel_length ic in
         let s = really_input_string ic n in
         close_in ic;
-        let subjects = parse_named_rows ~value_key s in
-        if subjects = [] then begin
-          Printf.eprintf "error: no subjects found in %s\n" file;
-          exit 2
-        end;
-        subjects
+        match named_rows ~section ~value_key s with
+        | Error e ->
+            Printf.eprintf "error: %s: %s\n" file e;
+            exit 2
+        | Ok [] ->
+            Printf.eprintf "error: no subjects found in %s\n" file;
+            exit 2
+        | Ok subjects -> subjects)
   in
-  let subjects_of = rows_of ~value_key:"ns_per_run" in
+  let subjects_of = rows_of ~section:"subjects" ~value_key:"ns_per_run" in
   let committed =
     subjects_of bench_json_file @ subjects_of analysis_json_file
   in
-  let sweep_committed = rows_of ~value_key:"sequential_s" sweep_json_file in
+  let sweep_committed =
+    rows_of ~section:"experiments" ~value_key:"sequential_s" sweep_json_file
+  in
   let regressions = ref 0 in
   (* The sweep file tracks wall-clock seconds, not ns/run: re-run each
      committed experiment's sequential leg once and hold it to the same
@@ -1029,12 +993,12 @@ let run_sweep ~jobs =
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"schema\": \"stellar-cup/bench-sweep/v1\",\n";
-  out "  \"git_sha\": \"%s\",\n" (json_escape (git_sha ()));
+  out "  \"git_sha\": \"%s\",\n" (Obs.Json.escape (git_sha ()));
   out "  \"jobs\": %d,\n" jobs;
   (* [n = 2] stands for "any parallel-sized input": the backend choice
      only depends on whether jobs and n both exceed 1. *)
   out "  \"backend\": \"%s\",\n"
-    (json_escape (Simkit.Exec.backend_name (Simkit.Exec.backend ~jobs 2)));
+    (Obs.Json.escape (Simkit.Exec.backend_name (Simkit.Exec.backend ~jobs 2)));
   out "  \"unit\": \"seconds_wall_clock\",\n";
   out "  \"experiments\": [\n";
   List.iteri
@@ -1042,7 +1006,7 @@ let run_sweep ~jobs =
       out
         "    {\"name\": \"%s\", \"samples\": %d, \"sequential_s\": %.3f, \
          \"parallel_s\": %.3f, \"speedup\": %.2f, \"identical\": true}%s\n"
-        (json_escape name) samples seq_s par_s (seq_s /. par_s)
+        (Obs.Json.escape name) samples seq_s par_s (seq_s /. par_s)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  ]\n";

@@ -27,32 +27,33 @@ open Cmdliner
 let build_graph = Serve.Api.build_graph
 
 let graph_term =
+  let d = Serve.Api.default_graph_spec in
   let kind =
     Arg.(
       value
-      & opt string "fig2"
+      & opt string d.kind
       & info [ "graph" ] ~docv:"KIND"
           ~doc:"Graph: fig1, fig2, family (generalized counter-example), \
                 random (k-OSR with k = 2f+1), or file:PATH (adjacency \
                 list: one 'vertex: succ succ ...' line per vertex).")
   in
   let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
+    Arg.(value & opt int d.seed & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
   in
   let sink_size =
     Arg.(
-      value & opt int 5
+      value & opt int d.sink_size
       & info [ "sink-size" ] ~docv:"N" ~doc:"Sink size for generators.")
   in
   let non_sink =
     Arg.(
-      value & opt int 4
+      value & opt int d.non_sink
       & info [ "non-sink" ] ~docv:"N"
           ~doc:"Number of non-sink members for generators.")
   in
   let f =
     Arg.(
-      value & opt int 1
+      value & opt int d.f
       & info [ "f" ] ~docv:"N" ~doc:"Fault threshold f.")
   in
   let make kind seed sink_size non_sink f =
@@ -594,7 +595,8 @@ let fbas_analyze_cmd =
   in
   let cap =
     Arg.(
-      value & opt int 64
+      value
+      & opt int Serve.Api.default_analysis_options.cap
       & info [ "limit" ] ~docv:"N"
           ~doc:"List at most $(docv) sets per family in reports (counts \
                 stay exact).")

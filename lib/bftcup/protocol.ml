@@ -10,12 +10,6 @@ type outcome = {
   consensus_stats : Engine.stats;
 }
 
-let pp_outcome ppf o =
-  Format.fprintf ppf
-    "@[<v>all_decided=%b agreement=%b validity=%b disc_msgs=%d cons_msgs=%d@]"
-    o.all_decided o.agreement o.validity o.discovery_stats.messages_sent
-    o.consensus_stats.messages_sent
-
 (* Stage 2/3 behaviour for a non-sink member: poll the sink members of
    the discovered view and adopt a value confirmed by f+1 of them. *)
 let requester ~self ~view ~f ~on_decide : Pbft.msg Engine.behavior =

@@ -22,8 +22,6 @@ type outcome = {
   consensus_stats : Simkit.Engine.stats;
 }
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val run :
   ?seed:int ->
   ?gst:int ->

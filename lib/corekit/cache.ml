@@ -4,13 +4,6 @@
    per lookup, no hashing of possibly-large keys (the handle caches key
    by physical equality of whole systems/graphs). *)
 
-type observer = {
-  o_hits : Obs.Metrics.counter;
-  o_misses : Obs.Metrics.counter;
-  o_evictions : Obs.Metrics.counter;
-  o_entries : Obs.Metrics.gauge;
-}
-
 (* Cache operations run inside a pluggable critical section. The
    default is a no-op (single-domain processes pay nothing); the
    parallel executor installs a mutex-backed protector before spawning
@@ -34,7 +27,6 @@ type ('k, 'v) t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable observers : (Obs.Metrics.t * observer) list;
 }
 
 let create ?(equal = ( == )) ~name ~capacity () =
@@ -49,32 +41,12 @@ let create ?(equal = ( == )) ~name ~capacity () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    observers = [];
   }
 
 let name t = t.cname
 let capacity t = t.cap
 let length t = t.len
 let to_list t = t.entries
-
-let each_observer t f = List.iter (fun (_, o) -> f o) t.observers
-
-let note_hit t =
-  t.hits <- t.hits + 1;
-  each_observer t (fun o -> Obs.Metrics.incr o.o_hits)
-
-let note_miss t =
-  t.misses <- t.misses + 1;
-  each_observer t (fun o -> Obs.Metrics.incr o.o_misses)
-
-let note_len t =
-  each_observer t (fun o -> Obs.Metrics.set_gauge o.o_entries t.len)
-
-let note_evictions t n =
-  if n > 0 then begin
-    t.evictions <- t.evictions + n;
-    each_observer t (fun o -> Obs.Metrics.incr ~by:n o.o_evictions)
-  end
 
 (* Keep the first [n] entries, reporting how many were dropped. *)
 let rec take n dropped = function
@@ -94,8 +66,7 @@ let set_capacity t capacity =
         let kept, dropped = take capacity 0 t.entries in
         t.entries <- kept;
         t.len <- capacity;
-        note_evictions t dropped;
-        note_len t
+        t.evictions <- t.evictions + dropped
       end)
 
 let find_opt_raw t k =
@@ -108,10 +79,10 @@ let find_opt_raw t k =
   in
   match pull [] t.entries with
   | Some v ->
-      note_hit t;
+      t.hits <- t.hits + 1;
       Some v
   | None ->
-      note_miss t;
+      t.misses <- t.misses + 1;
       None
 
 let find_opt t k = protected (fun () -> find_opt_raw t k)
@@ -121,11 +92,10 @@ let add_raw t k v =
     let kept, dropped = take (t.cap - 1) 0 t.entries in
     t.entries <- kept;
     t.len <- t.cap - 1;
-    note_evictions t dropped
+    t.evictions <- t.evictions + dropped
   end;
   t.entries <- (k, v) :: t.entries;
-  t.len <- t.len + 1;
-  note_len t
+  t.len <- t.len + 1
 
 let add t k v = protected (fun () -> add_raw t k v)
 
@@ -179,23 +149,3 @@ let stats_to_json s =
       ("length", Obs.Json.Int s.length);
       ("capacity", Obs.Json.Int s.capacity);
     ]
-
-let attach_metrics t registry =
-  if not (List.exists (fun (r, _) -> r == registry) t.observers) then begin
-    let labels = [ ("cache", t.cname) ] in
-    let o =
-      {
-        o_hits = Obs.Metrics.counter registry ~labels "cache_hits";
-        o_misses = Obs.Metrics.counter registry ~labels "cache_misses";
-        o_evictions = Obs.Metrics.counter registry ~labels "cache_evictions";
-        o_entries = Obs.Metrics.gauge registry ~labels "cache_entries";
-      }
-    in
-    (* Seed with the totals accumulated before attachment so the
-       registry always shows lifetime counts. *)
-    if t.hits > 0 then Obs.Metrics.incr ~by:t.hits o.o_hits;
-    if t.misses > 0 then Obs.Metrics.incr ~by:t.misses o.o_misses;
-    if t.evictions > 0 then Obs.Metrics.incr ~by:t.evictions o.o_evictions;
-    Obs.Metrics.set_gauge o.o_entries t.len;
-    t.observers <- (registry, o) :: t.observers
-  end

@@ -4,10 +4,9 @@
     memos in front of [Fbqs.Quorum.Compiled] and [Graphkit.Csr] are
     instances of it, as are the analysis daemon's file and response
     caches. One implementation means one stats record shape
-    ({!type:stats}) everywhere, one capacity knob per instance
-    ({!set_capacity}, daemon-overridable), and one way to surface
-    hit/miss/evict counters in an {!Obs.Metrics} registry
-    ({!attach_metrics}).
+    ({!type:stats}) everywhere and one capacity knob per instance
+    ({!set_capacity}, daemon-overridable); the daemon's [stats] verb
+    reports every instance's {!stats}.
 
     Lookups are most-recently-used: a hit promotes the entry to the
     front, an insertion beyond capacity evicts the least recently used
@@ -78,10 +77,3 @@ val stats : ('k, 'v) t -> stats
 val stats_to_json : stats -> Obs.Json.t
 (** [{"hits", "misses", "evictions", "length", "capacity"}] — integer
     fields in that order. *)
-
-val attach_metrics : ('k, 'v) t -> Obs.Metrics.t -> unit
-(** Registers [cache_hits] / [cache_misses] / [cache_evictions]
-    counters and a [cache_entries] gauge in the registry, all labelled
-    [{"cache": name}], seeds them with the cache's current totals, and
-    keeps them in step with every subsequent operation. Attaching the
-    same registry twice is a no-op. *)

@@ -1,12 +1,18 @@
 open Graphkit
 
+(* Each round halts every participant that the halted set blocks, one
+   compiled v-blocking test per running participant. *)
 let blocking_cascade sys ~down =
+  let c = Quorum.compiled_of sys in
+  let parts = Quorum.participants sys in
   let rec go halted =
+    let hd = Pid.Dense_set.of_set halted in
     let next =
       Pid.Set.filter
         (fun i ->
-          (not (Pid.Set.mem i halted)) && Quorum.is_v_blocking sys i halted)
-        (Quorum.participants sys)
+          (not (Pid.Set.mem i halted))
+          && Quorum.Compiled.is_v_blocking_d c i hd)
+        parts
     in
     if Pid.Set.is_empty next then halted
     else go (Pid.Set.union halted next)
@@ -14,17 +20,7 @@ let blocking_cascade sys ~down =
   go down
 
 let subsets_by_size universe =
-  let elts = Array.of_list (Pid.Set.elements universe) in
-  let n = Array.length elts in
-  if n > 20 then invalid_arg "Analysis: more than 20 participants";
-  let all =
-    List.init (1 lsl n) (fun mask ->
-        let s = ref Pid.Set.empty in
-        for b = 0 to n - 1 do
-          if mask land (1 lsl b) <> 0 then s := Pid.Set.add elts.(b) !s
-        done;
-        !s)
-  in
+  let all = List.rev (Pid.Set.fold_subsets List.cons universe []) in
   List.sort
     (fun a b -> Int.compare (Pid.Set.cardinal a) (Pid.Set.cardinal b))
     all
@@ -61,12 +57,12 @@ let liveness_level sys =
   | Some s -> Pid.Set.cardinal s
   | None -> Pid.Set.cardinal participants + 1
 
-(* Safety level, splitting sets and top tier delegate to [Enum]'s
-   branch-and-bound engine. Splitting sets sweep the full participant
-   set (not just the top tier) so the semantics match the seed subset
-   sweep (the test oracle in [test/oracle]) exactly; the sweep is still
-   exponential in the participant count, but the per-candidate
-   intersection check is the scalable one. *)
+(* The safety level delegates to [Enum]'s branch-and-bound engine. It
+   sweeps the full participant set (not just the top tier) so the
+   semantics match the seed subset sweep (the test oracle in
+   [test/oracle]) exactly; the sweep is still exponential in the
+   participant count, but the per-candidate intersection check is the
+   scalable one. *)
 let safety_level sys =
   let participants = Quorum.participants sys in
   match
@@ -74,10 +70,3 @@ let safety_level sys =
   with
   | [] -> Pid.Set.cardinal participants + 1
   | s :: _ -> Pid.Set.cardinal s
-
-let splitting_sets sys =
-  Enum.minimal_splitting_sets
-    ~universe:(Quorum.participants sys)
-    (Enum.prepare sys)
-
-let top_tier sys = Enum.top_tier (Enum.prepare sys)

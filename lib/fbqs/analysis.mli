@@ -3,8 +3,11 @@
     spirit of the fbas-analyzer / stellarbeat tooling), computed exactly
     on paper-scale systems.
 
-    All enumerative functions inherit the [<= 20] participant guard of
-    {!Quorum.enum_quorums}. *)
+    {!min_blocking_sets} and {!liveness_level} enumerate subsets with
+    {!Graphkit.Pid.Set.fold_subsets}, so they inherit its [<= 20]
+    element guard; {!safety_level} runs on {!Enum} instead, guarded
+    to 62 participants. The minimal quorums, top tier and splitting
+    sets of a system are {!Enum} questions: ask {!Enum} directly. *)
 
 open Graphkit
 
@@ -36,18 +39,3 @@ val safety_level : Quorum.system -> int
     rare; or trivial single-quorum systems). If quorum intersection
     already fails with nobody deleted, this is [0]. Backed by
     {!Enum.minimal_splitting_sets} over the full participant set. *)
-
-val splitting_sets : Quorum.system -> Pid.Set.t list
-(** The inclusion-minimal sets whose deletion breaks quorum
-    intersection ("splitting sets"), in canonical order (ascending
-    cardinality, then {!Graphkit.Pid.Set.compare}). Backed by
-    {!Enum.minimal_splitting_sets} over the full participant set, so
-    the per-candidate intersection check scales; the candidate sweep
-    itself remains exponential in the participant count (guarded to 62
-    pids). *)
-
-val top_tier : Quorum.system -> Pid.Set.t
-(** The union of all inclusion-minimal quorums: the nodes that actually
-    matter for consensus (everything outside is a pure follower).
-    Backed by {!Enum}'s branch-and-bound enumeration — scales to
-    live-network topologies. *)

@@ -2,7 +2,9 @@ open Graphkit
 
 let quorum_available sys set =
   (not (Pid.Set.is_empty set))
-  && Pid.Set.equal (Quorum.greatest_quorum_within sys set) set
+  && Pid.Set.equal
+       (Quorum.Compiled.greatest_quorum_within (Quorum.compiled_of sys) set)
+       set
 
 let is_consensus_cluster ?universe sys ~correct ~mode set =
   (not (Pid.Set.is_empty set))
@@ -11,26 +13,20 @@ let is_consensus_cluster ?universe sys ~correct ~mode set =
   && Intertwine.set_intertwined ?universe sys mode set
 
 let maximal_clusters ?universe sys ~correct ~mode () =
-  let elts = Array.of_list (Pid.Set.elements correct) in
-  let n = Array.length elts in
-  if n > 20 then
-    invalid_arg "Cluster.maximal_clusters: more than 20 correct processes";
-  let clusters = ref [] in
-  for mask = 1 to (1 lsl n) - 1 do
-    let s = ref Pid.Set.empty in
-    for b = 0 to n - 1 do
-      if mask land (1 lsl b) <> 0 then s := Pid.Set.add elts.(b) !s
-    done;
-    if is_consensus_cluster ?universe sys ~correct ~mode !s then
-      clusters := !s :: !clusters
-  done;
+  let clusters =
+    Pid.Set.fold_subsets
+      (fun s acc ->
+        if is_consensus_cluster ?universe sys ~correct ~mode s then s :: acc
+        else acc)
+      correct []
+  in
   List.filter
     (fun c ->
       not
         (List.exists
            (fun c' -> (not (Pid.Set.equal c c')) && Pid.Set.subset c c')
-           !clusters))
-    !clusters
+           clusters))
+    clusters
 
 let grand_cluster ?universe sys ~correct ~mode () =
   is_consensus_cluster ?universe sys ~correct ~mode correct

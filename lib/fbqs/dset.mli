@@ -13,17 +13,6 @@
 
 open Graphkit
 
-val delete : Quorum.system -> Pid.Set.t -> Quorum.system
-(** [delete sys b] removes the nodes of [b] from the system and from
-    every slice of the remaining nodes (Mazières' "delete" operation).
-    Alias of {!Quorum.delete}. *)
-
-val quorum_intersection_despite : Quorum.system -> Pid.Set.t -> bool
-(** Every two quorums of [delete sys b] intersect. Vacuously true when
-    the deleted system has at most one quorum. Delegates to
-    {!Enum.quorum_intersection_despite}, so it scales to live-network
-    topologies (no participant-count guard). *)
-
 val quorum_availability_despite : Quorum.system -> Pid.Set.t -> bool
 (** The survivors [participants sys \ b] form a quorum of the
     {e original} system, or [b] covers every participant (availability
@@ -31,6 +20,10 @@ val quorum_availability_despite : Quorum.system -> Pid.Set.t -> bool
     definition). *)
 
 val is_dset : Quorum.system -> Pid.Set.t -> bool
+(** [b] is dispensable: {!quorum_availability_despite} holds, and every
+    two quorums of [Quorum.delete sys b] intersect
+    ({!Enum.quorum_intersection_despite}, which scales to live-network
+    topologies). *)
 
 val minimal_dsets : Quorum.system -> Pid.Set.t list
 (** All inclusion-minimal DSets, by enumeration (guarded to systems of

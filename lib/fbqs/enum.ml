@@ -134,9 +134,8 @@ let canonical sets =
    [stats] and metrics are byte-identical at every [jobs] count. Nodes
    are dense sets and a job captures only the walk's compiled system
    or quorum-incidence arrays (plain data), so jobs survive the fork
-   backend's closure [Marshal] unchanged; the compiled handle's own
-   query statistics are the only shared mutable state jobs touch, and
-   nothing downstream reads them.
+   backend's closure [Marshal] unchanged. Both are immutable: jobs
+   share no mutable state.
 
    A finite [limit] stops the walk at the [limit]-th find and keeps the
    sequential path: which finds survive a truncation depends on

@@ -1,7 +1,7 @@
 (** Branch-and-bound enumeration analyzer for FBQS at live-network
     scale.
 
-    The Gosper/brute-force paths in {!Quorum}, {!Dset} and {!Analysis}
+    The brute-force paths in {!Quorum}, {!Dset} and {!Analysis}
     enumerate subsets and are capped at 20 participants; real Stellar
     topologies have hundreds of validators. Deciding quorum
     intersection is NP-hard (Lachowski, {i Complexity of the quorum
@@ -36,9 +36,9 @@
 
     Process ids are non-negative: {!prepare} raises [Invalid_argument]
     on a system naming a negative pid, like {!Quorum.Compiled.compile}.
-    Equivalence with the brute-force paths (the Gosper sweeps in
-    {!Quorum} and the oracles in [test/oracle]) at small [n] is
-    property-tested in [test/test_enum.ml]. See DESIGN.md §13. *)
+    Equivalence with the brute-force paths (the subset sweep of
+    {!Quorum.enum_quorums} and the oracles in [test/oracle]) at small
+    [n] is property-tested in [test/test_enum.ml]. See DESIGN.md §13. *)
 
 open Graphkit
 
@@ -92,7 +92,7 @@ val quorum_intersection :
 val quorum_intersection_despite :
   ?metrics:Obs.Metrics.t -> ?jobs:int -> Quorum.system -> Pid.Set.t -> bool
 (** Intersection of [Quorum.delete sys b] — the scalable engine behind
-    {!Dset.quorum_intersection_despite}. *)
+    {!Dset.is_dset}. *)
 
 type blocking = {
   sets : Pid.Set.t list;

@@ -19,9 +19,9 @@ let participants = Pid.Map.keys
    an array load plus (for threshold slices) one popcount shared across
    every member with a structurally equal member set ("class").
 
-   Compilation is explicit ({!Compiled.compile}); the historical
-   implicit entry points below keep working through a bounded
-   most-recently-compiled cache keyed by physical equality. *)
+   Compilation is explicit ({!Compiled.compile}); callers that share
+   a system value share its handle through the bounded
+   most-recently-compiled cache below, keyed by physical equality. *)
 
 module D = Pid.Dense_set
 
@@ -34,12 +34,10 @@ type entry =
           [cls] indexes the shared member-set class. *)
 
 type compiled = {
-  csys : system;  (** the compiled system, also the implicit-cache key *)
+  csys : system;  (** the compiled system, also the cache key *)
   bound : int;  (** pids outside [0, bound) are [Absent] *)
   entries : entry array;
   class_sets : D.t array;  (** distinct threshold member sets *)
-  mutable queries : int;  (** membership queries answered *)
-  mutable popcounts : int;  (** D.inter_cardinal calls performed *)
 }
 
 (* Process ids are non-negative (DESIGN.md §8): a negative owner is
@@ -87,8 +85,6 @@ let compile_raw sys =
     bound;
     entries;
     class_sets = Array.of_list (List.rev !class_sets);
-    queries = 0;
-    popcounts = 0;
   }
 
 (* The per-member test of Algorithm 1. [counts] memoizes one
@@ -107,7 +103,6 @@ let member_ok c counts qd i =
          (let cnt = counts.(cls) in
           if cnt >= 0 then cnt
           else begin
-            c.popcounts <- c.popcounts + 1;
             let cnt = D.inter_cardinal c.class_sets.(cls) qd in
             counts.(cls) <- cnt;
             cnt
@@ -120,14 +115,12 @@ module Compiled = struct
   let system c = c.csys
 
   let is_quorum_d c qd =
-    c.queries <- c.queries + 1;
     (not (D.is_empty qd))
     &&
     let counts = Array.make (Array.length c.class_sets) (-1) in
     D.for_all (member_ok c counts qd) qd
 
   let is_quorum c q = is_quorum_d c (D.of_set q)
-  let is_quorum_of c i q = Pid.Set.mem i q && is_quorum c q
 
   (* Discard members with no slice inside the current candidate until
      a fixpoint. Since the union of two quorums is a quorum, the
@@ -135,7 +128,6 @@ module Compiled = struct
      shrink the candidate, so once one drops a member of [keep], the
      fixpoint cannot hold [keep] and the remaining rounds are skipped. *)
   let greatest_quorum_keeping_d c ~keep set =
-    c.queries <- c.queries + 1;
     let rec go qd =
       let counts = Array.make (Array.length c.class_sets) (-1) in
       let next = D.filter (member_ok c counts qd) qd in
@@ -174,26 +166,17 @@ module Compiled = struct
     | Threshold_d { sat; threshold; cls } ->
         let members = c.class_sets.(cls) in
         sat && D.cardinal members - D.inter_cardinal members b < threshold
-
-  let contains_quorum c set =
-    not (Pid.Set.is_empty (greatest_quorum_within c set))
-
-  (* Declared after the queries so the immutable stats fields do not
-     shadow the compiled record's mutable counters of the same name. *)
-  type stats = { queries : int; popcounts : int }
-
-  let stats (c : t) = { queries = c.queries; popcounts = c.popcounts }
 end
-
-let compile = Compiled.compile
 
 (* ---- shared compiled-handle cache ------------------------------------
 
    Bounded most-recently-used cache over {!Core.Cache}, keyed by
    physical equality of the system map; a miss costs one O(system)
-   compilation. Its clients are the {!Enum} analyzer and the analysis
+   compilation. Its clients are the {!Enum} analyzer, the analysis
    daemon, whose file cache keeps hot systems alive so repeated
-   analyses reuse one handle. SCP federated voting keeps one handle
+   analyses reuse one handle, and the small-system analyses
+   ({!enum_quorums}, [Cluster], [Dset], [Analysis]), which query one
+   system many times. SCP federated voting keeps one handle
    per node instead ([Scp.Fvoting]): its views evolve with every
    learned declaration, and through a shared cache concurrent runs
    would count each other's lookups. *)
@@ -203,22 +186,12 @@ let cache : (system, compiled) Core.Cache.t =
 
 let cache_stats () = Core.Cache.stats cache
 let set_cache_capacity n = Core.Cache.set_capacity cache n
-let attach_cache_metrics registry = Core.Cache.attach_metrics cache registry
 let compiled_of sys = Core.Cache.find_or_add cache sys (fun () -> compile_raw sys)
 
-let is_quorum sys q = Compiled.is_quorum (compiled_of sys) q
-let is_quorum_of sys i q = Pid.Set.mem i q && is_quorum sys q
-
-let greatest_quorum_within sys set =
-  Compiled.greatest_quorum_within (compiled_of sys) set
-
-let contains_quorum sys set =
-  not (Pid.Set.is_empty (greatest_quorum_within sys set))
-
 (* Mazières' delete operation: remove the nodes of [b] from the system
-   and from every remaining slice. Lives here (rather than in {!Dset},
-   which re-exports it) so that the {!Enum} analyzer can delete without
-   depending on the DSet layer it accelerates. *)
+   and from every remaining slice. Lives here (rather than in {!Dset})
+   so that the {!Enum} analyzer can delete without depending on the
+   DSet layer it accelerates. *)
 let delete sys b =
   Pid.Map.filter_map
     (fun i slices ->
@@ -243,25 +216,10 @@ let delete sys b =
                 }))
     sys
 
-let subsets_fold f universe acc =
-  let elts = Array.of_list (Pid.Set.elements universe) in
-  let n = Array.length elts in
-  if n > 20 then
-    invalid_arg "Quorum.enum_quorums: universe larger than 20 processes";
-  let acc = ref acc in
-  for mask = 1 to (1 lsl n) - 1 do
-    let s = ref Pid.Set.empty in
-    for b = 0 to n - 1 do
-      if mask land (1 lsl b) <> 0 then s := Pid.Set.add elts.(b) !s
-    done;
-    acc := f !s !acc
-  done;
-  !acc
-
 let enum_quorums ?universe sys =
   let universe = Option.value ~default:(participants sys) universe in
   let c = compiled_of sys in
-  subsets_fold
+  Pid.Set.fold_subsets
     (fun s acc -> if Compiled.is_quorum c s then s :: acc else acc)
     universe []
 
@@ -281,9 +239,3 @@ let minimal_quorums_of ?universe sys i =
     List.filter (Pid.Set.mem i) (enum_quorums ?universe sys)
   in
   keep_minimal quorums_of_i
-
-let is_v_blocking sys i b =
-  match slices_of sys i with
-  | Slice.Explicit [] -> false
-  | s when Slice.slice_count s = 0 -> false
-  | s -> Slice.all_slices_intersect s b

@@ -5,14 +5,10 @@
     system ({!Pid.Dense_set}): threshold slice sets reduce to one
     popcount per distinct member set and candidate. Compilation is a
     first-class step — {!Compiled.compile} once, query many times —
-    and each compiled system counts its own queries and popcounts for
-    the observability layer. The historical implicit entry points
-    ({!is_quorum} on a raw [system]) remain as thin wrappers over a
-    bounded per-system-value cache, which the analyzer and the daemon
-    share; a caller whose system evolves mid-run keeps its own handle
-    (SCP federated voting recompiles its view when it learns a slice
-    declaration, [Scp.Fvoting]), and stable-system callers compile
-    explicitly.
+    and the compiled value is immutable. A caller whose system evolves
+    mid-run keeps its own handle (SCP federated voting recompiles its
+    view when it learns a slice declaration, [Scp.Fvoting]); the
+    analyzer and the daemon share handles through {!compiled_of}.
     Process ids are non-negative: every query raises
     [Invalid_argument] on a system or candidate set naming a negative
     pid, as {!Pid.Dense_set} does. See DESIGN.md §8 and §9. *)
@@ -33,13 +29,12 @@ val slices_of : system -> Pid.t -> Slice.t
 val participants : system -> Pid.Set.t
 (** Processes with a declared slice set. *)
 
-(** The explicit compilation API: compile a system once into the dense
-    bitset form, then run membership queries against the compiled
-    value. *)
+(** The compilation API: compile a system once into the dense bitset
+    form, then run membership queries against the compiled value. *)
 module Compiled : sig
   type t
-  (** A compiled system. Mutable only in its query/popcount counters;
-      the compiled structure itself is immutable. *)
+  (** A compiled system. Immutable, so one handle may serve any number
+      of concurrent queries. *)
 
   val compile : system -> t
   (** @raise Invalid_argument when the system names a negative pid, as
@@ -54,18 +49,12 @@ module Compiled : sig
       the definition vacuously but is excluded, matching standard FBQS
       usage.) *)
 
-  val is_quorum_of : t -> Pid.t -> Pid.Set.t -> bool
-  (** A quorum {e of} process [i]: a quorum containing [i]. *)
-
   val greatest_quorum_within : t -> Pid.Set.t -> Pid.Set.t
   (** The unique largest quorum contained in the given set (possibly
       the empty set, which signals that the set contains no quorum).
       Computed by iteratively discarding members that have no slice
       inside the remaining set; correctness follows from quorums being
       closed under union. *)
-
-  val contains_quorum : t -> Pid.Set.t -> bool
-  (** Whether some (non-empty) quorum lies within the set. *)
 
   (** {3 Dense-bitset variants}
 
@@ -96,78 +85,42 @@ module Compiled : sig
       threshold can be met; empty for a process with no slices. *)
 
   val is_v_blocking_d : t -> Pid.t -> Pid.Dense_set.t -> bool
-  (** The compiled [is_v_blocking] below: [i] declares at least one
-      slice and [b] meets every slice of [i]. Exact, because a slice
-      avoids [b] iff it lies within [domain_d c i] minus [b]. *)
-
-  type stats = {
-    queries : int;  (** membership evaluations answered so far *)
-    popcounts : int;  (** dense intersection-cardinality calls *)
-  }
-
-  val stats : t -> stats
-  (** Cumulative per-compiled-system counters — the kernel-level signal
-      surfaced in metrics dumps and BENCH_quorum.json. *)
+  (** [is_v_blocking_d c i b]: [i] declares at least one slice and [b]
+      meets every slice of [i] (with no slices nothing can be accepted
+      through blocking). Exact, because a slice avoids [b] iff it lies
+      within [domain_d c i] minus [b]. *)
 end
-
-val compile : system -> Compiled.t
-(** Alias for {!Compiled.compile}. *)
 
 (** {2 The shared compiled-handle cache}
 
     A process-wide {!Core.Cache} instance keyed by physical equality
-    of the system value: {!compiled_of} answers from it, compiling on
-    miss, and the wrappers below route every implicit query through
-    it. Capacity defaults to 64 entries and is daemon-overridable
-    ({!set_cache_capacity}); hit/miss/evict counters can be surfaced
-    in any metrics registry ({!attach_cache_metrics}).
-
-    @deprecated New code should use {!Compiled.compile} + the
-    [Compiled] queries, holding the handle as long as its system value
-    lives. *)
+    of the system value. Capacity defaults to 64 entries and is
+    daemon-overridable ({!set_cache_capacity}). *)
 
 val compiled_of : system -> Compiled.t
 (** The cache lookup itself: the compiled handle for [sys], reused
-    while the same system value stays hot. The {!Enum} analyzer and
-    the analysis daemon compile through this, so repeated analyses of
-    one system share a handle. *)
-
-val is_quorum : system -> Pid.Set.t -> bool
-(** [Compiled.is_quorum] through the implicit cache. *)
-
-val is_quorum_of : system -> Pid.t -> Pid.Set.t -> bool
-(** [Compiled.is_quorum_of] through the implicit cache. *)
-
-val greatest_quorum_within : system -> Pid.Set.t -> Pid.Set.t
-(** [Compiled.greatest_quorum_within] through the implicit cache. *)
-
-val contains_quorum : system -> Pid.Set.t -> bool
-(** [Compiled.contains_quorum] through the implicit cache. *)
+    while the same system value stays hot. The {!Enum} analyzer, the
+    analysis daemon and the small-system analyses below compile
+    through this, so repeated analyses of one system share a handle. *)
 
 val cache_stats : unit -> Core.Cache.stats
-(** Cumulative shared-cache accounting for this process — scraped into
-    the metrics registry by the runners, and reported by the daemon's
-    [stats] verb. The same record shape as {!Graphkit.Csr.cache_stats}
-    and every other {!Core.Cache} instance. *)
+(** Cumulative shared-cache accounting for this process, reported by
+    the daemon's [stats] verb. The same record shape as
+    {!Graphkit.Csr.cache_stats} and every other {!Core.Cache}
+    instance. *)
 
 val set_cache_capacity : int -> unit
 (** Resizes the shared cache (default 64 entries).
     @raise Invalid_argument below 1. *)
 
-val attach_cache_metrics : Obs.Metrics.t -> unit
-(** Registers the cache's [cache_hits]/[cache_misses]/[cache_evictions]
-    counters and [cache_entries] gauge (labelled
-    [cache="fbqs_quorum_compiled"]) in the registry. *)
-
 val delete : system -> Pid.Set.t -> system
 (** Mazières' delete operation: removes the nodes of [b] from the
     system and from every slice of the remaining nodes (threshold
     slices keep their symbolic form, with the threshold reduced by the
-    number of deleted members). {!Dset.delete} re-exports this; it
-    lives here so the {!Enum} analyzer can use it without depending on
-    the DSet layer built on top of it. *)
+    number of deleted members). It lives here so the {!Enum} analyzer
+    and the {!Dset} layer share one definition. *)
 
-(** {2 Enumeration and blocking sets} *)
+(** {2 Enumeration} *)
 
 val enum_quorums : ?universe:Pid.Set.t -> system -> Pid.Set.t list
 (** All quorums included in [universe] (default: all participants).
@@ -182,9 +135,3 @@ val minimal_quorums_of : ?universe:Pid.Set.t -> system -> Pid.t -> Pid.Set.t lis
     within [universe]. Every quorum of [i] contains one of these, so
     universally quantified intersection properties need only be checked
     on this list. *)
-
-val is_v_blocking : system -> Pid.t -> Pid.Set.t -> bool
-(** [is_v_blocking sys i b]: the set [b] intersects every slice of [i];
-    false when [i] declared no slices (with no slices nothing can be
-    accepted through blocking). SCP federated voting asks the compiled
-    form, {!Compiled.is_v_blocking_d}. *)

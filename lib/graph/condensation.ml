@@ -22,6 +22,3 @@ let sink_components g =
 
 let unique_sink g =
   match sink_components g with [ c ] -> Some c | _ -> None
-
-let is_sink_member g i =
-  List.exists (Pid.Set.mem i) (sink_components g)

@@ -36,6 +36,3 @@ val sink_components : Digraph.t -> Pid.Set.t list
 val unique_sink : Digraph.t -> Pid.Set.t option
 (** [Some v_sink] when the condensation has exactly one sink component,
     [None] otherwise. This is [V_sink] in the paper. *)
-
-val is_sink_member : Digraph.t -> Pid.t -> bool
-(** Whether the vertex belongs to some sink component. *)

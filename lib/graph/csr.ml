@@ -138,7 +138,6 @@ let cache : (Digraph.t, t) Core.Cache.t =
 
 let cache_stats () = Core.Cache.stats cache
 let set_cache_capacity n = Core.Cache.set_capacity cache n
-let attach_cache_metrics registry = Core.Cache.attach_metrics cache registry
 
 let get g = Core.Cache.find_or_add cache g (fun () -> of_graph g)
 
@@ -221,7 +220,6 @@ let scc_data t =
       s
 
 let scc_count t = (scc_data t).n_comps
-let scc_comp_of_dense t = (scc_data t).comp_of
 
 let scc_component_sets t =
   match t.comp_sets with
@@ -251,7 +249,7 @@ let scc_components t =
 let scc_component_of t p =
   match index_of t p with
   | None -> None
-  | Some v -> Some (scc_comp_of_dense t).(v)
+  | Some v -> Some (scc_data t).comp_of.(v)
 
 (* ---- condensation DAG ------------------------------------------------ *)
 

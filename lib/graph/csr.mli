@@ -37,11 +37,6 @@ val set_cache_capacity : int -> unit
 (** Resizes the shared cache (default 16 entries).
     @raise Invalid_argument below 1. *)
 
-val attach_cache_metrics : Obs.Metrics.t -> unit
-(** Registers the cache's [cache_hits]/[cache_misses]/[cache_evictions]
-    counters and [cache_entries] gauge (labelled [cache="graphkit_csr"])
-    in the registry. *)
-
 val graph : t -> Digraph.t
 
 val n_vertices : t -> int
@@ -71,9 +66,6 @@ val pred_arr : t -> int array
     is emitted only after every component reachable from it. *)
 
 val scc_count : t -> int
-
-val scc_comp_of_dense : t -> int array
-(** Dense vertex -> component id. Callers must not mutate. *)
 
 val scc_component_of : t -> Pid.t -> int option
 

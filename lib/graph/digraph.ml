@@ -79,7 +79,6 @@ let edges g =
     g.succ []
   |> List.rev
 
-let fold_vertices f g acc = Pid.Map.fold (fun i _ acc -> f i acc) g.succ acc
 let iter_succs f g = Pid.Map.iter f g.succ
 let fold_edges f g acc = List.fold_left (fun acc (i, j) -> f i j acc) acc (edges g)
 

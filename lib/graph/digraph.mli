@@ -49,8 +49,6 @@ val preds : t -> Pid.t -> Pid.Set.t
 
 val edges : t -> (Pid.t * Pid.t) list
 
-val fold_vertices : (Pid.t -> 'a -> 'a) -> t -> 'a -> 'a
-
 val fold_edges : (Pid.t -> Pid.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val iter_succs : (Pid.t -> Pid.Set.t -> unit) -> t -> unit

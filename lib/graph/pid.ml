@@ -29,6 +29,22 @@ module Set = struct
         | x :: rest -> x :: take (k - 1) rest
       in
       Some (take k (elements s))
+
+  (* Subset [k] holds the [b]-th smallest element iff bit [b] of [k] is
+     set, so the empty set comes first and [s] itself last. *)
+  let fold_subsets f s acc =
+    let elts = Array.of_list (elements s) in
+    let n = Array.length elts in
+    if n > 20 then invalid_arg "Pid.Set.fold_subsets: more than 20 elements";
+    let acc = ref acc in
+    for k = 0 to (1 lsl n) - 1 do
+      let sub = ref empty in
+      for b = 0 to n - 1 do
+        if k land (1 lsl b) <> 0 then sub := add elts.(b) !sub
+      done;
+      acc := f !sub !acc
+    done;
+    !acc
 end
 
 module Dense_set = struct
@@ -341,8 +357,6 @@ module Dense_set = struct
       done;
       Some ((w * bits_per_word) + !last)
     end
-
-  let choose_opt = min_elt_opt
 
   let pp ppf t =
     Format.fprintf ppf "{%a}"

@@ -28,6 +28,15 @@ module Set : sig
   val choose_distinct : int -> t -> elt list option
   (** [choose_distinct k s] returns [k] distinct elements of [s] in
       increasing order, or [None] if [cardinal s < k]. *)
+
+  val fold_subsets : (t -> 'a -> 'a) -> t -> 'a -> 'a
+  (** [fold_subsets f s acc] folds [f] over all [2^|s|] subsets of [s]:
+      subset [k], for [k] from [0] to [2^|s| - 1], holds the [b]-th
+      smallest element of [s] iff bit [b] of [k] is set. The empty set
+      comes first and [s] itself last. The exhaustive enumerations of
+      the small-system analyses ([Fbqs.Quorum.enum_quorums] and its
+      peers) all visit subsets in this order.
+      @raise Invalid_argument when [s] has more than 20 elements. *)
 end
 
 module Dense_set : sig
@@ -117,8 +126,6 @@ module Dense_set : sig
   val min_elt_opt : t -> int option
 
   val max_elt_opt : t -> int option
-
-  val choose_opt : t -> int option
 
   val pp : Format.formatter -> t -> unit
 

@@ -11,13 +11,4 @@ let component_of g i =
   | Some k -> (Csr.scc_component_sets h).(k)
   | None -> raise Not_found
 
-let component_index g =
-  let h = Csr.get g in
-  let comp_of = Csr.scc_comp_of_dense h in
-  let m = ref Pid.Map.empty in
-  for v = 0 to Csr.n_vertices h - 1 do
-    m := Pid.Map.add (Csr.pid_of h v) comp_of.(v) !m
-  done;
-  !m
-
 let is_strongly_connected g = Csr.scc_count (Csr.get g) <= 1

@@ -17,9 +17,6 @@ val component_of : Digraph.t -> Pid.t -> Pid.Set.t
 (** The component containing the given vertex.
     @raise Not_found if the vertex is not in the graph. *)
 
-val component_index : Digraph.t -> int Pid.Map.t
-(** Maps each vertex to the index of its component in [components]. *)
-
 val is_strongly_connected : Digraph.t -> bool
 (** Whether the whole (non-empty) graph is a single SCC. The empty graph
     is considered strongly connected. *)

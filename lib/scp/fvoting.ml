@@ -46,8 +46,6 @@ let create ?metrics ~self ~system () =
     c_view_misses = c "fbqs_cache_misses";
   }
 
-let self t = t.self
-
 let tally t stmt =
   match Statement.Map.find_opt stmt t.tallies with
   | Some tl -> tl
@@ -108,18 +106,6 @@ let quorum_within t s =
 let v_blocking t b =
   bump t.c_vblocking_checks;
   Compiled.is_v_blocking_d (view t ~hits:None ~misses:None) t.self b
-
-let quorum_votes t stmt = quorum_within t (tally t stmt).voters
-let blocking_accepts t stmt = v_blocking t (tally t stmt).acceptors
-
-let can_accept t stmt =
-  let tl = tally t stmt in
-  (not tl.i_accepted)
-  && (quorum_within t tl.voters || v_blocking t tl.acceptors)
-
-let can_confirm t stmt =
-  let tl = tally t stmt in
-  (not tl.i_confirmed) && quorum_within t tl.acceptors
 
 let iter f t = Statement.Map.iter f t.tallies
 let fold f t acc = Statement.Map.fold f t.tallies acc

@@ -1,13 +1,17 @@
 (** The federated voting core (Mazières 2015; Section III-D semantics).
 
     For each statement a node tracks who voted and who accepted it, and
-    applies the two FBQS transition rules:
+    answers the two questions the FBQS transition rules ask of a tally
+    ({!quorum_within} and {!v_blocking}):
 
     - {b accept}: some quorum containing this node voted-or-accepted the
       statement, {e or} a v-blocking set accepted it (the v-blocking arm
       lets a node accept a statement it did not vote for);
     - {b confirm}: some quorum containing this node accepted it (the
       node "ratifies" the acceptance).
+
+    The rules themselves are applied by [Scp.Node], which adds prepare
+    subsumption and the check against contradicting acceptances.
 
     Quorum membership is evaluated against a slice system: a set [S]
     holds a quorum containing the node iff the node belongs to the
@@ -47,8 +51,6 @@ val create :
     the view was reused ([fbqs_cache_hits]) or compiled
     ([fbqs_cache_misses]); so hits + misses = quorum checks. *)
 
-val self : t -> Pid.t
-
 val tally : t -> Statement.t -> tally
 (** The live record of a statement; for a statement never tallied, a
     fresh all-empty record that is not stored. *)
@@ -72,16 +74,6 @@ val quorum_within : t -> Pid.Dense_set.t -> bool
 val v_blocking : t -> Pid.Dense_set.t -> bool
 (** [v_blocking t b]: [b] meets every slice of this node, which
     declares at least one. *)
-
-val quorum_votes : t -> Statement.t -> bool
-(** Whether a quorum containing this node voted-or-accepted it. *)
-
-val blocking_accepts : t -> Statement.t -> bool
-(** Whether a v-blocking set for this node accepted it. *)
-
-val can_accept : t -> Statement.t -> bool
-
-val can_confirm : t -> Statement.t -> bool
 
 val mark_accepted : t -> Statement.t -> unit
 

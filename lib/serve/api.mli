@@ -23,8 +23,8 @@ type graph_spec = {
 }
 
 val default_graph_spec : graph_spec
-(** [fig2], seed 1, sink size 5, 4 non-sink members, f = 1 — the CLI's
-    historical flag defaults. *)
+(** [fig2], seed 1, sink size 5, 4 non-sink members, f = 1: the
+    defaults of the CLI's graph flags and of the daemon's [run] verb. *)
 
 val build_graph : graph_spec -> Digraph.t
 (** @raise Failure on an unknown kind or an unreadable [file:] path. *)
@@ -83,8 +83,9 @@ type analysis_options = {
 }
 
 val default_analysis_options : analysis_options
-(** No extras, cap 64, no metrics, jobs 1 — the CLI's flag
-    defaults. *)
+(** No extras, cap 64, no metrics, jobs 1: the defaults of the CLI's
+    [fbas analyze] flags and of the daemon's [analyze] verb (whose
+    [jobs] default is the daemon's own). *)
 
 type analysis = {
   participants : Pid.Set.t;

@@ -182,14 +182,15 @@ let load_system t path =
 
 let analyze_verb t fields =
   let path = req_string_field fields "file" in
+  let d = Api.default_analysis_options in
   let opts =
     {
-      Api.despite = int_list_list_field fields "despite" ~default:[];
-      blocking = bool_field fields "blocking" ~default:false;
-      splitting = bool_field fields "splitting" ~default:false;
+      Api.despite = int_list_list_field fields "despite" ~default:d.despite;
+      blocking = bool_field fields "blocking" ~default:d.blocking;
+      splitting = bool_field fields "splitting" ~default:d.splitting;
       max_size = opt_int_field fields "max_size";
-      cap = int_field fields "cap" ~default:64;
-      metrics = bool_field fields "metrics" ~default:false;
+      cap = int_field fields "cap" ~default:d.cap;
+      metrics = bool_field fields "metrics" ~default:d.metrics;
       (* Per-request override of the daemon's default parallelism.
          Payloads are jobs-invariant, so requests differing only here
          cache under different keys yet answer identically. *)
@@ -201,13 +202,14 @@ let analyze_verb t fields =
   (payload, [])
 
 let run_verb fields =
+  let g = Api.default_graph_spec in
   let spec =
     {
-      Api.kind = string_field fields "graph" ~default:"fig2";
-      seed = int_field fields "seed" ~default:1;
-      sink_size = int_field fields "sink_size" ~default:5;
-      non_sink = int_field fields "non_sink" ~default:4;
-      f = int_field fields "f" ~default:1;
+      Api.kind = string_field fields "graph" ~default:g.kind;
+      seed = int_field fields "seed" ~default:g.seed;
+      sink_size = int_field fields "sink_size" ~default:g.sink_size;
+      non_sink = int_field fields "non_sink" ~default:g.non_sink;
+      f = int_field fields "f" ~default:g.f;
     }
   in
   let pipeline = string_field fields "pipeline" ~default:"scp-sd" in
@@ -339,6 +341,8 @@ let stopping t = t.stopping
 
 (* ---- transports ------------------------------------------------------- *)
 
+(* Reads requests until EOF or [shutdown], writing and flushing the
+   response lines per request: the loop of both transports. *)
 let serve_channels t ic oc =
   let rec loop () =
     match input_line ic with

@@ -44,12 +44,10 @@ val handle_line : t -> string -> string list
 val stopping : t -> bool
 (** Set once a [shutdown] request has been handled. *)
 
-val serve_channels : t -> in_channel -> out_channel -> unit
-(** Reads requests until EOF or [shutdown], writing and flushing the
-    response lines per request. *)
-
 val serve_stdio : t -> unit
-(** {!serve_channels} over stdin/stdout — the CI transport. *)
+(** Reads requests from stdin until EOF or [shutdown], writing and
+    flushing the response lines to stdout per request — the CI
+    transport. *)
 
 val default_max_clients : int
 (** 4 — the default concurrent-connection cap of {!serve_unix}. *)

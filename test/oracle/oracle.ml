@@ -327,8 +327,9 @@ module Flow = struct
     side
 end
 
-(* Algorithm 1 verbatim on tree sets, off [Slice.has_slice_within]:
-   what the dense compiled kernel must match bit for bit. *)
+(* Algorithm 1 and the v-blocking test verbatim on tree sets, off
+   [Slice.has_slice_within] and [Slice.all_slices_intersect]: what the
+   dense compiled kernel must match bit for bit. *)
 module Quorum = struct
   let has_slice sys i q =
     Fbqs.Slice.has_slice_within (Fbqs.Quorum.slices_of sys i) q
@@ -339,6 +340,12 @@ module Quorum = struct
   let rec greatest_quorum_within sys set =
     let next = Pid.Set.filter (fun i -> has_slice sys i set) set in
     if Pid.Set.equal next set then set else greatest_quorum_within sys next
+
+  let is_v_blocking sys i b =
+    match Fbqs.Quorum.slices_of sys i with
+    | Fbqs.Slice.Explicit [] -> false
+    | s when Fbqs.Slice.slice_count s = 0 -> false
+    | s -> Fbqs.Slice.all_slices_intersect s b
 end
 
 (* A Gosper sweep over the survivors. *)
@@ -375,7 +382,7 @@ module Dset = struct
     if n > 20 then invalid_arg "Oracle.Dset: more than 20 participants";
     if n = 0 then true
     else begin
-      let compiled = Fbqs.Quorum.compile deleted in
+      let compiled = Fbqs.Quorum.Compiled.compile deleted in
       let set_of_mask mask =
         let s = ref Pid.Set.empty in
         for i = 0 to n - 1 do
@@ -405,8 +412,10 @@ module Dset = struct
             minimal_masks := m :: !minimal_masks;
             if !smallest_quorum = max_int then smallest_quorum := !k;
             if
-              Fbqs.Quorum.Compiled.contains_quorum compiled
-                (Pid.Set.diff parts (set_of_mask m))
+              not
+                (Pid.Set.is_empty
+                   (Fbqs.Quorum.Compiled.greatest_quorum_within compiled
+                      (Pid.Set.diff parts (set_of_mask m))))
             then violated := true
           end;
           mask := next_same_popcount m
@@ -417,8 +426,22 @@ module Dset = struct
     end
 end
 
-(* Subset sweeps over all participants ([<= 20]). *)
+(* Subset sweeps over all participants ([<= 20]), and the tree-set
+   v-blocking cascade. *)
 module Analysis = struct
+  let blocking_cascade sys ~down =
+    let rec go halted =
+      let next =
+        Pid.Set.filter
+          (fun i ->
+            (not (Pid.Set.mem i halted)) && Quorum.is_v_blocking sys i halted)
+          (Fbqs.Quorum.participants sys)
+      in
+      if Pid.Set.is_empty next then halted
+      else go (Pid.Set.union halted next)
+    in
+    go down
+
   let subsets_by_size universe =
     let elts = Array.of_list (Pid.Set.elements universe) in
     let n = Array.length elts in

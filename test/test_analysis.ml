@@ -57,7 +57,10 @@ let test_levels_pbft () =
 
 let test_splitting_sets_pbft () =
   let sys = pbft 4 3 in
-  let splits = Analysis.splitting_sets sys in
+  let splits =
+    Enum.minimal_splitting_sets ~universe:(Quorum.participants sys)
+      (Enum.prepare sys)
+  in
   Alcotest.(check bool) "exist" true (List.length splits > 0);
   List.iter
     (fun b -> Alcotest.(check int) "minimal splits of size 2" 2 (Pid.Set.cardinal b))
@@ -66,7 +69,8 @@ let test_splitting_sets_pbft () =
 let test_top_tier () =
   let sys = pbft 4 3 in
   Alcotest.check pid_set "everyone matters in a flat system"
-    (Pid.Set.of_range 1 4) (Analysis.top_tier sys);
+    (Pid.Set.of_range 1 4)
+    (Enum.top_tier (Enum.prepare sys));
   (* follower node 5 trusting the quartet is not top tier *)
   let with_follower =
     Pid.Map.add 5
@@ -74,7 +78,7 @@ let test_top_tier () =
       sys
   in
   Alcotest.check pid_set "follower excluded" (Pid.Set.of_range 1 4)
-    (Analysis.top_tier with_follower)
+    (Enum.top_tier (Enum.prepare with_follower))
 
 let test_fig1_analysis () =
   let sys =
@@ -85,7 +89,7 @@ let test_fig1_analysis () =
   in
   (* the core {5,6,7} is the engine of the system *)
   Alcotest.check pid_set "fig1 top tier" (set [ 5; 6; 7 ])
-    (Analysis.top_tier sys);
+    (Enum.top_tier (Enum.prepare sys));
   (* killing 6 blocks 4 ({5,6},{6,8} both hit) and 5 and 7... *)
   let cascade = Analysis.blocking_cascade sys ~down:(set [ 6 ]) in
   Alcotest.(check bool) "6 down halts 4" true (Pid.Set.mem 4 cascade)
@@ -98,6 +102,55 @@ let test_algorithm2_levels () =
     (Analysis.liveness_level sys >= 2);
   Alcotest.(check bool) "safety survives 1 fault" true
     (Analysis.safety_level sys >= 2)
+
+(* Random systems over pids up to 40: explicit slices (possibly
+   [Explicit []] or holding an empty slice), thresholds from -1 to above
+   the member count (satisfiable and not), and absent pids, which may
+   also appear in slices and in [down]. *)
+let gen_cascade_query =
+  QCheck.Gen.(
+    let* pids = list_size (int_range 1 12) (int_bound 40) in
+    let pool = List.sort_uniq Int.compare pids in
+    let any_pid = oneof [ oneofl pool; int_bound 40 ] in
+    let subset =
+      let* l = list_size (int_bound 4) any_pid in
+      return (Pid.Set.of_list l)
+    in
+    let* assoc =
+      flatten_l
+        (List.map
+           (fun i ->
+             let* kind = int_bound 2 in
+             match kind with
+             | 0 ->
+                 let* slices = list_size (int_bound 3) subset in
+                 return (Some (i, Slice.explicit slices))
+             | 1 ->
+                 let* members = subset in
+                 let* threshold =
+                   int_range (-1) (Pid.Set.cardinal members + 1)
+                 in
+                 return (Some (i, Slice.threshold ~members ~threshold))
+             | _ -> return None)
+           pool)
+    in
+    let* down = list_size (int_bound 4) any_pid in
+    return
+      ( Quorum.system_of_list (List.filter_map Fun.id assoc),
+        Pid.Set.of_list down ))
+
+let prop_cascade_matches_oracle =
+  QCheck.Test.make ~count:500
+    ~name:"blocking_cascade = tree-set cascade over Oracle.Quorum.is_v_blocking"
+    (QCheck.make
+       ~print:(fun (sys, down) ->
+         Format.asprintf "system=%a down=%a" (Pid.Map.pp Slice.pp) sys
+           Pid.Set.pp down)
+       gen_cascade_query)
+    (fun (sys, down) ->
+      Pid.Set.equal
+        (Analysis.blocking_cascade sys ~down)
+        (Oracle.Analysis.blocking_cascade sys ~down))
 
 let suites =
   [
@@ -114,5 +167,6 @@ let suites =
         Alcotest.test_case "fig1 analysis" `Quick test_fig1_analysis;
         Alcotest.test_case "Algorithm 2 slices levels" `Quick
           test_algorithm2_levels;
+        QCheck_alcotest.to_alcotest prop_cascade_matches_oracle;
       ] );
   ]

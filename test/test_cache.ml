@@ -76,25 +76,28 @@ let test_stats_json_shape () =
     {|{"hits":1,"misses":3,"evictions":1,"length":2,"capacity":2}|}
     (Obs.Json.to_string (Core.Cache.stats_to_json (Core.Cache.stats c)))
 
-let test_attach_metrics () =
+(* [stats] follows every operation: lookups, insertions, evictions by
+   insertion and by shrinking. *)
+let test_stats_in_step () =
   let c = mk ~capacity:2 () in
-  ignore (Core.Cache.find_or_add c 1 (fun () -> 7));
-  let registry = Obs.Metrics.create () in
-  Core.Cache.attach_metrics c registry;
-  Core.Cache.attach_metrics c registry;
-  (* second attach is a no-op *)
-  ignore (Core.Cache.find_or_add c 1 (fun () -> 7));
-  ignore (Core.Cache.find_or_add c 2 (fun () -> 14));
-  (* registration is idempotent, so looking the metrics up again
-     returns the ones the cache keeps in step *)
-  let labels = [ ("cache", "test") ] in
-  let counter n =
-    Obs.Metrics.counter_value (Obs.Metrics.counter registry ~labels n)
+  let check what (hits, misses, evictions, length) =
+    let s = Core.Cache.stats c in
+    Alcotest.(check (list int)) what
+      [ hits; misses; evictions; length ]
+      Core.Cache.[ s.hits; s.misses; s.evictions; s.length ]
   in
-  Alcotest.(check int) "hits counter" 1 (counter "cache_hits");
-  Alcotest.(check int) "misses counter" 2 (counter "cache_misses");
-  Alcotest.(check int) "entries gauge" 2
-    (Obs.Metrics.gauge_value (Obs.Metrics.gauge registry ~labels "cache_entries"))
+  check "fresh" (0, 0, 0, 0);
+  ignore (Core.Cache.find_or_add c 1 (fun () -> 7));
+  check "miss then insert" (0, 1, 0, 1);
+  ignore (Core.Cache.find_or_add c 1 (fun () -> 7));
+  check "hit" (1, 1, 0, 1);
+  ignore (Core.Cache.find_or_add c 2 (fun () -> 14));
+  ignore (Core.Cache.find_or_add c 3 (fun () -> 21));
+  check "insert beyond capacity evicts" (1, 3, 1, 2);
+  Core.Cache.set_capacity c 1;
+  check "shrinking evicts" (1, 3, 2, 1);
+  Core.Cache.add c 4 28;
+  check "add counts no lookup" (1, 3, 3, 1)
 
 let prop_matches_model =
   QCheck.Test.make ~count:200 ~name:"cache contents match the LRU model"
@@ -141,7 +144,7 @@ let suites =
         Alcotest.test_case "shrinking capacity evicts" `Quick
           test_shrink_evicts;
         Alcotest.test_case "stats JSON shape" `Quick test_stats_json_shape;
-        Alcotest.test_case "metrics stay in step" `Quick test_attach_metrics;
+        Alcotest.test_case "metrics stay in step" `Quick test_stats_in_step;
         QCheck_alcotest.to_alcotest prop_matches_model;
         QCheck_alcotest.to_alcotest prop_lookup_accounting;
         QCheck_alcotest.to_alcotest prop_capacity_bound;

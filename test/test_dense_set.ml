@@ -223,16 +223,19 @@ let arb_system_and_candidate =
         Pid.Set.pp q)
     gen_system_and_candidate
 
+module Compiled = Fbqs.Quorum.Compiled
+
 let prop_is_quorum_equiv =
   QCheck.Test.make ~count ~name:"is_quorum = seed Algorithm 1"
     arb_system_and_candidate (fun (sys, q) ->
-      Fbqs.Quorum.is_quorum sys q = Oracle.Quorum.is_quorum sys q)
+      Compiled.is_quorum (Compiled.compile sys) q
+      = Oracle.Quorum.is_quorum sys q)
 
 let prop_greatest_equiv =
   QCheck.Test.make ~count ~name:"greatest_quorum_within = seed fixpoint"
     arb_system_and_candidate (fun (sys, q) ->
       Pid.Set.equal
-        (Fbqs.Quorum.greatest_quorum_within sys q)
+        (Compiled.greatest_quorum_within (Compiled.compile sys) q)
         (Oracle.Quorum.greatest_quorum_within sys q))
 
 let prop_threshold_sharing =
@@ -252,9 +255,10 @@ let prop_threshold_sharing =
           (List.map (fun i -> (i, slice)) (Pid.Set.elements members))
       in
       let q = Pid.Set.of_range 1 (min (max 1 k) n) in
-      Fbqs.Quorum.is_quorum sys q = Oracle.Quorum.is_quorum sys q
+      let c = Compiled.compile sys in
+      Compiled.is_quorum c q = Oracle.Quorum.is_quorum sys q
       && Pid.Set.equal
-           (Fbqs.Quorum.greatest_quorum_within sys q)
+           (Compiled.greatest_quorum_within c q)
            (Oracle.Quorum.greatest_quorum_within sys q))
 
 let suites =

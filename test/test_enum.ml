@@ -88,7 +88,8 @@ let test_disjoint_cliques () =
       Alcotest.(check bool) "witness disjoint" true
         (Pid.Set.is_empty (Pid.Set.inter q1 q2));
       Alcotest.(check bool) "both are quorums" true
-        (Quorum.is_quorum cliques q1 && Quorum.is_quorum cliques q2));
+        (let c = Quorum.Compiled.compile cliques in
+         Quorum.Compiled.is_quorum c q1 && Quorum.Compiled.is_quorum c q2));
   Alcotest.(check bool) "deleting one clique restores intersection" true
     (Enum.quorum_intersection_despite cliques (set [ 3; 4 ]));
   Alcotest.check pid_sets "empty set splits"
@@ -245,7 +246,9 @@ let prop_blocking_equiv =
              (List.filter
                 (fun b ->
                   (not (Pid.Set.is_empty b))
-                  && not (Quorum.contains_quorum sys (Pid.Set.diff parts b)))
+                  && Pid.Set.is_empty
+                       (Oracle.Quorum.greatest_quorum_within sys
+                          (Pid.Set.diff parts b)))
                 (subsets parts)))
       in
       let r = Enum.minimal_blocking_sets (Enum.prepare sys) in

@@ -1,9 +1,11 @@
-(* The first-class Quorum.Compiled API: explicit compile-once handles
-   must agree everywhere with the deprecated implicit-cache wrappers,
-   and the per-handle instrumentation must count. *)
+(* The first-class Quorum.Compiled API: compile-once handles must
+   agree everywhere with the seed's tree-set Algorithm 1
+   ([Oracle.Quorum]), and the shared [compiled_of] cache must hand out
+   one handle per live system value. *)
 
 open Graphkit
 open Fbqs
+module D = Pid.Dense_set
 
 let set = Pid.Set.of_list
 let pid_set = Alcotest.testable Pid.Set.pp Pid.Set.equal
@@ -14,7 +16,7 @@ let fig1_system =
        (fun (i, slices) -> (i, Slice.explicit slices))
        Graphkit.Builtin.fig1_slices)
 
-let test_compiled_matches_wrappers_on_fig1 () =
+let test_compiled_matches_oracle_on_fig1 () =
   let c = Quorum.Compiled.compile fig1_system in
   let candidates =
     [
@@ -30,12 +32,12 @@ let test_compiled_matches_wrappers_on_fig1 () =
     (fun s ->
       Alcotest.(check bool)
         (Printf.sprintf "is_quorum agrees on %s" (Pid.Set.to_string s))
-        (Quorum.is_quorum fig1_system s)
+        (Oracle.Quorum.is_quorum fig1_system s)
         (Quorum.Compiled.is_quorum c s);
       Alcotest.check pid_set
         (Printf.sprintf "greatest_quorum_within agrees on %s"
            (Pid.Set.to_string s))
-        (Quorum.greatest_quorum_within fig1_system s)
+        (Oracle.Quorum.greatest_quorum_within fig1_system s)
         (Quorum.Compiled.greatest_quorum_within c s))
     candidates;
   Alcotest.(check bool) "system round-trips" true
@@ -48,30 +50,33 @@ let threshold_system n t =
        (fun i -> (i, Slice.threshold ~members ~threshold:t))
        (Pid.Set.elements members))
 
-let test_compiled_stats_count () =
-  let c = Quorum.Compiled.compile (threshold_system 7 5) in
-  let s0 = Quorum.Compiled.stats c in
-  Alcotest.(check int) "fresh handle: no queries" 0 s0.queries;
-  ignore (Quorum.Compiled.is_quorum c (Pid.Set.of_range 1 5));
-  ignore (Quorum.Compiled.greatest_quorum_within c (Pid.Set.of_range 1 7));
-  let s1 = Quorum.Compiled.stats c in
-  Alcotest.(check int) "two queries counted" 2 s1.queries;
-  (* Threshold entries share one popcount per member-set class per
-     evaluation. *)
-  Alcotest.(check bool) "popcounts counted" true (s1.popcounts > 0);
-  let c_explicit = Quorum.Compiled.compile fig1_system in
-  ignore (Quorum.Compiled.is_quorum c_explicit (set [ 5; 6; 7 ]));
-  let se = Quorum.Compiled.stats c_explicit in
-  Alcotest.(check int) "explicit slices: subset tests, no popcounts" 0
-    se.popcounts
+(* The cache keys on physical equality: one handle per live system
+   value, and a fresh one for a structurally equal copy. *)
+let test_one_handle_per_system_value () =
+  let sys = threshold_system 7 5 in
+  let c = Quorum.compiled_of sys in
+  Alcotest.(check bool) "compiled from this value" true
+    (Quorum.Compiled.system c == sys);
+  Alcotest.(check bool) "same value, same handle" true
+    (Quorum.compiled_of sys == c);
+  let copy = threshold_system 7 5 in
+  let c' = Quorum.compiled_of copy in
+  Alcotest.(check bool) "equal copy, fresh handle" false (c' == c);
+  Alcotest.(check bool) "fresh handle compiled from the copy" true
+    (Quorum.Compiled.system c' == copy);
+  Alcotest.(check bool) "both handles answer alike" true
+    (Quorum.Compiled.is_quorum c (Pid.Set.of_range 1 5)
+    && Quorum.Compiled.is_quorum c' (Pid.Set.of_range 1 5))
 
-let test_wrapper_cache_stats_move () =
+let test_compiled_of_cache_accounting () =
+  let sys = threshold_system 5 4 in
   let before = Quorum.cache_stats () in
-  ignore (Quorum.is_quorum fig1_system (set [ 5; 6; 7 ]));
-  ignore (Quorum.is_quorum fig1_system (set [ 3; 5; 6; 7 ]));
+  ignore (Quorum.compiled_of sys);
+  ignore (Quorum.compiled_of sys);
   let after = Quorum.cache_stats () in
-  Alcotest.(check bool) "wrapper calls touch the implicit cache" true
-    (after.hits + after.misses > before.hits + before.misses)
+  Alcotest.(check int) "a new value misses once" 1
+    (after.misses - before.misses);
+  Alcotest.(check int) "then hits" 1 (after.hits - before.hits)
 
 (* Random slice systems: processes 1..n, each declaring one or two
    random explicit slices over the universe. *)
@@ -109,21 +114,19 @@ let arb_system =
         (Pid.Set.to_string probe))
     gen_system
 
-let prop_wrappers_agree_with_compiled =
+let prop_oracle_agrees_with_compiled =
   QCheck.Test.make ~count:200
     ~name:"deprecated wrappers = Compiled API on random systems" arb_system
     (fun (sys, probe) ->
       let c = Quorum.Compiled.compile sys in
-      Quorum.is_quorum sys probe = Quorum.Compiled.is_quorum c probe
+      Oracle.Quorum.is_quorum sys probe = Quorum.Compiled.is_quorum c probe
       && Pid.Set.equal
-           (Quorum.greatest_quorum_within sys probe)
+           (Oracle.Quorum.greatest_quorum_within sys probe)
            (Quorum.Compiled.greatest_quorum_within c probe)
-      && Quorum.contains_quorum sys probe
-         = Quorum.Compiled.contains_quorum c probe
       && Pid.Set.for_all
            (fun i ->
-             Quorum.is_quorum_of sys i probe
-             = Quorum.Compiled.is_quorum_of c i probe)
+             Oracle.Quorum.is_v_blocking sys i probe
+             = Quorum.Compiled.is_v_blocking_d c i (D.of_set probe))
            (Quorum.participants sys))
 
 (* ---- systems over sparse pids up to 200 --------------------------------
@@ -132,8 +135,6 @@ let prop_wrappers_agree_with_compiled =
    families are padded and candidates are often shorter than a
    family's stride. Each process declares explicit slices (possibly
    [Explicit []]), a threshold (possibly unsatisfiable) or nothing. *)
-
-module D = Pid.Dense_set
 
 let gen_wide_system =
   QCheck.Gen.(
@@ -259,7 +260,7 @@ let prop_is_v_blocking_d =
       Bool.equal
         (Quorum.Compiled.is_v_blocking_d (Quorum.Compiled.compile sys) i
            (D.of_set b))
-        (Quorum.is_v_blocking sys i b))
+        (Oracle.Quorum.is_v_blocking sys i b))
 
 let test_is_v_blocking_d_edges () =
   let m = set [ 1; 2; 3 ] in
@@ -281,7 +282,7 @@ let test_is_v_blocking_d_edges () =
     (fun i ->
       Alcotest.(check bool)
         (Printf.sprintf "pid %d" i)
-        (Quorum.is_v_blocking sys i b)
+        (Oracle.Quorum.is_v_blocking sys i b)
         (Quorum.Compiled.is_v_blocking_d c i (D.of_set b)))
     [ 1; 2; 3; 4; 5; 6; 7; 8; 200 ];
   Alcotest.(check bool) "2 of 3 blocks any 2 of 3" true
@@ -294,11 +295,12 @@ let suites =
     ( "quorum_compiled",
       [
         Alcotest.test_case "Compiled = wrappers on fig1" `Quick
-          test_compiled_matches_wrappers_on_fig1;
-        Alcotest.test_case "per-handle stats" `Quick test_compiled_stats_count;
+          test_compiled_matches_oracle_on_fig1;
+        Alcotest.test_case "per-handle stats" `Quick
+          test_one_handle_per_system_value;
         Alcotest.test_case "wrapper cache accounting" `Quick
-          test_wrapper_cache_stats_move;
-        QCheck_alcotest.to_alcotest prop_wrappers_agree_with_compiled;
+          test_compiled_of_cache_accounting;
+        QCheck_alcotest.to_alcotest prop_oracle_agrees_with_compiled;
         QCheck_alcotest.to_alcotest prop_keeping_decides;
         QCheck_alcotest.to_alcotest prop_compiled_domain;
         QCheck_alcotest.to_alcotest prop_is_v_blocking_d;

@@ -41,18 +41,31 @@ let threshold_system n t =
        (fun i -> (i, Fbqs.Slice.threshold ~members ~threshold:t))
        (Graphkit.Pid.Set.elements members))
 
+(* The arms of the accept and confirm rules on a statement's tally, as
+   [Node] asks them of a statement with no prepare subsumption. *)
+let quorum_voted fv stmt =
+  Fvoting.quorum_within fv (Fvoting.tally fv stmt).voters
+
+let blocking_accepted fv stmt =
+  Fvoting.v_blocking fv (Fvoting.tally fv stmt).acceptors
+
+let accept_arms fv stmt = quorum_voted fv stmt || blocking_accepted fv stmt
+
+let confirm_arm fv stmt =
+  Fvoting.quorum_within fv (Fvoting.tally fv stmt).acceptors
+
 let test_fv_accept_via_quorum () =
   let sys = threshold_system 4 3 in
   let fv = Fvoting.create ~self:1 ~system:(fun () -> sys) () in
   let stmt = Statement.Nominate (v [ 5 ]) in
-  Alcotest.(check bool) "nothing yet" false (Fvoting.can_accept fv stmt);
+  Alcotest.(check bool) "nothing yet" false (accept_arms fv stmt);
   Fvoting.record_vote fv stmt 1;
   Fvoting.record_vote fv stmt 2;
   Alcotest.(check bool) "2 of 4 votes insufficient" false
-    (Fvoting.can_accept fv stmt);
+    (accept_arms fv stmt);
   Fvoting.record_vote fv stmt 3;
   Alcotest.(check bool) "3 of 4 votes suffice" true
-    (Fvoting.can_accept fv stmt)
+    (accept_arms fv stmt)
 
 let test_fv_accept_requires_own_membership () =
   let sys = threshold_system 4 3 in
@@ -64,7 +77,7 @@ let test_fv_accept_requires_own_membership () =
   Fvoting.record_vote fv stmt 3;
   Fvoting.record_vote fv stmt 4;
   Alcotest.(check bool) "quorum arm requires own vote" false
-    (Fvoting.quorum_votes fv stmt)
+    (quorum_voted fv stmt)
 
 let test_fv_accept_via_blocking () =
   let sys = threshold_system 4 3 in
@@ -74,12 +87,12 @@ let test_fv_accept_via_blocking () =
      any 2 of the other members. *)
   Fvoting.record_accept fv stmt 2;
   Alcotest.(check bool) "one acceptor not blocking" false
-    (Fvoting.blocking_accepts fv stmt);
+    (blocking_accepted fv stmt);
   Fvoting.record_accept fv stmt 3;
   Alcotest.(check bool) "two acceptors blocking" true
-    (Fvoting.blocking_accepts fv stmt);
+    (blocking_accepted fv stmt);
   Alcotest.(check bool) "accept now possible without own vote" true
-    (Fvoting.can_accept fv stmt)
+    (accept_arms fv stmt)
 
 let test_fv_confirm () =
   let sys = threshold_system 4 3 in
@@ -88,10 +101,10 @@ let test_fv_confirm () =
   Fvoting.record_accept fv stmt 1;
   Fvoting.record_accept fv stmt 2;
   Alcotest.(check bool) "2 acceptors no confirm" false
-    (Fvoting.can_confirm fv stmt);
+    (confirm_arm fv stmt);
   Fvoting.record_accept fv stmt 3;
   Alcotest.(check bool) "3 acceptors confirm" true
-    (Fvoting.can_confirm fv stmt)
+    (confirm_arm fv stmt)
 
 let test_fv_commit_implies_prepare_tally () =
   let sys = threshold_system 4 3 in

@@ -49,7 +49,10 @@ let test_fig2_availability () =
       in
       Pid.Set.iter
         (fun i ->
-          let gq = Fbqs.Quorum.greatest_quorum_within sys correct in
+          let gq =
+            Fbqs.Quorum.Compiled.greatest_quorum_within
+              (Fbqs.Quorum.compiled_of sys) correct
+          in
           Alcotest.(check bool)
             (Printf.sprintf "faulty=%d: %d has all-correct quorum" faulty_one i)
             true
@@ -90,7 +93,8 @@ let prop_theorems_on_random_graphs =
       let all = Digraph.vertices g in
       Fbqs.Intertwine.set_intertwined sys (Threshold f) all
       && Pid.Set.subset correct
-           (Fbqs.Quorum.greatest_quorum_within sys correct))
+           (Fbqs.Quorum.Compiled.greatest_quorum_within
+              (Fbqs.Quorum.compiled_of sys) correct))
 
 let suites =
   [
