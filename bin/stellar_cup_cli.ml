@@ -229,7 +229,7 @@ let run_consensus (spec : Serve.Api.graph_spec) faulty_ids pipeline timing
 let pipeline_term =
   Arg.(
     value
-    & opt string "scp-sd"
+    & opt string Serve.Api.default_pipeline
     & info [ "pipeline" ] ~docv:"P"
         ~doc:"Consensus stack: scp-local (Theorem 2 strawman), scp-sd \
               (Corollary 2) or bftcup (baseline).")

@@ -39,27 +39,20 @@ let requester ~self ~view ~f ~on_decide : Pbft.msg Engine.behavior =
   in
   { Engine.idle_behavior with on_start; on_message }
 
-let run ?(seed = 0) ?(gst = 50) ?(delta = 5) ?(max_time = 200_000)
-    ?(view_timeout = 60) ~graph ~f ~initial_value_of ~faulty () =
+(* The PBFT view-change timeout, in logical ticks. *)
+let view_timeout = 60
+
+let run ?(cfg = Run_config.default) ~graph ~f ~initial_value_of ~faulty () =
   let fault_of i =
     if Pid.Set.mem i faulty then Some Cup.Sink_protocol.Silent else None
   in
   (* Stage 1: knowledge acquisition. *)
-  let discovery =
-    Cup.Sink_protocol.run_cfg
-      ~cfg:{ Run_config.default with seed; gst; delta; max_time }
-      ~graph ~f ~fault_of ()
-  in
-  (* Stage 2 + 3: consensus among the sink, dissemination outwards. *)
+  let discovery = Cup.Sink_protocol.run_cfg ~cfg ~graph ~f ~fault_of () in
+  (* Stage 2 + 3: consensus among the sink, dissemination outwards, on
+     a distinct stream of delivery delays. *)
   let engine =
     Engine.create_cfg ~pp_msg:Pbft.pp_msg
-      {
-        Run_config.default with
-        seed = seed + 1;
-        gst;
-        delta;
-        max_time = 1_000_000;
-      }
+      (Run_config.with_seed (cfg.seed + 1) cfg)
   in
   let decisions = ref Pid.Map.empty in
   let correct = Pid.Set.diff (Digraph.vertices graph) faulty in
@@ -97,7 +90,7 @@ let run ?(seed = 0) ?(gst = 50) ?(delta = 5) ?(max_time = 200_000)
   let all_decided () =
     Pid.Set.for_all (fun i -> Pid.Map.mem i !decisions) expected
   in
-  let consensus_stats = Engine.run ~max_time ~stop:all_decided engine in
+  let consensus_stats = Engine.run ~stop:all_decided engine in
   let decisions = !decisions in
   let values = Pid.Map.fold (fun _ v acc -> v :: acc) decisions [] in
   let agreement =

@@ -23,11 +23,7 @@ type outcome = {
 }
 
 val run :
-  ?seed:int ->
-  ?gst:int ->
-  ?delta:int ->
-  ?max_time:int ->
-  ?view_timeout:int ->
+  ?cfg:Simkit.Run_config.t ->
   graph:Digraph.t ->
   f:int ->
   initial_value_of:(Pid.t -> Scp.Value.t) ->
@@ -36,4 +32,11 @@ val run :
   outcome
 (** Runs the full pipeline on a knowledge graph. Faulty processes are
     silent in both stages (the strongest failure for liveness; richer
-    Byzantine behaviours are exercised per-stage in the test suites). *)
+    Byzantine behaviours are exercised per-stage in the test suites).
+
+    Stage 1 runs on [cfg] (default {!Simkit.Run_config.default}),
+    stages 2 and 3 on [cfg] reseeded with [seed + 1], so the two
+    engines draw distinct delay streams; each stage has the whole
+    [cfg.max_time] budget. Both engines count into [cfg.metrics] and
+    emit into [cfg.trace]; a PBFT view change times out after 60
+    ticks. *)

@@ -31,11 +31,10 @@ let of_scp_outcome ?(discovery_msgs = 0) ?(discovery_time = 0)
 let scp_cfg cfg =
   { Scp.Runner.default_cfg with run = cfg }
 
-let scp_with_local_slices ?(cfg = Simkit.Run_config.default) ?rule ~graph ~f
-    ~faulty ~initial_value_of () =
-  let rule = Option.value ~default:Cup.Local_slices.all_but_one rule in
+let scp_with_local_slices ?(cfg = Simkit.Run_config.default) ~graph ~f ~faulty
+    ~initial_value_of () =
   let pd = Cup.Participant_detector.of_graph ~f graph in
-  let system = Cup.Local_slices.system ~rule pd in
+  let system = Cup.Local_slices.system ~rule:Cup.Local_slices.all_but_one pd in
   let peers_of i = Cup.Participant_detector.query pd i in
   let fault_of i =
     if Pid.Set.mem i faulty then Some Scp.Runner.Silent else None
@@ -92,11 +91,7 @@ type stack = Scp_local | Scp_sink_detector | Bftcup
 
 let bftcup ?(cfg = Simkit.Run_config.default) ~graph ~f ~faulty
     ~initial_value_of () =
-  let o =
-    Bftcup.Protocol.run ~seed:cfg.Simkit.Run_config.seed ~gst:cfg.gst
-      ~delta:cfg.delta ~max_time:cfg.max_time ~graph ~f ~initial_value_of
-      ~faulty ()
-  in
+  let o = Bftcup.Protocol.run ~cfg ~graph ~f ~initial_value_of ~faulty () in
   {
     all_decided = o.all_decided;
     agreement = o.agreement;

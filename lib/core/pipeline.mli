@@ -3,8 +3,9 @@
     The paper's comparison, as runnable pipelines:
 
     - {!scp_with_local_slices}: the Section IV strawman — SCP over
-      slices each process derives from [PD_i] and [f] alone. Subject to
-      Theorem 2's agreement violations.
+      slices each process derives from [PD_i] and [f] alone
+      ({!Cup.Local_slices.all_but_one}). Subject to Theorem 2's
+      agreement violations.
     - {!scp_with_sink_detector}: Corollary 2's stack — run the sink
       detector (Algorithm 3), build slices with Algorithm 2, then run
       SCP. Solves consensus whenever the graph is Byzantine-safe with a
@@ -15,9 +16,9 @@
     All three report the same outcome shape so experiments can tabulate
     them side by side, and all three take one {!Simkit.Run_config.t}
     carrying the seed, timing model and observability sinks. Multi-stage
-    stacks reuse the same config for every stage (the SCP stage of
-    {!scp_with_sink_detector} reseeds with [seed + 1] so the two stages
-    draw distinct delay streams). *)
+    stacks reuse the same config for every stage (the second stage of
+    {!scp_with_sink_detector} and {!bftcup} reseeds with [seed + 1] so
+    the two stages draw distinct delay streams). *)
 
 open Graphkit
 
@@ -35,7 +36,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val scp_with_local_slices :
   ?cfg:Simkit.Run_config.t ->
-  ?rule:(Cup.Participant_detector.t -> Pid.t -> Fbqs.Slice.t) ->
   graph:Digraph.t ->
   f:int ->
   faulty:Pid.Set.t ->
@@ -63,8 +63,6 @@ val bftcup :
   initial_value_of:(Pid.t -> Scp.Value.t) ->
   unit ->
   verdict
-(** The BFT-CUP stack does not yet thread observability sinks through
-    its internal stages; only the timing fields of [cfg] apply. *)
 
 (** A pipeline selector, for sweep-style callers that pick the stack at
     run time (CLI, bench harness). *)

@@ -52,10 +52,6 @@ let refresh_sink t =
         && agreeing >= Pid.Set.cardinal t.known - t.f
       then t.sink <- Some t.known
 
-let check_sink t =
-  refresh_sink t;
-  t.sink
-
 (* Recompute [known] from first-hand knowledge plus ids vouched by
    f + 1 distinct known claimants; returns whether it grew. *)
 let refresh_known t =

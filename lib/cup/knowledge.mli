@@ -36,7 +36,3 @@ val on_know_request :
 
 val on_know :
   t -> send:(Pid.t -> Msg.t -> unit) -> src:Pid.t -> Pid.Set.t -> unit
-
-val check_sink : t -> Pid.Set.t option
-(** Re-evaluates the termination test (also done internally after every
-    update) and returns the current result. *)

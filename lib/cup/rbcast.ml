@@ -17,16 +17,13 @@ type t = {
   c_deliveries : Obs.Metrics.counter option;
 }
 
-let create ~self ~neighbors ~f ?max_copies_per_origin ?metrics () =
-  let max_copies =
-    Option.value ~default:(4 * (f + 1)) max_copies_per_origin
-  in
+let create ~self ~neighbors ~f ?metrics () =
   let c name = Option.map (fun r -> Obs.Metrics.counter r name) metrics in
   {
     self;
     neighbors = Pid.Set.remove self neighbors;
     f;
-    max_copies;
+    max_copies = 4 * (f + 1);
     states = Hashtbl.create 8;
     c_broadcasts = c "rbcast_broadcasts";
     c_relays = c "rbcast_relays";
@@ -119,13 +116,3 @@ let on_get_sink t ~send ~src ~origin ~path =
     end
     else None
   end
-
-let delivered t =
-  (* Enumeration order is irrelevant: the fold lands in [Pid.Set.add],
-     an order-insensitive D1 ordering step. *)
-  Hashtbl.fold
-    (fun origin st acc ->
-      if st.delivered && not (Pid.equal origin t.self) then
-        Pid.Set.add origin acc
-      else acc)
-    t.states Pid.Set.empty

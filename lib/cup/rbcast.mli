@@ -23,16 +23,14 @@ val create :
   self:Pid.t ->
   neighbors:Pid.Set.t ->
   f:int ->
-  ?max_copies_per_origin:int ->
   ?metrics:Obs.Metrics.t ->
   unit ->
   t
-(** [max_copies_per_origin] caps how many distinct copies of the same
-    origin's flood a relayer forwards (default [4 * (f + 1)]); the cap
-    bounds Dolev flooding's worst-case exponential traffic while leaving
-    enough path diversity for delivery in practice. [metrics] counts
-    flood fan-out ([rbcast_broadcasts], [rbcast_relays],
-    [rbcast_deliveries]). *)
+(** A relayer forwards at most [4 * (f + 1)] distinct copies of the
+    same origin's flood: a fixed cap that bounds Dolev flooding's
+    worst-case exponential traffic while leaving enough path diversity
+    for delivery in practice. [metrics] counts flood fan-out
+    ([rbcast_broadcasts], [rbcast_relays], [rbcast_deliveries]). *)
 
 val broadcast : t -> send:(Pid.t -> Msg.t -> unit) -> unit
 (** Starts a GET_SINK flood with this process as origin. *)
@@ -47,6 +45,3 @@ val on_get_sink :
 (** Processes a flood copy: validates the path, relays it, and returns
     [Some origin] exactly once per origin — upon first satisfying the
     delivery rule (the reachable_deliver event). *)
-
-val delivered : t -> Pid.Set.t
-(** Origins delivered so far. *)

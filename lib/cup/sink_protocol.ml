@@ -19,14 +19,13 @@ type node_state = {
   mutable reported : bool;
 }
 
-let make_state ~self ~pd ~f ?max_copies_per_origin ?metrics ?trace () =
+let make_state ~self ~pd ~f ?metrics ?trace () =
   let c name = Option.map (fun r -> Obs.Metrics.counter r name) metrics in
   {
     self;
     f;
     knowledge = Knowledge.create ~self ~pd ~f;
-    rb =
-      Rbcast.create ~self ~neighbors:pd ~f ?max_copies_per_origin ?metrics ();
+    rb = Rbcast.create ~self ~neighbors:pd ~f ?metrics ();
     trace;
     c_know = c "cup_know_received";
     c_replies = c "cup_sink_replies";
@@ -117,9 +116,8 @@ let check_sink_primitive st =
       | Some v -> st.sink <- Some v
       | None -> ())
 
-let honest ~self ~pd ~f ?max_copies_per_origin ?metrics ?trace ~on_result () :
-    Msg.t Engine.behavior =
-  let st = make_state ~self ~pd ~f ?max_copies_per_origin ?metrics ?trace () in
+let honest ~self ~pd ~f ?metrics ?trace ~on_result () : Msg.t Engine.behavior =
+  let st = make_state ~self ~pd ~f ?metrics ?trace () in
   let on_start ctx =
     Knowledge.start st.knowledge ~send:(sender ctx);
     Rbcast.broadcast st.rb ~send:(sender ctx)
@@ -151,11 +149,11 @@ let honest ~self ~pd ~f ?max_copies_per_origin ?metrics ?trace ~on_result () :
   in
   { on_start; on_message; on_timer = (fun _ _ -> ()) }
 
-let faulty ~self ~pd ~f ?max_copies_per_origin fault : Msg.t Engine.behavior =
+let faulty ~self ~pd ~f fault : Msg.t Engine.behavior =
   match fault with
   | Silent -> Engine.idle_behavior
   | Sink_liar fake ->
-      let st = make_state ~self ~pd ~f ?max_copies_per_origin () in
+      let st = make_state ~self ~pd ~f () in
       let lie_to ctx origin =
         if not (Pid.Set.mem origin st.answered) then begin
           st.answered <- Pid.Set.add origin st.answered;
@@ -184,7 +182,7 @@ let faulty ~self ~pd ~f ?max_copies_per_origin fault : Msg.t Engine.behavior =
   | Know_liar fakes ->
       (* Honest state machine whose outgoing Know messages are inflated
          with fabricated ids; the lie is uniform across receivers. *)
-      let st = make_state ~self ~pd ~f ?max_copies_per_origin () in
+      let st = make_state ~self ~pd ~f () in
       let lying_sender ctx j (m : Msg.t) =
         let m =
           match m with
@@ -218,8 +216,7 @@ type run_result = {
   stats : Engine.stats;
 }
 
-let run_cfg ?(cfg = Run_config.default) ?max_copies_per_origin ~graph ~f
-    ~fault_of () =
+let run_cfg ?(cfg = Run_config.default) ~graph ~f ~fault_of () =
   let metrics = cfg.Run_config.metrics and trace = cfg.Run_config.trace in
   let engine = Engine.create_cfg ~pp_msg:Msg.pp cfg in
   let answers = ref Pid.Map.empty in
@@ -232,13 +229,11 @@ let run_cfg ?(cfg = Run_config.default) ?max_copies_per_origin ~graph ~f
       let pd = Digraph.succs graph i in
       match fault_of i with
       | Some fault ->
-          Engine.add_node engine i
-            (faulty ~self:i ~pd ~f ?max_copies_per_origin fault)
+          Engine.add_node engine i (faulty ~self:i ~pd ~f fault)
       | None ->
           correct := Pid.Set.add i !correct;
           Engine.add_node engine i
-            (honest ~self:i ~pd ~f ?max_copies_per_origin ?metrics ?trace
-               ~on_result ()))
+            (honest ~self:i ~pd ~f ?metrics ?trace ~on_result ()))
     (Digraph.vertices graph);
   let all_done () =
     Pid.Set.for_all (fun i -> Pid.Map.mem i !answers) !correct

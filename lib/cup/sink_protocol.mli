@@ -1,5 +1,5 @@
-(** Algorithm 3 — the distributed sink detector — as simulator
-    behaviours, plus a turnkey runner.
+(** Algorithm 3 — the distributed sink detector — run on the
+    simulator.
 
     Every process starts a GET_SINK reachable broadcast and runs the
     SINK primitive concurrently (the paper's two [fork]s). Sink members
@@ -20,29 +20,6 @@ type fault =
       (** honest except that its [Know] messages additionally claim the
           given fabricated ids (the same lie to everybody) *)
 
-val honest :
-  self:Pid.t ->
-  pd:Pid.Set.t ->
-  f:int ->
-  ?max_copies_per_origin:int ->
-  ?metrics:Obs.Metrics.t ->
-  ?trace:Obs.Trace.sink ->
-  on_result:(Pid.t -> Sink_oracle.answer -> unit) ->
-  unit ->
-  Msg.t Simkit.Engine.behavior
-(** [metrics] counts discovery traffic ([cup_know_received],
-    [cup_sink_replies], [cup_sinks_resolved], plus the [rbcast_*] flood
-    counters); [trace] emits scope-["cup"] events ([rb_deliver],
-    [sink_resolved]) stamped with the engine's logical time. *)
-
-val faulty :
-  self:Pid.t ->
-  pd:Pid.Set.t ->
-  f:int ->
-  ?max_copies_per_origin:int ->
-  fault ->
-  Msg.t Simkit.Engine.behavior
-
 val resolve_replies : f:int -> Pid.Set.t Pid.Map.t -> Pid.Set.t option
 (** The pure wait_sink decision: given the latest claimed sink per
     responder, the candidate view echoed by more than [f] distinct
@@ -58,7 +35,6 @@ type run_result = {
 
 val run_cfg :
   ?cfg:Simkit.Run_config.t ->
-  ?max_copies_per_origin:int ->
   graph:Digraph.t ->
   f:int ->
   fault_of:(Pid.t -> fault option) ->
@@ -68,7 +44,11 @@ val run_cfg :
     correct process has returned from [get_sink] or [cfg.max_time]
     elapses. [fault_of] designates the faulty processes and their
     behaviour. Observability sinks in [cfg] instrument the engine and
-    every honest node. *)
+    every honest node: [cfg.metrics] counts discovery traffic
+    ([cup_know_received], [cup_sink_replies], [cup_sinks_resolved],
+    plus the [rbcast_*] flood counters), and [cfg.trace] receives
+    scope-["cup"] events ([rb_deliver], [sink_resolved]) stamped with
+    the engine's logical time. *)
 
 val default_run_config : Simkit.Run_config.t
 (** The detector's historical timing: {!Simkit.Run_config.default}

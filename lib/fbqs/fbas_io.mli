@@ -19,8 +19,6 @@
 
 val to_string : Quorum.system -> string
 
-val to_buffer : Buffer.t -> Quorum.system -> unit
-
 val to_file : string -> Quorum.system -> unit
 
 val of_string : string -> (Quorum.system, string) result

@@ -290,8 +290,6 @@ module Dense_set = struct
 
   let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
 
-  let to_list = elements
-
   let of_list l =
     List.iter check_elt l;
     match l with

@@ -112,8 +112,6 @@ module Dense_set : sig
   val elements : t -> int list
   (** Ascending. *)
 
-  val to_list : t -> int list
-
   val of_list : int list -> t
 
   val of_range : int -> int -> t

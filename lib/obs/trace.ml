@@ -6,19 +6,12 @@ type event = {
   fields : (string * Json.t) list;
 }
 
-type sink = {
-  mutable next_seq : int;
-  mutable subscribers : (event -> unit) list;  (* reversed *)
-}
-
-let create () = { next_seq = 0; subscribers = [] }
-
-let subscribe sink f = sink.subscribers <- f :: sink.subscribers
+type sink = { mutable next_seq : int; write : event -> unit }
 
 let emit sink ~time ~scope ~name fields =
   let e = { time; seq = sink.next_seq; scope; name; fields } in
   sink.next_seq <- sink.next_seq + 1;
-  List.iter (fun f -> f e) (List.rev sink.subscribers)
+  sink.write e
 
 let event_count sink = sink.next_seq
 
@@ -32,24 +25,16 @@ let event_to_json e =
      ]
     @ e.fields)
 
-let event_to_line e = Json.to_string (event_to_json e)
-
 let to_buffer buf =
-  let sink = create () in
-  subscribe sink (fun e ->
-      Buffer.add_string buf (event_to_line e);
-      Buffer.add_char buf '\n');
-  sink
-
-let to_channel oc =
-  let sink = create () in
-  subscribe sink (fun e ->
-      output_string oc (event_to_line e);
-      output_char oc '\n');
-  sink
+  {
+    next_seq = 0;
+    write =
+      (fun e ->
+        Buffer.add_string buf (Json.to_string (event_to_json e));
+        Buffer.add_char buf '\n');
+  }
 
 let recording () =
-  let sink = create () in
   let events = ref [] in
-  subscribe sink (fun e -> events := e :: !events);
-  (sink, fun () -> List.rev !events)
+  ( { next_seq = 0; write = (fun e -> events := e :: !events) },
+    fun () -> List.rev !events )

@@ -6,10 +6,10 @@
     seed two runs emit byte-identical streams — traces double as golden
     files in tests and as CI artifacts.
 
-    Sinks are pluggable: a sink fans each event out to its subscribers
-    (a JSONL writer, an in-memory recorder, a live aggregator).
-    Instrumented code holds a [sink option] and skips all field
-    construction when tracing is off. *)
+    A sink holds exactly one writer, chosen when it is made:
+    {!to_buffer} renders each event as a JSONL line, {!recording} keeps
+    the events in memory. Instrumented code holds a [sink option] and
+    skips all field construction when tracing is off. *)
 
 type event = {
   time : int;  (** logical simulation time at emission *)
@@ -21,17 +21,11 @@ type event = {
 
 type sink
 
-val create : unit -> sink
-(** A sink with no subscribers (events are still sequenced). *)
-
-val subscribe : sink -> (event -> unit) -> unit
-(** Adds a subscriber; subscribers run in subscription order at every
-    {!emit}. *)
-
 val emit :
   sink -> time:int -> scope:string -> name:string ->
   (string * Json.t) list -> unit
-(** Stamps the event with the next sequence number and fans it out. *)
+(** Stamps the event with the next sequence number and hands it to the
+    sink's writer. *)
 
 val event_count : sink -> int
 (** Events emitted so far (= the next sequence number). *)
@@ -40,16 +34,11 @@ val event_to_json : event -> Json.t
 (** [{"t": time, "seq": seq, "scope": scope, "ev": name, ...fields}] —
     fields are spliced into the same object, in emission order. *)
 
-val event_to_line : event -> string
-(** {!event_to_json} rendered compactly, without the trailing
-    newline. *)
-
 val to_buffer : Buffer.t -> sink
-(** A fresh sink whose events are appended to the buffer as JSONL. *)
-
-val to_channel : out_channel -> sink
-(** A fresh sink writing JSONL to the channel (caller closes it). *)
+(** A fresh sink appending each event to the buffer as one compact
+    {!event_to_json} line plus a newline (JSONL). *)
 
 val recording : unit -> sink * (unit -> event list)
 (** A fresh sink plus an accessor returning all events emitted so far,
-    in order — the in-memory subscriber the unit tests use. *)
+    in order — what the daemon streams back and the unit tests
+    inspect. *)

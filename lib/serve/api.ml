@@ -54,6 +54,8 @@ let verdict_json (v : Stellar_cup.Pipeline.verdict) =
       ("total_time", Obs.Json.Int v.total_time);
     ]
 
+let default_pipeline = "scp-sd"
+
 let stack_of_pipeline = function
   | "scp-local" -> Stellar_cup.Pipeline.Scp_local
   | "scp-sd" -> Stellar_cup.Pipeline.Scp_sink_detector

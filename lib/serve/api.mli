@@ -31,6 +31,10 @@ val build_graph : graph_spec -> Digraph.t
 
 (** {1 Consensus runs} *)
 
+val default_pipeline : string
+(** [scp-sd] (Corollary 2's stack): the default of the CLI's
+    [--pipeline] flag and of the daemon's [run] verb. *)
+
 val stack_of_pipeline : string -> Stellar_cup.Pipeline.stack
 (** [scp-local], [scp-sd] or [bftcup].
     @raise Failure otherwise. *)

@@ -212,7 +212,7 @@ let run_verb fields =
       f = int_field fields "f" ~default:g.f;
     }
   in
-  let pipeline = string_field fields "pipeline" ~default:"scp-sd" in
+  let pipeline = string_field fields "pipeline" ~default:Api.default_pipeline in
   let faulty = Graphkit.Pid.Set.of_list (int_list_field fields "faulty" ~default:[]) in
   let want_metrics = bool_field fields "metrics" ~default:false in
   let want_trace = bool_field fields "trace" ~default:false in

@@ -9,18 +9,19 @@
     norm. All scheduling is deterministic given the delay model's
     seed.
 
-    The engine is the bottom of the observability stack: given a
+    The engine is the bottom of the observability stack, and both of
+    its sinks come from the {!Run_config.t} it is created with: given a
     metrics registry it counts sends, deliveries, drops and timer
     firings and tracks the event-queue depth; given a trace sink it
     emits one structured event per send, delivery, drop, timer and
-    process start (scope ["engine"]), stamped with the logical clock. *)
+    process start (scope ["engine"]), stamped with the logical clock.
+    The trace is the only way to watch a run: the engine logs nothing
+    else. *)
 
 open Graphkit
 
 type 'm ctx
 (** The handle a running process uses to interact with the world. *)
-
-val self : 'm ctx -> Pid.t
 
 val now : 'm ctx -> int
 
@@ -54,38 +55,24 @@ type stats = {
   end_time : int;  (** timestamp of the last processed event *)
   queue_high_water : int;
       (** maximum number of simultaneously pending events *)
-  sent_by : int Pid.Map.t;
-  sent_by_class : (string * int) list;
-      (** per-class send counts when a [classify] function was given
-          at creation; sorted by class name *)
 }
 
 type 'm t
 
 val create_cfg :
-  ?pp_msg:(Format.formatter -> 'm -> unit) ->
-  ?classify:('m -> string) ->
-  Run_config.t ->
-  'm t
+  ?pp_msg:(Format.formatter -> 'm -> unit) -> Run_config.t -> 'm t
 (** A fresh engine driven by a unified {!Run_config.t}: delay model,
-    observability sinks and time budget ([max_time], the default
-    budget {!run} uses when not overridden) all come from the config.
-    [pp_msg] enables human-readable traces through [Logs] at debug
-    level and, when a trace sink is attached, a rendered ["msg"] field
-    on send/deliver events; [classify] enables per-message-class
-    traffic accounting in {!type:stats}. *)
+    observability sinks and time budget ([max_time]) all come from the
+    config. When a trace sink is attached, [pp_msg] renders each
+    message into a ["msg"] field of its send/deliver events. *)
 
 val add_node : 'm t -> Pid.t -> 'm behavior -> unit
 (** Registers a process. Re-adding an id replaces its behaviour.
     Must be called before {!run}.
     @raise Invalid_argument on a negative pid. *)
 
-val run : ?max_time:int -> ?stop:(unit -> bool) -> 'm t -> stats
-(** Starts every registered process and processes events in timestamp
-    order until the queue drains, [stop ()] holds (checked after every
-    event), or the clock passes [max_time] (default: the engine's
-    configured budget). Returns the execution statistics. *)
-
-val now_of : 'm t -> int
-
-val stats_of : 'm t -> stats
+val run : ?stop:(unit -> bool) -> 'm t -> stats
+(** Starts every registered process, in ascending pid order, and
+    processes events in timestamp order until the queue drains,
+    [stop ()] holds (checked after every event), or the clock passes
+    the config's [max_time]. Returns the execution statistics. *)

@@ -4,8 +4,9 @@
     the partial-synchrony parameters, the time budget, an optional
     explicit delay model, and the observability sinks — and is accepted
     by {!Engine.create_cfg}, [Scp.Runner.run_cfg],
-    [Cup.Sink_protocol.run_cfg] and the [Stellar_cup.Pipeline] entry
-    points, replacing their formerly divergent optional-argument lists.
+    [Cup.Sink_protocol.run_cfg], [Bftcup.Protocol.run] and the
+    [Stellar_cup.Pipeline] entry points, replacing their formerly
+    divergent optional-argument lists.
     CLI subcommands build a single value of this type and pass it down
     the whole stack. *)
 

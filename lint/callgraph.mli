@@ -1,7 +1,7 @@
 (** Interprocedural call graph over loaded typed units.
 
     Nodes are toplevel value bindings named by canonical dotted path
-    (["Cup.Knowledge.check_sink"]); edges go to every identifier a
+    (["Cup.Knowledge.sink_result"]); edges go to every identifier a
     binding's body mentions (call, partial application or storage —
     the graph is deliberately conservative). Targets outside the cmt
     set (stdlib, external libraries) are kept as plain names; the P1

@@ -57,9 +57,9 @@ let test_condensation_dag () =
 let test_engine_accessors () =
   let delay = Simkit.Delay.synchronous ~delta:1 in
   let engine = Simkit.Engine.create_cfg { Simkit.Run_config.default with delay = Some delay; max_time = 1_000_000 } in
-  Alcotest.(check int) "fresh clock" 0 (Simkit.Engine.now_of engine);
-  let stats = Simkit.Engine.stats_of engine in
-  Alcotest.(check int) "nothing sent yet" 0 stats.messages_sent
+  let stats = Simkit.Engine.run engine in
+  Alcotest.(check int) "clock never moved" 0 stats.end_time;
+  Alcotest.(check int) "nothing sent" 0 stats.messages_sent
 
 let test_participant_detector_strips_self_loop () =
   let g = Digraph.of_edges [ (1, 1); (1, 2) ] in

@@ -65,7 +65,9 @@ let prop_random_graphs =
       in
       let faulty = Generators.random_faulty_set ~seed ~f g in
       let o =
-        Protocol.run ~seed ~graph:g ~f ~initial_value_of:own_value ~faulty ()
+        Protocol.run
+          ~cfg:(Simkit.Run_config.with_seed seed Simkit.Run_config.default)
+          ~graph:g ~f ~initial_value_of:own_value ~faulty ()
       in
       o.all_decided && o.agreement && o.validity)
 

@@ -146,6 +146,27 @@ let test_stop_predicate () =
   ignore (Engine.run ~stop:(fun () -> !count >= 5) engine);
   Alcotest.(check int) "stopped at 5" 5 !count
 
+let test_start_order () =
+  (* Start events follow ascending pid, whatever the registration
+     order; re-adding a pid replaces its behaviour, so it starts once,
+     as the replacement. *)
+  let delay = Delay.synchronous ~delta:1 in
+  let engine = Engine.create_cfg { Run_config.default with delay = Some delay; max_time = 1_000_000 } in
+  let started = ref [] in
+  let starter name : unit Engine.behavior =
+    {
+      Engine.idle_behavior with
+      on_start = (fun _ -> started := name :: !started);
+    }
+  in
+  Engine.add_node engine 5 (starter "5");
+  Engine.add_node engine 2 (starter "2");
+  Engine.add_node engine 9 (starter "9");
+  Engine.add_node engine 2 (starter "2'");
+  ignore (Engine.run engine);
+  Alcotest.(check (list string)) "ascending, once each" [ "2'"; "5"; "9" ]
+    (List.rev !started)
+
 let suites =
   [
     ( "engine",
@@ -158,5 +179,6 @@ let suites =
           test_partial_synchrony_bound;
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "stop predicate" `Quick test_stop_predicate;
+        Alcotest.test_case "start order" `Quick test_start_order;
       ] );
   ]

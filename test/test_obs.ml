@@ -76,21 +76,33 @@ let test_metrics_json_sorted () =
 (* ---- trace ------------------------------------------------------------ *)
 
 let test_trace_seq_and_fanout () =
+  (* The two writers, fed the same emits: the buffer holds the exact
+     JSONL, the recording the same events with the same sequence. *)
+  let buf = Buffer.create 64 in
+  let jsonl = Obs.Trace.to_buffer buf in
   let sink, events = Obs.Trace.recording () in
-  let seen = ref 0 in
-  Obs.Trace.subscribe sink (fun _ -> incr seen);
-  Obs.Trace.emit sink ~time:3 ~scope:"s" ~name:"a" [];
-  Obs.Trace.emit sink ~time:5 ~scope:"s" ~name:"b"
-    [ ("k", Obs.Json.Int 1) ];
-  Alcotest.(check int) "both subscribers ran" 2 !seen;
+  List.iter
+    (fun s ->
+      Obs.Trace.emit s ~time:3 ~scope:"s" ~name:"a" [];
+      Obs.Trace.emit s ~time:5 ~scope:"s" ~name:"b" [ ("k", Obs.Json.Int 1) ])
+    [ jsonl; sink ];
   Alcotest.(check int) "event_count" 2 (Obs.Trace.event_count sink);
+  Alcotest.(check int) "event_count (buffer)" 2 (Obs.Trace.event_count jsonl);
+  Alcotest.(check string) "jsonl lines"
+    {|{"t":3,"seq":0,"scope":"s","ev":"a"}
+{"t":5,"seq":1,"scope":"s","ev":"b","k":1}
+|}
+    (Buffer.contents buf);
   match events () with
   | [ e0; e1 ] ->
       Alcotest.(check int) "seq 0" 0 e0.Obs.Trace.seq;
       Alcotest.(check int) "seq 1" 1 e1.Obs.Trace.seq;
-      Alcotest.(check string)
-        "jsonl line" {|{"t":5,"seq":1,"scope":"s","ev":"b","k":1}|}
-        (Obs.Trace.event_to_line e1)
+      Alcotest.(check string) "recorded = written"
+        (Buffer.contents buf)
+        (String.concat ""
+           (List.map
+              (fun e -> Obs.Json.to_string (Obs.Trace.event_to_json e) ^ "\n")
+              [ e0; e1 ]))
   | _ -> Alcotest.fail "expected two recorded events"
 
 (* ---- engine instrumentation ------------------------------------------- *)

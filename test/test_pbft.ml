@@ -21,7 +21,7 @@ let test_leader_rotation () =
 let run_pbft ?(seed = 0) ?(n = 4) ?(f = 1) ~silent () =
   let members = Pid.Set.of_range 1 n in
   let delay = Delay.partial_synchrony ~gst:30 ~delta:4 ~seed in
-  let engine = Engine.create_cfg ~pp_msg:Pbft.pp_msg { Run_config.default with delay = Some delay; max_time = 1_000_000 } in
+  let engine = Engine.create_cfg ~pp_msg:Pbft.pp_msg { Run_config.default with delay = Some delay; max_time = 100_000 } in
   let decisions = ref Pid.Map.empty in
   Pid.Set.iter
     (fun i ->
@@ -41,7 +41,7 @@ let run_pbft ?(seed = 0) ?(n = 4) ?(f = 1) ~silent () =
     members;
   let correct = Pid.Set.diff members silent in
   let stop () = Pid.Set.for_all (fun i -> Pid.Map.mem i !decisions) correct in
-  let stats = Engine.run ~max_time:100_000 ~stop engine in
+  let stats = Engine.run ~stop engine in
   (!decisions, correct, stats)
 
 let check_agreed name decisions correct =

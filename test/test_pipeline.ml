@@ -87,6 +87,38 @@ let prop_pipelines_agree_across_seeds =
       in
       a.all_decided && a.agreement && b.all_decided && b.agreement)
 
+let test_bftcup_honours_cfg_sinks () =
+  (* BFT-CUP runs on the config it is given: both stages count into its
+     registry and emit into its trace, under its delay model. *)
+  let sync () =
+    {
+      Simkit.Run_config.default with
+      delay = Some (Simkit.Delay.synchronous ~delta:1);
+    }
+  in
+  let metrics = Obs.Metrics.create () in
+  let trace, events = Obs.Trace.recording () in
+  let cfg = { (sync ()) with metrics = Some metrics; trace = Some trace } in
+  let v =
+    Pipeline.bftcup ~cfg ~graph:Builtin.fig2 ~f:1 ~faulty:Pid.Set.empty
+      ~initial_value_of:own_value ()
+  in
+  ok "bftcup with sinks" v;
+  Alcotest.(check int) "engine_messages_sent = discovery + consensus"
+    (v.discovery_msgs + v.consensus_msgs)
+    (Obs.Metrics.counter_value
+       (Obs.Metrics.counter metrics "engine_messages_sent"));
+  let scopes = List.map (fun (e : Obs.Trace.event) -> e.scope) (events ()) in
+  Alcotest.(check bool) "engine events traced" true (List.mem "engine" scopes);
+  Alcotest.(check bool) "cup events traced" true (List.mem "cup" scopes);
+  let discovery =
+    Cup.Sink_protocol.run_cfg ~cfg:(sync ()) ~graph:Builtin.fig2 ~f:1
+      ~fault_of:(fun _ -> None)
+      ()
+  in
+  Alcotest.(check int) "discovery ran on the config's delay model"
+    discovery.stats.messages_sent v.discovery_msgs
+
 let suites =
   [
     ( "pipeline",
@@ -99,5 +131,7 @@ let suites =
           test_nonsink_threshold_ablation;
         Alcotest.test_case "verdict bookkeeping" `Quick test_verdict_shape;
         QCheck_alcotest.to_alcotest prop_pipelines_agree_across_seeds;
+        Alcotest.test_case "bftcup honours cfg sinks" `Quick
+          test_bftcup_honours_cfg_sinks;
       ] );
   ]

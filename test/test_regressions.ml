@@ -43,7 +43,9 @@ let test_pbft_decided_straggler () =
   in
   let faulty = Generators.random_faulty_set ~seed ~f g in
   let o =
-    Bftcup.Protocol.run ~seed ~graph:g ~f
+    Bftcup.Protocol.run
+      ~cfg:(Simkit.Run_config.with_seed seed Simkit.Run_config.default)
+      ~graph:g ~f
       ~initial_value_of:(fun i -> Scp.Value.of_ints [ i ])
       ~faulty ()
   in

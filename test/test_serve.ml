@@ -311,6 +311,39 @@ let test_repeat_analyze_reuses_payload () =
       Alcotest.(check string) "same modulo id" (strip_ids r3) (strip_ids r4)
   | _ -> Alcotest.fail "expected one response line per analyze"
 
+let test_bftcup_run_streams_trace_and_metrics () =
+  (* A BFT-CUP run honours the request's observability flags like the
+     SCP stacks do: trace envelopes first, then a response whose
+     metrics list is not empty. *)
+  let d = Serve.Daemon.create () in
+  let lines =
+    Serve.Daemon.handle_line d
+      (req 1 "run"
+         [ ("pipeline", {|"bftcup"|}); ("metrics", "true"); ("trace", "true") ])
+  in
+  match List.rev lines with
+  | response :: (_ :: _ as traces) -> (
+      List.iter
+        (fun l ->
+          Alcotest.(check bool) "trace envelope" true
+            (contains ~affix:{|"kind":"trace"|} l))
+        traces;
+      let member k = function
+        | Obs.Json.Obj l -> List.assoc_opt k l
+        | _ -> None
+      in
+      match Obs.Json.of_string response with
+      | Ok j -> (
+          match
+            Option.bind
+              (Option.bind (member "payload" j) (member "metrics"))
+              (member "metrics")
+          with
+          | Some (Obs.Json.List (_ :: _)) -> ()
+          | _ -> Alcotest.failf "no metrics in %s" response)
+      | Error e -> Alcotest.fail e)
+  | _ -> Alcotest.fail "expected trace lines before the response"
+
 let suites =
   [
     ( "serve",
@@ -332,5 +365,7 @@ let suites =
           test_oversized_splitting_is_an_error;
         Alcotest.test_case "negative pid is a line-numbered error" `Quick
           test_negative_pid_is_an_error;
+        Alcotest.test_case "bftcup run streams trace and metrics" `Quick
+          test_bftcup_run_streams_trace_and_metrics;
       ] );
   ]
