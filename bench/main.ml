@@ -717,14 +717,14 @@ let run_microbenches () =
 (* ---- experiment tables ----------------------------------------------- *)
 
 let experiments_markdown ~jobs () =
-  let tables = Stellar_cup.Experiments.all ~seed:1 ~jobs () in
+  let tables = Stellar_cup.Experiments.all ~jobs () in
   String.concat "" (List.map Stellar_cup.Report.to_markdown tables)
 
 let run_experiments ~markdown ~jobs =
   if markdown then print_string (experiments_markdown ~jobs ())
   else
     List.iter Stellar_cup.Report.print
-      (Stellar_cup.Experiments.all ~seed:1 ~jobs ())
+      (Stellar_cup.Experiments.all ~jobs ())
 
 (* EXPERIMENTS.md is prose down to this marker line, generated tables
    below it; regeneration only touches the generated part, and the

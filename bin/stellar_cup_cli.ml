@@ -184,7 +184,7 @@ let run_consensus (spec : Serve.Api.graph_spec) faulty_ids pipeline timing
        rather than silently dropped. *)
     if trace_path <> None || want_metrics then
       failwith "--trace/--metrics apply to single runs; drop --samples";
-    let stack = Serve.Api.stack_of_pipeline pipeline in
+    let stack = Stellar_cup.Pipeline.stack_of_string pipeline in
     let cfg, _ = configure_run spec timing None false in
     let verdicts =
       Stellar_cup.Pipeline.sweep ~jobs ~cfg ~stack ~graph:g ~f:spec.f ~faulty
@@ -212,7 +212,10 @@ let run_consensus (spec : Serve.Api.graph_spec) faulty_ids pipeline timing
   else begin
     let cfg, finish = configure_run spec timing trace_path want_metrics in
     let verdict =
-      Serve.Api.run_consensus ~cfg ~pipeline ~graph:g ~f:spec.f ~faulty ()
+      Stellar_cup.Pipeline.run_stack
+        (Stellar_cup.Pipeline.stack_of_string pipeline)
+        ~cfg ~graph:g ~f:spec.f ~faulty
+        ~initial_value_of:(fun i -> Scp.Value.of_ints [ i ])
     in
     let obs_fields, metrics = finish () in
     if json then
@@ -428,32 +431,12 @@ let graph_cmd =
 
 (* ---- experiment -------------------------------------------------------- *)
 
-let experiments : (string * (jobs:int -> Stellar_cup.Report.t)) list =
-  [
-    ("e1", fun ~jobs:_ -> Stellar_cup.Experiments.e1_fig1_example ());
-    ("e2", fun ~jobs:_ -> Stellar_cup.Experiments.e2_is_quorum ());
-    ("e3", fun ~jobs -> Stellar_cup.Experiments.e3_theorem2_violation ~jobs ());
-    ( "e4",
-      fun ~jobs -> Stellar_cup.Experiments.e4_algorithm2_intertwined ~jobs ()
-    );
-    ("e4b", fun ~jobs:_ -> Stellar_cup.Experiments.e4b_threshold_ablation ());
-    ("e5", fun ~jobs -> Stellar_cup.Experiments.e5_availability ~jobs ());
-    ("e6", fun ~jobs -> Stellar_cup.Experiments.e6_sink_detector ~jobs ());
-    ( "e7",
-      fun ~jobs -> Stellar_cup.Experiments.e7_reachable_broadcast ~jobs () );
-    ("e8", fun ~jobs -> Stellar_cup.Experiments.e8_pipelines ~jobs ());
-    ("e9", fun ~jobs:_ -> Stellar_cup.Experiments.e9_graph_machinery ());
-    ( "e10",
-      fun ~jobs -> Stellar_cup.Experiments.e10_restricted_oracle ~jobs () );
-    ("e11", fun ~jobs -> Stellar_cup.Experiments.e11_gst_sweep ~jobs ());
-    ( "e12",
-      fun ~jobs -> Stellar_cup.Experiments.e12_nomination_ablation ~jobs () );
-  ]
+let experiments = Stellar_cup.Experiments.registry
 
 let experiment_show which markdown jobs json =
   let tables =
     match which with
-    | "all" -> List.map (fun (_, k) -> k ~jobs) experiments
+    | "all" -> Stellar_cup.Experiments.all ~jobs ()
     | id -> (
         match List.assoc_opt id experiments with
         | Some k -> [ k ~jobs ]

@@ -92,24 +92,14 @@ let run ?(cfg = Run_config.default) ~graph ~f ~initial_value_of ~faulty () =
   in
   let consensus_stats = Engine.run ~stop:all_decided engine in
   let decisions = !decisions in
-  let values = Pid.Map.fold (fun _ v acc -> v :: acc) decisions [] in
-  let agreement =
-    match values with
-    | [] -> true
-    | v :: rest -> List.for_all (Scp.Value.equal v) rest
-  in
   let proposed =
     Pid.Set.fold
       (fun i acc -> Scp.Value.union acc (initial_value_of i))
       (Digraph.vertices graph) Scp.Value.empty
   in
-  let validity =
-    List.for_all
-      (fun v ->
-        List.for_all
-          (fun tx -> List.mem tx (Scp.Value.to_list proposed))
-          (Scp.Value.to_list v))
-      values
+  let agreement, validity =
+    Scp.Value.judge ~proposed
+      (Pid.Map.fold (fun _ v acc -> v :: acc) decisions [])
   in
   {
     decisions;

@@ -47,7 +47,7 @@ val e5_availability : ?seed:int -> ?samples:int -> ?jobs:int -> unit -> Report.t
 val e6_sink_detector : ?seed:int -> ?samples:int -> ?jobs:int -> unit -> Report.t
 (** Algorithm 3 / Theorem 6: distributed sink-detector runs — accuracy
     against the pure oracle, message and latency cost as the graph
-    grows, split by direct (SINK) vs indirect (GET_SINK) discovery. *)
+    grows, each graph fault-free and with [f] silent processes. *)
 
 val e7_reachable_broadcast :
   ?seed:int -> ?samples:int -> ?jobs:int -> unit -> Report.t
@@ -63,21 +63,19 @@ val e9_graph_machinery : ?seed:int -> unit -> Report.t
 (** Definitions 6, 7 and 9: generator soundness against the exact
     k-OSR checker, sink connectivity, and disjoint-path statistics. *)
 
-val e10_restricted_oracle :
-  ?seed:int -> ?samples:int -> ?jobs:int -> unit -> Report.t
-(** Ablation: the weakest oracle Definition 8 permits (non-sink members
-    learn only [f+1] correct sink ids, possibly diluted with [f] faulty
-    ones) — Theorems 3–5 must still hold. *)
+val registry : (string * (jobs:int -> Report.t)) list
+(** Every experiment by id, in order, at the seed and sample count of
+    EXPERIMENTS.md's generated tables: the functions above, plus
+    - [e10], an ablation: the weakest oracle Definition 8 permits
+      (non-sink members learn only [f+1] correct sink ids, possibly
+      diluted with [f] faulty ones) — Theorems 3–5 must still hold;
+    - [e11]: latency of the Corollary-2 stack as the asynchronous
+      period (GST) grows — safety is unaffected, termination time
+      tracks GST;
+    - [e12], an ablation of SCP's nomination strategy: naive
+      echo-everything vs stellar-core-style leader priorities — same
+      verdicts, far fewer messages with leaders. *)
 
-val e11_gst_sweep : ?seed:int -> ?samples:int -> ?jobs:int -> unit -> Report.t
-(** Latency of the Corollary-2 stack as the asynchronous period (GST)
-    grows: safety is unaffected, termination time tracks GST. *)
-
-val e12_nomination_ablation :
-  ?seed:int -> ?samples:int -> ?jobs:int -> unit -> Report.t
-(** Ablation: SCP's nomination strategy — naive echo-everything vs
-    stellar-core-style leader priorities; same verdicts, far fewer
-    messages with leaders. *)
-
-val all : ?seed:int -> ?jobs:int -> unit -> Report.t list
-(** Every experiment, in order, with bench-friendly default sizes. *)
+val all : ?jobs:int -> unit -> Report.t list
+(** Every table of {!registry}, in order: EXPERIMENTS.md's generated
+    section. *)

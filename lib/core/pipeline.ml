@@ -102,6 +102,12 @@ let bftcup ?(cfg = Simkit.Run_config.default) ~graph ~f ~faulty
     total_time = o.discovery_stats.end_time + o.consensus_stats.end_time;
   }
 
+let stack_of_string = function
+  | "scp-local" -> Scp_local
+  | "scp-sd" -> Scp_sink_detector
+  | "bftcup" -> Bftcup
+  | other -> failwith (Printf.sprintf "unknown pipeline %S" other)
+
 let run_stack stack ~cfg ~graph ~f ~faulty ~initial_value_of =
   match stack with
   | Scp_local ->

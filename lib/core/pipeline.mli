@@ -64,9 +64,25 @@ val bftcup :
   unit ->
   verdict
 
-(** A pipeline selector, for sweep-style callers that pick the stack at
-    run time (CLI, bench harness). *)
+(** A pipeline selector, for callers that pick the stack at run time
+    (CLI, daemon, bench harness). *)
 type stack = Scp_local | Scp_sink_detector | Bftcup
+
+val stack_of_string : string -> stack
+(** ["scp-local"], ["scp-sd"] or ["bftcup"]: the names of the CLI's
+    [--pipeline] flag and of the daemon's ["pipeline"] field.
+    @raise Failure ["unknown pipeline ..."] otherwise. *)
+
+val run_stack :
+  stack ->
+  cfg:Simkit.Run_config.t ->
+  graph:Digraph.t ->
+  f:int ->
+  faulty:Pid.Set.t ->
+  initial_value_of:(Pid.t -> Scp.Value.t) ->
+  verdict
+(** One run of the selected stack: {!scp_with_local_slices},
+    {!scp_with_sink_detector} or {!bftcup}. *)
 
 val sweep :
   ?jobs:int ->

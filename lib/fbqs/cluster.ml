@@ -6,17 +6,17 @@ let quorum_available sys set =
        (Quorum.Compiled.greatest_quorum_within (Quorum.compiled_of sys) set)
        set
 
-let is_consensus_cluster ?universe sys ~correct ~mode set =
+let is_consensus_cluster sys ~correct ~mode set =
   (not (Pid.Set.is_empty set))
   && Pid.Set.subset set correct
   && quorum_available sys set
-  && Intertwine.set_intertwined ?universe sys mode set
+  && Intertwine.set_intertwined sys mode set
 
-let maximal_clusters ?universe sys ~correct ~mode () =
+let maximal_clusters sys ~correct ~mode () =
   let clusters =
     Pid.Set.fold_subsets
       (fun s acc ->
-        if is_consensus_cluster ?universe sys ~correct ~mode s then s :: acc
+        if is_consensus_cluster sys ~correct ~mode s then s :: acc
         else acc)
       correct []
   in
@@ -28,5 +28,5 @@ let maximal_clusters ?universe sys ~correct ~mode () =
            clusters))
     clusters
 
-let grand_cluster ?universe sys ~correct ~mode () =
-  is_consensus_cluster ?universe sys ~correct ~mode correct
+let grand_cluster sys ~correct ~mode () =
+  is_consensus_cluster sys ~correct ~mode correct

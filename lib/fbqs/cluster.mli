@@ -9,19 +9,15 @@ val quorum_available : Quorum.system -> Pid.Set.t -> bool
     which is how it is computed. False for the empty set. *)
 
 val is_consensus_cluster :
-  ?universe:Pid.Set.t ->
   Quorum.system ->
   correct:Pid.Set.t ->
   mode:Intertwine.mode ->
   Pid.Set.t ->
   bool
 (** Definition 3: the set is a non-empty subset of [correct], is
-    intertwined under [mode], and is quorum-available. [universe]
-    bounds the quorums considered for the intersection check (default:
-    all participants of the system). *)
+    intertwined under [mode], and is quorum-available. *)
 
 val maximal_clusters :
-  ?universe:Pid.Set.t ->
   Quorum.system ->
   correct:Pid.Set.t ->
   mode:Intertwine.mode ->
@@ -32,7 +28,6 @@ val maximal_clusters :
     inherits the [|correct| <= 20] guard. *)
 
 val grand_cluster :
-  ?universe:Pid.Set.t ->
   Quorum.system ->
   correct:Pid.Set.t ->
   mode:Intertwine.mode ->

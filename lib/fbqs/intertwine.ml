@@ -10,15 +10,16 @@ let mode_ok mode q q' =
       not (Pid.Set.is_empty (Pid.Set.inter w (Pid.Set.inter q q')))
   | Threshold f -> threshold_pair_ok ~f q q'
 
-let pair_intertwined ?universe sys mode i j =
-  let qi = Quorum.minimal_quorums_of ?universe sys i in
-  let qj = Quorum.minimal_quorums_of ?universe sys j in
+let pair_intertwined sys mode i j =
+  let qi = Quorum.minimal_quorums_of sys i in
+  let qj = Quorum.minimal_quorums_of sys j in
   List.for_all (fun q -> List.for_all (fun q' -> mode_ok mode q q') qj) qi
 
-let violating_pair ?universe sys mode set =
-  let elts = Pid.Set.elements set in
+let violating_pair sys mode set =
   let quorums =
-    List.map (fun i -> (i, Quorum.minimal_quorums_of ?universe sys i)) elts
+    List.map
+      (fun i -> (i, Quorum.minimal_quorums_of sys i))
+      (Pid.Set.elements set)
   in
   let rec scan = function
     | [] -> None
@@ -40,5 +41,5 @@ let violating_pair ?universe sys mode set =
   in
   scan quorums
 
-let set_intertwined ?universe sys mode set =
-  Option.is_none (violating_pair ?universe sys mode set)
+let set_intertwined sys mode set =
+  Option.is_none (violating_pair sys mode set)

@@ -11,21 +11,18 @@ type mode =
       (** Section III-F: every pair of quorums intersects in more than
           [f] processes. *)
 
-val pair_intertwined :
-  ?universe:Pid.Set.t -> Quorum.system -> mode -> Pid.t -> Pid.t -> bool
+val pair_intertwined : Quorum.system -> mode -> Pid.t -> Pid.t -> bool
 (** [pair_intertwined sys mode i j]: every quorum of [i] and every
-    quorum of [j] (within [universe]) intersect as demanded by [mode].
+    quorum of [j] intersect as demanded by [mode].
     Checked on inclusion-minimal quorums, which is sufficient because
     intersections only grow under supersets. Vacuously true when either
     process has no quorum. *)
 
-val set_intertwined :
-  ?universe:Pid.Set.t -> Quorum.system -> mode -> Pid.Set.t -> bool
+val set_intertwined : Quorum.system -> mode -> Pid.Set.t -> bool
 (** Definition 2 over a whole set: all (unordered, including reflexive)
     pairs are intertwined. *)
 
 val violating_pair :
-  ?universe:Pid.Set.t ->
   Quorum.system ->
   mode ->
   Pid.Set.t ->

@@ -216,12 +216,11 @@ let delete sys b =
                 }))
     sys
 
-let enum_quorums ?universe sys =
-  let universe = Option.value ~default:(participants sys) universe in
+let enum_quorums sys =
   let c = compiled_of sys in
   Pid.Set.fold_subsets
     (fun s acc -> if Compiled.is_quorum c s then s :: acc else acc)
-    universe []
+    (participants sys) []
 
 let keep_minimal quorums =
   List.filter
@@ -232,10 +231,7 @@ let keep_minimal quorums =
            quorums))
     quorums
 
-let minimal_quorums ?universe sys = keep_minimal (enum_quorums ?universe sys)
+let minimal_quorums sys = keep_minimal (enum_quorums sys)
 
-let minimal_quorums_of ?universe sys i =
-  let quorums_of_i =
-    List.filter (Pid.Set.mem i) (enum_quorums ?universe sys)
-  in
-  keep_minimal quorums_of_i
+let minimal_quorums_of sys i =
+  keep_minimal (List.filter (Pid.Set.mem i) (enum_quorums sys))

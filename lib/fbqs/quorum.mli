@@ -122,16 +122,16 @@ val delete : system -> Pid.Set.t -> system
 
 (** {2 Enumeration} *)
 
-val enum_quorums : ?universe:Pid.Set.t -> system -> Pid.Set.t list
-(** All quorums included in [universe] (default: all participants).
-    Exponential in [|universe|]; guarded to [|universe| <= 20].
+val enum_quorums : system -> Pid.Set.t list
+(** All quorums of the system's participants. Exponential in their
+    number; guarded to at most 20 participants.
     @raise Invalid_argument beyond the guard. *)
 
-val minimal_quorums : ?universe:Pid.Set.t -> system -> Pid.Set.t list
-(** The inclusion-minimal quorums within [universe]. *)
+val minimal_quorums : system -> Pid.Set.t list
+(** The inclusion-minimal quorums. *)
 
-val minimal_quorums_of : ?universe:Pid.Set.t -> system -> Pid.t -> Pid.Set.t list
-(** The inclusion-minimal elements of [Q_i] (quorums of process [i])
-    within [universe]. Every quorum of [i] contains one of these, so
+val minimal_quorums_of : system -> Pid.t -> Pid.Set.t list
+(** The inclusion-minimal elements of [Q_i] (quorums of process [i]).
+    Every quorum of [i] contains one of these, so
     universally quantified intersection properties need only be checked
     on this list. *)

@@ -32,7 +32,11 @@ let sample_distinct rng k pool =
   done;
   Array.to_list (Array.sub a 0 k)
 
-let random_k_osr ?(extra_edge_prob = 0.3) ~seed ~sink_size ~non_sink ~k () =
+(* The probability of each extra non-sink edge; sink chords are drawn
+   at half of it. *)
+let extra_edge_prob = 0.3
+
+let random_k_osr ~seed ~sink_size ~non_sink ~k () =
   if k < 1 then invalid_arg "random_k_osr: k must be positive";
   if sink_size <= k then invalid_arg "random_k_osr: sink_size must exceed k";
   let rng = Random.State.make [| seed; 0x6f5; sink_size; non_sink; k |] in
@@ -58,12 +62,11 @@ let random_k_osr ?(extra_edge_prob = 0.3) ~seed ~sink_size ~non_sink ~k () =
   done;
   !g
 
-let random_byzantine_safe ?(extra_edge_prob = 0.3) ~seed ~f ~sink_size
-    ~non_sink () =
+let random_byzantine_safe ~seed ~f ~sink_size ~non_sink () =
   let k = (2 * f) + 1 in
   if sink_size < (3 * f) + 2 then
     invalid_arg "random_byzantine_safe: sink_size must be at least 3f + 2";
-  let g = random_k_osr ~extra_edge_prob ~seed ~sink_size ~non_sink ~k () in
+  let g = random_k_osr ~seed ~sink_size ~non_sink ~k () in
   (g, Pid.Set.of_range 0 (sink_size - 1))
 
 let random_faulty_set ~seed ~f ?within g =
@@ -78,6 +81,7 @@ let random_faulty_set ~seed ~f ?within g =
   Pid.Set.of_list (sample_distinct rng f arr)
 
 let fig2_family ~sink_size ~non_sink =
+  if sink_size < 1 then invalid_arg "fig2_family: sink_size < 1";
   let g = ref (complete ~n:sink_size) in
   for i = 0 to non_sink - 1 do
     let v = sink_size + i in

@@ -12,7 +12,6 @@ val complete : n:int -> Digraph.t
 (** Complete digraph on [0 .. n-1]. *)
 
 val random_k_osr :
-  ?extra_edge_prob:float ->
   seed:int ->
   sink_size:int ->
   non_sink:int ->
@@ -25,13 +24,12 @@ val random_k_osr :
     chords; each of the [non_sink] remaining vertices points at [k]
     distinct uniformly chosen sink members (guaranteeing the k
     node-disjoint path condition through a fan argument) plus random
-    extra edges to earlier non-sink vertices with probability
-    [extra_edge_prob] (default 0.3).
+    extra edges to earlier non-sink vertices with probability 0.3 (sink
+    chords with probability 0.15).
 
     @raise Invalid_argument if [sink_size <= k] or [k < 1]. *)
 
 val random_byzantine_safe :
-  ?extra_edge_prob:float ->
   seed:int ->
   f:int ->
   sink_size:int ->
@@ -57,7 +55,10 @@ val fig2_family : sink_size:int -> non_sink:int -> Digraph.t
     quorum intersection fails — for any [sink_size >= 2] and
     [non_sink >= 2]. The graph is k-OSR for
     [k = min (sink_size - 1) non_sink]. [Builtin.fig2] is
-    [fig2_family ~sink_size:4 ~non_sink:3] up to vertex renaming. *)
+    [fig2_family ~sink_size:4 ~non_sink:3] up to vertex renaming.
+
+    @raise Invalid_argument when [sink_size < 1]: the outer members
+    would have no sink member to know. *)
 
 val layered_k_osr :
   seed:int ->

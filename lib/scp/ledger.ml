@@ -13,8 +13,7 @@ type result = {
   total_ticks : int;
 }
 
-let run ?(seed = 0) ?gst ?delta ?(max_time_per_slot = 200_000)
-    ?ballot_timeout ~slots ~system ~peers_of ~tx_pool ~fault_of () =
+let run ?(seed = 0) ~slots ~system ~peers_of ~tx_pool ~fault_of () =
   let ledgers = ref Pid.Map.empty in
   let append pid entry =
     ledgers :=
@@ -29,17 +28,9 @@ let run ?(seed = 0) ?gst ?delta ?(max_time_per_slot = 200_000)
     let d = Runner.default_cfg in
     let cfg =
       {
+        d with
         Runner.run =
-          {
-            d.run with
-            seed = seed + (1000 * slot);
-            gst = Option.value ~default:d.run.gst gst;
-            delta = Option.value ~default:d.run.delta delta;
-            max_time = max_time_per_slot;
-          };
-        ballot_timeout =
-          Option.value ~default:d.ballot_timeout ballot_timeout;
-        nomination = d.nomination;
+          { d.run with seed = seed + (1000 * slot); max_time = 200_000 };
       }
     in
     let outcome =

@@ -27,10 +27,6 @@ type result = {
 
 val run :
   ?seed:int ->
-  ?gst:int ->
-  ?delta:int ->
-  ?max_time_per_slot:int ->
-  ?ballot_timeout:int ->
   slots:int ->
   system:Fbqs.Quorum.system ->
   peers_of:(Pid.t -> Pid.Set.t) ->
@@ -40,4 +36,5 @@ val run :
   result
 (** [tx_pool slot node] is the transaction batch [node] proposes for
     [slot]. Each slot runs under a fresh partial-synchrony schedule
-    derived from [seed] and the slot number. *)
+    derived from [seed] and the slot number, with
+    {!Runner.default_cfg}'s timing and at most 200,000 ticks. *)

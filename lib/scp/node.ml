@@ -14,7 +14,6 @@ type config = {
   my_slices : Fbqs.Slice.t;
   initial_peers : Pid.Set.t;
   initial_value : Value.t;
-  ballot_timeout : int;
   nomination : nomination_strategy;
   on_decide : Pid.t -> decision -> unit;
 }
@@ -221,11 +220,14 @@ let can_confirm st stmt (tl : Fvoting.tally) =
 
 (* ---- ballot machinery ------------------------------------------------ *)
 
+(* Ballot [n] waits [n] times this many ticks before moving on. *)
+let ballot_timeout = 40
+
 let arm_ballot_timer st ctx =
   match st.current with
   | Some b ->
       Engine.set_timer ctx
-        ~delay:(st.cfg.ballot_timeout * b.Ballot.counter)
+        ~delay:(ballot_timeout * b.Ballot.counter)
         (Printf.sprintf "ballot:%d" b.Ballot.counter)
   | None -> ()
 

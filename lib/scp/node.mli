@@ -48,7 +48,6 @@ type config = {
       (** processes this node can contact initially (its slice domain /
           PD set); grows as unknown peers make contact *)
   initial_value : Value.t;
-  ballot_timeout : int;  (** base timeout; ballot [n] waits [n] times it *)
   nomination : nomination_strategy;
   on_decide : Pid.t -> decision -> unit;  (** fired exactly once *)
 }

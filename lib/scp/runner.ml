@@ -32,15 +32,10 @@ let pp_outcome ppf o =
     (Pid.Map.pp Node.pp_decision)
     o.decisions
 
-type cfg = {
-  run : Run_config.t;
-  ballot_timeout : int;
-  nomination : Node.nomination_strategy;
-}
+type cfg = { run : Run_config.t; nomination : Node.nomination_strategy }
 
 (* lint: allow R2 — immutable constant; the type's only mutable capability (metrics/trace sinks) is None here *)
-let default_cfg =
-  { run = Run_config.default; ballot_timeout = 40; nomination = Node.Echo_all }
+let default_cfg = { run = Run_config.default; nomination = Node.Echo_all }
 
 let run_cfg ?(cfg = default_cfg) ~system ~peers_of ~initial_value_of ~fault_of
     () =
@@ -106,7 +101,6 @@ let run_cfg ?(cfg = default_cfg) ~system ~peers_of ~initial_value_of ~fault_of
                  my_slices = Fbqs.Quorum.slices_of system i;
                  initial_peers = peers_of i;
                  initial_value = initial_value_of i;
-                 ballot_timeout = cfg.ballot_timeout;
                  nomination = cfg.nomination;
                  on_decide;
                }))
@@ -114,14 +108,6 @@ let run_cfg ?(cfg = default_cfg) ~system ~peers_of ~initial_value_of ~fault_of
   let all_decided () = !undecided = 0 in
   let stats = Engine.run ~stop:all_decided engine in
   let decisions = !decisions in
-  let decided_values =
-    Pid.Map.fold (fun _ (d : Node.decision) acc -> d.value :: acc) decisions []
-  in
-  let agreement =
-    match decided_values with
-    | [] -> true
-    | v :: rest -> List.for_all (Value.equal v) rest
-  in
   let fault_injected i =
     match fault_of i with
     | Some (Nomination_equivocator { value_a; value_b; _ }) ->
@@ -144,15 +130,11 @@ let run_cfg ?(cfg = default_cfg) ~system ~peers_of ~initial_value_of ~fault_of
         Value.union (Value.union acc (initial_value_of i)) (fault_injected i))
       participants Value.empty
   in
-  let validity =
-    (* Transaction-set semantics: every decided transaction must have
-       been proposed by someone. *)
-    List.for_all
-      (fun v ->
-        List.for_all
-          (fun tx -> List.mem tx (Value.to_list proposed))
-          (Value.to_list v))
-      decided_values
+  let agreement, validity =
+    Value.judge ~proposed
+      (Pid.Map.fold
+         (fun _ (d : Node.decision) acc -> d.value :: acc)
+         decisions [])
   in
   trace_event ~time:stats.Engine.end_time "run_end"
     [

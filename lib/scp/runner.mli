@@ -38,13 +38,11 @@ val pp_outcome : Format.formatter -> outcome -> unit
 type cfg = {
   run : Simkit.Run_config.t;
       (** timing, seed and observability sinks, shared with the engine *)
-  ballot_timeout : int;
   nomination : Node.nomination_strategy;
 }
 
 val default_cfg : cfg
-(** [run = Run_config.default], [ballot_timeout = 40],
-    [nomination = Echo_all]. *)
+(** [run = Run_config.default], [nomination = Echo_all]. *)
 
 val run_cfg :
   ?cfg:cfg ->

@@ -69,6 +69,17 @@ let compare (a : t) (b : t) =
 
 let equal a b = compare a b = 0
 
+let judge ~proposed decided =
+  let agreement =
+    match decided with [] -> true | v :: rest -> List.for_all (equal v) rest
+  in
+  (* [v] is a subset of [proposed] exactly when adding it changes
+     nothing. *)
+  let validity =
+    List.for_all (fun v -> equal (union proposed v) proposed) decided
+  in
+  (agreement, validity)
+
 let pp ppf v =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

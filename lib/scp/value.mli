@@ -28,6 +28,13 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val judge : proposed:t -> t list -> bool * bool
+(** [judge ~proposed decided] is the [(agreement, validity)] verdict
+    of a run whose processes decided [decided]: agreement when those
+    values are all equal (vacuously for fewer than two), validity when
+    each is a subset of [proposed] — transaction-set semantics, every
+    decided transaction was proposed by someone. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_list : t -> int list

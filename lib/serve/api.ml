@@ -56,24 +56,6 @@ let verdict_json (v : Stellar_cup.Pipeline.verdict) =
 
 let default_pipeline = "scp-sd"
 
-let stack_of_pipeline = function
-  | "scp-local" -> Stellar_cup.Pipeline.Scp_local
-  | "scp-sd" -> Stellar_cup.Pipeline.Scp_sink_detector
-  | "bftcup" -> Stellar_cup.Pipeline.Bftcup
-  | other -> failwith (Printf.sprintf "unknown pipeline %S" other)
-
-let run_consensus ~cfg ~pipeline ~graph ~f ~faulty () =
-  let initial_value_of i = Scp.Value.of_ints [ i ] in
-  match stack_of_pipeline pipeline with
-  | Stellar_cup.Pipeline.Scp_local ->
-      Stellar_cup.Pipeline.scp_with_local_slices ~cfg ~graph ~f ~faulty
-        ~initial_value_of ()
-  | Stellar_cup.Pipeline.Scp_sink_detector ->
-      Stellar_cup.Pipeline.scp_with_sink_detector ~cfg ~graph ~f ~faulty
-        ~initial_value_of ()
-  | Stellar_cup.Pipeline.Bftcup ->
-      Stellar_cup.Pipeline.bftcup ~cfg ~graph ~f ~faulty ~initial_value_of ()
-
 let run_payload ~pipeline ~seed ~extra verdict =
   Obs.Json.Obj
     (("pipeline", Obs.Json.String pipeline)
@@ -184,7 +166,7 @@ let analyze opts sys =
 let pid_set_json s =
   Obs.Json.List (List.map (fun i -> Obs.Json.Int i) (Pid.Set.elements s))
 
-let set_family_json ?(cap = max_int) sets =
+let set_family_json ~cap sets =
   let count = List.length sets in
   let sizes = List.map Pid.Set.cardinal sets in
   let listed = List.filteri (fun i _ -> i < cap) sets in

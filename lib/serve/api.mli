@@ -35,23 +35,6 @@ val default_pipeline : string
 (** [scp-sd] (Corollary 2's stack): the default of the CLI's
     [--pipeline] flag and of the daemon's [run] verb. *)
 
-val stack_of_pipeline : string -> Stellar_cup.Pipeline.stack
-(** [scp-local], [scp-sd] or [bftcup].
-    @raise Failure otherwise. *)
-
-val run_consensus :
-  cfg:Simkit.Run_config.t ->
-  pipeline:string ->
-  graph:Digraph.t ->
-  f:int ->
-  faulty:Pid.Set.t ->
-  unit ->
-  Stellar_cup.Pipeline.verdict
-(** One end-to-end run of the named stack, each process proposing the
-    singleton value of its own id (the CLI convention). *)
-
-val verdict_json : Stellar_cup.Pipeline.verdict -> Obs.Json.t
-
 val run_payload :
   pipeline:string ->
   seed:int ->
@@ -111,13 +94,3 @@ val analyze : analysis_options -> Fbqs.Quorum.system -> analysis
 val analysis_payload : analysis_options -> analysis -> Obs.Json.t
 (** The [fbas analyze --json] payload object (byte-identical to the
     pre-envelope CLI output). *)
-
-(** {1 JSON helpers} *)
-
-val pid_set_json : Pid.Set.t -> Obs.Json.t
-(** Ascending list of ints. *)
-
-val set_family_json :
-  ?cap:int -> Pid.Set.t list -> (string * Obs.Json.t) list
-(** count / size_min / size_max / listed / sets, listing at most [cap]
-    sets (default: all). *)

@@ -237,7 +237,10 @@ let run_verb fields =
   in
   let graph = Api.build_graph spec in
   let verdict =
-    Api.run_consensus ~cfg ~pipeline ~graph ~f:spec.Api.f ~faulty ()
+    Stellar_cup.Pipeline.run_stack
+      (Stellar_cup.Pipeline.stack_of_string pipeline)
+      ~cfg ~graph ~f:spec.Api.f ~faulty
+      ~initial_value_of:(fun i -> Scp.Value.of_ints [ i ])
   in
   let extra =
     Option.to_list
@@ -364,6 +367,10 @@ let default_max_clients = 4
 
 let serve_unix ?(max_clients = default_max_clients) t ~path =
   let max_clients = max 1 max_clients in
+  (* A client that hangs up before reading its reply must end only its
+     own connection: with SIGPIPE ignored the failed write raises
+     [Sys_error], which the connection handler catches. *)
+  if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if Sys.file_exists path then Sys.remove path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);

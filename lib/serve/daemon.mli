@@ -62,4 +62,6 @@ val serve_unix : ?max_clients:int -> t -> path:string -> unit
     false) clients are served one at a time in accept order. After
     [shutdown], the listener stops accepting, already-connected
     clients are drained (they stop at their next request or EOF), and
-    the socket file is removed. *)
+    the socket file is removed. SIGPIPE is ignored from the first call
+    on, so a client that hangs up before reading its reply ends only
+    its own connection. *)

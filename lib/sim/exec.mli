@@ -5,12 +5,11 @@
     mutex-protected counter and write results straight into a
     preallocated slot array — shared heap, zero serialization. On 4.14
     (or wherever domains are unavailable) the warm {b fork pool} of
-    {!Pool.map_persistent} takes over, falling back to a per-call
-    {!Pool.map_chunked} fork: the same chunked dynamic dispatch, with
-    results marshalled up a pipe per chunk. The backend is picked at
-    build time by a dune rule (see [lib/sim/dune]): [exec_domains.ml]
-    is either the real domain pool or a stub that reports itself
-    unavailable.
+    {!Pool.map_persistent} takes over: the same chunked dynamic
+    dispatch, with results marshalled up a pipe per chunk. The backend
+    is picked at build time by a dune rule (see [lib/sim/dune]):
+    [exec_domains.ml] is either the real domain pool or a stub that
+    reports itself unavailable.
 
     The contract, identical at every [jobs] count and on both
     backends: [map ~jobs f xs = List.map f xs], byte for byte.
@@ -36,8 +35,9 @@
 exception Job_failed of string
 (** The same exception as {!Pool.Job_failed} (rebound, so either name
     catches it): a job raised (payload: exception text plus backtrace),
-    or a fork worker died before reporting. Raised only after every
-    worker has been joined/reaped. *)
+    or the fork pool's transport failed twice in a row (a worker died
+    before reporting, on the batch and on its rerun). Raised only after
+    every worker has been joined/reaped. *)
 
 type backend = Domains | Fork | Sequential
 
@@ -66,9 +66,9 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     marshal-safe plain data there; the domain backend has no such
     restriction (results never leave the heap). Inputs and [f] are
     never serialized on the domain backend; the warm fork pool ships
-    the job by closure [Marshal] when it can, silently reverting to a
-    per-call fork (plain inheritance) when the captures are not
-    marshal-safe — results are byte-identical either way.
+    the job to its parked workers by closure [Marshal] when it can, and
+    re-forks them into the job (plain inheritance) when the captures
+    are not marshal-safe — results are byte-identical either way.
 
     Both backends keep their workers alive between calls (see
     {!Pool}): the first parallel [map] pays the spawn cost, later ones

@@ -1,11 +1,10 @@
 (* Typedtree rule families (the --cmt phase).
 
    R1 — parallel capture safety, closure form: a literal closure in
-   the job position of Simkit.Exec.map / Simkit.Pool.map_persistent /
-   Simkit.Pool.map_chunked must not capture a variable of mutable
-   type (ref, Hashtbl.t, Buffer.t, Bytes.t, arrays, queues/stacks,
-   records with mutable fields — through type aliases) defined
-   outside the closure. Core.Cache.t captures are exempt: the
+   the job position of Simkit.Exec.map / Simkit.Pool.map_persistent
+   must not capture a variable of mutable type (ref, Hashtbl.t,
+   Buffer.t, Bytes.t, arrays, queues/stacks, records with mutable
+   fields — through type aliases) defined outside the closure. Core.Cache.t captures are exempt: the
    executor arms the cache's critical-section protector before its
    first spawn, so cache traffic is the sanctioned way to share
    state across job boundaries.
@@ -33,9 +32,7 @@
 
 let exec_entry comps =
   match comps with
-  | [ "Simkit"; "Exec"; "map" ]
-  | [ "Simkit"; "Pool"; "map_persistent" ]
-  | [ "Simkit"; "Pool"; "map_chunked" ] ->
+  | [ "Simkit"; "Exec"; "map" ] | [ "Simkit"; "Pool"; "map_persistent" ] ->
       true
   | _ -> false
 

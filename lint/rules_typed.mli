@@ -2,13 +2,12 @@
     {!Loader} from a [--cmt] directory.
 
     - R1 — a literal closure in the job position of
-      [Simkit.Exec.map] / [Simkit.Pool.map_persistent] /
-      [Simkit.Pool.map_chunked]
-      captures a variable of mutable type (ref, [Hashtbl.t],
-      [Buffer.t], [Bytes.t], arrays, queues/stacks, records with
-      mutable fields — resolved through aliases) defined outside the
-      closure. [Core.Cache.t] captures are exempt: the executor arms
-      the cache's critical-section protector before its first spawn.
+      [Simkit.Exec.map] / [Simkit.Pool.map_persistent] captures a
+      variable of mutable type (ref, [Hashtbl.t], [Buffer.t],
+      [Bytes.t], arrays, queues/stacks, records with mutable fields —
+      resolved through aliases) defined outside the closure.
+      [Core.Cache.t] captures are exempt: the executor arms the
+      cache's critical-section protector before its first spawn.
     - R2 — toplevel mutable state in a unit reachable through the
       call graph from a job function, flagged at the binding site
       with the job site and witness chain in the message (same

@@ -78,7 +78,10 @@ let test_invalid_args () =
     (fun () ->
       ignore
         (Generators.random_byzantine_safe ~seed:0 ~f:1 ~sink_size:4
-           ~non_sink:1 ()))
+           ~non_sink:1 ()));
+  Alcotest.check_raises "family without a sink"
+    (Invalid_argument "fig2_family: sink_size < 1") (fun () ->
+      ignore (Generators.fig2_family ~sink_size:0 ~non_sink:2))
 
 let prop_random_k_osr_always_valid =
   QCheck.Test.make ~count:40 ~name:"random_k_osr is always k-OSR"

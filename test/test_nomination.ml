@@ -12,9 +12,12 @@ let threshold_system n t =
 
 let run_nominating ?(seed = 0) ~nomination ~system ~peers_of
     ~initial_value_of ~fault_of () =
-  let d = Runner.default_cfg in
   Runner.run_cfg
-    ~cfg:{ d with run = { d.run with seed }; nomination }
+    ~cfg:
+      {
+        Runner.run = Simkit.Run_config.with_seed seed Simkit.Run_config.default;
+        nomination;
+      }
     ~system ~peers_of ~initial_value_of ~fault_of ()
 
 let run ?(n = 4) ?(t = 3) ?(seed = 0) ~nomination ~fault_of () =

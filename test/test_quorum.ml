@@ -149,7 +149,7 @@ let prop_greatest_contains_all_quorums =
       let u = greatest_quorum_within sys universe in
       List.for_all
         (fun q -> Pid.Set.subset q u)
-        (Quorum.enum_quorums ~universe sys))
+        (Quorum.enum_quorums sys))
 
 (* The one subset enumerator of the small-system analyses: E1 and E3
    print lists in its order. *)

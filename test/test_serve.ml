@@ -184,6 +184,25 @@ let test_negative_pid_is_an_error () =
         (contains ~affix:{|"ok":true|} line)
   | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
 
+let test_empty_family_sink_is_an_error () =
+  (* A family graph with no sink members is an input error: one error
+     envelope, and the daemon serves the next request. *)
+  let d = Serve.Daemon.create () in
+  (match
+     Serve.Daemon.handle_line d
+       (req 1 "run"
+          [ ("graph", {|"family"|}); ("sink_size", "0"); ("non_sink", "2") ])
+   with
+  | [ line ] ->
+      Alcotest.(check bool) "not ok" true (contains ~affix:{|"ok":false|} line);
+      Alcotest.(check bool) "names the cause" true
+        (contains ~affix:"sink_size < 1" line)
+  | l -> Alcotest.failf "expected one error line, got %d" (List.length l));
+  match Serve.Daemon.handle_line d (req 2 "ping" []) with
+  | [ line ] ->
+      Alcotest.(check bool) "pong" true (contains ~affix:{|"pong":true|} line)
+  | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
+
 (* ---- the concurrent socket transport ----------------------------------- *)
 
 let socket_path () =
@@ -367,5 +386,7 @@ let suites =
           test_negative_pid_is_an_error;
         Alcotest.test_case "bftcup run streams trace and metrics" `Quick
           test_bftcup_run_streams_trace_and_metrics;
+        Alcotest.test_case "empty family sink is an error" `Quick
+          test_empty_family_sink_is_an_error;
       ] );
   ]
