@@ -1,21 +1,13 @@
-(* Benchmark and experiment harness.
+(* Benchmark harness.
 
    Usage:
-     dune exec bench/main.exe            -- experiments + microbenches
-     dune exec bench/main.exe -- exp     -- experiment tables only
-     dune exec bench/main.exe -- micro   -- bechamel microbenches only
+     dune exec bench/main.exe -- micro   -- bechamel microbenches
                                             (writes BENCH_quorum.json and
                                             BENCH_analysis.json)
-     dune exec bench/main.exe -- markdown -- tables as markdown on stdout
-     dune exec bench/main.exe -- sweep   -- sequential-vs-parallel sweep
+     dune exec bench/main.exe -- sweep [--jobs N]
+                                         -- sequential-vs-parallel sweep
                                             timings (writes
                                             BENCH_sweep.json)
-     dune exec bench/main.exe -- regen-experiments
-                                         -- rewrite the generated-tables
-                                            section of EXPERIMENTS.md
-     dune exec bench/main.exe -- check-experiments
-                                         -- exit 1 if EXPERIMENTS.md is
-                                            out of date (CI guard)
      dune exec bench/main.exe -- check-regress [--tolerance R]
                                          -- re-measure the microbenches
                                             and the sweep sequential
@@ -26,19 +18,18 @@
                                             slowed down by more than R
                                             (default 0.5, i.e. +50%)
 
-   Every mode accepts a trailing [--jobs N] (default 1; sweep defaults
-   to 4): experiment samples are then farmed out to Simkit.Exec — a
-   pool of N domains on OCaml 5, N forked worker processes otherwise.
-   When --jobs is absent, STELLAR_CUP_JOBS supplies the default (the
-   same precedence as every CLI --jobs flag). The tables are
-   byte-identical for every N and on either backend.
+   sweep farms experiment samples out to Simkit.Exec with --jobs N
+   workers (default 4) — a pool of N domains on OCaml 5, N forked
+   worker processes otherwise. When --jobs is absent, STELLAR_CUP_JOBS
+   supplies the default (the same precedence as every CLI --jobs flag).
+   The tables are byte-identical for every N and on either backend.
 
-   One experiment table per paper artifact (figures, algorithms,
-   theorems — see DESIGN.md §5), plus Bechamel microbenches for the hot
-   kernels every experiment leans on. Microbench results are also
+   Bechamel microbenches for the hot kernels every experiment leans on,
    persisted machine-readably to BENCH_quorum.json so the quorum-kernel
    perf trajectory is tracked across PRs; BENCH_sweep.json tracks the
-   wall-clock win of the parallel sweep executor. *)
+   wall-clock win of the parallel sweep executor. The experiment tables
+   themselves are pinned in EXPERIMENTS.md and checked by `dune
+   runtest` (test/pins/dune). *)
 
 open Graphkit
 open Bechamel
@@ -474,8 +465,8 @@ let bench_parse_roundtrip =
       ignore (Parse.of_string text)))
 
 (* Built lazily inside [microbenches]: a 50k-vertex graph takes long
-   enough to construct that the experiment-only modes must not pay for
-   it at module initialisation. The subject doubles as the
+   enough to construct that the sweep mode must not pay for it at
+   module initialisation. The subject doubles as the
    no-stack-overflow smoke test for the iterative array Tarjan. *)
 let bench_scc_csr_large () =
   let g = Generators.circulant ~n:50_000 ~k:3 in
@@ -556,8 +547,7 @@ let strip_group name =
 
 (* The commit the numbers were measured at, so a BENCH_quorum.json in
    isolation still says what it describes. Wall-clock-free: a git SHA
-   is repository state, not time, and [check-experiments] does not
-   involve this file. *)
+   is repository state, not time. *)
 let git_sha () =
   match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
   | exception Unix.Unix_error _ -> "unknown"
@@ -714,89 +704,6 @@ let run_microbenches () =
   Format.printf "@.";
   write_bench_json rows
 
-(* ---- experiment tables ----------------------------------------------- *)
-
-let experiments_markdown ~jobs () =
-  let tables = Stellar_cup.Experiments.all ~jobs () in
-  String.concat "" (List.map Stellar_cup.Report.to_markdown tables)
-
-let run_experiments ~markdown ~jobs =
-  if markdown then print_string (experiments_markdown ~jobs ())
-  else
-    List.iter Stellar_cup.Report.print
-      (Stellar_cup.Experiments.all ~jobs ())
-
-(* EXPERIMENTS.md is prose down to this marker line, generated tables
-   below it; regeneration only touches the generated part, and the
-   output is deterministic (seeded experiments, no wall-clock values),
-   so CI can demand the committed file be reproducible byte-for-byte. *)
-let experiments_file = "EXPERIMENTS.md"
-
-let experiments_marker = "# Generated tables"
-
-let read_file path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg ->
-      Printf.eprintf
-        "error: %s (run from the repository root, where %s lives)\n" msg
-        experiments_file;
-      exit 2
-  in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let split_at_marker contents =
-  let marker = experiments_marker ^ "\n" in
-  let rec find i =
-    if i + String.length marker > String.length contents then None
-    else if
-      String.sub contents i (String.length marker) = marker
-      && (i = 0 || contents.[i - 1] = '\n')
-    then Some (i + String.length marker)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some stop ->
-      Some
-        ( String.sub contents 0 stop,
-          String.sub contents stop (String.length contents - stop) )
-
-let regen_experiments ~jobs =
-  match split_at_marker (read_file experiments_file) with
-  | None ->
-      Printf.eprintf "error: no '%s' marker in %s\n" experiments_marker
-        experiments_file;
-      exit 2
-  | Some (head, _) ->
-      let oc = open_out_bin experiments_file in
-      output_string oc head;
-      output_string oc "\n";
-      output_string oc (experiments_markdown ~jobs ());
-      close_out oc;
-      Printf.printf "%s regenerated\n" experiments_file
-
-let check_experiments ~jobs =
-  match split_at_marker (read_file experiments_file) with
-  | None ->
-      Printf.eprintf "error: no '%s' marker in %s\n" experiments_marker
-        experiments_file;
-      exit 2
-  | Some (_, committed) ->
-      let expected = "\n" ^ experiments_markdown ~jobs () in
-      if String.equal committed expected then
-        Printf.printf "%s is up to date\n" experiments_file
-      else begin
-        Printf.eprintf
-          "error: %s is stale — run `dune exec bench/main.exe -- \
-           regen-experiments` and commit the result\n"
-          experiments_file;
-        exit 1
-      end
-
 (* ---- sweep workloads -------------------------------------------------- *)
 
 let sweep_json_file = "BENCH_sweep.json"
@@ -903,7 +810,7 @@ let check_regress ~tolerance =
      committed experiment's sequential leg once and hold it to the same
      tolerance. The parallel columns are runner-shape-dependent (core
      count), so only the sequential baseline is gated here — the
-     speedup floor lives in the CI sweep-gate job. Measured *before*
+     speedup floor lives in the CI bench job. Measured *before*
      the Bechamel phase: re-measuring dozens of microbench subjects
      leaves a bloated major heap that slows the sweep legs several
      times over. *)
@@ -1042,23 +949,16 @@ let () =
     | a -> positional := a :: !positional);
     incr i
   done;
-  let mode = match List.rev !positional with m :: _ -> m | [] -> "all" in
+  let mode = match List.rev !positional with m :: _ -> m | [] -> "" in
   (* Precedence mirrors the CLI: an explicit --jobs wins, then
-     STELLAR_CUP_JOBS, then the mode's own default. *)
-  let jobs_or default =
-    let default =
-      Option.value ~default (Simkit.Exec.jobs_from_env ())
-    in
-    max 1 (Option.value ~default !jobs)
-  in
+     STELLAR_CUP_JOBS, then sweep's default of 4. *)
+  let default = Option.value ~default:4 (Simkit.Exec.jobs_from_env ()) in
   match mode with
-  | "exp" -> run_experiments ~markdown:false ~jobs:(jobs_or 1)
-  | "markdown" -> run_experiments ~markdown:true ~jobs:(jobs_or 1)
-  | "regen-experiments" -> regen_experiments ~jobs:(jobs_or 1)
-  | "check-experiments" -> check_experiments ~jobs:(jobs_or 1)
   | "micro" -> run_microbenches ()
   | "check-regress" -> check_regress ~tolerance:!tolerance
-  | "sweep" -> run_sweep ~jobs:(jobs_or 4)
+  | "sweep" -> run_sweep ~jobs:(max 1 (Option.value ~default !jobs))
   | _ ->
-      run_experiments ~markdown:false ~jobs:(jobs_or 1);
-      run_microbenches ()
+      Printf.eprintf
+        "usage: main.exe (micro | sweep [--jobs N] | check-regress \
+         [--tolerance R])\n";
+      exit 2

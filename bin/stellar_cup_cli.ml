@@ -667,8 +667,8 @@ let fbas_cmd =
 
 (* ---- serve ------------------------------------------------------------- *)
 
-let serve stdio socket cache_capacity jobs max_clients =
-  let daemon = Serve.Daemon.create ?cache_capacity ~jobs:(max 1 jobs) () in
+let serve stdio socket jobs max_clients =
+  let daemon = Serve.Daemon.create ~jobs:(max 1 jobs) () in
   match (stdio, socket) with
   | true, Some _ -> failwith "--stdio and --socket are mutually exclusive"
   | true, None | false, None -> Serve.Daemon.serve_stdio daemon
@@ -682,7 +682,7 @@ let serve_cmd =
       value & flag
       & info [ "stdio" ]
           ~doc:"Serve requests from stdin to stdout (the default transport; \
-                the form CI pipes a session file through).")
+                the form the golden session replays through).")
   in
   let socket =
     Arg.(
@@ -692,15 +692,6 @@ let serve_cmd =
           ~doc:"Listen on a Unix domain socket at $(docv), serving up to \
                 --max-clients connections concurrently, until a client \
                 sends the shutdown verb.")
-  in
-  let cache_capacity =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"Capacity of the response cache and the shared \
-                compiled-handle caches (default: \
-                \\$STELLAR_CUP_CACHE_CAPACITY if set, else 64).")
   in
   let jobs =
     Arg.(
@@ -726,7 +717,7 @@ let serve_cmd =
              versioned report envelopes out, with shared compiled-handle \
              caches and one persistent worker pool across requests and \
              clients")
-    Term.(const serve $ stdio $ socket $ cache_capacity $ jobs $ max_clients)
+    Term.(const serve $ stdio $ socket $ jobs $ max_clients)
 
 (* ---- command wiring ---------------------------------------------------- *)
 

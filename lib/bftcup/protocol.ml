@@ -20,7 +20,7 @@ let requester ~self ~view ~f ~on_decide : Pbft.msg Engine.behavior =
       (fun j -> Engine.send ctx j Pbft.Decision_req)
       (Pid.Set.remove self view)
   in
-  let on_message _ctx ~src m =
+  let on_message ctx ~src m =
     match m with
     | Pbft.Decision v when not !decided ->
         if Pid.Set.mem src view then begin
@@ -32,7 +32,7 @@ let requester ~self ~view ~f ~on_decide : Pbft.msg Engine.behavior =
           in
           if count >= f + 1 then begin
             decided := true;
-            on_decide self v
+            on_decide ~time:(Engine.now ctx) self v
           end
         end
     | _ -> ()
@@ -50,18 +50,37 @@ let run ?(cfg = Run_config.default) ~graph ~f ~initial_value_of ~faulty () =
   let discovery = Cup.Sink_protocol.run_cfg ~cfg ~graph ~f ~fault_of () in
   (* Stage 2 + 3: consensus among the sink, dissemination outwards, on
      a distinct stream of delivery delays. *)
-  let engine =
-    Engine.create_cfg ~pp_msg:Pbft.pp_msg
-      (Run_config.with_seed (cfg.seed + 1) cfg)
+  let consensus_cfg = Run_config.with_seed (cfg.seed + 1) cfg in
+  let engine = Engine.create_cfg ~pp_msg:Pbft.pp_msg consensus_cfg in
+  let trace_event ~time ~scope name fields =
+    match cfg.trace with
+    | None -> ()
+    | Some sink -> Obs.Trace.emit sink ~time ~scope ~name fields
   in
-  let decisions = ref Pid.Map.empty in
-  let correct = Pid.Set.diff (Digraph.vertices graph) faulty in
-  let expected =
-    (* only processes that completed discovery can take part *)
+  (* Only processes that completed discovery can take part; the faulty
+     ones stay silent. *)
+  let participants =
     Pid.Set.filter
-      (fun i -> Pid.Map.mem i discovery.answers)
-      correct
+      (fun i -> Pid.Set.mem i faulty || Pid.Map.mem i discovery.answers)
+      (Digraph.vertices graph)
   in
+  trace_event ~time:0 ~scope:"runner" "run_start"
+    [
+      ("seed", Obs.Json.Int consensus_cfg.seed);
+      ("max_time", Obs.Json.Int consensus_cfg.max_time);
+      ("participants", Obs.Json.Int (Pid.Set.cardinal participants));
+    ];
+  let decisions = ref Pid.Map.empty in
+  let on_decide ~time pid v =
+    decisions := Pid.Map.add pid v !decisions;
+    trace_event ~time ~scope:"bftcup" "decide"
+      [
+        ("node", Obs.Json.Int pid);
+        ("value", Obs.Json.String (Format.asprintf "%a" Scp.Value.pp v));
+      ]
+  in
+  let correct = Pid.Set.diff (Digraph.vertices graph) faulty in
+  let expected = Pid.Set.diff participants faulty in
   Pid.Set.iter
     (fun i ->
       if Pid.Set.mem i faulty then Engine.add_node engine i Pbft.silent
@@ -80,13 +99,12 @@ let run ?(cfg = Run_config.default) ~graph ~f ~initial_value_of ~faulty () =
                      view_timeout;
                      on_decide =
                        (fun pid (d : Pbft.decision) ->
-                         decisions := Pid.Map.add pid d.value !decisions);
+                         on_decide ~time:d.time pid d.value);
                    })
             else
               Engine.add_node engine i
-                (requester ~self:i ~view:a.view ~f ~on_decide:(fun pid v ->
-                     decisions := Pid.Map.add pid v !decisions)))
-    (Digraph.vertices graph);
+                (requester ~self:i ~view:a.view ~f ~on_decide))
+    participants;
   let all_decided () =
     Pid.Set.for_all (fun i -> Pid.Map.mem i !decisions) expected
   in
@@ -101,10 +119,17 @@ let run ?(cfg = Run_config.default) ~graph ~f ~initial_value_of ~faulty () =
     Scp.Value.judge ~proposed
       (Pid.Map.fold (fun _ v acc -> v :: acc) decisions [])
   in
+  let all_decided = all_decided () && Pid.Set.equal expected correct in
+  trace_event ~time:consensus_stats.end_time ~scope:"runner" "run_end"
+    [
+      ("end_time", Obs.Json.Int consensus_stats.end_time);
+      ("all_decided", Obs.Json.Bool all_decided);
+      ("agreement", Obs.Json.Bool agreement);
+      ("validity", Obs.Json.Bool validity);
+    ];
   {
     decisions;
-    all_decided =
-      all_decided () && Pid.Set.equal expected correct;
+    all_decided;
     agreement;
     validity;
     discovery_stats = discovery.stats;

@@ -39,4 +39,9 @@ val run :
     engines draw distinct delay streams; each stage has the whole
     [cfg.max_time] budget. Both engines count into [cfg.metrics] and
     emit into [cfg.trace]; a PBFT view change times out after 60
-    ticks. *)
+    ticks. In the trace, scope-["runner"] [run_start]/[run_end] events
+    bracket the consensus stage with the fields {!Scp.Runner.run_cfg}
+    writes ([run_start] carries the stage's own seed and counts the
+    processes in its engine), and each process that decides, replica
+    or requester, emits one scope-["bftcup"] [decide] event with its
+    [node] and [value] at the logical time it decided. *)

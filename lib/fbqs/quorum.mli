@@ -94,8 +94,7 @@ end
 (** {2 The shared compiled-handle cache}
 
     A process-wide {!Core.Cache} instance keyed by physical equality
-    of the system value. Capacity defaults to 64 entries and is
-    daemon-overridable ({!set_cache_capacity}). *)
+    of the system value, holding 64 entries. *)
 
 val compiled_of : system -> Compiled.t
 (** The cache lookup itself: the compiled handle for [sys], reused
@@ -110,7 +109,7 @@ val cache_stats : unit -> Core.Cache.stats
     instance. *)
 
 val set_cache_capacity : int -> unit
-(** Resizes the shared cache (default 64 entries).
+(** Resizes the shared cache (64 entries until called).
     @raise Invalid_argument below 1. *)
 
 val delete : system -> Pid.Set.t -> system

@@ -137,7 +137,6 @@ let cache : (Digraph.t, t) Core.Cache.t =
   Core.Cache.create ~name:"graphkit_csr" ~capacity:16 ()
 
 let cache_stats () = Core.Cache.stats cache
-let set_cache_capacity n = Core.Cache.set_capacity cache n
 
 let get g = Core.Cache.find_or_add cache g (fun () -> of_graph g)
 

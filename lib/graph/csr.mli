@@ -33,10 +33,6 @@ val cache_stats : unit -> Core.Cache.stats
     record shape as {!Fbqs.Quorum.cache_stats} and every other
     {!Core.Cache} instance; reported by the daemon's [stats] verb. *)
 
-val set_cache_capacity : int -> unit
-(** Resizes the shared cache (default 16 entries).
-    @raise Invalid_argument below 1. *)
-
 val graph : t -> Digraph.t
 
 val n_vertices : t -> int

@@ -2,7 +2,7 @@
 
    A request loop reading newline-delimited JSON requests and writing
    newline-delimited {!Core.Report} envelopes — over stdin/stdout for
-   CI pipelines (strictly sequential, so golden replays stay
+   pipelines (strictly sequential, so golden replays stay
    byte-stable), or over a Unix domain socket where up to
    [max_clients] connections are served concurrently off the shared
    {!Simkit.Exec} pool. Determinism is the contract: per connection,
@@ -47,28 +47,14 @@ type t = {
   mutable clients_served : int;  (* socket connections completed *)
 }
 
-let default_capacity = 64
-
-let capacity_from_env () =
-  match Sys.getenv_opt "STELLAR_CUP_CACHE_CAPACITY" with
-  | None -> None
-  | Some s -> int_of_string_opt (String.trim s)
-
-let create ?cache_capacity ?(jobs = 1) () =
-  let capacity =
-    match cache_capacity with
-    | Some n -> n
-    | None -> Option.value ~default:default_capacity (capacity_from_env ())
-  in
-  Fbqs.Quorum.set_cache_capacity capacity;
-  Graphkit.Csr.set_cache_capacity (min capacity 16);
+let create ?(jobs = 1) () =
   {
     files =
       Core.Cache.create ~equal:String.equal ~name:"serve_files" ~capacity:8
         ();
     responses =
-      Core.Cache.create ~equal:String.equal ~name:"serve_responses" ~capacity
-        ();
+      Core.Cache.create ~equal:String.equal ~name:"serve_responses"
+        ~capacity:64 ();
     jobs = max 1 jobs;
     requests = 0;
     stopping = false;

@@ -14,7 +14,7 @@
     responses, served from a response cache on repeats — with the
     single intended exception of [stats], whose counters reflect
     accumulated state (that is what it is for). The stdio transport
-    is strictly sequential (the CI golden replay); the Unix-socket
+    is strictly sequential (the golden replay); the Unix-socket
     transport serves several clients concurrently, each on a detached
     executor task, all sharing the caches and the persistent worker
     pool. See DESIGN.md §14 for the protocol and §18 for the
@@ -24,15 +24,13 @@ type t
 (** One daemon instance: its file and response caches plus the
     request counter. *)
 
-val create : ?cache_capacity:int -> ?jobs:int -> unit -> t
-(** [cache_capacity] (default: [STELLAR_CUP_CACHE_CAPACITY] if set,
-    else 64) sizes the response cache and resizes the process-wide
-    compiled-handle caches ({!Fbqs.Quorum.set_cache_capacity}, and
-    {!Graphkit.Csr.set_cache_capacity} clamped to its default 16).
-    [jobs] (default 1) is the default Enum parallelism for [analyze]
-    requests; a request's own ["jobs"] field overrides it, and
-    payloads are byte-identical at every jobs count either way.
-    @raise Invalid_argument below 1. *)
+val create : ?jobs:int -> unit -> t
+(** A daemon with a 64-entry response cache and an 8-entry file
+    cache; the process-wide compiled-handle caches keep their own
+    capacities (64 and 16). [jobs] (default 1) is the default Enum
+    parallelism for [analyze] requests; a request's own ["jobs"] field
+    overrides it, and payloads are byte-identical at every jobs count
+    either way. *)
 
 val handle_line : t -> string -> string list
 (** Handles one request line, returning the output lines (each a
@@ -46,8 +44,8 @@ val stopping : t -> bool
 
 val serve_stdio : t -> unit
 (** Reads requests from stdin until EOF or [shutdown], writing and
-    flushing the response lines to stdout per request — the CI
-    transport. *)
+    flushing the response lines to stdout per request — the transport
+    the golden session replays through. *)
 
 val default_max_clients : int
 (** 4 — the default concurrent-connection cap of {!serve_unix}. *)

@@ -55,6 +55,58 @@ let test_decided_value_from_sink () =
         (List.exists (Scp.Value.equal value) sink_values)
   | None -> Alcotest.fail "no decision"
 
+let test_trace_brackets_consensus () =
+  (* The consensus stage is bracketed by one runner run_start/run_end
+     pair, and every decider, PBFT replica or non-sink requester, logs
+     one decide event with its value. *)
+  let trace, events = Obs.Trace.recording () in
+  let cfg = { Simkit.Run_config.default with seed = 1; trace = Some trace } in
+  let o =
+    Protocol.run ~cfg ~graph:Builtin.fig2 ~f:1 ~initial_value_of:own_value
+      ~faulty:(Pid.Set.singleton 1) ()
+  in
+  check "fig2 traced" o;
+  let events = events () in
+  let named scope name =
+    List.filter
+      (fun (e : Obs.Trace.event) -> e.scope = scope && e.name = name)
+      events
+  in
+  let field k (e : Obs.Trace.event) = List.assoc k e.fields in
+  (match (named "runner" "run_start", named "runner" "run_end") with
+  | [ start ], [ stop ] ->
+      Alcotest.(check int) "starts at t=0" 0 start.time;
+      Alcotest.(check bool) "the stage's seed" true
+        (field "seed" start = Obs.Json.Int 2);
+      Alcotest.(check int) "closes the trace" (List.length events - 1) stop.seq;
+      Alcotest.(check int) "at the stage's end" o.consensus_stats.end_time
+        stop.time;
+      Alcotest.(check bool) "carries the verdict" true
+        (field "agreement" stop = Obs.Json.Bool o.agreement
+        && field "all_decided" stop = Obs.Json.Bool o.all_decided)
+  | starts, stops ->
+      Alcotest.failf "expected one run_start and one run_end, got %d and %d"
+        (List.length starts) (List.length stops));
+  let decides = named "bftcup" "decide" in
+  let logged =
+    List.map
+      (fun e ->
+        match (field "node" e, field "value" e) with
+        | Obs.Json.Int i, Obs.Json.String value -> (i, value)
+        | _ -> Alcotest.fail "decide event without node and value")
+      decides
+  in
+  let expected =
+    List.map
+      (fun (i, value) -> (i, Format.asprintf "%a" Scp.Value.pp value))
+      (Pid.Map.bindings o.decisions)
+  in
+  Alcotest.(check (list (pair int string)))
+    "one decide per decider, with its value" expected
+    (List.sort compare logged);
+  Alcotest.(check bool) "non-sink requesters decided too" true
+    (List.exists (fun (i, _) -> i >= 5) logged)
+
 let prop_random_graphs =
   QCheck.Test.make ~count:8 ~name:"BFT-CUP on random byzantine-safe graphs"
     QCheck.(int_bound 300)
@@ -85,5 +137,7 @@ let suites =
         Alcotest.test_case "decided value from the sink" `Quick
           test_decided_value_from_sink;
         QCheck_alcotest.to_alcotest prop_random_graphs;
+        Alcotest.test_case "trace brackets consensus, logs each decision"
+          `Quick test_trace_brackets_consensus;
       ] );
   ]

@@ -138,8 +138,8 @@ let test_fixture_provenance () =
     generated
 
 let test_fixture_analysis () =
-  (* Smoke the committed fixture at full scale: the CI analyzer gate
-     depends on these shapes staying put. *)
+  (* Smoke the committed fixture at full scale: the analyzer goldens
+     in test/pins depend on these shapes staying put. *)
   match Fbas_io.of_file "fixtures/live_network.fbas" with
   | Error e -> Alcotest.fail e
   | Ok sys ->

@@ -118,7 +118,7 @@ let test_warm_repeat_identical_and_cached () =
 let test_stats_reports_pool () =
   (* The stats verb carries a pool object; a fresh stdio-style daemon
      has touched neither workers nor socket clients, so every counter
-     is zero — which is exactly what the CI golden replay pins. *)
+     is zero — which is exactly what the golden replay pins. *)
   Simkit.Exec.Pool.shutdown ();
   let d = Serve.Daemon.create () in
   match Serve.Daemon.handle_line d (req 1 "stats" []) with
@@ -318,6 +318,47 @@ let test_socket_session_matches_stdio () =
     Alcotest.(check (list string)) "socket = stdio bytes" expected got
   end
 
+let test_socket_dropped_client () =
+  (* A client that hangs up before reading its reply ends only its own
+     connection: the daemon's write fails on the closed socket, and a
+     second connection is still answered once the first has ended. *)
+  if Simkit.Exec.concurrent_tasks then begin
+    let path = socket_path () in
+    let d = Serve.Daemon.create () in
+    let server =
+      Simkit.Exec.spawn_task (fun () -> Serve.Daemon.serve_unix d ~path)
+    in
+    wait_for_socket path;
+    (* A bare descriptor: a channel would keep it open past the close. *)
+    let dropped = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect dropped (Unix.ADDR_UNIX path);
+    let run = req 1 "run" [ ("graph", {|"fig2"|}) ] ^ "\n" in
+    ignore (Unix.write_substring dropped run 0 (String.length run));
+    Unix.close dropped;
+    let sock, ic, oc = connect path in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.close sock with Unix.Unix_error _ -> ());
+        Simkit.Exec.join_task server)
+      (fun () ->
+        let rec until_dropped_ends n =
+          send oc (req 2 "stats" []);
+          if not (contains ~affix:{|"clients_served":1|} (input_line ic)) then
+            if n = 0 then Alcotest.fail "the dropped connection never ended"
+            else begin
+              Unix.sleepf 0.02;
+              until_dropped_ends (n - 1)
+            end
+        in
+        until_dropped_ends 250;
+        send oc (req 3 "ping" []);
+        Alcotest.(check bool) "second connection answered" true
+          (contains ~affix:{|"pong":true|} (input_line ic));
+        send oc (req 4 "shutdown" []);
+        ignore (input_line ic));
+    Alcotest.(check bool) "daemon stopped" true (Serve.Daemon.stopping d)
+  end
+
 let test_repeat_analyze_reuses_payload () =
   (* Identical analyze requests under different ids: the payloads are
      byte-identical; only the echoed id differs. *)
@@ -388,5 +429,11 @@ let suites =
           test_bftcup_run_streams_trace_and_metrics;
         Alcotest.test_case "empty family sink is an error" `Quick
           test_empty_family_sink_is_an_error;
+        Alcotest.test_case "socket: two clients interleave" `Quick
+          test_socket_concurrent_clients;
+        Alcotest.test_case "socket: session bytes match stdio" `Quick
+          test_socket_session_matches_stdio;
+        Alcotest.test_case "socket: a dropped client ends only itself" `Quick
+          test_socket_dropped_client;
       ] );
   ]

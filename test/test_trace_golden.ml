@@ -1,7 +1,7 @@
 (* Golden-trace determinism: for a fixed seed, two independent runs
    must produce byte-identical JSONL traces and byte-identical metric
-   dumps. This is the property the CI determinism gate re-checks on the
-   built binary. *)
+   dumps. This is the property test/pins/dune re-checks on the built
+   CLI. *)
 
 open Graphkit
 
