@@ -222,6 +222,33 @@ let bench_sink_oracle =
   Test.make ~name:"sink-oracle/condensation n=60" (Staged.stage (fun () ->
       ignore (Cup.Sink_oracle.get_sink g 0)))
 
+(* The Cup layer on one f = 2 graph of 12 + 12 processes: Algorithm 3
+   as perfbench's discover workload runs it (its random faulty set
+   silent), and E7's synchronous flood alone. *)
+let cup_f = 2
+
+let cup_graph () =
+  fst
+    (Generators.random_byzantine_safe ~seed:1 ~f:cup_f ~sink_size:12
+       ~non_sink:12 ())
+
+let bench_sink_detector =
+  let g = cup_graph () in
+  let faulty = Generators.random_faulty_set ~seed:1 ~f:cup_f g in
+  let fault_of i =
+    if Pid.Set.mem i faulty then Some Cup.Sink_protocol.Silent else None
+  in
+  let cfg = { Cup.Sink_protocol.default_run_config with seed = 1 } in
+  Test.make ~name:"cup/sink-detector random 12+12 f=2"
+    (Staged.stage (fun () ->
+         ignore
+           (Cup.Sink_protocol.run_cfg ~cfg ~graph:g ~f:cup_f ~fault_of ())))
+
+let bench_rbcast_flood =
+  let g = cup_graph () in
+  Test.make ~name:"rbcast/flood random 12+12 f=2" (Staged.stage (fun () ->
+      ignore (Stellar_cup.Experiments.rb_drive ~f:cup_f g)))
+
 let bench_scp_small_instance =
   Test.make ~name:"scp/4-node-consensus (end-to-end)"
     (Staged.stage (fun () ->
@@ -494,6 +521,8 @@ let microbenches () =
       bench_event_heap;
       bench_v_blocking;
       bench_sink_oracle;
+      bench_sink_detector;
+      bench_rbcast_flood;
       bench_scp_small_instance;
       bench_blocking_cascade;
       bench_dset_check;

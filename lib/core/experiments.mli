@@ -54,6 +54,13 @@ val e7_reachable_broadcast :
 (** Section VI's primitive: RB validity and agreement at the sink
     across random Byzantine-safe graphs, with traffic counts. *)
 
+val rb_drive :
+  f:int -> Graphkit.Digraph.t -> int * (Graphkit.Pid.t * Graphkit.Pid.t) list
+(** E7's drive: every process of the graph, in ascending order, starts
+    a GET_SINK flood that a synchronous in-memory queue carries to
+    quiescence. Returns the messages sent and every (receiver, origin)
+    delivery. *)
+
 val e8_pipelines : ?seed:int -> ?samples:int -> ?jobs:int -> unit -> Report.t
 (** Corollary 1 vs Corollary 2 vs the BFT-CUP baseline, end to end:
     per-pipeline verdicts, message and latency costs across graph

@@ -7,8 +7,9 @@ type t = {
   mutable known : Pid.Set.t;
   mutable subscribed : Pid.Set.t;  (* processes we sent Know_request to *)
   mutable subscribers : Pid.Set.t;  (* processes to notify on change *)
-  mutable last_know : Pid.Set.t Pid.Map.t;  (* src -> its latest view *)
-  mutable claims : Pid.Set.t Pid.Map.t;  (* claimant -> ids it vouched *)
+  mutable views : Pid.Set.t Pid.Map.t;  (* claimant -> its latest view *)
+  vouchers : (Pid.t, int) Hashtbl.t;  (* unknown id -> vouching claimants *)
+  mutable agreeing : int;  (* claimants other than self whose view = known *)
   mutable sink : Pid.Set.t option;
 }
 
@@ -21,63 +22,57 @@ let create ~self ~pd ~f =
     known = Pid.Set.add self pd;
     subscribed = Pid.Set.empty;
     subscribers = Pid.Set.empty;
-    last_know = Pid.Map.empty;
-    claims = Pid.Map.empty;
+    views = Pid.Map.empty;
+    vouchers = Hashtbl.create 16;
+    agreeing = 0;
     sink = None;
   }
 
 let known t = t.known
 let sink_result t = t.sink
 
+(* SINK termination. Every claimant is known (claims are stored only
+   from known sources, and [known] only grows), so the members of
+   [known] reporting [known] are the process itself plus [agreeing]. *)
 let refresh_sink t =
   match t.sink with
   | Some _ -> ()
   | None ->
-      let agreeing =
-        Pid.Set.fold
-          (fun j acc ->
-            if Pid.equal j t.self then acc + 1
-            else
-              match Pid.Map.find_opt j t.last_know with
-              | Some view when Pid.Set.equal view t.known -> acc + 1
-              | Some _ | None -> acc)
-          t.known 0
-      in
+      let size = Pid.Set.cardinal t.known in
       (* The size guard keeps the rule meaningful: a genuine sink has at
          least 2f+1 correct members, so a converged sink member always
          passes it, while a non-sink process with a tiny vouched set
          (e.g. |known| = f+1) cannot self-certify on its echo alone. *)
-      if
-        Pid.Set.cardinal t.known >= (2 * t.f) + 1
-        && agreeing >= Pid.Set.cardinal t.known - t.f
-      then t.sink <- Some t.known
+      if size >= (2 * t.f) + 1 && 1 + t.agreeing >= size - t.f then
+        t.sink <- Some t.known
 
-(* Recompute [known] from first-hand knowledge plus ids vouched by
-   f + 1 distinct known claimants; returns whether it grew. *)
-let refresh_known t =
-  let votes = Hashtbl.create 16 in
-  Pid.Map.iter
-    (fun claimant ids ->
-      if Pid.Set.mem claimant t.known then
-        Pid.Set.iter
-          (fun x ->
-            if not (Pid.Set.mem x t.known) then
-              Hashtbl.replace votes x
-                (1 + Option.value ~default:0 (Hashtbl.find_opt votes x)))
-          ids)
-    t.claims;
+let vouch t x delta =
+  let n = Option.value ~default:0 (Hashtbl.find_opt t.vouchers x) + delta in
+  Hashtbl.replace t.vouchers x n;
+  n
+
+(* Moves [src]'s claim from [old] to [view]: the voucher tallies of the
+   unknown ids entering or leaving it, and [agreeing]. Returns the
+   unknown ids the move brought to f + 1 vouchers. An id is tallied
+   only while unknown, and was unknown when it entered any view it
+   leaves while still unknown, so each unknown id's tally is exact. *)
+let move_claim t ~src ~old view =
+  Pid.Set.iter
+    (fun x -> if not (Pid.Set.mem x t.known) then ignore (vouch t x (-1)))
+    (Pid.Set.diff old view);
   let fresh =
-    (* Order-insensitive D1 escape: the vote tally folds straight into
-       [Pid.Set.add], so bucket order cannot leak into [known]. *)
-    Hashtbl.fold
-      (fun x c acc -> if c >= t.f + 1 then Pid.Set.add x acc else acc)
-      votes Pid.Set.empty
+    Pid.Set.fold
+      (fun x fresh ->
+        if (not (Pid.Set.mem x t.known)) && vouch t x 1 >= t.f + 1 then
+          Pid.Set.add x fresh
+        else fresh)
+      (Pid.Set.diff view old) Pid.Set.empty
   in
-  if Pid.Set.is_empty fresh then false
-  else begin
-    t.known <- Pid.Set.union t.known fresh;
-    true
-  end
+  if not (Pid.equal src t.self) then begin
+    if Pid.Set.equal old t.known then t.agreeing <- t.agreeing - 1;
+    if Pid.Set.equal view t.known then t.agreeing <- t.agreeing + 1
+  end;
+  fresh
 
 let subscribe_new t ~send =
   let unsub = Pid.Set.diff (Pid.Set.remove t.self t.known) t.subscribed in
@@ -98,12 +93,21 @@ let on_know_request t ~send ~src =
     send src (Msg.Know t.known)
   end
 
-let rec stabilise t ~send =
-  (* New claims may unlock new ids, which add claimants, and so on. *)
-  if refresh_known t then begin
+(* Admits the ids vouched by f + 1 known claimants. One round is the
+   fixpoint: claims change only on a [Know], and every other unknown id
+   was already below f + 1 before this one. *)
+let grow t ~send fresh =
+  if not (Pid.Set.is_empty fresh) then begin
+    t.known <- Pid.Set.union t.known fresh;
+    t.agreeing <-
+      Pid.Map.fold
+        (fun j view n ->
+          if (not (Pid.equal j t.self)) && Pid.Set.equal view t.known then
+            n + 1
+          else n)
+        t.views 0;
     subscribe_new t ~send;
-    notify_subscribers t ~send;
-    stabilise t ~send
+    notify_subscribers t ~send
   end
 
 let on_know t ~send ~src view =
@@ -111,19 +115,16 @@ let on_know t ~send ~src view =
     (* Channels are not FIFO: a stale Know can arrive after a newer
        one. Correct processes' knowledge only grows, so keep the
        superset (for incomparable reports — only a Byzantine sender
-       produces those — keep the larger). *)
-    let monotone m =
-      Pid.Map.update src
-        (function
-          | Some old
-            when Pid.Set.cardinal old > Pid.Set.cardinal view
-                 || Pid.Set.subset view old ->
-              Some old
-          | Some _ | None -> Some view)
-        m
-    in
-    t.last_know <- monotone t.last_know;
-    t.claims <- monotone t.claims;
-    stabilise t ~send;
-    refresh_sink t
+       produces those — keep the larger). A kept view changes nothing
+       the tallies or the termination test read. *)
+    match Pid.Map.find_opt src t.views with
+    | Some old
+      when Pid.Set.cardinal old > Pid.Set.cardinal view
+           || Pid.Set.subset view old ->
+        ()
+    | stored ->
+        let old = Option.value ~default:Pid.Set.empty stored in
+        t.views <- Pid.Map.add src view t.views;
+        grow t ~send (move_claim t ~src ~old view);
+        refresh_sink t
   end

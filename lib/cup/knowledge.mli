@@ -14,7 +14,13 @@
     (itself included) report a known set equal to its own. Correct sink
     members eventually converge on [V_sink] and pass the test; the test
     is unsatisfiable for correct non-sink members because their known
-    set strictly contains the ≥ 2f+1 correct sink members' sets. *)
+    set strictly contains the ≥ 2f+1 correct sink members' sets.
+
+    Both tests are kept as counts updated per [Know]: vouchers per
+    unknown id, from the ids entering and leaving the sender's stored
+    view, and the claimants whose view equals [known], recounted only
+    when [known] grows. A [Know] that leaves the stored view in place
+    (stale or repeated) changes neither count. *)
 
 open Graphkit
 

@@ -48,27 +48,35 @@ let broadcast t ~send =
     (fun j -> send j (Msg.Get_sink { origin = t.self; path = [ t.self ] }))
     t.neighbors
 
-let rec no_dup = function
-  | [] -> true
-  | x :: rest -> (not (List.mem x rest)) && no_dup rest
+(* [List.mem] on pids, without the polymorphic [compare] per element. *)
+let rec mem_pid x = function
+  | [] -> false
+  | y :: rest -> Pid.equal x y || mem_pid x rest
+
+(* The path ends at the physical sender, repeats no process and avoids
+   the receiver; one pass, from the first vertex on. *)
+let rec valid_tail ~self ~src = function
+  | [] -> false
+  | [ last ] -> Pid.equal last src && not (Pid.equal last self)
+  | x :: rest ->
+      (not (Pid.equal x self))
+      && (not (mem_pid x rest))
+      && valid_tail ~self ~src rest
 
 let valid_path t ~src ~origin path =
   match path with
   | [] -> false
-  | first :: _ ->
-      Pid.equal first origin
-      && (match List.rev path with
-         | last :: _ -> Pid.equal last src
-         | [] -> false)
-      && no_dup path
-      && not (List.mem t.self path)
+  | first :: _ -> Pid.equal first origin && valid_tail ~self:t.self ~src path
 
-(* Internal vertices of a path from the receiver's standpoint: every
-   relayer after the origin. *)
-let internals = function [] -> [] | _origin :: rest -> rest
+let rec shares xs ys =
+  match xs with [] -> false | x :: rest -> mem_pid x ys || shares rest ys
 
+(* Internally disjoint: no relayer in common. A path's relayers are its
+   vertices after the origin, from the receiver's standpoint. *)
 let disjoint p q =
-  not (List.exists (fun x -> List.mem x (internals q)) (internals p))
+  match (p, q) with
+  | _ :: ip, _ :: iq -> not (shares ip iq)
+  | [], _ | _, [] -> true
 
 (* Exact search for [needed] pairwise internally-disjoint paths. *)
 let rec pick chosen candidates needed =
@@ -81,38 +89,44 @@ let rec pick chosen candidates needed =
       && pick (p :: chosen) rest (needed - 1))
       || pick chosen rest needed
 
-let delivery_rule t st ~src ~origin =
-  Pid.equal src origin
-  ||
-  let by_length =
-    List.sort
-      (fun a b -> Int.compare (List.length a) (List.length b))
-      st.paths
-  in
-  pick [] by_length (t.f + 1)
+(* The delivery rule — f + 1 pairwise internally-disjoint stored paths,
+   or a direct copy — asked only when a fresh path [fresh] joins the
+   undelivered [stored] ones. Those held no f + 1 disjoint paths, or
+   the origin would have been delivered when the last of them arrived,
+   so the rule holds now iff [f] of them are pairwise disjoint and
+   disjoint from [fresh]. A duplicate copy changes nothing the rule
+   reads, so it never gets here. *)
+let delivers t ~src ~origin ~fresh stored =
+  Pid.equal src origin || pick [] (List.filter (disjoint fresh) stored) t.f
 
 let on_get_sink t ~send ~src ~origin ~path =
-  if not (valid_path t ~src ~origin path) then None
-  else begin
-    let st = state_for t origin in
-    if not (List.mem path st.paths) then begin
-      st.paths <- path :: st.paths;
-      (* Relay with ourselves appended, respecting the traffic cap. *)
-      if st.forwarded < t.max_copies then begin
-        st.forwarded <- st.forwarded + 1;
-        bump t.c_relays;
-        let extended = path @ [ t.self ] in
-        Pid.Set.iter
-          (fun j ->
-            if (not (List.mem j path)) && not (Pid.equal j origin) then
-              send j (Msg.Get_sink { origin; path = extended }))
-          t.neighbors
-      end
-    end;
-    if (not st.delivered) && delivery_rule t st ~src ~origin then begin
-      st.delivered <- true;
-      bump t.c_deliveries;
-      Some origin
-    end
-    else None
-  end
+  match Hashtbl.find_opt t.states origin with
+  | Some st when st.delivered && st.forwarded >= t.max_copies ->
+      (* Delivered and at the relay cap: no copy can send or deliver. *)
+      None
+  | Some _ | None ->
+      if not (valid_path t ~src ~origin path) then None
+      else
+        let st = state_for t origin in
+        let stored = st.paths in
+        if List.exists (List.equal Pid.equal path) stored then None
+        else begin
+          st.paths <- path :: stored;
+          (* Relay with ourselves appended, respecting the traffic cap,
+             to every neighbour off the path (the origin heads it). *)
+          if st.forwarded < t.max_copies then begin
+            st.forwarded <- st.forwarded + 1;
+            bump t.c_relays;
+            let m = Msg.Get_sink { origin; path = path @ [ t.self ] } in
+            Pid.Set.iter
+              (fun j -> if not (mem_pid j path) then send j m)
+              t.neighbors
+          end;
+          if (not st.delivered) && delivers t ~src ~origin ~fresh:path stored
+          then begin
+            st.delivered <- true;
+            bump t.c_deliveries;
+            Some origin
+          end
+          else None
+        end

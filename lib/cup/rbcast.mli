@@ -13,7 +13,15 @@
     This satisfies RB_Validity / RB_Integrity / RB_Agreement on
     knowledge graphs where the destinations are f-reachable from the
     origin (Definition 9) — in k-OSR graphs, all sink members are
-    f-reachable from every process. *)
+    f-reachable from every process.
+
+    The exact search for disjoint paths runs once per fresh path of an
+    undelivered origin, over the stored paths disjoint from it: the
+    stored paths alone held no [f + 1] disjoint ones, so only sets
+    containing the fresh path can complete the rule. A repeated path
+    changes nothing the rule reads and costs one scan; once an origin
+    is delivered and its relay cap reached, its copies cost one table
+    lookup. *)
 
 open Graphkit
 
@@ -42,6 +50,6 @@ val on_get_sink :
   origin:Pid.t ->
   path:Pid.t list ->
   Pid.t option
-(** Processes a flood copy: validates the path, relays it, and returns
-    [Some origin] exactly once per origin — upon first satisfying the
-    delivery rule (the reachable_deliver event). *)
+(** Processes a flood copy: validates the path, relays it if it is
+    fresh, and returns [Some origin] exactly once per origin — upon
+    first satisfying the delivery rule (the reachable_deliver event). *)

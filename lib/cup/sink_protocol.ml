@@ -12,8 +12,7 @@ type node_state = {
   c_know : Obs.Metrics.counter option;
   c_replies : Obs.Metrics.counter option;
   c_resolved : Obs.Metrics.counter option;
-  mutable asked : Pid.Set.t;
-  mutable answered : Pid.Set.t;
+  mutable pending : Pid.Set.t;  (* delivered GET_SINK origins, unanswered *)
   mutable replies : Pid.Set.t Pid.Map.t;  (* responder -> claimed sink *)
   mutable sink : Pid.Set.t option;
   mutable reported : bool;
@@ -30,8 +29,7 @@ let make_state ~self ~pd ~f ?metrics ?trace () =
     c_know = c "cup_know_received";
     c_replies = c "cup_sink_replies";
     c_resolved = c "cup_sinks_resolved";
-    asked = Pid.Set.empty;
-    answered = Pid.Set.empty;
+    pending = Pid.Set.empty;
     replies = Pid.Map.empty;
     sink = None;
     reported = false;
@@ -49,17 +47,14 @@ let obs_event st ctx name fields =
 let sender ctx j m = Engine.send ctx j m
 
 (* Once the sink is known, answer every pending GET_SINK request
-   (Algorithm 3's send_sink loop). *)
-let flush_asked st ctx =
+   (Algorithm 3's send_sink loop). Rbcast delivers each origin once,
+   so an answered origin never becomes pending again. *)
+let flush_pending st ctx =
   match st.sink with
-  | None -> ()
-  | Some v ->
-      let pending = Pid.Set.diff st.asked st.answered in
-      Pid.Set.iter
-        (fun j ->
-          st.answered <- Pid.Set.add j st.answered;
-          sender ctx j (Msg.Sink_reply v))
-        pending
+  | Some v when not (Pid.Set.is_empty st.pending) ->
+      Pid.Set.iter (fun j -> sender ctx j (Msg.Sink_reply v)) st.pending;
+      st.pending <- Pid.Set.empty
+  | Some _ | None -> ()
 
 let report st ctx ~on_result =
   match st.sink with
@@ -73,7 +68,7 @@ let report st ctx ~on_result =
         ];
       on_result st.self
         { Sink_oracle.in_sink = Pid.Set.mem st.self v; view = v };
-      flush_asked st ctx
+      flush_pending st ctx
   | Some _ | None -> ()
 
 (* The wait_sink rule: adopt a value echoed by more than f distinct
@@ -136,7 +131,7 @@ let honest ~self ~pd ~f ?metrics ?trace ~on_result () : Msg.t Engine.behavior =
         with
         | Some origin ->
             obs_event st ctx "rb_deliver" [ ("origin", Obs.Json.Int origin) ];
-            st.asked <- Pid.Set.add origin st.asked
+            st.pending <- Pid.Set.add origin st.pending
         | None -> ())
     | Sink_reply v ->
         bump st.c_replies;
@@ -145,7 +140,7 @@ let honest ~self ~pd ~f ?metrics ?trace ~on_result () : Msg.t Engine.behavior =
     report st ctx ~on_result;
     (* Requests can keep arriving after the first report; answer them
        too (Algorithm 3's send_sink loop never stops). *)
-    flush_asked st ctx
+    flush_pending st ctx
   in
   { on_start; on_message; on_timer = (fun _ _ -> ()) }
 
@@ -154,9 +149,10 @@ let faulty ~self ~pd ~f fault : Msg.t Engine.behavior =
   | Silent -> Engine.idle_behavior
   | Sink_liar fake ->
       let st = make_state ~self ~pd ~f () in
+      let lied_to = ref Pid.Set.empty in
       let lie_to ctx origin =
-        if not (Pid.Set.mem origin st.answered) then begin
-          st.answered <- Pid.Set.add origin st.answered;
+        if not (Pid.Set.mem origin !lied_to) then begin
+          lied_to := Pid.Set.add origin !lied_to;
           sender ctx origin (Msg.Sink_reply fake)
         end
       in
@@ -201,12 +197,9 @@ let faulty ~self ~pd ~f fault : Msg.t Engine.behavior =
             Knowledge.on_know_request st.knowledge ~send:(lying_sender ctx) ~src
         | Know view ->
             Knowledge.on_know st.knowledge ~send:(lying_sender ctx) ~src view
-        | Get_sink { origin; path } -> (
-            match
-              Rbcast.on_get_sink st.rb ~send:(sender ctx) ~src ~origin ~path
-            with
-            | Some origin -> st.asked <- Pid.Set.add origin st.asked
-            | None -> ())
+        | Get_sink { origin; path } ->
+            ignore
+              (Rbcast.on_get_sink st.rb ~send:(sender ctx) ~src ~origin ~path)
         | Sink_reply _ -> ()
       in
       { on_start; on_message; on_timer = (fun _ _ -> ()) }
@@ -220,9 +213,11 @@ let run_cfg ?(cfg = Run_config.default) ~graph ~f ~fault_of () =
   let metrics = cfg.Run_config.metrics and trace = cfg.Run_config.trace in
   let engine = Engine.create_cfg ~pp_msg:Msg.pp cfg in
   let answers = ref Pid.Map.empty in
-  let correct = ref Pid.Set.empty in
+  (* Correct processes yet to answer: each reports once. *)
+  let unanswered = ref 0 in
   let on_result pid answer =
-    answers := Pid.Map.add pid answer !answers
+    answers := Pid.Map.add pid answer !answers;
+    decr unanswered
   in
   Pid.Set.iter
     (fun i ->
@@ -231,14 +226,11 @@ let run_cfg ?(cfg = Run_config.default) ~graph ~f ~fault_of () =
       | Some fault ->
           Engine.add_node engine i (faulty ~self:i ~pd ~f fault)
       | None ->
-          correct := Pid.Set.add i !correct;
+          incr unanswered;
           Engine.add_node engine i
             (honest ~self:i ~pd ~f ?metrics ?trace ~on_result ()))
     (Digraph.vertices graph);
-  let all_done () =
-    Pid.Set.for_all (fun i -> Pid.Map.mem i !answers) !correct
-  in
-  let stats = Engine.run ~stop:all_done engine in
+  let stats = Engine.run ~stop:(fun () -> !unanswered = 0) engine in
   { answers = !answers; stats }
 
 (* lint: allow R2 — immutable constant; the type's only mutable capability (metrics/trace sinks) is None here *)

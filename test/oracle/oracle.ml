@@ -1,7 +1,9 @@
 (* Reference implementations, kept with the tests: the seed's tree-set
    graph algorithms, its list-based Dinic, its tree-set Algorithm 1,
-   its subset sweeps for the FBQS analyses, its generic event queue
-   and its Set-backed consensus value. [lib/] holds one implementation per function, the fast one;
+   its subset sweeps for the FBQS analyses, its generic event queue,
+   its Set-backed consensus value, and the reachable broadcast and
+   SINK knowledge rules that re-ran their whole search on every
+   message. [lib/] holds one implementation per function, the fast one;
    the qcheck suites check it against these, and [bench micro] prices
    the gap. Each submodule names the [lib/] module whose functions it
    mirrors, and later submodules build on the earlier ones, as the
@@ -578,4 +580,265 @@ module Value = struct
       (S.elements v)
 
   let to_list = S.elements
+end
+
+(* The reachable broadcast with an exhaustive delivery search: on every
+   copy of a not-yet-delivered origin it sorts the stored paths and
+   looks for f + 1 pairwise internally-disjoint ones among all of them.
+   The arrival-by-arrival behaviour [Cup.Rbcast] must reproduce. *)
+module Rbcast = struct
+  module Msg = Cup.Msg
+
+  type origin_state = {
+    mutable paths : Pid.t list list;  (* validated relay paths, origin first *)
+    mutable forwarded : int;
+    mutable delivered : bool;
+  }
+
+  type t = {
+    self : Pid.t;
+    neighbors : Pid.Set.t;
+    f : int;
+    max_copies : int;
+    states : (Pid.t, origin_state) Hashtbl.t;
+    c_broadcasts : Obs.Metrics.counter option;
+    c_relays : Obs.Metrics.counter option;
+    c_deliveries : Obs.Metrics.counter option;
+  }
+
+  let create ~self ~neighbors ~f ?metrics () =
+    let c name = Option.map (fun r -> Obs.Metrics.counter r name) metrics in
+    {
+      self;
+      neighbors = Pid.Set.remove self neighbors;
+      f;
+      max_copies = 4 * (f + 1);
+      states = Hashtbl.create 8;
+      c_broadcasts = c "rbcast_broadcasts";
+      c_relays = c "rbcast_relays";
+      c_deliveries = c "rbcast_deliveries";
+    }
+
+  let bump = function Some c -> Obs.Metrics.incr c | None -> ()
+
+  let state_for t origin =
+    match Hashtbl.find_opt t.states origin with
+    | Some s -> s
+    | None ->
+        let s = { paths = []; forwarded = 0; delivered = false } in
+        Hashtbl.replace t.states origin s;
+        s
+
+  let broadcast t ~send =
+    bump t.c_broadcasts;
+    (* The origin trivially "delivers" its own broadcast. *)
+    (state_for t t.self).delivered <- true;
+    Pid.Set.iter
+      (fun j -> send j (Msg.Get_sink { origin = t.self; path = [ t.self ] }))
+      t.neighbors
+
+  let rec no_dup = function
+    | [] -> true
+    | x :: rest -> (not (List.mem x rest)) && no_dup rest
+
+  let valid_path t ~src ~origin path =
+    match path with
+    | [] -> false
+    | first :: _ ->
+        Pid.equal first origin
+        && (match List.rev path with
+           | last :: _ -> Pid.equal last src
+           | [] -> false)
+        && no_dup path
+        && not (List.mem t.self path)
+
+  (* Internal vertices of a path from the receiver's standpoint: every
+     relayer after the origin. *)
+  let internals = function [] -> [] | _origin :: rest -> rest
+
+  let disjoint p q =
+    not (List.exists (fun x -> List.mem x (internals q)) (internals p))
+
+  (* Exact search for [needed] pairwise internally-disjoint paths. *)
+  let rec pick chosen candidates needed =
+    needed = 0
+    ||
+    match candidates with
+    | [] -> false
+    | p :: rest ->
+        (List.for_all (disjoint p) chosen
+        && pick (p :: chosen) rest (needed - 1))
+        || pick chosen rest needed
+
+  let delivery_rule t st ~src ~origin =
+    Pid.equal src origin
+    ||
+    let by_length =
+      List.sort
+        (fun a b -> Int.compare (List.length a) (List.length b))
+        st.paths
+    in
+    pick [] by_length (t.f + 1)
+
+  let on_get_sink t ~send ~src ~origin ~path =
+    if not (valid_path t ~src ~origin path) then None
+    else begin
+      let st = state_for t origin in
+      if not (List.mem path st.paths) then begin
+        st.paths <- path :: st.paths;
+        (* Relay with ourselves appended, respecting the traffic cap. *)
+        if st.forwarded < t.max_copies then begin
+          st.forwarded <- st.forwarded + 1;
+          bump t.c_relays;
+          let extended = path @ [ t.self ] in
+          Pid.Set.iter
+            (fun j ->
+              if (not (List.mem j path)) && not (Pid.equal j origin) then
+                send j (Msg.Get_sink { origin; path = extended }))
+            t.neighbors
+        end
+      end;
+      if (not st.delivered) && delivery_rule t st ~src ~origin then begin
+        st.delivered <- true;
+        bump t.c_deliveries;
+        Some origin
+      end
+      else None
+    end
+end
+
+(* The SINK knowledge core with full recounts: each changed [Know]
+   re-tallies every stored claim and re-compares every view against
+   [known]. The sends, [known] and verdict [Cup.Knowledge] must
+   reproduce. *)
+module Knowledge = struct
+  module Msg = Cup.Msg
+
+  type t = {
+    self : Pid.t;
+    pd : Pid.Set.t;
+    f : int;
+    mutable known : Pid.Set.t;
+    mutable subscribed : Pid.Set.t;  (* processes we sent Know_request to *)
+    mutable subscribers : Pid.Set.t;  (* processes to notify on change *)
+    mutable last_know : Pid.Set.t Pid.Map.t;  (* src -> its latest view *)
+    mutable claims : Pid.Set.t Pid.Map.t;  (* claimant -> ids it vouched *)
+    mutable sink : Pid.Set.t option;
+  }
+
+  let create ~self ~pd ~f =
+    let pd = Pid.Set.remove self pd in
+    {
+      self;
+      pd;
+      f;
+      known = Pid.Set.add self pd;
+      subscribed = Pid.Set.empty;
+      subscribers = Pid.Set.empty;
+      last_know = Pid.Map.empty;
+      claims = Pid.Map.empty;
+      sink = None;
+    }
+
+  let known t = t.known
+  let sink_result t = t.sink
+
+  let refresh_sink t =
+    match t.sink with
+    | Some _ -> ()
+    | None ->
+        let agreeing =
+          Pid.Set.fold
+            (fun j acc ->
+              if Pid.equal j t.self then acc + 1
+              else
+                match Pid.Map.find_opt j t.last_know with
+                | Some view when Pid.Set.equal view t.known -> acc + 1
+                | Some _ | None -> acc)
+            t.known 0
+        in
+        (* The size guard keeps the rule meaningful: a genuine sink has at
+           least 2f+1 correct members, so a converged sink member always
+           passes it, while a non-sink process with a tiny vouched set
+           (e.g. |known| = f+1) cannot self-certify on its echo alone. *)
+        if
+          Pid.Set.cardinal t.known >= (2 * t.f) + 1
+          && agreeing >= Pid.Set.cardinal t.known - t.f
+        then t.sink <- Some t.known
+
+  (* Recompute [known] from first-hand knowledge plus ids vouched by
+     f + 1 distinct known claimants; returns whether it grew. *)
+  let refresh_known t =
+    let votes = Hashtbl.create 16 in
+    Pid.Map.iter
+      (fun claimant ids ->
+        if Pid.Set.mem claimant t.known then
+          Pid.Set.iter
+            (fun x ->
+              if not (Pid.Set.mem x t.known) then
+                Hashtbl.replace votes x
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt votes x)))
+            ids)
+      t.claims;
+    let fresh =
+      (* Order-insensitive D1 escape: the vote tally folds straight into
+         [Pid.Set.add], so bucket order cannot leak into [known]. *)
+      Hashtbl.fold
+        (fun x c acc -> if c >= t.f + 1 then Pid.Set.add x acc else acc)
+        votes Pid.Set.empty
+    in
+    if Pid.Set.is_empty fresh then false
+    else begin
+      t.known <- Pid.Set.union t.known fresh;
+      true
+    end
+
+  let subscribe_new t ~send =
+    let unsub = Pid.Set.diff (Pid.Set.remove t.self t.known) t.subscribed in
+    Pid.Set.iter
+      (fun j ->
+        t.subscribed <- Pid.Set.add j t.subscribed;
+        send j Msg.Know_request)
+      unsub
+
+  let notify_subscribers t ~send =
+    Pid.Set.iter (fun j -> send j (Msg.Know t.known)) t.subscribers
+
+  let start t ~send = subscribe_new t ~send
+
+  let on_know_request t ~send ~src =
+    if not (Pid.Set.mem src t.subscribers) then begin
+      t.subscribers <- Pid.Set.add src t.subscribers;
+      send src (Msg.Know t.known)
+    end
+
+  let rec stabilise t ~send =
+    (* New claims may unlock new ids, which add claimants, and so on. *)
+    if refresh_known t then begin
+      subscribe_new t ~send;
+      notify_subscribers t ~send;
+      stabilise t ~send
+    end
+
+  let on_know t ~send ~src view =
+    if Pid.Set.mem src t.known then begin
+      (* Channels are not FIFO: a stale Know can arrive after a newer
+         one. Correct processes' knowledge only grows, so keep the
+         superset (for incomparable reports — only a Byzantine sender
+         produces those — keep the larger). *)
+      let monotone m =
+        Pid.Map.update src
+          (function
+            | Some old
+              when Pid.Set.cardinal old > Pid.Set.cardinal view
+                   || Pid.Set.subset view old ->
+                Some old
+            | Some _ | None -> Some view)
+          m
+      in
+      t.last_know <- monotone t.last_know;
+      t.claims <- monotone t.claims;
+      stabilise t ~send;
+      refresh_sink t
+    end
 end

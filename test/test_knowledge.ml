@@ -132,7 +132,7 @@ let test_fabricated_ids_filtered () =
 let prop_sink_detection_on_random_graphs =
   QCheck.Test.make ~count:25
     ~name:"SINK terminates exactly at sink members (fault-free)"
-    QCheck.(pair (int_bound 500) (int_range 1 2))
+    QCheck.(pair (int_bound 500) (int_range 1 3))
     (fun (seed, f) ->
       let sink_size = (3 * f) + 2 in
       let g, sink =
@@ -147,6 +147,91 @@ let prop_sink_detection_on_random_graphs =
           | Some v -> Pid.Set.mem i sink && Pid.Set.equal v sink
           | None -> not (Pid.Set.mem i sink))
         pids)
+
+(* ---- message by message against the full-recount reference ---------- *)
+
+(* What process 0 receives next. [Echo] reports the receiver's own
+   [known] plus [extra] (equal or growing), [Shrink] the sender's last
+   report minus one id (stale), [Know] any set (often incomparable).
+   Senders range over 0..9, so some are unknown. *)
+type op =
+  | Req of Pid.t
+  | Know of Pid.t * Pid.Set.t
+  | Echo of Pid.t * Pid.Set.t
+  | Shrink of Pid.t * Pid.t
+
+let pp_op = function
+  | Req j -> Printf.sprintf "%d: know_request" j
+  | Know (j, v) -> Printf.sprintf "%d: know %s" j (Pid.Set.to_string v)
+  | Echo (j, v) -> Printf.sprintf "%d: echo + %s" j (Pid.Set.to_string v)
+  | Shrink (j, x) -> Printf.sprintf "%d: last report - %d" j x
+
+let gen_op =
+  QCheck.Gen.(
+    let ids = map Pid.Set.of_list (list_size (int_bound 4) (int_bound 9)) in
+    let* src = int_bound 9 in
+    frequency
+      [
+        (1, return (Req src));
+        (3, map (fun v -> Know (src, v)) ids);
+        (4, map (fun v -> Echo (src, v)) (oneof [ return Pid.Set.empty; ids ]));
+        (2, map (fun x -> Shrink (src, x)) (int_bound 9));
+      ])
+
+let arb_know_case =
+  QCheck.make
+    ~print:(fun (f, pd, ops) ->
+      Printf.sprintf "f=%d pd=%s\n%s" f (Pid.Set.to_string pd)
+        (String.concat "\n" (List.map pp_op ops)))
+    QCheck.Gen.(
+      triple (int_bound 3)
+        (map Pid.Set.of_list (list_size (int_bound 6) (int_range 1 6)))
+        (list_size (int_range 1 80) gen_op))
+
+(* The receiver's sends for one step, in order, as the trace prints
+   them; [known] and the verdict must agree after every step too. *)
+let prop_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"SINK: equal to full recounts, message by message" arb_know_case
+    (fun (f, pd, ops) ->
+      let k = Knowledge.create ~self:0 ~pd ~f
+      and reference = Oracle.Knowledge.create ~self:0 ~pd ~f in
+      let sent = ref [] in
+      let send dst m = sent := (dst, Format.asprintf "%a" Msg.pp m) :: !sent in
+      let sends step =
+        sent := [];
+        step ~send;
+        List.rev !sent
+      in
+      let agree fast slow =
+        sends fast = sends slow
+        && Pid.Set.equal (Knowledge.known k) (Oracle.Knowledge.known reference)
+        && Option.equal Pid.Set.equal (Knowledge.sink_result k)
+             (Oracle.Knowledge.sink_result reference)
+      in
+      let last = Hashtbl.create 8 in
+      let view_of = function
+        | Know (_, v) -> v
+        | Echo (_, extra) -> Pid.Set.union (Knowledge.known k) extra
+        | Shrink (src, x) ->
+            Pid.Set.remove x
+              (Option.value ~default:Pid.Set.empty (Hashtbl.find_opt last src))
+        | Req _ -> Pid.Set.empty
+      in
+      agree (Knowledge.start k) (Oracle.Knowledge.start reference)
+      && List.for_all
+           (function
+             | Req src ->
+                 agree
+                   (Knowledge.on_know_request k ~src)
+                   (Oracle.Knowledge.on_know_request reference ~src)
+             | (Know (src, _) | Echo (src, _) | Shrink (src, _)) as op ->
+                 let view = view_of op in
+                 Hashtbl.replace last src view;
+                 agree
+                   (Knowledge.on_know k ~src view)
+                   (Oracle.Knowledge.on_know reference ~src view))
+           ops)
 
 let suites =
   [
@@ -163,5 +248,6 @@ let suites =
         Alcotest.test_case "fabricated ids filtered" `Quick
           test_fabricated_ids_filtered;
         QCheck_alcotest.to_alcotest prop_sink_detection_on_random_graphs;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
       ] );
   ]

@@ -131,7 +131,7 @@ let test_delivery_unique () =
 let prop_rb_agreement_on_random_graphs =
   QCheck.Test.make ~count:20
     ~name:"RB: all sink members deliver every origin's GET_SINK"
-    QCheck.(pair (int_bound 300) (int_range 1 2))
+    QCheck.(pair (int_bound 300) (int_range 1 3))
     (fun (seed, f) ->
       let g, sink =
         Generators.random_byzantine_safe ~seed ~f ~sink_size:((3 * f) + 2)
@@ -147,6 +147,88 @@ let prop_rb_agreement_on_random_graphs =
               Pid.equal s origin || List.mem (s, origin) net.delivered)
             sink)
         pids)
+
+(* ---- copy by copy against the exhaustive reference rule ------------- *)
+
+(* A copy reaching process 0, the receiver: its physical sender, the
+   origin it names, and its relay path. *)
+type copy = { src : Pid.t; origin : Pid.t; path : Pid.t list }
+
+let pp_copy c =
+  Printf.sprintf "%d->0 origin=%d [%s]" c.src c.origin
+    (String.concat "," (List.map string_of_int c.path))
+
+(* Origins 1..3, relayers 1..7. Most copies are valid; the rest forge
+   the last hop, repeat a vertex, pass through the receiver, or name
+   another origin than the path's head. *)
+let gen_copy =
+  QCheck.Gen.(
+    let* origin = int_range 1 3 in
+    let* hops = frequency [ (1, return 0); (6, int_range 1 4) ] in
+    let* order =
+      shuffle_l (List.filter (( <> ) origin) [ 1; 2; 3; 4; 5; 6; 7 ])
+    in
+    let path = origin :: List.filteri (fun i _ -> i < hops) order in
+    let last = List.nth path (List.length path - 1) in
+    let* kind = int_bound 9 in
+    let* other = int_bound 7 in
+    return
+      (match kind with
+      | 6 -> { src = other; origin; path }
+      | 7 ->
+          let again = List.nth path (other mod List.length path) in
+          { src = again; origin; path = path @ [ again ] }
+      | 8 -> { src = last; origin; path = origin :: 0 :: List.tl path }
+      | 9 -> { src = last; origin = 1 + (origin mod 3); path }
+      | _ -> { src = last; origin; path }))
+
+(* Up to 60 copies, a quarter of them repeats of an earlier one. *)
+let gen_copies =
+  QCheck.Gen.(
+    let* n = int_range 1 60 in
+    let rec go k acc =
+      if k = 0 then return (List.rev acc)
+      else
+        let* repeat = int_bound 3 in
+        let* c =
+          match acc with
+          | _ :: _ when repeat = 0 ->
+              map (List.nth acc) (int_bound (List.length acc - 1))
+          | _ -> gen_copy
+        in
+        go (k - 1) (c :: acc)
+    in
+    go n [])
+
+let arb_rb_case =
+  QCheck.make
+    ~print:(fun (f, nbrs, copies) ->
+      Printf.sprintf "f=%d neighbors=%s\n%s" f (Pid.Set.to_string nbrs)
+        (String.concat "\n" (List.map pp_copy copies)))
+    QCheck.Gen.(
+      triple (int_bound 3)
+        (map Pid.Set.of_list (list_size (int_bound 7) (int_bound 7)))
+        gen_copies)
+
+(* Feeds one copy and returns the answer with the sends, in order, as
+   the trace prints them. *)
+let feed on_get_sink rb c =
+  let sent = ref [] in
+  let send dst m = sent := (dst, Format.asprintf "%a" Msg.pp m) :: !sent in
+  let r = on_get_sink rb ~send ~src:c.src ~origin:c.origin ~path:c.path in
+  (r, List.rev !sent)
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"RB: equal to the exhaustive rule, copy by copy" arb_rb_case
+    (fun (f, neighbors, copies) ->
+      let rb = Rbcast.create ~self:0 ~neighbors ~f ()
+      and reference = Oracle.Rbcast.create ~self:0 ~neighbors ~f () in
+      List.for_all
+        (fun c ->
+          feed Rbcast.on_get_sink rb c
+          = feed Oracle.Rbcast.on_get_sink reference c)
+        copies)
 
 let suites =
   [
@@ -169,5 +251,6 @@ let suites =
           test_fig2_all_sink_members_deliver;
         Alcotest.test_case "delivery is unique" `Quick test_delivery_unique;
         QCheck_alcotest.to_alcotest prop_rb_agreement_on_random_graphs;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
       ] );
   ]

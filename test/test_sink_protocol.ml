@@ -118,6 +118,21 @@ let test_matches_pure_oracle () =
         (a.in_sink = expected.in_sink && Pid.Set.subset a.view expected.view))
     result.answers
 
+(* Definition 8 at f = 3 on 16 + 16 processes, two of the three silent
+   ones in the sink: the graph and faulty set of `sink run --graph
+   random --sink-size 16 --non-sink 16 -f 3 --faulty 0,1,17`. *)
+let test_f3_three_silent () =
+  let graph, sink =
+    Generators.random_byzantine_safe ~seed:1 ~f:3 ~sink_size:16 ~non_sink:16
+      ()
+  in
+  let faulty = Pid.Set.of_list [ 0; 1; 17 ] in
+  let fault_of i =
+    if Pid.Set.mem i faulty then Some Sink_protocol.Silent else None
+  in
+  let result = run ~seed:1 ~graph ~f:3 ~fault_of () in
+  check_answers ~faulty ~f:3 ~graph ~sink result
+
 let test_deterministic () =
   let run () =
     run ~seed:9 ~graph:Builtin.fig2 ~f:1 ~fault_of:no_faults ()
@@ -130,7 +145,7 @@ let test_deterministic () =
 let prop_random_graphs_fault_free =
   QCheck.Test.make ~count:10
     ~name:"sink protocol correct on random byzantine-safe graphs"
-    QCheck.(pair (int_bound 200) (int_range 1 1))
+    QCheck.(pair (int_bound 200) (int_range 1 3))
     (fun (seed, f) ->
       let g, sink =
         Generators.random_byzantine_safe ~seed ~f ~sink_size:((3 * f) + 2)
@@ -150,11 +165,11 @@ let prop_random_graphs_fault_free =
 let prop_random_graphs_with_silent_fault =
   QCheck.Test.make ~count:8
     ~name:"sink protocol tolerates a silent faulty process"
-    QCheck.(int_bound 200)
-    (fun seed ->
-      let f = 1 in
+    QCheck.(pair (int_bound 200) (int_range 1 3))
+    (fun (seed, f) ->
       let g, sink =
-        Generators.random_byzantine_safe ~seed ~f ~sink_size:5 ~non_sink:3 ()
+        Generators.random_byzantine_safe ~seed ~f ~sink_size:((3 * f) + 2)
+          ~non_sink:3 ()
       in
       let faulty = Generators.random_faulty_set ~seed ~f g in
       let fault_of i =
@@ -260,5 +275,7 @@ let suites =
           test_replies_below_threshold;
         QCheck_alcotest.to_alcotest prop_random_graphs_fault_free;
         QCheck_alcotest.to_alcotest prop_random_graphs_with_silent_fault;
+        Alcotest.test_case "f=3 16+16, three silent: Definition 8" `Quick
+          test_f3_three_silent;
       ] );
   ]
