@@ -6,7 +6,8 @@
     caches. One implementation means one stats record shape
     ({!type:stats}) everywhere and one capacity knob per instance
     ({!set_capacity}, daemon-overridable); the daemon's [stats] verb
-    reports every instance's {!stats}.
+    reports the {!stats} of every instance a request can reach: its
+    own two and the [Graphkit.Csr] memo.
 
     Lookups are most-recently-used: a hit promotes the entry to the
     front, an insertion beyond capacity evicts the least recently used

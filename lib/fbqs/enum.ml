@@ -42,11 +42,14 @@ type tally = {
   c_found : Obs.Metrics.counter option;
 }
 
+(* An analyzer owns its compiled system: every search on [t] shares
+   the handle, and nothing keeps it alive once [t] is dropped. *)
 type t = {
   compiled : Quorum.Compiled.t;
   sys : Quorum.system;
   parts : Pid.Set.t;
   tally : tally;
+  mutable sccs : D.t list option;  (* memo of [quorum_sccs] *)
   mutable minimal : Pid.Set.t list option;  (* cache, canonical order *)
 }
 
@@ -65,10 +68,11 @@ let new_tally ?metrics () =
 
 let prepare ?metrics sys =
   {
-    compiled = Quorum.compiled_of sys;
+    compiled = Quorum.Compiled.compile sys;
     sys;
     parts = Quorum.participants sys;
     tally = new_tally ?metrics ();
+    sccs = None;
     minimal = None;
   }
 
@@ -241,10 +245,11 @@ let quorum_walk c tl ~frontier ~emit (selection, remaining, available) =
 
 (* The SCCs of the trust graph restricted to the greatest quorum, kept
    only when they contain a quorum — the contraction step. Returns
-   each component already shrunk to its own greatest quorum. *)
-let quorum_sccs t =
-  let c = t.compiled in
-  let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set t.parts) in
+   each component already shrunk to its own greatest quorum. The
+   graph is built here and never asked about again, so it is compiled
+   with [Csr.of_graph], not looked up in [Csr.get]'s cache. *)
+let contract c parts =
+  let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set parts) in
   if D.is_empty w then []
   else begin
     let row i = (i, D.elements (D.inter (Quorum.Compiled.domain_d c i) w)) in
@@ -252,8 +257,17 @@ let quorum_sccs t =
       (fun scc ->
         let gq = Quorum.Compiled.greatest_quorum_within_d c (D.of_set scc) in
         if D.is_empty gq then None else Some gq)
-      (Scc.components (Digraph.of_adjacency (List.map row (D.elements w))))
+      (Csr.scc_components
+         (Csr.of_graph (Digraph.of_adjacency (List.map row (D.elements w)))))
   end
+
+let quorum_sccs t =
+  match t.sccs with
+  | Some sccs -> sccs
+  | None ->
+      let sccs = contract t.compiled t.parts in
+      t.sccs <- Some sccs;
+      sccs
 
 (* The search tree is deep and narrow ("pid in / pid out"), so its
    frontier sits five decisions down. *)
@@ -300,29 +314,24 @@ let verdict t quorums =
     quorums
   |> Option.value ~default:Intersects
 
+(* The contraction and the enumeration are both kept in [t], so the
+   answer, witness included, is the same whichever calls ran on [t]
+   before. *)
 let check_intersection ?jobs t =
-  match t.minimal with
-  | Some quorums ->
-      (* Enumeration already ran: one complement check per cached
-         minimal quorum, no new search. *)
-      verdict t quorums
-  | None -> (
-      match quorum_sccs t with
-      | [] -> Intersects (* no quorums at all: vacuously true *)
-      | s1 :: s2 :: _ ->
-          (* Two disjoint SCCs each containing a quorum: their
-             greatest quorums are disjoint witnesses, no search
-             needed. *)
-          Disjoint (D.to_set s1, D.to_set s2)
-      | [ _ ] -> (
-          (* Any two disjoint quorums can be shrunk so one is
-             minimal, so it suffices to test, per minimal quorum,
-             whether its complement still contains a quorum.
-             Enumeration runs to completion (filling the cache) at
-             every [jobs] count, so the result — witness choice
-             included — and the tick totals never depend on the
-             degree of parallelism. *)
-          verdict t (minimal_quorums ?jobs t)))
+  match quorum_sccs t with
+  | [] -> Intersects (* no quorums at all: vacuously true *)
+  | s1 :: s2 :: _ ->
+      (* Two disjoint SCCs each containing a quorum: their greatest
+         quorums are disjoint witnesses, no search needed. *)
+      Disjoint (D.to_set s1, D.to_set s2)
+  | [ _ ] ->
+      (* Any two disjoint quorums can be shrunk so one is minimal, so
+         it suffices to test, per minimal quorum, whether its
+         complement still contains a quorum. Enumeration runs to
+         completion (filling the cache) at every [jobs] count, so the
+         result — witness choice included — and the tick totals never
+         depend on the degree of parallelism. *)
+      verdict t (minimal_quorums ?jobs t)
 
 let quorum_intersection ?metrics ?jobs sys =
   check_intersection ?jobs (prepare ?metrics sys)

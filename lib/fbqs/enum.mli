@@ -44,7 +44,10 @@ open Graphkit
 
 type t
 (** A prepared analyzer: a compiled system plus search statistics.
-    Minimal quorums are computed once on first demand and cached. *)
+    The analyzer owns its compiled handle and shares it with no other
+    value. The contraction to quorum-bearing SCCs and the minimal
+    quorums are computed once on first demand and kept in [t], so
+    nothing of an analysis outlives its [t]. *)
 
 type stats = {
   explored : int;  (** search-tree nodes visited *)
@@ -53,7 +56,8 @@ type stats = {
 }
 
 val prepare : ?metrics:Obs.Metrics.t -> Quorum.system -> t
-(** Compiles the system. When [metrics] is given, the search also
+(** Compiles the system with {!Quorum.Compiled.compile}, into a handle
+    only this analyzer holds. When [metrics] is given, the search also
     drives the [fbqs_enum_explored] / [fbqs_enum_pruned] /
     [fbqs_enum_quorums_found] counters, so analysis runs are traceable
     like every other subsystem.
@@ -83,7 +87,8 @@ val check_intersection : ?jobs:int -> t -> intersection
     cached for later calls) and each is tested for a quorum surviving
     in its complement — any disjoint pair can be shrunk so that one
     side is minimal, so the scan is exact. The witness is the first
-    such quorum in canonical order, independent of [jobs]. *)
+    such quorum in canonical order, independent of [jobs] and of the
+    calls made on [t] before. *)
 
 val quorum_intersection :
   ?metrics:Obs.Metrics.t -> ?jobs:int -> Quorum.system -> intersection

@@ -19,9 +19,10 @@ let participants = Pid.Map.keys
    an array load plus (for threshold slices) one popcount shared across
    every member with a structurally equal member set ("class").
 
-   Compilation is explicit ({!Compiled.compile}); callers that share
-   a system value share its handle through the bounded
-   most-recently-compiled cache below, keyed by physical equality. *)
+   Compilation is explicit ({!Compiled.compile}); callers that query
+   one live system value through many separate calls share its
+   handle through the bounded most-recently-compiled cache below,
+   keyed by physical equality. *)
 
 module D = Pid.Dense_set
 
@@ -172,14 +173,16 @@ end
 
    Bounded most-recently-used cache over {!Core.Cache}, keyed by
    physical equality of the system map; a miss costs one O(system)
-   compilation. Its clients are the {!Enum} analyzer, the analysis
-   daemon, whose file cache keeps hot systems alive so repeated
-   analyses reuse one handle, and the small-system analyses
+   compilation. Its clients are the small-system analyses
    ({!enum_quorums}, [Cluster], [Dset], [Analysis]), which query one
-   system many times. SCP federated voting keeps one handle
-   per node instead ([Scp.Fvoting]): its views evolve with every
-   learned declaration, and through a shared cache concurrent runs
-   would count each other's lookups. *)
+   system many times. Two callers keep handles of their own instead.
+   The {!Enum} analyzer holds one in its [t], which every search on
+   it shares; through this cache each analysis of a freshly parsed
+   system would miss, and the 64 entries would keep that many dead
+   systems alive. SCP federated voting keeps one per node
+   ([Scp.Fvoting]): its views evolve with every learned declaration,
+   and through a shared cache concurrent runs would count each
+   other's lookups. *)
 
 let cache : (system, compiled) Core.Cache.t =
   Core.Cache.create ~name:"fbqs_quorum_compiled" ~capacity:64 ()

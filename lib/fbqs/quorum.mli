@@ -7,8 +7,10 @@
     first-class step — {!Compiled.compile} once, query many times —
     and the compiled value is immutable. A caller whose system evolves
     mid-run keeps its own handle (SCP federated voting recompiles its
-    view when it learns a slice declaration, [Scp.Fvoting]); the
-    analyzer and the daemon share handles through {!compiled_of}.
+    view when it learns a slice declaration, [Scp.Fvoting]), and so
+    does the {!Enum} analyzer, whose handle lives exactly as long as
+    the analyzer. The small-system analyses share handles through
+    {!compiled_of}.
     Process ids are non-negative: every query raises
     [Invalid_argument] on a system or candidate set naming a negative
     pid, as {!Pid.Dense_set} does. See DESIGN.md §8 and §9. *)
@@ -98,13 +100,16 @@ end
 
 val compiled_of : system -> Compiled.t
 (** The cache lookup itself: the compiled handle for [sys], reused
-    while the same system value stays hot. The {!Enum} analyzer, the
-    analysis daemon and the small-system analyses below compile
-    through this, so repeated analyses of one system share a handle. *)
+    while the same system value stays hot. For callers that ask one
+    live system many questions through separate calls: {!enum_quorums}
+    and the brute-force analyses of [Cluster], [Dset] and [Analysis].
+    A caller that holds its handle for as long as it needs it, as
+    {!Enum.prepare} does, calls {!Compiled.compile} instead, so that
+    no dead system stays cached. *)
 
 val cache_stats : unit -> Core.Cache.stats
-(** Cumulative shared-cache accounting for this process, reported by
-    the daemon's [stats] verb. The same record shape as
+(** Cumulative shared-cache accounting for this process. The same
+    record shape as
     {!Graphkit.Csr.cache_stats} and every other {!Core.Cache}
     instance. *)
 

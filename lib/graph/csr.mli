@@ -24,8 +24,11 @@ val of_graph : Digraph.t -> t
 val get : Digraph.t -> t
 (** Memoized {!of_graph}: a bounded most-recently-used {!Core.Cache}
     keyed by {e physical} equality of the graph value (graphs are
-    immutable, so hits can never be stale). This is the entry point the
-    graph analyses use.
+    immutable, so hits can never be stale). This is the entry point of
+    the graph analyses that query one live graph many times, the sink
+    oracle and the k-OSR checks. A graph built for one question and
+    dropped after it, as the {!Fbqs.Enum} contraction builds, is
+    compiled with {!of_graph}, so that no dead graph stays cached.
     @raise Invalid_argument when some vertex is a negative pid. *)
 
 val cache_stats : unit -> Core.Cache.stats

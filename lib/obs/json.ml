@@ -69,9 +69,14 @@ let to_string j =
    an OCaml int (requests carry ids, seeds and sizes, never bignums),
    and \u escapes outside ASCII are kept as a literal escape sequence
    rather than decoded to UTF-8 (keys and verbs are ASCII; payload
-   strings round-trip unchanged through escape/unescape). *)
+   strings round-trip unchanged through escape/unescape). The reader
+   recurses once per open array or object, so it refuses a document
+   nested deeper than [max_depth]: a hostile request line then gets an
+   [Error] rather than exhausting the stack. *)
 
 exception Parse_error of string
+
+let max_depth = 512
 
 let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
@@ -167,13 +172,20 @@ let of_string s =
       | Some i -> Int i
       | None -> parse_error "invalid number %S at offset %d" tok start
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects open around the value. *)
+  let nest depth =
+    if depth >= max_depth then
+      parse_error "nesting deeper than %d at offset %d" max_depth !pos;
+    advance ();
+    depth + 1
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> parse_error "unexpected end of input"
     | Some '"' -> String (parse_string ())
     | Some '{' ->
-        advance ();
+        let depth = nest depth in
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -185,7 +197,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value depth in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -199,7 +211,7 @@ let of_string s =
           Obj (fields [])
         end
     | Some '[' ->
-        advance ();
+        let depth = nest depth in
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
@@ -207,7 +219,7 @@ let of_string s =
         end
         else begin
           let rec elems acc =
-            let v = parse_value () in
+            let v = parse_value depth in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -226,7 +238,7 @@ let of_string s =
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some c -> parse_error "unexpected character '%c' at offset %d" c !pos
   in
-  match parse_value () with
+  match parse_value 0 with
   | v ->
       skip_ws ();
       if !pos < n then Error (Printf.sprintf "trailing data at offset %d" !pos)

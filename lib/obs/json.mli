@@ -28,7 +28,9 @@ val escape : string -> string
 
 val of_string : string -> (t, string) result
 (** Parses one JSON document (the analysis daemon's request decoder).
-    Restrictions, both irrelevant to protocol traffic: numbers without
-    a fraction or exponent must fit in an OCaml [int], and [\u] escapes
+    Restrictions, all irrelevant to protocol traffic: numbers without
+    a fraction or exponent must fit in an OCaml [int], [\u] escapes
     beyond ASCII are preserved as literal escape text rather than
-    decoded. Trailing non-whitespace after the document is an error. *)
+    decoded, and a document nesting more than 512 arrays and objects
+    is an error, so no input can exhaust the stack. Trailing non-whitespace
+    after the document is an error. *)

@@ -87,9 +87,9 @@ type analysis = {
 }
 
 val analyze : analysis_options -> Fbqs.Quorum.system -> analysis
-(** Runs the {!Fbqs.Enum} analyzer on a fresh [Enum.t]. The compiled
-    handle comes from the shared {!Fbqs.Quorum.compiled_of} cache, so
-    repeated analyses of one system value compile once. *)
+(** Runs the {!Fbqs.Enum} analyzer on a fresh [Enum.t], which compiles
+    the system for itself: nothing of the analysis outlives the call,
+    and no process-wide cache is consulted. *)
 
 val analysis_payload : analysis_options -> analysis -> Obs.Json.t
 (** The [fbas analyze --json] payload object (byte-identical to the

@@ -13,20 +13,22 @@
    caches) moves under {!Simkit.Exec.protect}, the one sanctioned
    mutual-exclusion seam outside lib/sim.
 
-   Three caches cooperate:
-   - the shared compiled-handle caches ({!Fbqs.Quorum.compiled_of},
-     {!Graphkit.Csr.get}) that the engines use internally;
-   - a file cache (path -> parsed system) that keeps hot systems
-     physically alive, so a repeated [analyze] of the same file
-     reuses one compiled handle instead of re-parsing and
-     re-compiling;
+   Two caches are the daemon's own:
+   - a file cache (path -> parsed system), so a repeated [analyze] of
+     the same file skips the parse; the analyzer compiles its own
+     handle per request and keeps nothing once it answers;
    - a response cache (canonical request, minus id -> payload and
      trace) that answers byte-identical repeats without re-running
      the engine.
+   [stats] also reports {!Graphkit.Csr.get}'s process-wide cache,
+   which [run] reaches through the sink oracle.
 
    Byzantine fault tolerance of the service itself is out of scope:
    the daemon trusts its local client, exactly like the CLI trusts
-   its arguments. *)
+   its arguments. No request ends it, though: a line is read up to
+   [max_line_bytes], the JSON reader bounds its nesting, and any
+   exception a request raises becomes that request's error
+   envelope. *)
 
 module J = Obs.Json
 
@@ -151,7 +153,6 @@ let stats_payload t =
       ( "caches",
         J.Obj
           [
-            ("fbqs_quorum_compiled", cache (Fbqs.Quorum.cache_stats ()));
             ("graphkit_csr", cache (Graphkit.Csr.cache_stats ()));
             ( Core.Cache.name t.files,
               cache (Core.Cache.stats t.files) );
@@ -263,6 +264,11 @@ let ok_lines ~id ~verb ~trace payload =
   List.map (fun e -> J.to_string (trace_envelope ~id e)) trace
   @ [ J.to_string (response_envelope ~id ~verb:(J.String verb) ~ok:true payload) ]
 
+(* The message of an exception no verb expects: [Not_found],
+   [Stack_overflow], [Out_of_memory] and the like end the request,
+   never the daemon. *)
+let internal_error e = "internal error: " ^ Printexc.to_string e
+
 (* The response-cache key: the request object with its [id] field
    removed, re-serialized. Field order is preserved, so two requests
    are "the same" when they are the same bytes modulo id — exactly the
@@ -310,40 +316,98 @@ let dispatch t fields =
               (Printf.sprintf "unknown verb %S" other)
       with
       | Bad_request msg | Failure msg | Sys_error msg | Invalid_argument msg ->
-        error_lines ~id ~verb:(J.String verb) msg)
+        error_lines ~id ~verb:(J.String verb) msg
+      | e -> error_lines ~id ~verb:(J.String verb) (internal_error e))
   | Some _ -> error_lines ~id ~verb:J.Null "field \"verb\" must be a string"
   | None -> error_lines ~id ~verb:J.Null "missing required field \"verb\""
+
+(* A request that never reaches [dispatch]: counted, and answered with
+   one error envelope that has no id. *)
+let unparsed t msg =
+  Simkit.Exec.protect (fun () -> t.requests <- t.requests + 1);
+  error_lines ~id:J.Null ~verb:J.Null msg
 
 let handle_line t line =
   if String.trim line = "" then []
   else
     match J.of_string line with
-    | Error e ->
-        Simkit.Exec.protect (fun () -> t.requests <- t.requests + 1);
-        error_lines ~id:J.Null ~verb:J.Null ("parse error: " ^ e)
     | Ok (J.Obj fields) -> dispatch t fields
-    | Ok _ ->
-        Simkit.Exec.protect (fun () -> t.requests <- t.requests + 1);
-        error_lines ~id:J.Null ~verb:J.Null "request must be a JSON object"
+    | Ok _ -> unparsed t "request must be a JSON object"
+    | Error e -> unparsed t ("parse error: " ^ e)
+    | exception e -> unparsed t (internal_error e)
 
 let stopping t = t.stopping
 
 (* ---- transports ------------------------------------------------------- *)
 
+let max_line_bytes = 1 lsl 20
+
+type line = Line of string | Too_long | End
+
+(* A request reader over a channel. [input] hands over what the
+   channel holds in one call, so a line costs a few calls rather than
+   one per byte; [chunk.[pos .. len - 1]] is read but not yet used. *)
+type reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
+
+let reader ic = { ic; chunk = Bytes.create 4096; pos = 0; len = 0 }
+
+(* The next request line, as [input_line] reads it. A line longer than
+   [max_line_bytes] is read to its newline but not kept, so a client
+   that never sends a newline costs the daemon no memory. *)
+let read_line r =
+  let line = Buffer.create 256 in
+  let rec go over =
+    if r.pos = r.len then begin
+      r.pos <- 0;
+      r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.len = 0 then
+      if over then Too_long
+      else if Buffer.length line = 0 then End
+      else Line (Buffer.contents line)
+    else begin
+      let start = r.pos in
+      while r.pos < r.len && Bytes.get r.chunk r.pos <> '\n' do
+        r.pos <- r.pos + 1
+      done;
+      let n = r.pos - start in
+      let over = over || Buffer.length line + n > max_line_bytes in
+      if not over then Buffer.add_subbytes line r.chunk start n;
+      if r.pos = r.len then go over
+      else begin
+        r.pos <- r.pos + 1;
+        if over then Too_long else Line (Buffer.contents line)
+      end
+    end
+  in
+  go false
+
 (* Reads requests until EOF or [shutdown], writing and flushing the
    response lines per request: the loop of both transports. *)
 let serve_channels t ic oc =
+  let r = reader ic in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-        List.iter
-          (fun l ->
-            output_string oc l;
-            output_char oc '\n')
-          (handle_line t line);
-        flush oc;
-        if not t.stopping then loop ()
+    match read_line r with
+    | End -> ()
+    | Line line -> respond (handle_line t line)
+    | Too_long ->
+        respond
+          (unparsed t
+             (Printf.sprintf "request line longer than %d bytes"
+                max_line_bytes))
+  and respond lines =
+    List.iter
+      (fun l ->
+        output_string oc l;
+        output_char oc '\n')
+      lines;
+    flush oc;
+    if not t.stopping then loop ()
   in
   loop ()
 

@@ -26,8 +26,7 @@ type t
 
 val create : ?jobs:int -> unit -> t
 (** A daemon with a 64-entry response cache and an 8-entry file
-    cache; the process-wide compiled-handle caches keep their own
-    capacities (64 and 16). [jobs] (default 1) is the default Enum
+    cache. [jobs] (default 1) is the default Enum
     parallelism for [analyze] requests; a request's own ["jobs"] field
     overrides it, and payloads are byte-identical at every jobs count
     either way. *)
@@ -35,12 +34,19 @@ val create : ?jobs:int -> unit -> t
 val handle_line : t -> string -> string list
 (** Handles one request line, returning the output lines (each a
     serialized envelope, no trailing newline). Blank lines yield no
-    output; malformed JSON, a bad request or an analysis the engine
-    refuses (a splitting sweep over more than 62 pids) yields one error
-    response. Never raises on bad input. *)
+    output; malformed JSON (nesting past 512 levels included), a bad
+    request or an analysis the engine refuses (a splitting sweep over
+    more than 62 pids) yields one error response, and so does any
+    other exception a request raises, named in the message. Never
+    raises. *)
 
 val stopping : t -> bool
 (** Set once a [shutdown] request has been handled. *)
+
+val max_line_bytes : int
+(** 1 MiB: the longest request line either transport serves. A longer
+    line is skipped to its newline, unkept, and answered with one error
+    response naming the cap; the connection stays open. *)
 
 val serve_stdio : t -> unit
 (** Reads requests from stdin until EOF or [shutdown], writing and

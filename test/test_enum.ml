@@ -355,6 +355,32 @@ let test_disjoint_witness =
       Alcotest.(check bool) "some generated systems are Disjoint" true
         (!disjoint_cases > 0) )
 
+(* The contraction and the minimal quorums are memoised per analyzer,
+   so the order of the calls on one analyzer moves no answer and no
+   count: both orders give the answers and the stats of a fresh
+   analyzer asked only for the minimal quorums. A fresh analyzer asked
+   only for the verdict searches that same tree or none at all. *)
+let prop_memo_call_order =
+  QCheck.Test.make ~count:200 ~name:"memo: call order moves nothing"
+    sys_arb
+    (fun (_, _, sys) ->
+      let zero = { Enum.explored = 0; pruned = 0; found = 0 } in
+      let first_verdict = Enum.prepare sys in
+      let i1 = Enum.check_intersection first_verdict in
+      let q1 = Enum.minimal_quorums first_verdict in
+      let first_quorums = Enum.prepare sys in
+      let q2 = Enum.minimal_quorums first_quorums in
+      let i2 = Enum.check_intersection first_quorums in
+      let verdict_only = Enum.prepare sys and quorums_only = Enum.prepare sys in
+      let i = Enum.check_intersection verdict_only in
+      let q = Enum.minimal_quorums quorums_only in
+      let stats = Enum.stats quorums_only in
+      same_intersection i i1 && same_intersection i i2 && sets_equal q q1
+      && sets_equal q q2
+      && Enum.stats first_verdict = stats
+      && Enum.stats first_quorums = stats
+      && (Enum.stats verdict_only = stats || Enum.stats verdict_only = zero))
+
 (* ---- blocking sets against the list-based reference walk -------------- *)
 
 (* A list-based reference for Enum's minimal-hitting-set walk: a node's
@@ -560,6 +586,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_intersection_equiv;
         QCheck_alcotest.to_alcotest prop_despite_equiv;
         test_disjoint_witness;
+        QCheck_alcotest.to_alcotest prop_memo_call_order;
         QCheck_alcotest.to_alcotest prop_blocking_equiv;
         Alcotest.test_case "blocking = reference walk, two words" `Quick
           test_blocking_reference;

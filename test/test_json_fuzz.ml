@@ -54,6 +54,16 @@ let test_deep_nesting () =
   in
   Alcotest.(check int) "512 levels of arrays" depth (depth_of (ok s))
 
+(* Past 512 levels the reader answers [Error] instead of recursing on:
+   a 100,000-deep request line must not exhaust the stack, whatever
+   its size. Objects count towards the bound like arrays. *)
+let test_nesting_bound () =
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  ignore (ok (nested 512));
+  err (nested 513);
+  err (String.make 100_000 '[');
+  err (String.concat "" (List.init 513 (fun _ -> {|{"a":|})))
+
 let test_int_boundaries () =
   Alcotest.(check bool)
     "max_int round-trips" true
@@ -118,6 +128,8 @@ let suites =
       [
         Alcotest.test_case "string escapes" `Quick test_escapes;
         Alcotest.test_case "deeply nested arrays" `Quick test_deep_nesting;
+        Alcotest.test_case "nesting past 512 is an error" `Quick
+          test_nesting_bound;
         Alcotest.test_case "int boundaries" `Quick test_int_boundaries;
         Alcotest.test_case "trailing garbage rejected" `Quick
           test_trailing_garbage;

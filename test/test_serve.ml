@@ -1,11 +1,12 @@
-(* The analysis daemon: protocol shape, determinism and the shared
-   response cache (DESIGN.md §14).
+(* The analysis daemon: protocol shape, determinism, the shared
+   response cache and hostile input (DESIGN.md §14).
 
    These tests drive [Serve.Daemon.handle_line] in-process. The
-   compiled-handle caches ([Fbqs.Quorum], [Graphkit.Csr]) are
-   process-wide and shared with every other suite, so nothing here
-   asserts their absolute counters — only the daemon-local caches and
-   the response bytes, which are independent of cache warmth. *)
+   process-wide handle caches ([Fbqs.Quorum.compiled_of],
+   [Graphkit.Csr.get]) are shared with every other suite, so nothing
+   here asserts their absolute counters: the analyzer must not consult
+   them at all, which one case checks as a difference of lookups, and
+   the rest check the daemon-local caches and the response bytes. *)
 
 let fixture = "fixtures/live_network.fbas"
 
@@ -203,6 +204,38 @@ let test_empty_family_sink_is_an_error () =
       Alcotest.(check bool) "pong" true (contains ~affix:{|"pong":true|} line)
   | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
 
+(* Parses the fixture, analyzes it with one despite set and returns a
+   weak pointer to the parsed system, which nothing else here keeps. *)
+let analyze_behind_weak_pointer () =
+  let sys =
+    match Fbqs.Fbas_io.of_file fixture with
+    | Ok sys -> sys
+    | Error e -> Alcotest.fail e
+  in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some sys);
+  let opts =
+    { Serve.Api.default_analysis_options with despite = [ [ 0; 1; 2 ] ] }
+  in
+  ignore (Sys.opaque_identity (Serve.Api.analyze opts sys));
+  w
+[@@inline never]
+
+let test_analyze_keeps_nothing () =
+  (* An analysis owns its compiled system and its contraction graph:
+     once it has answered, a full major collection frees the system,
+     and neither process-wide handle cache saw a lookup. *)
+  let lookups (s : Core.Cache.stats) = s.hits + s.misses in
+  let q0 = lookups (Fbqs.Quorum.cache_stats ())
+  and c0 = lookups (Graphkit.Csr.cache_stats ()) in
+  let w = analyze_behind_weak_pointer () in
+  Gc.full_major ();
+  Alcotest.(check bool) "system collected" false (Weak.check w 0);
+  Alcotest.(check int) "no compiled-quorum lookup" q0
+    (lookups (Fbqs.Quorum.cache_stats ()));
+  Alcotest.(check int) "no csr lookup" c0
+    (lookups (Graphkit.Csr.cache_stats ()))
+
 (* ---- the concurrent socket transport ----------------------------------- *)
 
 let socket_path () =
@@ -359,6 +392,44 @@ let test_socket_dropped_client () =
     Alcotest.(check bool) "daemon stopped" true (Serve.Daemon.stopping d)
   end
 
+let test_socket_oversized_line () =
+  (* A line one byte past the cap is skipped to its newline and
+     answered with one error naming the cap; the same connection's
+     next request is served. *)
+  if Simkit.Exec.concurrent_tasks then begin
+    let path = socket_path () in
+    let d = Serve.Daemon.create () in
+    let server =
+      Simkit.Exec.spawn_task (fun () -> Serve.Daemon.serve_unix d ~path)
+    in
+    wait_for_socket path;
+    let sock, ic, oc = connect path in
+    (* Every answer is read before any check, so that a failed check
+       cannot leave the daemon running. *)
+    let answer, pong =
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close sock with Unix.Unix_error _ -> ());
+          Simkit.Exec.join_task server)
+        (fun () ->
+          send oc (String.make (Serve.Daemon.max_line_bytes + 1) 'x');
+          let answer = input_line ic in
+          send oc (req 2 "ping" []);
+          let pong = input_line ic in
+          send oc (req 3 "shutdown" []);
+          ignore (input_line ic);
+          (answer, pong))
+    in
+    Alcotest.(check bool) "not ok" true (contains ~affix:{|"ok":false|} answer);
+    Alcotest.(check bool) "names the cap" true
+      (contains
+         ~affix:(string_of_int Serve.Daemon.max_line_bytes ^ " bytes")
+         answer);
+    Alcotest.(check bool) "ping answered" true
+      (contains ~affix:{|"pong":true|} pong);
+    Alcotest.(check bool) "daemon stopped" true (Serve.Daemon.stopping d)
+  end
+
 let test_repeat_analyze_reuses_payload () =
   (* Identical analyze requests under different ids: the payloads are
      byte-identical; only the echoed id differs. *)
@@ -435,5 +506,9 @@ let suites =
           test_socket_session_matches_stdio;
         Alcotest.test_case "socket: a dropped client ends only itself" `Quick
           test_socket_dropped_client;
+        Alcotest.test_case "analyze keeps nothing alive" `Quick
+          test_analyze_keeps_nothing;
+        Alcotest.test_case "socket: an oversized line is skipped" `Quick
+          test_socket_oversized_line;
       ] );
   ]
