@@ -26,7 +26,9 @@ module D = Pid.Dense_set
    member must leave no quorum), so no superset bookkeeping or global
    minimisation pass is needed — which is what makes the
    quorum-intersection check on a n=200-validator topology answer in
-   well under a second. *)
+   well under a second. A question that wants only intersection's yes
+   or no runs the same walk bounded at half the quorum-bearing SCC and
+   stops at its first hit ([intersects] below). *)
 
 type stats = { explored : int; pruned : int; found : int }
 
@@ -186,68 +188,74 @@ let search ?(limit = max_int) ~jobs ~frontier tl walk roots =
 
 (* ---- minimal quorums -------------------------------------------------- *)
 
-(* Depth-first enumeration of the minimal quorums inside a universe
-   already contracted to a greatest quorum. A node is (selection,
-   remaining candidates, available pool). Candidates branch in
-   ascending pid order, so the emission order — and with it every
-   downstream report — is deterministic. *)
-let quorum_walk c tl ~frontier ~emit (selection, remaining, available) =
-  (* [q] is minimal iff every member [v] is essential: [q \ v] holds no
-     quorum. Members are tried in ascending order and the ones already
-     shown essential are passed as [keep]: a fixpoint that drops an
-     essential [w] proves [gq (q \ v) ⊆ gq (q \ w) = ∅], so only the
-     first member runs its fixpoint to the end. *)
-  let minimal_quorum q =
-    let essential = ref D.empty in
-    D.for_all
-      (fun v ->
-        match
-          Quorum.Compiled.greatest_quorum_keeping_d c ~keep:!essential
-            (D.remove v q)
-        with
-        | Some gq when not (D.is_empty gq) -> false
-        | _ ->
-            essential := D.add v !essential;
-            true)
-      q
-  in
+(* [q] is minimal iff every member [v] is essential: [q \ v] holds no
+   quorum. Members are tried in ascending order and the ones already
+   shown essential are passed as [keep]: a fixpoint that drops an
+   essential [w] proves [gq (q \ v) ⊆ gq (q \ w) = ∅], so only the
+   first member runs its fixpoint to the end. *)
+let minimal_quorum c q =
+  let essential = ref D.empty in
+  D.for_all
+    (fun v ->
+      match
+        Quorum.Compiled.greatest_quorum_keeping_d c ~keep:!essential
+          (D.remove v q)
+      with
+      | Some gq when not (D.is_empty gq) -> false
+      | _ ->
+          essential := D.add v !essential;
+          true)
+    q
+
+(* Depth-first walk over the quorums inside a universe already
+   contracted to a greatest quorum. A node is (selection, remaining
+   candidates, available pool). Candidates branch in ascending pid
+   order, so the emission order — and with it every downstream report
+   — is deterministic. A selection that is a quorum ends its branch
+   (its supersets are quorums too) and is emitted when [accept] holds;
+   a selection of [bound] members that is not a quorum ends it too.
+   Enumeration passes [max_int] and {!minimal_quorum}; the
+   intersection decision below passes half the universe and a
+   complement test. *)
+let quorum_walk c ~bound ~accept tl ~frontier ~emit
+    (selection, remaining, available) =
   let deferred = ref [] in
-  let rec go depth selection remaining available =
+  let rec go depth size selection remaining available =
     if depth >= frontier then
       deferred := (selection, remaining, available) :: !deferred
     else begin
       tick_explored tl;
       if Quorum.Compiled.is_quorum_d c selection then begin
-        (* Supersets of a quorum cannot be minimal: stop descending. *)
-        if minimal_quorum selection then begin
+        if accept selection then begin
           tick_found tl;
           emit selection
         end
       end
-      else
+      else if size < bound then
         match remaining with
         | [] -> ()
         | v :: rest ->
-            go (depth + 1) (D.add v selection) rest available;
+            go (depth + 1) (size + 1) (D.add v selection) rest available;
             match
               Quorum.Compiled.greatest_quorum_keeping_d c ~keep:selection
                 (D.remove v available)
             with
             | Some gq ->
-                go (depth + 1) selection
+                go (depth + 1) size selection
                   (List.filter (fun u -> D.mem u gq) rest)
                   gq
             | None -> tick_pruned tl
     end
   in
-  go 0 selection remaining available;
+  go 0 (D.cardinal selection) selection remaining available;
   List.rev !deferred
 
 (* The SCCs of the trust graph restricted to the greatest quorum, kept
    only when they contain a quorum — the contraction step. Returns
-   each component already shrunk to its own greatest quorum. The
-   graph is built here and never asked about again, so it is compiled
-   with [Csr.of_graph], not looked up in [Csr.get]'s cache. *)
+   each component already shrunk to its own greatest quorum. Row [i]
+   is [domain_d i ∩ W], ascending and inside [W], so the rows compile
+   straight into a CSR handle with [Csr.of_rows]: no tree-set graph is
+   built, and no handle enters [Csr.get]'s cache. *)
 let contract c parts =
   let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set parts) in
   if D.is_empty w then []
@@ -257,8 +265,7 @@ let contract c parts =
       (fun scc ->
         let gq = Quorum.Compiled.greatest_quorum_within_d c (D.of_set scc) in
         if D.is_empty gq then None else Some gq)
-      (Csr.scc_components
-         (Csr.of_graph (Digraph.of_adjacency (List.map row (D.elements w)))))
+      (Csr.scc_components (Csr.of_rows (List.map row (D.elements w))))
   end
 
 let quorum_sccs t =
@@ -280,7 +287,8 @@ let minimal_quorums ?(jobs = 1) t =
       let result =
         fst
           (search ~jobs ~frontier:quorum_frontier_depth t.tally
-             (quorum_walk t.compiled)
+             (quorum_walk t.compiled ~bound:max_int
+                ~accept:(minimal_quorum t.compiled))
              (List.map
                 (fun universe -> (D.empty, D.elements universe, universe))
                 (quorum_sccs t)))
@@ -336,10 +344,35 @@ let check_intersection ?jobs t =
 let quorum_intersection ?metrics ?jobs sys =
   check_intersection ?jobs (prepare ?metrics sys)
 
-let quorum_intersection_despite ?metrics ?jobs sys b =
-  match quorum_intersection ?metrics ?jobs (Quorum.delete sys b) with
-  | Intersects -> true
-  | Disjoint _ -> false
+(* The same question as one bit, decided instead of enumerated
+   (Lachowski). Two disjoint quorums shrink to two disjoint minimal
+   quorums, both inside the one quorum-bearing SCC [u] (two such SCCs
+   answer at once), and the smaller has at most ⌊|u|/2⌋ members. No
+   proper prefix of a minimal quorum on its walk path is a quorum, so
+   the walk bounded there reaches it; testing each quorum selection
+   [s] it reaches for a quorum in [u \ s] needs no minimality check,
+   and the first hit ends the walk. The finite limit keeps [search]
+   sequential at every [jobs] count. *)
+let intersects ~jobs t =
+  match quorum_sccs t with
+  | [] -> true
+  | _ :: _ :: _ -> false
+  | [ u ] -> (
+      let c = t.compiled in
+      let outside s =
+        not
+          (D.is_empty (Quorum.Compiled.greatest_quorum_within_d c (D.diff u s)))
+      in
+      match
+        search ~limit:1 ~jobs ~frontier:quorum_frontier_depth t.tally
+          (quorum_walk c ~bound:(D.cardinal u / 2) ~accept:outside)
+          [ (D.empty, D.elements u, u) ]
+      with
+      | [], _ -> true
+      | _ :: _, _ -> false)
+
+let quorum_intersection_despite ?metrics ?(jobs = 1) sys b =
+  intersects ~jobs (prepare ?metrics (Quorum.delete sys b))
 
 (* ---- minimal blocking sets -------------------------------------------- *)
 
@@ -497,12 +530,7 @@ let minimal_splitting_sets ?metrics ?universe ?max_size ?(jobs = 1) t =
   let sys = t.sys in
   let splits_checked b =
     let t' = prepare (Quorum.delete sys b) in
-    let hit =
-      match check_intersection t' with
-      | Intersects -> false
-      | Disjoint _ -> true
-    in
-    (hit, t'.tally)
+    (not (intersects ~jobs:1 t'), t'.tally)
   in
   let hit0, tl0 = splits_checked Pid.Set.empty in
   absorb sink tl0;

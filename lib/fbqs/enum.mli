@@ -20,9 +20,14 @@
       union).
 
     Everything downstream — intersection checking, blocking sets,
-    splitting sets, top tier — is built on that streaming enumeration.
-    All outputs are in a canonical deterministic order (ascending
-    cardinality, then {!Pid.Set.compare}), so reports are byte-stable.
+    splitting sets, top tier — is built on that streaming enumeration,
+    except the questions that want only intersection's yes or no
+    ({!quorum_intersection_despite} and the splitting candidates). They
+    run the same walk bounded at half the quorum-bearing SCC and stop
+    at the first quorum whose complement holds another (Lachowski's
+    reduction, exact; see DESIGN.md §13). All outputs are in a
+    canonical deterministic order (ascending cardinality, then
+    {!Pid.Set.compare}), so reports are byte-stable.
 
     Every entry point takes [?jobs] (default 1): with [jobs > 1] the
     search tree is cut at a fixed frontier depth and the independent
@@ -52,7 +57,9 @@ type t
 type stats = {
   explored : int;  (** search-tree nodes visited *)
   pruned : int;  (** branches cut by the viability bound *)
-  found : int;  (** minimal quorums emitted *)
+  found : int;
+      (** quorums the walks emitted: every minimal quorum of an
+          enumeration, and at most one hit per intersection decision *)
 }
 
 val prepare : ?metrics:Obs.Metrics.t -> Quorum.system -> t
@@ -96,8 +103,14 @@ val quorum_intersection :
 
 val quorum_intersection_despite :
   ?metrics:Obs.Metrics.t -> ?jobs:int -> Quorum.system -> Pid.Set.t -> bool
-(** Intersection of [Quorum.delete sys b] — the scalable engine behind
-    {!Dset.is_dset}. *)
+(** Whether [Quorum.delete sys b] enjoys intersection — the scalable
+    engine behind {!Dset.is_dset}. Decided, not enumerated: with one
+    quorum-bearing SCC [U], the walk builds selections of at most
+    ⌊|U|/2⌋ members and stops at the first quorum [s] with a quorum in
+    [U \ s]; zero or several such SCCs answer without a search. The
+    answer is {!check_intersection}'s, with no witness and a far
+    smaller tree. The decision stops at its first hit, so it runs
+    sequentially at every [jobs] count. *)
 
 type blocking = {
   sets : Pid.Set.t list;
@@ -126,8 +139,10 @@ val minimal_splitting_sets :
     cardinality over [universe] (default: the top tier) with supersets
     of found splitting sets skipped — exact for minimality within the
     universe. Exponential in [|universe|]: [max_size] (default
-    [|universe|]) bounds the sweep for live-scale systems. Returns
-    [[∅]] when intersection already fails with nothing deleted.
+    [|universe|]) bounds the sweep for live-scale systems. Each
+    candidate is decided as {!quorum_intersection_despite} decides.
+    Returns [[∅]] when intersection already fails with nothing
+    deleted.
     With [jobs > 1] each cardinality layer's candidates are checked
     in parallel (they are independent: a candidate can only be a
     superset of a strictly smaller splitting set), and when [metrics]

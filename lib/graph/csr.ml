@@ -7,7 +7,10 @@
    move [Fbqs.Quorum.Compiled] makes for quorum checks) and memoizes
    the compiled handle per graph value, so the condensation-hungry
    consumers (sink oracle, k-OSR checks, pipeline sweeps) stop
-   recomputing SCCs per query.
+   recomputing SCCs per query. A caller that already holds ascending
+   int rows, as the [Fbqs.Enum] contraction does, compiles them with
+   [of_rows] and builds no tree-set graph at all; [of_graph] feeds the
+   same compiler a digraph's rows.
 
    Determinism contract: the dense index order is the ascending pid
    order and every adjacency row is sorted ascending, so the iterative
@@ -21,7 +24,6 @@
 type scc_data = { comp_of : int array; n_comps : int }
 
 type t = {
-  graph : Digraph.t;  (** the source graph, also the memo key *)
   n : int;
   pids : int array;  (** dense index -> pid, ascending *)
   inv : int array;  (** pid -> dense index, [-1] when absent *)
@@ -35,7 +37,6 @@ type t = {
   mutable dag : (int list array * int list) option;
 }
 
-let graph t = t.graph
 let n_vertices t = t.n
 let pid_of t k = t.pids.(k)
 
@@ -52,47 +53,46 @@ let pred_arr t = t.pred_arr
 
 (* ---- compilation ----------------------------------------------------- *)
 
-let of_graph g =
-  (* One traversal of the adjacency map (pids, row sets, out-degrees),
-     then pure array passes: succ rows fill consecutively, and the pred
-     side is transposed from the finished succ arrays rather than read
-     from the graph again. *)
-  let n = Digraph.n_vertices g in
-  let pids = Array.make n 0 in
-  let rows = Array.make n Pid.Set.empty in
-  let succ_off = Array.make (n + 1) 0 in
-  let k = ref 0 in
-  Digraph.iter_succs
-    (fun v s ->
-      pids.(!k) <- v;
-      rows.(!k) <- s;
-      succ_off.(!k + 1) <- Pid.Set.cardinal s;
-      incr k)
-    g;
-  (* [iter_succs] is ascending, so a negative pid shows up first. *)
-  if n > 0 && pids.(0) < 0 then
-    invalid_arg "Csr.of_graph: negative process id";
+(* Every handle is compiled here: vertex [k] is [pids.(k)], strictly
+   ascending, and its successors are [rows.(k)], strictly ascending.
+   [length] and [iter] read a row in place, an int list for [of_rows]
+   and a tree set for [of_graph], so no row is copied. [who] names the
+   public entry point in the errors. One pass over the rows takes the
+   out-degrees, the second fills the succ rows consecutively, and the
+   pred side is transposed from the finished succ arrays. *)
+let compile who ~length ~iter pids rows =
+  let n = Array.length pids in
+  (* Pids ascend, so a negative pid shows up first. *)
+  if n > 0 && pids.(0) < 0 then invalid_arg (who ^ ": negative process id");
+  for k = 1 to n - 1 do
+    if pids.(k) <= pids.(k - 1) then
+      invalid_arg (who ^ ": rows not strictly ascending")
+  done;
   let bound = if n = 0 then 0 else pids.(n - 1) + 1 in
   let inv = Array.make bound (-1) in
   Array.iteri (fun k p -> inv.(p) <- k) pids;
+  let succ_off = Array.make (n + 1) 0 in
   for v = 1 to n do
-    succ_off.(v) <- succ_off.(v) + succ_off.(v - 1)
+    succ_off.(v) <- succ_off.(v - 1) + length rows.(v - 1)
   done;
   let m = succ_off.(n) in
   let succ_arr = Array.make m 0 in
   let pred_off = Array.make (n + 1) 0 in
-  let si = ref 0 in
-  (* [Pid.Set.iter] is ascending, so each succ row comes out
-     sorted. *)
+  let si = ref 0 and row_start = ref 0 in
+  let add w =
+    if w < 0 || w >= bound || inv.(w) < 0 then
+      invalid_arg (who ^ ": successor is not a vertex");
+    let d = inv.(w) in
+    if !si > !row_start && d <= succ_arr.(!si - 1) then
+      invalid_arg (who ^ ": rows not strictly ascending");
+    succ_arr.(!si) <- d;
+    incr si;
+    pred_off.(d + 1) <- pred_off.(d + 1) + 1
+  in
   Array.iter
-    (fun s ->
-      Pid.Set.iter
-        (fun w ->
-          let d = inv.(w) in
-          succ_arr.(!si) <- d;
-          incr si;
-          pred_off.(d + 1) <- pred_off.(d + 1) + 1)
-        s)
+    (fun row ->
+      row_start := !si;
+      iter add row)
     rows;
   for v = 1 to n do
     pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
@@ -110,7 +110,6 @@ let of_graph g =
     done
   done;
   {
-    graph = g;
     n;
     pids;
     inv;
@@ -123,6 +122,25 @@ let of_graph g =
     comp_list = None;
     dag = None;
   }
+
+let of_rows rows =
+  compile "Csr.of_rows" ~length:List.length ~iter:List.iter
+    (Array.of_list (List.map fst rows))
+    (Array.of_list (List.map snd rows))
+
+(* [iter_succs] is ascending and a successor set iterates ascending,
+   so a digraph's rows are already in the order [compile] wants. *)
+let of_graph g =
+  let n = Digraph.n_vertices g in
+  let pids = Array.make n 0 and rows = Array.make n Pid.Set.empty in
+  let k = ref 0 in
+  Digraph.iter_succs
+    (fun v s ->
+      pids.(!k) <- v;
+      rows.(!k) <- s;
+      incr k)
+    g;
+  compile "Csr.of_graph" ~length:Pid.Set.cardinal ~iter:Pid.Set.iter pids rows
 
 (* ---- per-graph memo -------------------------------------------------- *)
 

@@ -17,8 +17,21 @@ type t
 (** A compiled graph handle. Immutable as seen through this interface;
     internally it caches analysis results on first use. *)
 
+val of_rows : (Pid.t * Pid.t list) list -> t
+(** [of_rows [(v, succs); ...]] compiles the graph whose vertices are
+    the rows' [v] and whose successors of [v] are [succs], in O(V + E)
+    and without building a {!Digraph.t}. The rows come in strictly
+    ascending [v] order, each [succs] is strictly ascending, and every
+    successor is the [v] of some row: the shape of
+    [Pid.Dense_set.elements] rows over a vertex set. The Tarjan order,
+    and so everything below, is that of {!of_graph} on the same graph.
+    @raise Invalid_argument when some vertex is a negative pid, when
+    rows or successors are out of order or repeated, or when a
+    successor is not a vertex. *)
+
 val of_graph : Digraph.t -> t
-(** Compiles the graph: O(V log V + E).
+(** Compiles the graph's rows with the compiler behind {!of_rows},
+    reading each successor set in place: O(V + E).
     @raise Invalid_argument when some vertex is a negative pid. *)
 
 val get : Digraph.t -> t
@@ -27,16 +40,14 @@ val get : Digraph.t -> t
     immutable, so hits can never be stale). This is the entry point of
     the graph analyses that query one live graph many times, the sink
     oracle and the k-OSR checks. A graph built for one question and
-    dropped after it, as the {!Fbqs.Enum} contraction builds, is
-    compiled with {!of_graph}, so that no dead graph stays cached.
+    dropped after it is compiled with {!of_graph} or {!of_rows}, so
+    that no dead graph stays cached.
     @raise Invalid_argument when some vertex is a negative pid. *)
 
 val cache_stats : unit -> Core.Cache.stats
 (** Cumulative shared-cache accounting for this process — the same
     record shape as {!Fbqs.Quorum.cache_stats} and every other
     {!Core.Cache} instance; reported by the daemon's [stats] verb. *)
-
-val graph : t -> Digraph.t
 
 val n_vertices : t -> int
 

@@ -39,6 +39,7 @@ let extra_edge_prob = 0.3
 let random_k_osr ~seed ~sink_size ~non_sink ~k () =
   if k < 1 then invalid_arg "random_k_osr: k must be positive";
   if sink_size <= k then invalid_arg "random_k_osr: sink_size must exceed k";
+  if non_sink < 0 then invalid_arg "random_k_osr: non_sink < 0";
   let rng = Random.State.make [| seed; 0x6f5; sink_size; non_sink; k |] in
   let g = ref (circulant ~n:sink_size ~k) in
   (* Densify the sink with random chords; chords can only increase
@@ -82,6 +83,7 @@ let random_faulty_set ~seed ~f ?within g =
 
 let fig2_family ~sink_size ~non_sink =
   if sink_size < 1 then invalid_arg "fig2_family: sink_size < 1";
+  if non_sink < 0 then invalid_arg "fig2_family: non_sink < 0";
   let g = ref (complete ~n:sink_size) in
   for i = 0 to non_sink - 1 do
     let v = sink_size + i in

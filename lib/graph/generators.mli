@@ -27,7 +27,8 @@ val random_k_osr :
     extra edges to earlier non-sink vertices with probability 0.3 (sink
     chords with probability 0.15).
 
-    @raise Invalid_argument if [sink_size <= k] or [k < 1]. *)
+    @raise Invalid_argument if [sink_size <= k], [k < 1] or
+    [non_sink < 0], before drawing anything. *)
 
 val random_byzantine_safe :
   seed:int ->
@@ -57,8 +58,8 @@ val fig2_family : sink_size:int -> non_sink:int -> Digraph.t
     [k = min (sink_size - 1) non_sink]. [Builtin.fig2] is
     [fig2_family ~sink_size:4 ~non_sink:3] up to vertex renaming.
 
-    @raise Invalid_argument when [sink_size < 1]: the outer members
-    would have no sink member to know. *)
+    @raise Invalid_argument when [sink_size < 1] (the outer members
+    would have no sink member to know) or [non_sink < 0]. *)
 
 val layered_k_osr :
   seed:int ->

@@ -178,10 +178,12 @@ let analyze_verb t fields =
       max_size = opt_int_field fields "max_size";
       cap = int_field fields "cap" ~default:d.cap;
       metrics = bool_field fields "metrics" ~default:d.metrics;
-      (* Per-request override of the daemon's default parallelism.
+      (* A request may lower the daemon's parallelism, never raise it:
+         the daemon's own [jobs] bounds the workers any request can
+         start (on the fork backend they stay parked afterwards).
          Payloads are jobs-invariant, so requests differing only here
          cache under different keys yet answer identically. *)
-      jobs = max 1 (int_field fields "jobs" ~default:t.jobs);
+      jobs = min t.jobs (max 1 (int_field fields "jobs" ~default:t.jobs));
     }
   in
   let sys = load_system t path in

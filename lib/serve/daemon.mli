@@ -26,10 +26,10 @@ type t
 
 val create : ?jobs:int -> unit -> t
 (** A daemon with a 64-entry response cache and an 8-entry file
-    cache. [jobs] (default 1) is the default Enum
-    parallelism for [analyze] requests; a request's own ["jobs"] field
-    overrides it, and payloads are byte-identical at every jobs count
-    either way. *)
+    cache. [jobs] (default 1) is the Enum parallelism of [analyze]
+    requests and its upper bound: a request's own ["jobs"] field may
+    lower it, and a larger one runs at [jobs]. Payloads are
+    byte-identical at every jobs count either way. *)
 
 val handle_line : t -> string -> string list
 (** Handles one request line, returning the output lines (each a

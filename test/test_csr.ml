@@ -101,6 +101,26 @@ let test_negative_pid_fallback () =
   refused "reachable" (fun () -> Traversal.reachable g (-1));
   refused "menger" (fun () -> Connectivity.node_disjoint_paths g (-1) 3)
 
+(* Every malformed row set is refused by name, before any array is
+   read back. *)
+let test_of_rows_refusals () =
+  let refused what msg rows =
+    Alcotest.check_raises what (Invalid_argument ("Csr.of_rows: " ^ msg))
+      (fun () -> ignore (Csr.of_rows rows))
+  in
+  refused "negative vertex" "negative process id" [ (-1, []); (2, [ -1 ]) ];
+  refused "rows descend" "rows not strictly ascending" [ (2, []); (1, []) ];
+  refused "repeated row" "rows not strictly ascending" [ (1, []); (1, []) ];
+  refused "row descends" "rows not strictly ascending"
+    [ (1, [ 2; 1 ]); (2, []) ];
+  refused "repeated successor" "rows not strictly ascending"
+    [ (1, [ 2; 2 ]); (2, []) ];
+  refused "successor past the last vertex" "successor is not a vertex"
+    [ (1, [ 5 ]); (2, []) ];
+  refused "successor between vertices" "successor is not a vertex"
+    [ (1, [ 3 ]); (5, []) ];
+  refused "negative successor" "successor is not a vertex" [ (1, [ -2 ]) ]
+
 let test_fig2_exact () =
   let g = Generators.fig2_family ~sink_size:4 ~non_sink:3 in
   Alcotest.check comps "fig2 components, order included"
@@ -227,6 +247,53 @@ let prop_negative_shift_equal =
       | Error _ -> false)
       && refused_on_line_1)
 
+(* Sparse pids, isolated vertices included: the rows are built from
+   the edge list directly, not read back from a [Digraph.t], so the
+   two constructors share nothing but the compiler. *)
+let arb_rows_graph =
+  QCheck.make
+    ~print:(fun (es, isolated) ->
+      Printf.sprintf "edges %s; isolated %s"
+        (String.concat ", "
+           (List.map (fun (i, j) -> Printf.sprintf "%d->%d" i j) es))
+        (String.concat ", " (List.map string_of_int isolated)))
+    QCheck.Gen.(
+      let* n = int_range 1 9 in
+      let pid = map (fun k -> (3 * k) + 1) (int_bound (n - 1)) in
+      let* es = list_size (int_bound 25) (pair pid pid) in
+      let* isolated = list_size (int_bound 3) pid in
+      return (es, isolated))
+
+let prop_of_rows_exact =
+  QCheck.Test.make ~count:300
+    ~name:"csr of_rows = of_graph, arrays and SCC order" arb_rows_graph
+    (fun (es, isolated) ->
+      let g =
+        List.fold_left (fun g v -> Digraph.add_vertex v g)
+          (Digraph.of_edges es) isolated
+      in
+      let vertices =
+        List.sort_uniq Int.compare
+          (isolated @ List.concat_map (fun (i, j) -> [ i; j ]) es)
+      in
+      let row v =
+        ( v,
+          List.sort_uniq Int.compare
+            (List.filter_map (fun (i, j) -> if i = v then Some j else None) es)
+        )
+      in
+      let a = Csr.of_rows (List.map row vertices) and b = Csr.of_graph g in
+      let same f =
+        List.equal Int.equal (Array.to_list (f a)) (Array.to_list (f b))
+      in
+      Csr.n_vertices a = Csr.n_vertices b
+      && List.equal Int.equal vertices
+           (List.init (Csr.n_vertices a) (Csr.pid_of a))
+      && same Csr.succ_off && same Csr.succ_arr && same Csr.pred_off
+      && same Csr.pred_arr
+      && comps_eq (Csr.scc_components a) (Csr.scc_components b)
+      && comps_eq (Csr.scc_components a) (Oracle.Scc.components g))
+
 let arb_network =
   QCheck.make
     ~print:(fun (n, es) ->
@@ -266,10 +333,12 @@ let suites =
           test_empty_and_singleton;
         Alcotest.test_case "negative-pid fallback" `Quick
           test_negative_pid_fallback;
+        Alcotest.test_case "of_rows refusals" `Quick test_of_rows_refusals;
         Alcotest.test_case "fig2 exact equivalence" `Quick test_fig2_exact;
         Alcotest.test_case "50k circulant smoke (no overflow)" `Slow
           test_big_circulant_smoke;
         QCheck_alcotest.to_alcotest prop_scc_exact;
+        QCheck_alcotest.to_alcotest prop_of_rows_exact;
         QCheck_alcotest.to_alcotest prop_condensation_exact;
         QCheck_alcotest.to_alcotest prop_sink_components_exact;
         QCheck_alcotest.to_alcotest prop_reachability_equal;

@@ -167,7 +167,22 @@ let test_fixture_analysis () =
       (match Enum.check_intersection t' with
       | Enum.Intersects -> ()
       | Enum.Disjoint _ -> Alcotest.fail "intersection despite {0,1,2}");
-      check_stats "despite {0,1,2}" (3192, 2041, 306) t'
+      check_stats "despite {0,1,2}" (3192, 2041, 306) t';
+      (* The same question decided: the walk stops at half the
+         universe, below every minimal quorum, and finds no hit. *)
+      let metrics = Obs.Metrics.create () in
+      Alcotest.(check bool) "decided despite {0,1,2}" true
+        (Enum.quorum_intersection_despite ~metrics sys (set [ 0; 1; 2 ]));
+      Alcotest.(check (list int))
+        "decided despite {0,1,2}: explored, pruned, found" [ 644; 331; 0 ]
+        (List.map
+           (fun name ->
+             Obs.Metrics.counter_value (Obs.Metrics.counter metrics name))
+           [
+             "fbqs_enum_explored";
+             "fbqs_enum_pruned";
+             "fbqs_enum_quorums_found";
+           ])
 
 (* ---- random systems ---------------------------------------------------- *)
 
@@ -354,6 +369,108 @@ let test_disjoint_witness =
       run ();
       Alcotest.(check bool) "some generated systems are Disjoint" true
         (!disjoint_cases > 0) )
+
+(* ---- the intersection decision --------------------------------------- *)
+
+(* Two disjoint quorums planted in one SCC. The core is [a] = 0..na-1,
+   [b] = na..na+nb-1 and [ne] more members. A member of [a] or [b] has
+   two slices, its own half and the whole core; the others have the
+   core only. So [a] and [b] are minimal quorums and the core is the
+   one quorum-bearing SCC, its own greatest quorum [U]. Half the cases
+   add a random slice to each core member, which can plant smaller
+   quorums, up to three followers trust into the core, and half the
+   cases delete nothing. A boundary case has [na = nb], no extra
+   member, no noise and no deletion: both halves hold exactly
+   ⌊|U|/2⌋ pids. Asymmetric halves with no extra member put the larger
+   one past ⌊|U|/2⌋, where only a complement taken in the whole of [U]
+   finds it. *)
+let gen_planted =
+  QCheck.Gen.(
+    let* na = int_range 1 4 in
+    let* nb = oneof [ return na; int_range na 5 ] in
+    let* ne = oneof [ return 0; int_range 1 2 ] in
+    let* nf = int_bound 3 in
+    let* noisy = bool in
+    let nc = na + nb + ne in
+    let range lo n = List.init n (fun i -> lo + i) in
+    let half_a = range 0 na and half_b = range na nb in
+    let core = range 0 nc and all = range 0 (nc + nf) in
+    let* core_slices =
+      flatten_l
+        (List.map
+           (fun i ->
+             let own =
+               if i < na then [ half_a ] else if i < na + nb then [ half_b ]
+               else []
+             in
+             let* noise =
+               if noisy then
+                 map
+                   (fun l -> [ i :: l ])
+                   (list_size (int_range 1 3) (oneofl core))
+               else return []
+             in
+             return
+               ( i,
+                 Slice.explicit
+                   (List.map Pid.Set.of_list ((core :: own) @ noise)) ))
+           core)
+    in
+    let* follower_slices =
+      flatten_l
+        (List.init nf (fun j ->
+             let* anchor = oneofl core in
+             let* rest = list_size (int_bound 3) (oneofl all) in
+             return
+               (nc + j, Slice.explicit [ Pid.Set.of_list (anchor :: rest) ])))
+    in
+    let* deleted =
+      oneof
+        [
+          return Pid.Set.empty;
+          map Pid.Set.of_list (list_size (int_range 1 3) (oneofl all));
+        ]
+    in
+    return
+      ( Quorum.system_of_list (core_slices @ follower_slices),
+        deleted,
+        na = nb && ne = 0 && (not noisy) && Pid.Set.is_empty deleted ))
+
+let decided_disjoint = ref 0
+let decided_boundary = ref 0
+
+let prop_decided_enumerated =
+  QCheck.Test.make ~count:300 ~name:"intersection decided = enumerated"
+    (QCheck.make
+       ~print:(fun (sys, deleted, _) ->
+         Format.asprintf "%a despite %a" (Pid.Map.pp Slice.pp) sys Pid.Set.pp
+           deleted)
+       gen_planted)
+    (fun (sys, deleted, boundary) ->
+      let enumerated =
+        match Enum.quorum_intersection (Quorum.delete sys deleted) with
+        | Enum.Intersects -> true
+        | Enum.Disjoint _ -> false
+      in
+      if not enumerated then incr decided_disjoint;
+      if boundary then incr decided_boundary;
+      Bool.equal enumerated (Enum.quorum_intersection_despite sys deleted)
+      && ((not boundary) || not enumerated))
+
+(* The qcheck case, then a check that its generator reached both a
+   split system and the ⌊|U|/2⌋ boundary. *)
+let test_decided_enumerated =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_decided_enumerated in
+  ( name,
+    speed,
+    fun () ->
+      decided_disjoint := 0;
+      decided_boundary := 0;
+      run ();
+      Alcotest.(check bool) "some planted systems split" true
+        (!decided_disjoint > 0);
+      Alcotest.(check bool) "some planted halves sit at the boundary" true
+        (!decided_boundary > 0) )
 
 (* The contraction and the minimal quorums are memoised per analyzer,
    so the order of the calls on one analyzer moves no answer and no
@@ -586,6 +703,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_intersection_equiv;
         QCheck_alcotest.to_alcotest prop_despite_equiv;
         test_disjoint_witness;
+        test_decided_enumerated;
         QCheck_alcotest.to_alcotest prop_memo_call_order;
         QCheck_alcotest.to_alcotest prop_blocking_equiv;
         Alcotest.test_case "blocking = reference walk, two words" `Quick

@@ -81,7 +81,15 @@ let test_invalid_args () =
            ~non_sink:1 ()));
   Alcotest.check_raises "family without a sink"
     (Invalid_argument "fig2_family: sink_size < 1") (fun () ->
-      ignore (Generators.fig2_family ~sink_size:0 ~non_sink:2))
+      ignore (Generators.fig2_family ~sink_size:0 ~non_sink:2));
+  Alcotest.check_raises "negative non-sink count"
+    (Invalid_argument "random_k_osr: non_sink < 0")
+    (fun () ->
+      ignore
+        (Generators.random_k_osr ~seed:0 ~sink_size:4 ~non_sink:(-3) ~k:3 ()));
+  Alcotest.check_raises "family with a negative outer clique"
+    (Invalid_argument "fig2_family: non_sink < 0") (fun () ->
+      ignore (Generators.fig2_family ~sink_size:4 ~non_sink:(-3)))
 
 let prop_random_k_osr_always_valid =
   QCheck.Test.make ~count:40 ~name:"random_k_osr is always k-OSR"

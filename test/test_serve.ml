@@ -204,6 +204,28 @@ let test_empty_family_sink_is_an_error () =
       Alcotest.(check bool) "pong" true (contains ~affix:{|"pong":true|} line)
   | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
 
+let test_request_jobs_clamped () =
+  (* A request cannot raise the daemon's parallelism: at jobs 1, an
+     analyze asking for 64 jobs answers what one asking for 1 does, and
+     no parallel batch runs, so no worker is started. *)
+  Simkit.Exec.Pool.shutdown ();
+  let batches = Simkit.Exec.Pool.batches () in
+  let d = Serve.Daemon.create ~jobs:1 () in
+  let at jobs =
+    req 1 "analyze"
+      [ ("file", Printf.sprintf "%S" fixture); ("jobs", string_of_int jobs) ]
+  in
+  match
+    (Serve.Daemon.handle_line d (at 64), Serve.Daemon.handle_line d (at 1))
+  with
+  | [ wide ], [ one ] ->
+      Alcotest.(check bool) "ok" true (contains ~affix:{|"ok":true|} wide);
+      Alcotest.(check string) "same payload as jobs 1" one wide;
+      Alcotest.(check int) "no parallel batch" batches
+        (Simkit.Exec.Pool.batches ());
+      Alcotest.(check int) "no worker parked" 0 (Simkit.Exec.Pool.size ())
+  | _ -> Alcotest.fail "expected one response line per analyze"
+
 (* Parses the fixture, analyzes it with one despite set and returns a
    weak pointer to the parsed system, which nothing else here keeps. *)
 let analyze_behind_weak_pointer () =
@@ -282,45 +304,53 @@ let test_socket_concurrent_clients () =
     wait_for_socket path;
     let s1, ic1, oc1 = connect path in
     let s2, ic2, oc2 = connect path in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close s1 with Unix.Unix_error _ -> ());
-        (try Unix.close s2 with Unix.Unix_error _ -> ());
-        Simkit.Exec.join_task server)
-      (fun () ->
-        (* interleaved pings: each connection gets its own id back *)
-        send oc1 (req 1 "ping" []);
-        send oc2 (req 21 "ping" []);
-        let r1 = input_line ic1 and r2 = input_line ic2 in
-        Alcotest.(check bool) "c1 got its id" true
-          (contains ~affix:{|"id":1|} r1);
-        Alcotest.(check bool) "c2 got its id" true
-          (contains ~affix:{|"id":21|} r2);
-        (* the same analysis from both clients: byte-identical modulo id,
-           the second served warm from the shared response cache *)
-        send oc1 (analyze 2);
-        let a1 = input_line ic1 in
-        send oc2 (analyze 22);
-        let a2 = input_line ic2 in
-        Alcotest.(check string) "shared cache, same payload" (strip_ids a1)
-          (strip_ids a2);
-        (* per-connection ordering: two requests down one pipe come back
-           in request order while the other connection stays open *)
-        send oc1 (req 3 "ping" []);
-        send oc1 (req 4 "version" []);
-        Alcotest.(check bool) "first in, first out" true
-          (contains ~affix:{|"id":3|} (input_line ic1));
-        Alcotest.(check bool) "second follows" true
-          (contains ~affix:{|"id":4|} (input_line ic1));
-        (* both handlers are live right now: each has answered on its
-           own connection, so stats must count two active clients *)
-        send oc2 (req 23 "stats" []);
-        Alcotest.(check bool) "two clients live" true
-          (contains ~affix:{|"active_clients":2|} (input_line ic2));
-        (* shutdown from one client stops the whole daemon *)
-        send oc2 (req 24 "shutdown" []);
-        Alcotest.(check bool) "shutdown acknowledged" true
-          (contains ~affix:{|"ok":true|} (input_line ic2)));
+    (* Every answer is read before any check, so that a failed check
+       cannot leave the daemon running. *)
+    let r1, r2, a1, a2, r3, r4, stats, stopped =
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close s1 with Unix.Unix_error _ -> ());
+          (try Unix.close s2 with Unix.Unix_error _ -> ());
+          Simkit.Exec.join_task server)
+        (fun () ->
+          (* interleaved pings *)
+          send oc1 (req 1 "ping" []);
+          send oc2 (req 21 "ping" []);
+          let r1 = input_line ic1 in
+          let r2 = input_line ic2 in
+          (* the same analysis from both clients *)
+          send oc1 (analyze 2);
+          let a1 = input_line ic1 in
+          send oc2 (analyze 22);
+          let a2 = input_line ic2 in
+          (* two requests down one pipe while the other stays open *)
+          send oc1 (req 3 "ping" []);
+          send oc1 (req 4 "version" []);
+          let r3 = input_line ic1 in
+          let r4 = input_line ic1 in
+          (* both handlers have answered on their own connections, so
+             both are live right now *)
+          send oc2 (req 23 "stats" []);
+          let stats = input_line ic2 in
+          (* shutdown from one client stops the whole daemon *)
+          send oc2 (req 24 "shutdown" []);
+          let stopped = input_line ic2 in
+          (r1, r2, a1, a2, r3, r4, stats, stopped))
+    in
+    Alcotest.(check bool) "c1 got its id" true (contains ~affix:{|"id":1|} r1);
+    Alcotest.(check bool) "c2 got its id" true (contains ~affix:{|"id":21|} r2);
+    (* byte-identical modulo id, the second served warm from the
+       shared response cache *)
+    Alcotest.(check string) "shared cache, same payload" (strip_ids a1)
+      (strip_ids a2);
+    (* per-connection ordering: request order *)
+    Alcotest.(check bool) "first in, first out" true
+      (contains ~affix:{|"id":3|} r3);
+    Alcotest.(check bool) "second follows" true (contains ~affix:{|"id":4|} r4);
+    Alcotest.(check bool) "two clients live" true
+      (contains ~affix:{|"active_clients":2|} stats);
+    Alcotest.(check bool) "shutdown acknowledged" true
+      (contains ~affix:{|"ok":true|} stopped);
     Alcotest.(check bool) "daemon stopped" true (Serve.Daemon.stopping d);
     Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
   end
@@ -369,26 +399,33 @@ let test_socket_dropped_client () =
     ignore (Unix.write_substring dropped run 0 (String.length run));
     Unix.close dropped;
     let sock, ic, oc = connect path in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        Simkit.Exec.join_task server)
-      (fun () ->
-        let rec until_dropped_ends n =
-          send oc (req 2 "stats" []);
-          if not (contains ~affix:{|"clients_served":1|} (input_line ic)) then
-            if n = 0 then Alcotest.fail "the dropped connection never ended"
+    (* Every answer is read before any check, so that a failed check
+       cannot leave the daemon running. *)
+    let ended, pong =
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close sock with Unix.Unix_error _ -> ());
+          Simkit.Exec.join_task server)
+        (fun () ->
+          let rec until_dropped_ends n =
+            send oc (req 2 "stats" []);
+            if contains ~affix:{|"clients_served":1|} (input_line ic) then true
+            else if n = 0 then false
             else begin
               Unix.sleepf 0.02;
               until_dropped_ends (n - 1)
             end
-        in
-        until_dropped_ends 250;
-        send oc (req 3 "ping" []);
-        Alcotest.(check bool) "second connection answered" true
-          (contains ~affix:{|"pong":true|} (input_line ic));
-        send oc (req 4 "shutdown" []);
-        ignore (input_line ic));
+          in
+          let ended = until_dropped_ends 250 in
+          send oc (req 3 "ping" []);
+          let pong = input_line ic in
+          send oc (req 4 "shutdown" []);
+          ignore (input_line ic);
+          (ended, pong))
+    in
+    Alcotest.(check bool) "the dropped connection ended" true ended;
+    Alcotest.(check bool) "second connection answered" true
+      (contains ~affix:{|"pong":true|} pong);
     Alcotest.(check bool) "daemon stopped" true (Serve.Daemon.stopping d)
   end
 
@@ -498,6 +535,8 @@ let suites =
           test_negative_pid_is_an_error;
         Alcotest.test_case "bftcup run streams trace and metrics" `Quick
           test_bftcup_run_streams_trace_and_metrics;
+        Alcotest.test_case "request jobs clamped to the daemon's" `Quick
+          test_request_jobs_clamped;
         Alcotest.test_case "empty family sink is an error" `Quick
           test_empty_family_sink_is_an_error;
         Alcotest.test_case "socket: two clients interleave" `Quick
