@@ -8,6 +8,7 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
+let hash b = ((b.counter * 65599) + Value.hash b.value) land max_int
 let compatible a b = Value.equal a.value b.value
 let less_and_incompatible b b' = compare b b' < 0 && not (compatible b b')
 

@@ -9,6 +9,9 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** A non-negative hash consistent with {!equal}. *)
+
 val compatible : t -> t -> bool
 (** Two ballots are compatible when they carry the same value;
     preparing a ballot aborts every lower {e incompatible} ballot. *)

@@ -8,6 +8,7 @@ type tally = {
   mutable i_voted : bool;
   mutable i_accepted : bool;
   mutable i_confirmed : bool;
+  mutable dirty : bool;
 }
 
 type t = {
@@ -16,6 +17,8 @@ type t = {
   system : unit -> Fbqs.Quorum.system;
   mutable view : Compiled.t option;
       (* compiled from the last value [system ()] returned *)
+  mutable flags_for : Fbqs.Quorum.system option;
+      (* the system value the clean flags were last checked against *)
   mutable tallies : tally Statement.Map.t;
   c_quorum_checks : Obs.Metrics.counter option;
   c_vblocking_checks : Obs.Metrics.counter option;
@@ -30,6 +33,7 @@ let empty_tally () =
     i_voted = false;
     i_accepted = false;
     i_confirmed = false;
+    dirty = true;
   }
 
 let create ?metrics ~self ~system () =
@@ -39,6 +43,7 @@ let create ?metrics ~self ~system () =
     keep = D.singleton self;
     system;
     view = None;
+    flags_for = None;
     tallies = Statement.Map.empty;
     c_quorum_checks = c "scp_quorum_checks";
     c_vblocking_checks = c "scp_vblocking_checks";
@@ -61,15 +66,40 @@ let live t stmt =
       t.tallies <- Statement.Map.add stmt tl t.tallies;
       tl
 
+(* The tally of [stmt] grew. Node merges the tallies of every
+   compatible prepare at or above a prepare's counter into that
+   prepare's check, so growing [Prepare b'] also dirties every
+   compatible [Prepare b] with [b.counter <= b'.counter]. *)
+let grew t stmt tl =
+  tl.dirty <- true;
+  match stmt with
+  | Statement.Prepare b' ->
+      Statement.Map.iter
+        (fun s (tl : tally) ->
+          match s with
+          | Statement.Prepare b
+            when b.Ballot.counter <= b'.Ballot.counter
+                 && Ballot.compatible b b' ->
+              tl.dirty <- true
+          | _ -> ())
+        t.tallies
+  | Statement.Nominate _ | Statement.Commit _ -> ()
+
 let rec record_vote t stmt src =
   let tl = live t stmt in
-  tl.voters <- D.add src tl.voters;
+  if not (D.mem src tl.voters) then begin
+    tl.voters <- D.add src tl.voters;
+    grew t stmt tl
+  end;
   List.iter (fun s -> record_vote t s src) (Statement.implied stmt)
 
 let rec record_accept t stmt src =
   let tl = live t stmt in
-  tl.voters <- D.add src tl.voters;
-  tl.acceptors <- D.add src tl.acceptors;
+  if not (D.mem src tl.acceptors) then begin
+    tl.voters <- D.add src tl.voters;
+    tl.acceptors <- D.add src tl.acceptors;
+    grew t stmt tl
+  end;
   List.iter (fun s -> record_accept t s src) (Statement.implied stmt)
 
 let set_voted t stmt = (live t stmt).i_voted <- true
@@ -106,6 +136,26 @@ let quorum_within t s =
 let v_blocking t b =
   bump t.c_vblocking_checks;
   Compiled.is_v_blocking_d (view t ~hits:None ~misses:None) t.self b
+
+(* A statement whose check answered false stays false until its merged
+   tally grows or the view changes: both checks are monotone in the
+   tally for a fixed view, and what vetoes them (its own marks, a
+   contradicting acceptance) only accumulates. So only the dirty ones
+   are worth a look. *)
+let iter_dirty f t =
+  let sys = t.system () in
+  (match t.flags_for with
+  | Some s when s == sys -> ()
+  | Some _ | None ->
+      Statement.Map.iter (fun _ tl -> tl.dirty <- true) t.tallies;
+      t.flags_for <- Some sys);
+  Statement.Map.iter
+    (fun stmt tl ->
+      if tl.dirty then begin
+        tl.dirty <- false;
+        f stmt tl
+      end)
+    t.tallies
 
 let iter f t = Statement.Map.iter f t.tallies
 let fold f t acc = Statement.Map.fold f t.tallies acc

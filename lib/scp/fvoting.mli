@@ -13,6 +13,18 @@
     The rules themselves are applied by [Scp.Node], which adds prepare
     subsumption and the check against contradicting acceptances.
 
+    Each tallied statement carries a dirty flag, so that a node re-checks
+    only the statements an envelope could have moved ({!iter_dirty}).
+    The flag is set when the statement is first tallied, when its voters
+    or acceptors grow, when a compatible prepare at or above its counter
+    grows (if it is a prepare: [Scp.Node] merges those tallies into its
+    check), and, for every statement, when [system ()] returns a value
+    physically different from the one the flags were last checked
+    against. Setting a voted, accepted or confirmed mark does not set
+    it: a mark only ever turns a check false. Flags persist across
+    calls, so a vote recorded outside a check (a ballot jump, a
+    nomination round) is still seen by the next one.
+
     Quorum membership is evaluated against a slice system: a set [S]
     holds a quorum containing the node iff the node belongs to the
     greatest quorum within [S]. The node's own assertion counts only
@@ -22,12 +34,15 @@
 
 open Graphkit
 
-type tally = {
+type tally = private {
   mutable voters : Pid.Dense_set.t;  (** nodes seen voting-or-accepting *)
   mutable acceptors : Pid.Dense_set.t;  (** nodes seen accepting *)
   mutable i_voted : bool;
   mutable i_accepted : bool;
   mutable i_confirmed : bool;
+  mutable dirty : bool;
+      (** an input of the statement's accept or confirm check may have
+          grown since {!iter_dirty} last handed it out *)
 }
 (** A statement's live record. Each tallied statement has exactly one,
     which the recording and marking functions below update in place and
@@ -57,11 +72,13 @@ val tally : t -> Statement.t -> tally
 
 val record_vote : t -> Statement.t -> Pid.t -> unit
 (** Registers that a node voted for the statement (also counts implied
-    statements). Recording is idempotent. *)
+    statements). Recording is idempotent: only a new voter sets dirty
+    flags. *)
 
 val record_accept : t -> Statement.t -> Pid.t -> unit
 (** Registers an acceptance (an acceptance also counts as
-    vote-or-accept, and propagates to implied statements). *)
+    vote-or-accept, and propagates to implied statements). Only a new
+    acceptor sets dirty flags. *)
 
 val set_voted : t -> Statement.t -> unit
 (** Marks the local vote (the caller must also broadcast it and call
@@ -83,7 +100,16 @@ val mark_confirmed : t -> Statement.t -> unit
 
     Each runs over the statements tallied when the call starts, with
     their live records; a statement first tallied during the call is
-    not visited. {!iter} and {!fold} visit in statement order. *)
+    not visited. {!iter_dirty}, {!iter} and {!fold} visit in statement
+    order. *)
+
+val iter_dirty : (Statement.t -> tally -> unit) -> t -> unit
+(** [iter_dirty f t] first dirties every statement if [system ()] is
+    physically new, then calls [f] on each statement whose flag is set
+    when its turn comes, clearing the flag just before the call. A
+    statement [f] dirties again that comes later in statement order is
+    visited in the same call; one that came earlier waits for the next
+    call. *)
 
 val iter : (Statement.t -> tally -> unit) -> t -> unit
 

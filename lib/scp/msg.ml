@@ -27,7 +27,7 @@ let compare_slices a b =
   | Fbqs.Slice.Explicit _, Fbqs.Slice.Threshold _ -> 1
 
 (* Relayers forward the envelope they stored, so a duplicate is
-   usually the very value already in the dedup set. *)
+   usually the very value already in the dedup table. *)
 let compare a b =
   if a == b then 0
   else
@@ -41,13 +41,19 @@ let compare a b =
         | c -> c)
     | c -> c
 
+let equal a b = compare a b = 0
+
+(* The slices are left out: envelopes that differ only there share a
+   hash, and [equal] tells them apart. The last two steps spread the
+   low bits a power-of-two table indexes by. *)
+let hash m =
+  let h =
+    (((m.origin * 65599) + kind_tag m.kind) * 65599) + Statement.hash m.stmt
+  in
+  let h = h * 0x5bd1e995 in
+  (h lxor (h lsr 29)) land max_int
+
 let pp ppf m =
   Format.fprintf ppf "%s(%d, %a)"
     (match m.kind with Vote -> "vote" | Accept -> "accept")
     m.origin Statement.pp m.stmt
-
-module Set = Set.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)

@@ -27,10 +27,15 @@ val vote : Pid.t -> slices:Fbqs.Slice.t -> Statement.t -> t
 val accept : Pid.t -> slices:Fbqs.Slice.t -> Statement.t -> t
 
 val compare : t -> t -> int
-(** Total order used for flood deduplication. Two envelopes differing
-    only in the attached slices are distinct (an equivocating
-    declaration is a distinct, relayable message). *)
+(** A total order on envelopes. Two envelopes differing only in the
+    attached slices are distinct (an equivocating declaration is a
+    distinct, relayable message). *)
+
+val equal : t -> t -> bool
+(** [compare a b = 0]: the identity flood deduplication uses. *)
+
+val hash : t -> int
+(** A non-negative hash consistent with {!equal}, for the dedup
+    table. It reads the origin, kind and statement, not the slices. *)
 
 val pp : Format.formatter -> t -> unit
-
-module Set : Set.S with type elt = t

@@ -39,6 +39,10 @@ type node_obs = {
   c_decides : Obs.Metrics.counter option;
 }
 
+(* Envelope dedup for flooding. Most deliveries are duplicates, so the
+   probe is a hash and usually one [Msg.equal] on the stored value. *)
+module Seen = Hashtbl.Make (Msg)
+
 type state = {
   cfg : config;
   obs : node_obs;
@@ -46,7 +50,7 @@ type state = {
   known_slices : Fbqs.Quorum.system ref;
       (* slice declarations learned from envelopes, own included *)
   mutable peers : Pid.Set.t;
-  mutable seen : Msg.Set.t;  (* envelope dedup for flooding *)
+  seen : unit Seen.t;  (* every envelope sent or received *)
   mutable sent : Msg.t list;  (* own envelopes, newest first, for syncs *)
   mutable candidates : Value.t list;
   mutable current : Ballot.t option;
@@ -90,7 +94,7 @@ let make_state ?metrics ?trace cfg =
         ();
     known_slices;
     peers = Pid.Set.remove cfg.self cfg.initial_peers;
-    seen = Msg.Set.empty;
+    seen = Seen.create 64;
     sent = [];
     candidates = [];
     current = None;
@@ -124,7 +128,7 @@ let nomination_active st = st.candidates = []
 (* ---- outgoing traffic ------------------------------------------------ *)
 
 let broadcast st ctx (env : Msg.t) =
-  st.seen <- Msg.Set.add env st.seen;
+  Seen.replace st.seen env ();
   Pid.Set.iter (fun j -> Engine.send ctx j env) st.peers
 
 let emit_own st ctx env =
@@ -286,10 +290,17 @@ let on_confirmed st ctx stmt =
       end
 
 (* Run accept/confirm transitions to a fixpoint: each acceptance can
-   unlock further acceptances and confirmations. *)
+   unlock further acceptances and confirmations. Each pass checks only
+   the statements Fvoting flags dirty, in statement order. Skipping a
+   clean one is exact: its last check answered false, and for a fixed
+   view both checks are monotone in the merged tallies, which have not
+   grown since (a growth, or a new view, would have dirtied it), while
+   the marks and [contradicts_accepted] only ever turn a check false.
+   So every pass takes the same transitions in the same order as a
+   pass over every statement would. *)
 let rec progress st ctx =
   let changed = ref false in
-  Fvoting.iter
+  Fvoting.iter_dirty
     (fun stmt tl ->
       if can_accept st stmt tl then begin
         accept st ctx stmt;
@@ -364,8 +375,8 @@ let behavior ?metrics ?trace cfg : Msg.t Engine.behavior =
       st.peers <- Pid.Set.add src st.peers;
       sync_to st ctx src
     end;
-    if not (Msg.Set.mem env st.seen) then begin
-      st.seen <- Msg.Set.add env st.seen;
+    if not (Seen.mem st.seen env) then begin
+      Seen.add st.seen env ();
       (* Learn the origin's declared slices; a later conflicting
          declaration (equivocation, only Byzantine nodes do it) is
          ignored — first writer wins, as with a pinned certificate. *)

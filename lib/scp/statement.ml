@@ -13,6 +13,11 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let hash = function
+  | Nominate v -> Value.hash v * 3
+  | Prepare b -> (Ballot.hash b * 3) + 1
+  | Commit b -> (Ballot.hash b * 3) + 2
+
 let pp ppf = function
   | Nominate v -> Format.fprintf ppf "nominate %a" Value.pp v
   | Prepare b -> Format.fprintf ppf "prepare %a" Ballot.pp b

@@ -14,6 +14,9 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** A hash consistent with {!equal}. *)
+
 val pp : Format.formatter -> t -> unit
 
 val implied : t -> t list

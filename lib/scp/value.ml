@@ -69,6 +69,13 @@ let compare (a : t) (b : t) =
 
 let equal a b = compare a b = 0
 
+let hash (v : t) =
+  let h = ref (Array.length v) in
+  for i = 0 to Array.length v - 1 do
+    h := (!h * 65599) + v.(i)
+  done;
+  !h land max_int
+
 let judge ~proposed decided =
   let agreement =
     match decided with [] -> true | v :: rest -> List.for_all (equal v) rest

@@ -28,6 +28,9 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** A non-negative hash consistent with {!equal}. *)
+
 val judge : proposed:t -> t list -> bool * bool
 (** [judge ~proposed decided] is the [(agreement, validity)] verdict
     of a run whose processes decided [decided]: agreement when those

@@ -21,10 +21,13 @@ type meters = {
 
 type 'm t = {
   delay : Delay.t;
-  (* The flat {!Event_heap}: same (time, seq) order as the general
-     binary-heap event queue it replaced (now the test oracle in
-     [test/oracle]), but pushes and pops allocate nothing — the
-     per-event cost is array stores, not heap blocks. *)
+  (* The flat {!Event_heap}, a monotone radix heap: same (time, seq)
+     order as the general binary-heap event queue it replaced (now the
+     test oracle in [test/oracle]), but pushes and pops allocate
+     nothing, and a pop relinks rows instead of sifting a heap. Its
+     contract is that no push precedes the last pop: [send] and
+     [set_timer] schedule at least one tick past the clock, and [run]
+     pushes every start before its first pop. *)
   queue : 'm Event_heap.t;
   (* The node registry: a dense array indexed by pid holding the
      behaviour together with a preallocated ctx, so the per-event path

@@ -75,4 +75,8 @@ val run : ?stop:(unit -> bool) -> 'm t -> stats
 (** Starts every registered process, in ascending pid order, and
     processes events in timestamp order until the queue drains,
     [stop ()] holds (checked after every event), or the clock passes
-    the config's [max_time]. Returns the execution statistics. *)
+    the config's [max_time]. Returns the execution statistics. An
+    engine runs once: its queue refuses an event earlier than the last
+    one popped, so a second call, which pushes the starts at time 0
+    again, raises [Invalid_argument] if the first popped an event past
+    time 0. *)

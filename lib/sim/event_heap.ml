@@ -1,24 +1,32 @@
-(* Flat engine event heap: structure-of-arrays, zero allocation per
-   event. The seed's generic event queue (the test oracle in
-   [test/oracle]) allocates a variant payload plus an entry record
-   per push; at sweep scale that is two heap blocks per simulated
-   message, all garbage by the next pop. Here an event is a row
-   across parallel arrays — packed ordering key, kind code, two node
-   ids, timer tag, message payload — and the binary heap orders
-   small int row ids, so a sift step moves one int, never a row.
+(* Flat engine event queue: a monotone radix heap over rows of
+   parallel arrays, zero allocation per event. The seed's generic event
+   queue (the test oracle in [test/oracle]) allocates a variant payload
+   plus an entry record per push; at sweep scale that is two heap
+   blocks per simulated message, all garbage by the next pop. Here an
+   event is a row across parallel arrays (time, kind code, two node
+   ids, timer tag, message payload, and a link), and rows are never
+   moved, only relinked.
 
-   Ordering matches that queue exactly: (time, push sequence),
-   packed into one int key [(time lsl 31) lor seq] so heap
-   comparisons are single int compares. Times must fit 31 bits —
-   simulation clocks are bounded by [max_time] (~10^6 in every
-   config) — and a run would need 2^31 pushes to exhaust the
-   sequence space.
+   Bucket [b] holds the rows whose time differs from [last], the time
+   of the last pop, first at bit [b - 1]; bucket 0 holds the rows at
+   [last] itself. Every time in bucket [b] is below every time in a
+   higher bucket, so the least pending time is bucket 0's, or else the
+   minimum of the lowest non-empty bucket, which each bucket keeps.
+   When bucket 0 runs dry, that minimum becomes [last] and its bucket
+   is redistributed: each of its rows agrees with the new [last] above
+   bit [b - 1], so it lands strictly lower, and a row moves at most 31
+   times over its life. Pushes never go below [last] (the engine only
+   schedules into the future), which is what keeps the buckets valid.
 
+   Each bucket is a FIFO list. A push appends, and a redistribution
+   empties one bucket into lower ones that were all empty, keeping its
+   order; so every list stays in push order and equal times pop in
+   push order, the queue's old (time, push sequence) order. Swapping
+   the binary heap for this changed no schedule.
 
-
-   Row slots are recycled through an intrusive free list threaded
-   through the key array (a freed row's key field holds the next free
-   row id), so steady-state push/pop touches no allocator at all. Pop
+   Row slots are recycled through a free list threaded through the
+   link array, so steady-state push/pop touches no allocator, and the
+   arrays are sized by the pending events, never by their times. Pop
    is cursor-style: it parks the minimum event's row id and the
    accessors read that row until the next pop recycles it. *)
 
@@ -31,42 +39,51 @@ module Kind = struct
   let equal (a : t) (b : t) = Int.equal a b
 end
 
+(* Times fit 31 bits, so a time differs from [last] first at a bit
+   below 31: buckets 0 .. 31. *)
+let buckets = 32
+let max_encodable_time = (1 lsl 31) - 1
+
 type 'm t = {
-  mutable heap : int array; (* row ids, min-heap by [keys.(row)] *)
-  mutable keys : int array; (* per-row key; free-list next when freed *)
+  mutable times : int array;
+  mutable links : int array;
+      (* next row of the same bucket, or of the free list; -1 ends *)
   mutable kinds : int array;
   mutable na : int array; (* started pid / timer owner / deliver src *)
   mutable nb : int array; (* deliver dst *)
   mutable tags : string array; (* timer tag; "" elsewhere *)
   mutable payloads : 'm array;
       (* physically [[||]] until the first deliver is pushed: ['m] has
-         no witness value before that, and a heap of starts and timers
+         no witness value before that, and a queue of starts and timers
          never needs the array at all. *)
+  heads : int array; (* per bucket: first row, -1 when empty *)
+  tails : int array; (* per bucket: last row *)
+  mins : int array; (* per bucket: least time of its rows *)
+  mutable last : int; (* time of the last pop; 0 before the first *)
   mutable size : int;
   mutable free_head : int; (* -1: none *)
   mutable alloc_top : int; (* rows below this have been handed out *)
   mutable cursor : int; (* row of the last popped event; -1 initially *)
-  mutable seq : int;
   mutable hw : int;
 }
 
-let seq_bits = 31
-let max_encodable_time = (1 lsl seq_bits) - 1
-
 let create () =
   {
-    heap = [||];
-    keys = [||];
+    times = [||];
+    links = [||];
     kinds = [||];
     na = [||];
     nb = [||];
     tags = [||];
     payloads = [||];
+    heads = Array.make buckets (-1);
+    tails = Array.make buckets (-1);
+    mins = Array.make buckets 0;
+    last = 0;
     size = 0;
     free_head = -1;
     alloc_top = 0;
     cursor = -1;
-    seq = 0;
     hw = 0;
   }
 
@@ -74,82 +91,91 @@ let length t = t.size
 let is_empty t = t.size = 0
 let high_water t = t.hw
 
-(* Live rows never exceed [size + 1] (the heap plus the cursor), so
-   growing every array in lockstep when either the heap or the row
-   store runs out keeps one invariant: all arrays share a capacity
-   strictly greater than [max size alloc_top]. *)
-let ensure_capacity t =
-  let cap = Array.length t.heap in
-  if t.size + 1 >= cap || t.alloc_top + 1 >= cap then begin
-    let ncap = max 16 (2 * cap) in
-    let grow a fill =
-      let b = Array.make ncap fill in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    t.heap <- grow t.heap 0;
-    t.keys <- grow t.keys 0;
-    t.kinds <- grow t.kinds 0;
-    t.na <- grow t.na 0;
-    t.nb <- grow t.nb 0;
-    t.tags <- grow t.tags "";
-    if Array.length t.payloads > 0 then
-      t.payloads <- grow t.payloads t.payloads.(0)
-  end
+(* Live rows never exceed [size + 1] (the pending rows plus the
+   cursor), and a new row is handed out only when the free list is
+   empty, so the row arrays grow with the backlog alone. *)
+let grow t =
+  let ncap = max 16 (2 * Array.length t.times) in
+  let grow a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.times <- grow t.times 0;
+  t.links <- grow t.links (-1);
+  t.kinds <- grow t.kinds 0;
+  t.na <- grow t.na 0;
+  t.nb <- grow t.nb 0;
+  t.tags <- grow t.tags "";
+  if Array.length t.payloads > 0 then
+    t.payloads <- grow t.payloads t.payloads.(0)
 
 let alloc_row t =
   if t.free_head >= 0 then begin
     let r = t.free_head in
-    t.free_head <- t.keys.(r);
+    t.free_head <- t.links.(r);
     r
   end
   else begin
+    if t.alloc_top = Array.length t.times then grow t;
     let r = t.alloc_top in
     t.alloc_top <- r + 1;
     r
   end
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.keys.(t.heap.(i)) < t.keys.(t.heap.(parent)) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
+(* The bit length of [x], for [0 <= x < 2^31]: the bucket of a time
+   whose xor with [last] is [x]. *)
+let bucket_of x =
+  let x = ref x and b = ref 0 in
+  if !x >= 0x10000 then begin
+    b := 16;
+    x := !x lsr 16
+  end;
+  if !x >= 0x100 then begin
+    b := !b + 8;
+    x := !x lsr 8
+  end;
+  if !x >= 0x10 then begin
+    b := !b + 4;
+    x := !x lsr 4
+  end;
+  if !x >= 0x4 then begin
+    b := !b + 2;
+    x := !x lsr 2
+  end;
+  if !x >= 0x2 then begin
+    b := !b + 1;
+    x := !x lsr 1
+  end;
+  !b + !x
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  if l < t.size then begin
-    let r = l + 1 in
-    let smallest =
-      if r < t.size && t.keys.(t.heap.(r)) < t.keys.(t.heap.(l)) then r else l
-    in
-    if t.keys.(t.heap.(smallest)) < t.keys.(t.heap.(i)) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(smallest);
-      t.heap.(smallest) <- tmp;
-      sift_down t smallest
-    end
+let append t b r time =
+  t.links.(r) <- -1;
+  let tail = t.tails.(b) in
+  if tail < 0 then begin
+    t.heads.(b) <- r;
+    t.mins.(b) <- time
   end
+  else begin
+    t.links.(tail) <- r;
+    if time < t.mins.(b) then t.mins.(b) <- time
+  end;
+  t.tails.(b) <- r
 
 let push_row t ~time kind a b tag =
   if time < 0 || time > max_encodable_time then
-    invalid_arg "Simkit.Event_heap: time out of the 31-bit key range";
-  ensure_capacity t;
+    invalid_arg "Simkit.Event_heap: time out of the 31-bit range";
+  if time < t.last then
+    invalid_arg "Simkit.Event_heap: time before the last pop";
   let r = alloc_row t in
-  t.keys.(r) <- (time lsl seq_bits) lor t.seq;
-  t.seq <- t.seq + 1;
+  t.times.(r) <- time;
   t.kinds.(r) <- kind;
   t.na.(r) <- a;
   t.nb.(r) <- b;
   t.tags.(r) <- tag;
-  t.heap.(t.size) <- r;
+  append t (bucket_of (time lxor t.last)) r time;
   t.size <- t.size + 1;
   if t.size > t.hw then t.hw <- t.size;
-  sift_up t (t.size - 1);
   r
 
 (* Start and timer rows carry no payload, so the row index has no
@@ -169,30 +195,49 @@ let push_deliver t ~time ~src ~dst payload =
     (* First payload ever: materialize the array, using it as its own
        fill value (every slot of ['m] needs a witness; slots of other
        kinds are never read). *)
-    t.payloads <- Array.make (Array.length t.keys) payload
+    t.payloads <- Array.make (Array.length t.times) payload
   else t.payloads.(r) <- payload
+
+(* Bucket 0 is empty and some row is pending: advance [last] to the
+   least pending time and redistribute the bucket holding it. *)
+let refill t =
+  let i = ref 1 in
+  while t.heads.(!i) < 0 do
+    incr i
+  done;
+  let i = !i in
+  t.last <- t.mins.(i);
+  let r = ref t.heads.(i) in
+  t.heads.(i) <- -1;
+  t.tails.(i) <- -1;
+  while !r >= 0 do
+    let row = !r in
+    r := t.links.(row);
+    let time = t.times.(row) in
+    append t (bucket_of (time lxor t.last)) row time
+  done
 
 let pop t =
   if t.size = 0 then false
   else begin
-    (* Recycle the previous cursor row: its key field becomes the
-       free-list link. The new cursor row stays out of the free list
-       until the pop after this one, so the accessors survive
-       interleaved pushes. *)
+    (* Recycle the previous cursor row onto the free list. The new
+       cursor row stays off it until the pop after this one, so the
+       accessors survive interleaved pushes. *)
     if t.cursor >= 0 then begin
-      t.keys.(t.cursor) <- t.free_head;
+      t.links.(t.cursor) <- t.free_head;
       t.free_head <- t.cursor
     end;
-    let r = t.heap.(0) in
-    let last = t.size - 1 in
-    t.heap.(0) <- t.heap.(last);
-    t.size <- last;
-    sift_down t 0;
+    if t.heads.(0) < 0 then refill t;
+    let r = t.heads.(0) in
+    let next = t.links.(r) in
+    t.heads.(0) <- next;
+    if next < 0 then t.tails.(0) <- -1;
+    t.size <- t.size - 1;
     t.cursor <- r;
     true
   end
 
-let time t = t.keys.(t.cursor) asr seq_bits
+let time t = t.times.(t.cursor)
 let kind t = t.kinds.(t.cursor)
 let node_a t = t.na.(t.cursor)
 let node_b t = t.nb.(t.cursor)

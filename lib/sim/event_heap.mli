@@ -1,20 +1,26 @@
-(** Flat, allocation-free event heap — the engine's internal queue.
+(** Flat, allocation-free event queue — the engine's internal queue.
 
-    A structure-of-arrays binary min-heap specialised to the three
-    engine event shapes (start, timer, deliver). Where the seed's
-    generic event queue allocates an entry record plus a payload block
-    per push, a push here writes one row across preallocated parallel
-    arrays (row slots are recycled through an intrusive free list) and
-    the heap itself orders int row ids, so sifting moves single ints;
-    the per-event hot path allocates nothing.
+    A monotone radix heap specialised to the three engine event shapes
+    (start, timer, deliver). Where the seed's generic event queue
+    allocates an entry record plus a payload block per push, a push
+    here writes one row across preallocated parallel arrays (row slots
+    are recycled through an intrusive free list) and links it into one
+    of 32 FIFO buckets, each of which keeps its least time; the
+    per-event hot path allocates nothing, and memory is proportional to
+    the pending events whatever their times.
 
     Ordering is identical to that queue's: strictly by
-    [(time, push sequence)], packed into a single int key, so swapping
-    the engine onto this heap changes no schedule — traces and tables
-    stay byte-identical. Times must fit 31 bits (every simulation
-    budget in this codebase is ~10^6). The generic queue is now a test
-    oracle in [test/oracle], and the bench baseline this module is
-    measured against. *)
+    [(time, push sequence)], so equal times pop in push order, and
+    swapping the engine onto this queue changes no schedule — traces
+    and tables stay byte-identical.
+
+    {b Monotone contract.} Times are integers in [[0, 2^31 - 1]], and
+    no push may name a time earlier than the last popped event's (0
+    before the first pop). The engine keeps it: deliveries and timers
+    land at least one tick after the current clock, and starts are
+    pushed before the first pop. The generic queue, which has no such
+    contract, is now a test oracle in [test/oracle], and the bench
+    baseline this module is measured against. *)
 
 module Kind : sig
   type t = private int
@@ -46,11 +52,12 @@ val push_deliver : 'm t -> time:int -> src:int -> dst:int -> 'm -> unit
 (** [push_deliver t ~time ~src ~dst payload] schedules a delivery.
 
     @raise Invalid_argument
-      (from any push) if [time] exceeds the 31-bit key range. *)
+      (from any push) if [time] lies outside [[0, 2^31 - 1]] or before
+      the last popped event's time. *)
 
 val pop : 'm t -> bool
 (** Removes the minimum event and parks it in the cursor row; [false]
-    iff the heap was empty. The accessors below read the cursor and
+    iff the queue was empty. The accessors below read the cursor and
     are only meaningful after a [pop] that returned [true], until the
     next [pop] (interleaved pushes leave the cursor intact). *)
 

@@ -1,11 +1,12 @@
 (* Reference implementations, kept with the tests: the seed's tree-set
    graph algorithms, its list-based Dinic, its tree-set Algorithm 1,
    its subset sweeps for the FBQS analyses, its generic event queue,
-   its Set-backed consensus value, and the reachable broadcast and
-   SINK knowledge rules that re-ran their whole search on every
-   message. [lib/] holds one implementation per function, the fast one;
-   the qcheck suites check it against these, and [bench micro] prices
-   the gap. Each submodule names the [lib/] module whose functions it
+   its Set-backed consensus value, the reachable broadcast and SINK
+   knowledge rules that re-ran their whole search on every message,
+   and the SCP node that re-checked every tallied statement after
+   every fresh envelope. [lib/] holds one implementation per function,
+   the fast one; the qcheck suites check it against these, and [bench
+   micro] prices the gap. Each submodule names the [lib/] module whose functions it
    mirrors, and later submodules build on the earlier ones, as the
    seed's did. *)
 
@@ -841,4 +842,599 @@ module Knowledge = struct
       stabilise t ~send;
       refresh_sink t
     end
+end
+
+(* Federated voting without dirty flags: [Scp.Fvoting] before it
+   learned which statements an envelope could have moved. *)
+module Fvoting = struct
+  module D = Pid.Dense_set
+  module Compiled = Fbqs.Quorum.Compiled
+  module Statement = Scp.Statement
+
+  type tally = {
+    mutable voters : D.t;
+    mutable acceptors : D.t;
+    mutable i_voted : bool;
+    mutable i_accepted : bool;
+    mutable i_confirmed : bool;
+  }
+
+  type t = {
+    self : Pid.t;
+    keep : D.t;
+    system : unit -> Fbqs.Quorum.system;
+    mutable view : Compiled.t option;
+    mutable tallies : tally Statement.Map.t;
+    c_quorum_checks : Obs.Metrics.counter option;
+    c_vblocking_checks : Obs.Metrics.counter option;
+    c_view_hits : Obs.Metrics.counter option;
+    c_view_misses : Obs.Metrics.counter option;
+  }
+
+  let empty_tally () =
+    {
+      voters = D.empty;
+      acceptors = D.empty;
+      i_voted = false;
+      i_accepted = false;
+      i_confirmed = false;
+    }
+
+  let create ?metrics ~self ~system () =
+    let c name = Option.map (fun r -> Obs.Metrics.counter r name) metrics in
+    {
+      self;
+      keep = D.singleton self;
+      system;
+      view = None;
+      tallies = Statement.Map.empty;
+      c_quorum_checks = c "scp_quorum_checks";
+      c_vblocking_checks = c "scp_vblocking_checks";
+      c_view_hits = c "fbqs_cache_hits";
+      c_view_misses = c "fbqs_cache_misses";
+    }
+
+  let tally t stmt =
+    match Statement.Map.find_opt stmt t.tallies with
+    | Some tl -> tl
+    | None -> empty_tally ()
+
+  let live t stmt =
+    match Statement.Map.find_opt stmt t.tallies with
+    | Some tl -> tl
+    | None ->
+        let tl = empty_tally () in
+        t.tallies <- Statement.Map.add stmt tl t.tallies;
+        tl
+
+  let rec record_vote t stmt src =
+    let tl = live t stmt in
+    tl.voters <- D.add src tl.voters;
+    List.iter (fun s -> record_vote t s src) (Statement.implied stmt)
+
+  let rec record_accept t stmt src =
+    let tl = live t stmt in
+    tl.voters <- D.add src tl.voters;
+    tl.acceptors <- D.add src tl.acceptors;
+    List.iter (fun s -> record_accept t s src) (Statement.implied stmt)
+
+  let set_voted t stmt = (live t stmt).i_voted <- true
+  let mark_accepted t stmt = (live t stmt).i_accepted <- true
+  let mark_confirmed t stmt = (live t stmt).i_confirmed <- true
+  let bump = function Some c -> Obs.Metrics.incr c | None -> ()
+
+  let view t ~hits ~misses =
+    let sys = t.system () in
+    match t.view with
+    | Some c when Compiled.system c == sys ->
+        bump hits;
+        c
+    | Some _ | None ->
+        bump misses;
+        let c = Compiled.compile sys in
+        t.view <- Some c;
+        c
+
+  let quorum_within t s =
+    bump t.c_quorum_checks;
+    let c = view t ~hits:t.c_view_hits ~misses:t.c_view_misses in
+    D.mem t.self s
+    && Option.is_some (Compiled.greatest_quorum_keeping_d c ~keep:t.keep s)
+
+  let v_blocking t b =
+    bump t.c_vblocking_checks;
+    Compiled.is_v_blocking_d (view t ~hits:None ~misses:None) t.self b
+
+  let iter f t = Statement.Map.iter f t.tallies
+  let fold f t acc = Statement.Map.fold f t.tallies acc
+  let exists f t = Statement.Map.exists f t.tallies
+  let for_all f t = Statement.Map.for_all f t.tallies
+end
+
+(* The honest SCP node whose [progress] re-checks every tallied
+   statement after every fresh envelope, deduplicating envelopes in an
+   ordered set: the transitions and sends [Scp.Node.behavior] must
+   reproduce. The Byzantine behaviours are [Scp.Node]'s own. *)
+module Node = struct
+  open Simkit
+  module Value = Scp.Value
+  module Ballot = Scp.Ballot
+  module Statement = Scp.Statement
+  module Msg = Scp.Msg
+
+  module Seen = Set.Make (struct
+    type t = Msg.t
+
+    let compare = Msg.compare
+  end)
+
+  type node_obs = {
+    trace : Obs.Trace.sink option;
+    c_votes : Obs.Metrics.counter option;
+    c_accepts : Obs.Metrics.counter option;
+    c_confirms : Obs.Metrics.counter option;
+    c_ballots : Obs.Metrics.counter option;
+    c_nom_rounds : Obs.Metrics.counter option;
+    c_decides : Obs.Metrics.counter option;
+  }
+
+  type state = {
+    cfg : Scp.Node.config;
+    obs : node_obs;
+    fv : Fvoting.t;
+    known_slices : Fbqs.Quorum.system ref;
+    mutable peers : Pid.Set.t;
+    mutable seen : Seen.t;
+    mutable sent : Msg.t list;
+    mutable candidates : Value.t list;
+    mutable current : Ballot.t option;
+    mutable high_prepared : Ballot.t option;
+    mutable decided : Scp.Node.decision option;
+    mutable nom_round : int;
+  }
+
+  let make_obs ?metrics ?trace () =
+    let c name = Option.map (fun r -> Obs.Metrics.counter r name) metrics in
+    {
+      trace;
+      c_votes = c "scp_votes";
+      c_accepts = c "scp_accepts";
+      c_confirms = c "scp_confirms";
+      c_ballots = c "scp_ballots_entered";
+      c_nom_rounds = c "scp_nomination_rounds";
+      c_decides = c "scp_decisions";
+    }
+
+  let bump = function Some c -> Obs.Metrics.incr c | None -> ()
+
+  let obs_event st ctx name fields =
+    match st.obs.trace with
+    | None -> ()
+    | Some sink ->
+        Obs.Trace.emit sink ~time:(Engine.now ctx) ~scope:"scp" ~name
+          (("node", Obs.Json.Int st.cfg.self) :: fields)
+
+  let stmt_field stmt =
+    [ ("stmt", Obs.Json.String (Format.asprintf "%a" Statement.pp stmt)) ]
+
+  let make_state ?metrics ?trace (cfg : Scp.Node.config) =
+    let known_slices = ref (Pid.Map.singleton cfg.self cfg.my_slices) in
+    {
+      cfg;
+      obs = make_obs ?metrics ?trace ();
+      fv =
+        Fvoting.create ?metrics ~self:cfg.self
+          ~system:(fun () -> !known_slices)
+          ();
+      known_slices;
+      peers = Pid.Set.remove cfg.self cfg.initial_peers;
+      seen = Seen.empty;
+      sent = [];
+      candidates = [];
+      current = None;
+      high_prepared = None;
+      decided = None;
+      nom_round = 1;
+    }
+
+  let leaders st =
+    let domain =
+      Pid.Set.add st.cfg.self (Fbqs.Slice.domain st.cfg.my_slices)
+    in
+    let ranked =
+      List.sort
+        (fun a b -> Int.compare (Scp.Node.priority b) (Scp.Node.priority a))
+        (Pid.Set.elements domain)
+    in
+    let rec take k = function
+      | [] -> []
+      | _ when k = 0 -> []
+      | x :: rest -> x :: take (k - 1) rest
+    in
+    Pid.Set.of_list (take st.nom_round ranked)
+
+  let nomination_active st =
+    match st.candidates with [] -> true | _ :: _ -> false
+
+  let broadcast st ctx (env : Msg.t) =
+    st.seen <- Seen.add env st.seen;
+    Pid.Set.iter (fun j -> Engine.send ctx j env) st.peers
+
+  let emit_own st ctx env =
+    st.sent <- env :: st.sent;
+    broadcast st ctx env
+
+  let relay st ctx ~src (env : Msg.t) =
+    Pid.Set.iter
+      (fun j ->
+        if not (Pid.equal j src || Pid.equal j env.origin) then
+          Engine.send ctx j env)
+      st.peers
+
+  let sync_to st ctx j = List.iter (fun env -> Engine.send ctx j env) st.sent
+
+  let vote st ctx stmt =
+    let tl = Fvoting.tally st.fv stmt in
+    if not tl.i_voted then begin
+      Fvoting.set_voted st.fv stmt;
+      Fvoting.record_vote st.fv stmt st.cfg.self;
+      bump st.obs.c_votes;
+      obs_event st ctx "vote" (stmt_field stmt);
+      emit_own st ctx (Msg.vote st.cfg.self ~slices:st.cfg.my_slices stmt)
+    end
+
+  let accept st ctx stmt =
+    Fvoting.mark_accepted st.fv stmt;
+    Fvoting.record_accept st.fv stmt st.cfg.self;
+    bump st.obs.c_accepts;
+    obs_event st ctx "accept" (stmt_field stmt);
+    emit_own st ctx (Msg.accept st.cfg.self ~slices:st.cfg.my_slices stmt)
+
+  let merged st stmt (tl : Fvoting.tally) pick =
+    match stmt with
+    | Statement.Prepare b ->
+        Fvoting.fold
+          (fun s tl' acc ->
+            match s with
+            | Statement.Prepare b'
+              when Ballot.compatible b b'
+                   && b'.Ballot.counter >= b.Ballot.counter ->
+                Pid.Dense_set.union acc (pick tl')
+            | _ -> acc)
+          st.fv Pid.Dense_set.empty
+    | Statement.Nominate _ | Statement.Commit _ -> pick tl
+
+  let voters (tl : Fvoting.tally) = tl.voters
+  let acceptors (tl : Fvoting.tally) = tl.acceptors
+
+  let contradicts_accepted st stmt =
+    match stmt with
+    | Statement.Prepare b ->
+        Fvoting.exists
+          (fun s (tl : Fvoting.tally) ->
+            match s with
+            | Statement.Commit b' ->
+                tl.i_accepted && Ballot.less_and_incompatible b' b
+            | _ -> false)
+          st.fv
+    | Statement.Commit b ->
+        Fvoting.exists
+          (fun s (tl : Fvoting.tally) ->
+            match s with
+            | Statement.Prepare b' ->
+                tl.i_accepted && Ballot.less_and_incompatible b b'
+            | _ -> false)
+          st.fv
+    | Statement.Nominate _ -> false
+
+  let can_accept st stmt (tl : Fvoting.tally) =
+    (not tl.i_accepted)
+    && (not (contradicts_accepted st stmt))
+    && (Fvoting.quorum_within st.fv (merged st stmt tl voters)
+       || Fvoting.v_blocking st.fv (merged st stmt tl acceptors))
+
+  let can_confirm st stmt (tl : Fvoting.tally) =
+    (not tl.i_confirmed)
+    && Fvoting.quorum_within st.fv (merged st stmt tl acceptors)
+
+  let ballot_timeout = 40
+
+  let arm_ballot_timer st ctx =
+    match st.current with
+    | Some b ->
+        Engine.set_timer ctx
+          ~delay:(ballot_timeout * b.Ballot.counter)
+          (Printf.sprintf "ballot:%d" b.Ballot.counter)
+    | None -> ()
+
+  let next_ballot_value st =
+    match st.high_prepared with
+    | Some h -> h.Ballot.value
+    | None -> Value.combine st.candidates
+
+  let enter_ballot st ctx b =
+    st.current <- Some b;
+    bump st.obs.c_ballots;
+    obs_event st ctx "enter_ballot"
+      [ ("ballot", Obs.Json.String (Format.asprintf "%a" Ballot.pp b)) ];
+    vote st ctx (Statement.Prepare b);
+    arm_ballot_timer st ctx
+
+  let may_vote_commit st b =
+    Fvoting.for_all
+      (fun s (tl : Fvoting.tally) ->
+        match s with
+        | Statement.Prepare b' ->
+            (not (tl.i_voted || tl.i_accepted))
+            || not (Ballot.less_and_incompatible b b')
+        | _ -> true)
+      st.fv
+
+  let on_confirmed st ctx stmt =
+    match stmt with
+    | Statement.Nominate v ->
+        if not (List.exists (Value.equal v) st.candidates) then begin
+          st.candidates <- v :: st.candidates;
+          if Option.is_none st.current then
+            enter_ballot st ctx (Ballot.make 1 (Value.combine st.candidates))
+        end
+    | Statement.Prepare b ->
+        (match st.high_prepared with
+        | Some h when Ballot.compare h b >= 0 -> ()
+        | Some _ | None -> st.high_prepared <- Some b);
+        if may_vote_commit st b then vote st ctx (Statement.Commit b)
+    | Statement.Commit b ->
+        if Option.is_none st.decided then begin
+          let d =
+            {
+              Scp.Node.value = b.Ballot.value;
+              ballot = b;
+              time = Engine.now ctx;
+            }
+          in
+          st.decided <- Some d;
+          bump st.obs.c_decides;
+          obs_event st ctx "decide"
+            [
+              ( "value",
+                Obs.Json.String (Format.asprintf "%a" Value.pp d.value) );
+              ( "ballot",
+                Obs.Json.String (Format.asprintf "%a" Ballot.pp d.ballot) );
+            ];
+          st.cfg.on_decide st.cfg.self d
+        end
+
+  let rec progress st ctx =
+    let changed = ref false in
+    Fvoting.iter
+      (fun stmt tl ->
+        if can_accept st stmt tl then begin
+          accept st ctx stmt;
+          changed := true
+        end;
+        if can_confirm st stmt tl then begin
+          Fvoting.mark_confirmed st.fv stmt;
+          bump st.obs.c_confirms;
+          obs_event st ctx "confirm" (stmt_field stmt);
+          on_confirmed st ctx stmt;
+          changed := true
+        end)
+      st.fv;
+    if !changed then progress st ctx
+
+  let maybe_jump st ctx =
+    Fvoting.iter
+      (fun stmt (tl : Fvoting.tally) ->
+        match stmt with
+        | Statement.Prepare b ->
+            let above_current =
+              match st.current with
+              | None -> true
+              | Some cur -> Ballot.compare b cur > 0
+            in
+            if tl.i_accepted && above_current then enter_ballot st ctx b
+        | Statement.Nominate _ | Statement.Commit _ -> ())
+      st.fv
+
+  let start_nomination st ctx =
+    match st.cfg.nomination with
+    | Scp.Node.Echo_all ->
+        vote st ctx (Statement.Nominate st.cfg.initial_value)
+    | Scp.Node.Leader_priority timeout ->
+        if Pid.Set.mem st.cfg.self (leaders st) then
+          vote st ctx (Statement.Nominate st.cfg.initial_value);
+        Engine.set_timer ctx ~delay:timeout
+          (Printf.sprintf "nom:%d" st.nom_round)
+
+  let bump_nomination_round st ctx timeout =
+    st.nom_round <- st.nom_round + 1;
+    bump st.obs.c_nom_rounds;
+    obs_event st ctx "nomination_round"
+      [ ("round", Obs.Json.Int st.nom_round) ];
+    let ls = leaders st in
+    if Pid.Set.mem st.cfg.self ls then
+      vote st ctx (Statement.Nominate st.cfg.initial_value);
+    Fvoting.iter
+      (fun stmt (tl : Fvoting.tally) ->
+        match stmt with
+        | Statement.Nominate _ ->
+            if Pid.Set.exists (fun l -> Pid.Dense_set.mem l tl.voters) ls then
+              vote st ctx stmt
+        | Statement.Prepare _ | Statement.Commit _ -> ())
+      st.fv;
+    Engine.set_timer ctx
+      ~delay:(timeout * st.nom_round)
+      (Printf.sprintf "nom:%d" st.nom_round)
+
+  let behavior ?metrics ?trace (cfg : Scp.Node.config) :
+      Msg.t Engine.behavior =
+    let st = make_state ?metrics ?trace cfg in
+    let on_start ctx = start_nomination st ctx in
+    let on_message ctx ~src (env : Msg.t) =
+      if (not (Pid.Set.mem src st.peers)) && not (Pid.equal src cfg.self)
+      then begin
+        st.peers <- Pid.Set.add src st.peers;
+        sync_to st ctx src
+      end;
+      if not (Seen.mem env st.seen) then begin
+        st.seen <- Seen.add env st.seen;
+        if not (Pid.Map.mem env.origin !(st.known_slices)) then
+          st.known_slices :=
+            Pid.Map.add env.origin env.slices !(st.known_slices);
+        relay st ctx ~src env;
+        (match env.kind with
+        | Msg.Vote -> (
+            Fvoting.record_vote st.fv env.stmt env.origin;
+            match env.stmt with
+            | Statement.Nominate _ when nomination_active st -> (
+                match st.cfg.nomination with
+                | Scp.Node.Echo_all -> vote st ctx env.stmt
+                | Scp.Node.Leader_priority _ ->
+                    if Pid.Set.mem env.origin (leaders st) then
+                      vote st ctx env.stmt)
+            | _ -> ())
+        | Msg.Accept -> Fvoting.record_accept st.fv env.stmt env.origin);
+        progress st ctx;
+        maybe_jump st ctx
+      end
+    in
+    let on_timer ctx tag =
+      match st.cfg.nomination with
+      | Scp.Node.Leader_priority timeout
+        when String.equal tag (Printf.sprintf "nom:%d" st.nom_round)
+             && nomination_active st && Option.is_none st.decided ->
+          bump_nomination_round st ctx timeout
+      | _ -> (
+          match (st.current, st.decided) with
+          | Some cur, None
+            when String.equal tag
+                   (Printf.sprintf "ballot:%d" cur.Ballot.counter) ->
+              let b =
+                Ballot.make (cur.Ballot.counter + 1) (next_ballot_value st)
+              in
+              enter_ballot st ctx b;
+              progress st ctx
+          | _ -> ())
+    in
+    { Engine.on_start; on_message; on_timer }
+end
+
+(* [Scp.Runner.run_cfg] wiring this module's honest [Node] (and
+   [Scp.Node]'s Byzantine behaviours) into the same engine, judged the
+   same way. *)
+module Runner = struct
+  open Simkit
+  module Value = Scp.Value
+  module Ballot = Scp.Ballot
+  module Statement = Scp.Statement
+
+  let run_cfg ?(cfg = Scp.Runner.default_cfg) ~system ~peers_of
+      ~initial_value_of ~fault_of () : Scp.Runner.outcome =
+    let rc = cfg.Scp.Runner.run in
+    let metrics = rc.Run_config.metrics and trace = rc.Run_config.trace in
+    let engine = Engine.create_cfg ~pp_msg:Scp.Msg.pp rc in
+    Option.iter
+      (fun reg ->
+        ignore (Obs.Metrics.counter reg "fbqs_cache_hits");
+        ignore (Obs.Metrics.counter reg "fbqs_cache_misses"))
+      metrics;
+    let trace_event ~time name fields =
+      match trace with
+      | None -> ()
+      | Some sink -> Obs.Trace.emit sink ~time ~scope:"runner" ~name fields
+    in
+    trace_event ~time:0 "run_start"
+      [
+        ("seed", Obs.Json.Int rc.seed);
+        ("max_time", Obs.Json.Int rc.max_time);
+        ( "participants",
+          Obs.Json.Int (Pid.Set.cardinal (Fbqs.Quorum.participants system)) );
+      ];
+    let decisions = ref Pid.Map.empty in
+    let participants = Fbqs.Quorum.participants system in
+    let correct = ref Pid.Set.empty in
+    let undecided = ref 0 in
+    let on_decide pid d =
+      if (not (Pid.Map.mem pid !decisions)) && Pid.Set.mem pid !correct then
+        decr undecided;
+      decisions := Pid.Map.add pid d !decisions
+    in
+    Pid.Set.iter
+      (fun i ->
+        match fault_of i with
+        | Some Scp.Runner.Silent -> Engine.add_node engine i Scp.Node.silent
+        | Some (Scp.Runner.Accept_forger stmts) ->
+            Engine.add_node engine i
+              (Scp.Node.accept_forger ~self:i
+                 ~slices:(Fbqs.Quorum.slices_of system i)
+                 ~peers:(peers_of i) stmts)
+        | Some (Scp.Runner.Nomination_equivocator { split; value_a; value_b })
+          ->
+            Engine.add_node engine i
+              (Scp.Node.nomination_equivocator ~self:i
+                 ~slices:(Fbqs.Quorum.slices_of system i)
+                 ~split ~value_a ~value_b ~peers:(peers_of i))
+        | Some
+            (Scp.Runner.Slice_equivocator { split; slices_a; slices_b; value })
+          ->
+            Engine.add_node engine i
+              (Scp.Node.slice_equivocator ~self:i ~slices_a ~slices_b ~split
+                 ~value ~peers:(peers_of i))
+        | None ->
+            correct := Pid.Set.add i !correct;
+            incr undecided;
+            Engine.add_node engine i
+              (Node.behavior ?metrics ?trace
+                 {
+                   Scp.Node.self = i;
+                   my_slices = Fbqs.Quorum.slices_of system i;
+                   initial_peers = peers_of i;
+                   initial_value = initial_value_of i;
+                   nomination = cfg.nomination;
+                   on_decide;
+                 }))
+      participants;
+    let all_decided () = !undecided = 0 in
+    let stats = Engine.run ~stop:all_decided engine in
+    let decisions = !decisions in
+    let fault_injected i =
+      match fault_of i with
+      | Some (Scp.Runner.Nomination_equivocator { value_a; value_b; _ }) ->
+          Value.union value_a value_b
+      | Some (Scp.Runner.Accept_forger stmts) ->
+          Value.combine
+            (List.map
+               (function
+                 | Statement.Prepare b | Statement.Commit b -> b.Ballot.value
+                 | Statement.Nominate v -> v)
+               stmts)
+      | Some (Scp.Runner.Slice_equivocator { value; _ }) -> value
+      | Some Scp.Runner.Silent | None -> Value.empty
+    in
+    let proposed =
+      Pid.Set.fold
+        (fun i acc ->
+          Value.union (Value.union acc (initial_value_of i)) (fault_injected i))
+        participants Value.empty
+    in
+    let agreement, validity =
+      Value.judge ~proposed
+        (Pid.Map.fold
+           (fun _ (d : Scp.Node.decision) acc -> d.value :: acc)
+           decisions [])
+    in
+    trace_event ~time:stats.Engine.end_time "run_end"
+      [
+        ("end_time", Obs.Json.Int stats.Engine.end_time);
+        ("all_decided", Obs.Json.Bool (all_decided ()));
+        ("agreement", Obs.Json.Bool agreement);
+        ("validity", Obs.Json.Bool validity);
+      ];
+    {
+      Scp.Runner.decisions;
+      all_decided = all_decided ();
+      agreement;
+      validity;
+      stats;
+    }
 end

@@ -1,17 +1,27 @@
-(* Projects an analyzer report onto its answers (DESIGN.md §19): drops
-   the work column, [payload.stats] and the [fbqs_enum_*] counters of
-   [payload.metrics], and prints every other byte as the report had it.
+(* Projects a report onto its answers (DESIGN.md §19): drops the work
+   column, [payload.stats] and the work counters of [payload.metrics]
+   (an analyzer's [fbqs_enum_*], a run's quorum and v-blocking checks
+   and view reuses), and prints every other byte as the report had it.
 
      answers.exe REPORT.json > REPORT.answers.json
 
    A change that only does less work re-pins the full report and leaves
    this projection of it unmoved. *)
 
+let work_counter name =
+  String.starts_with ~prefix:"fbqs_enum_" name
+  || List.mem name
+       [
+         "scp_quorum_checks";
+         "scp_vblocking_checks";
+         "fbqs_cache_hits";
+         "fbqs_cache_misses";
+       ]
+
 let work_metric = function
   | Obs.Json.Obj fields -> (
       match List.assoc_opt "name" fields with
-      | Some (Obs.Json.String name) ->
-          String.starts_with ~prefix:"fbqs_enum_" name
+      | Some (Obs.Json.String name) -> work_counter name
       | _ -> false)
   | _ -> false
 

@@ -55,6 +55,29 @@ let test_timer () =
     (List.rev !fired);
   Alcotest.(check int) "two timers" 2 stats.timers_fired
 
+let test_runs_once () =
+  let delay = Delay.synchronous ~delta:1 in
+  let engine =
+    Engine.create_cfg
+      { Run_config.default with delay = Some delay; max_time = 1_000_000 }
+  in
+  let node : unit Engine.behavior =
+    {
+      Engine.idle_behavior with
+      on_start = (fun ctx -> Engine.set_timer ctx ~delay:3 "t");
+    }
+  in
+  Engine.add_node engine 1 node;
+  let stats = Engine.run engine in
+  Alcotest.(check int) "ran to the timer" 3 stats.end_time;
+  let raised =
+    try
+      ignore (Engine.run engine);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "a second run would start in the past" true raised
+
 let test_send_to_unknown_is_dropped () =
   let delay = Delay.synchronous ~delta:1 in
   let engine = Engine.create_cfg { Run_config.default with delay = Some delay; max_time = 1_000_000 } in
@@ -173,6 +196,7 @@ let suites =
       [
         Alcotest.test_case "ping-pong" `Quick test_ping_pong;
         Alcotest.test_case "timers" `Quick test_timer;
+        Alcotest.test_case "an engine runs once" `Quick test_runs_once;
         Alcotest.test_case "unknown destination dropped" `Quick
           test_send_to_unknown_is_dropped;
         Alcotest.test_case "partial synchrony delivery bound" `Quick

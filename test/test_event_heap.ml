@@ -1,8 +1,11 @@
 (* Event_heap is the engine's internal queue: its whole contract is
-   "same (time, push-sequence) order as Event_queue, no allocation".
-   These tests pin the ordering (FIFO tie-break included), the
-   cursor-accessor lifetime across interleaved pushes, payload routing
-   through row recycling, and the 31-bit time guard. *)
+   "same (time, push-sequence) order as Event_queue, no allocation,
+   no push before the last pop". These tests pin the ordering (FIFO
+   tie-break included) against the oracle queue on random monotone
+   interleavings, the cursor-accessor lifetime across interleaved
+   pushes, payload routing through row recycling, the 31-bit and
+   monotone time guards, and memory that does not grow with the span
+   of pending times. *)
 
 module H = Simkit.Event_heap
 
@@ -99,6 +102,127 @@ let test_time_range_guard () =
         true raised)
     [ -1; 1 lsl 31 ]
 
+let test_monotone_guard () =
+  let h = H.create () in
+  H.push_start h ~time:5 0;
+  H.push_start h ~time:9 1;
+  Alcotest.(check bool) "pop" true (H.pop h);
+  let raised =
+    try
+      H.push_start h ~time:4 2;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "a push before the last pop is refused" true raised;
+  H.push_start h ~time:5 3;
+  Alcotest.(check (list int)) "the tick just popped is still open" [ 5; 9 ]
+    (drain h)
+
+let max_time = (1 lsl 31) - 1
+
+let test_wide_span_small () =
+  (* Memory follows the pending events, not their times: a queue
+     sized by the span would need 2^31 slots here. *)
+  let h = H.create () in
+  let before = Gc.allocated_bytes () in
+  H.push_deliver h ~time:0 ~src:1 ~dst:2 "first";
+  H.push_deliver h ~time:max_time ~src:3 ~dst:4 "last";
+  let first = H.pop h && H.time h = 0 && String.equal (H.payload h) "first" in
+  let last =
+    H.pop h && H.time h = max_time && String.equal (H.payload h) "last"
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "both pop in order" true (first && last);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes, under 8 KiB" allocated)
+    true (allocated < 8192.)
+
+(* Random monotone interleavings against Oracle.Event_queue. A push's
+   time is drawn relative to the last pop: at it (many equal times), a
+   few ticks past it (the engine's shape), up to a thousand past it,
+   or anywhere up to 2^31 - 1. *)
+type op = Pop | Push of int * int * int (* kind, time class, draw *)
+
+let time_of ~last cls draw =
+  if cls <= 3 then last
+  else if cls <= 6 then min max_time (last + 1 + (draw mod 5))
+  else if cls = 7 then min max_time (last + (draw mod 1000))
+  else last + (draw mod (max_time - last + 1))
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 300)
+      (frequency
+         [
+           (2, return Pop);
+           ( 3,
+             map3
+               (fun k c d -> Push (k, c, d))
+               (int_bound 2) (int_bound 9) (int_bound (1 lsl 30)) );
+         ]))
+
+let print_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Pop -> "pop"
+         | Push (k, c, d) -> Printf.sprintf "push(%d,%d,%d)" k c d)
+       ops)
+
+(* (time, kind, node_a, node_b, tag, payload) of each pop. *)
+let replay ops =
+  let h = H.create () and q = Oracle.Event_queue.create () in
+  let last = ref 0 and id = ref 0 and lengths_agree = ref true in
+  let from_heap = ref [] and from_oracle = ref [] in
+  let pop_both () =
+    if H.pop h then begin
+      last := H.time h;
+      let k = (H.kind h :> int) in
+      let payload =
+        if H.Kind.equal (H.kind h) H.Kind.deliver then H.payload h else -1
+      in
+      from_heap :=
+        (H.time h, k, H.node_a h, H.node_b h, H.tag h, payload) :: !from_heap
+    end;
+    match Oracle.Event_queue.pop q with
+    | Some (time, (k, a, b, tag, payload)) ->
+        from_oracle := (time, k, a, b, tag, payload) :: !from_oracle
+    | None -> ()
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Pop -> pop_both ()
+      | Push (k, cls, draw) ->
+          incr id;
+          let time = time_of ~last:!last cls draw in
+          let a = !id mod 7 and b = !id mod 5 in
+          let ev =
+            if k = 0 then (
+              H.push_start h ~time a;
+              ((H.Kind.start :> int), a, -1, "", -1))
+            else if k = 1 then (
+              let tag = Printf.sprintf "t%d" !id in
+              H.push_timer h ~time ~owner:a tag;
+              ((H.Kind.timer :> int), a, -1, tag, -1))
+            else (
+              H.push_deliver h ~time ~src:a ~dst:b !id;
+              ((H.Kind.deliver :> int), a, b, "", !id))
+          in
+          Oracle.Event_queue.push q ~time ev);
+      if H.length h <> Oracle.Event_queue.length q then lengths_agree := false)
+    ops;
+  while not (H.is_empty h && Oracle.Event_queue.is_empty q) do
+    pop_both ()
+  done;
+  !lengths_agree && List.rev !from_heap = List.rev !from_oracle
+
+let prop_matches_oracle =
+  QCheck.Test.make ~count:500
+    ~name:"pops equal Oracle.Event_queue's on monotone interleavings"
+    (QCheck.make ~print:print_ops gen_ops)
+    replay
+
 let suites =
   [
     ( "event-heap",
@@ -113,5 +237,10 @@ let suites =
         Alcotest.test_case "row recycling keeps order and payloads" `Quick
           test_interleaved_recycling;
         Alcotest.test_case "31-bit time guard" `Quick test_time_range_guard;
+        Alcotest.test_case "no push before the last pop" `Quick
+          test_monotone_guard;
+        Alcotest.test_case "times 0 and 2^31-1 allocate O(1)" `Quick
+          test_wide_span_small;
+        QCheck_alcotest.to_alcotest prop_matches_oracle;
       ] );
   ]

@@ -115,6 +115,82 @@ let test_fv_commit_implies_prepare_tally () =
   Alcotest.(check bool) "commit vote counted for prepare" true
     (Graphkit.Pid.Dense_set.mem 2 tl.voters)
 
+(* The dirty-flag contract of [Fvoting.iter_dirty]: what it visits
+   after each kind of change. *)
+let stmt_list = Alcotest.(list (testable Statement.pp Statement.equal))
+
+let dirty fv =
+  let seen = ref [] in
+  Fvoting.iter_dirty (fun stmt _ -> seen := stmt :: !seen) fv;
+  List.rev !seen
+
+let test_fv_dirty_flags () =
+  let sys = ref (threshold_system 4 3) in
+  let fv = Fvoting.create ~self:1 ~system:(fun () -> !sys) () in
+  let nom = Statement.Nominate (v [ 5 ]) in
+  let p1 = Statement.Prepare (Ballot.make 1 (v [ 5 ])) in
+  let p2 = Statement.Prepare (Ballot.make 2 (v [ 5 ])) in
+  let p2' = Statement.Prepare (Ballot.make 2 (v [ 6 ])) in
+  let p3 = Statement.Prepare (Ballot.make 3 (v [ 5 ])) in
+  Fvoting.record_vote fv nom 2;
+  Fvoting.record_vote fv p1 2;
+  Fvoting.record_vote fv p2' 2;
+  Alcotest.check stmt_list "new statements, in statement order"
+    [ nom; p1; p2' ] (dirty fv);
+  Alcotest.check stmt_list "visiting cleared them" [] (dirty fv);
+  Fvoting.record_vote fv nom 2;
+  Fvoting.record_accept fv p1 3;
+  Fvoting.record_accept fv p1 3;
+  Alcotest.check stmt_list "only the grown tally" [ p1 ] (dirty fv);
+  Fvoting.record_vote fv nom 2;
+  Fvoting.mark_accepted fv nom;
+  Fvoting.mark_confirmed fv p1;
+  Alcotest.check stmt_list "repeats and marks dirty nothing" [] (dirty fv);
+  Fvoting.record_vote fv p3 3;
+  Alcotest.check stmt_list
+    "a grown prepare dirties the compatible prepares below it" [ p1; p3 ]
+    (dirty fv);
+  Fvoting.record_vote fv p2 4;
+  Alcotest.check stmt_list "but not those above it" [ p1; p2 ] (dirty fv);
+  sys := threshold_system 4 2;
+  Alcotest.check stmt_list "a new system value dirties every statement"
+    [ nom; p1; p2; p2'; p3 ] (dirty fv);
+  Alcotest.check stmt_list "an unchanged one dirties nothing" [] (dirty fv)
+
+(* [Msg.hash] keys the dedup table: envelopes that are [Msg.equal]
+   must hash alike, including copies that are not physically equal. *)
+let gen_envelope =
+  QCheck.Gen.(
+    map
+      (fun (origin, accept, (kind, counter, x), wide) ->
+        let value = v [ x ] in
+        let stmt =
+          match kind with
+          | 0 -> Statement.Nominate value
+          | 1 -> Statement.Prepare (Ballot.make counter value)
+          | _ -> Statement.Commit (Ballot.make counter value)
+        in
+        let members = Graphkit.Pid.Set.of_range 0 (if wide then 4 else 3) in
+        let slices = Fbqs.Slice.threshold ~members ~threshold:2 in
+        if accept then Msg.accept origin ~slices stmt
+        else Msg.vote origin ~slices stmt)
+      (quad (int_bound 2) bool
+         (triple (int_bound 2) (int_range 1 2) (int_bound 1))
+         bool))
+
+let prop_msg_hash_agrees_with_equal =
+  QCheck.Test.make ~count:300 ~name:"Msg.hash agrees with Msg.equal"
+    (QCheck.make QCheck.Gen.(list_size (int_range 2 30) gen_envelope))
+    (fun envs ->
+      List.for_all
+        (fun a ->
+          Msg.hash a >= 0
+          && List.for_all
+               (fun b ->
+                 (not (Msg.equal a b)) || Int.equal (Msg.hash a) (Msg.hash b))
+               envs)
+        envs)
+
 (* ---- Value against the seed's Set-backed value ---------------------- *)
 
 module O = Oracle.Value
@@ -220,6 +296,8 @@ let suites =
         Alcotest.test_case "FV confirm" `Quick test_fv_confirm;
         Alcotest.test_case "FV commit implies prepare" `Quick
           test_fv_commit_implies_prepare_tally;
+        Alcotest.test_case "FV dirty flags" `Quick test_fv_dirty_flags;
+        QCheck_alcotest.to_alcotest prop_msg_hash_agrees_with_equal;
         QCheck_alcotest.to_alcotest prop_value_of_ints;
         QCheck_alcotest.to_alcotest prop_value_pairs;
         QCheck_alcotest.to_alcotest prop_value_combine;
