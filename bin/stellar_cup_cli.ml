@@ -714,9 +714,9 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the analysis service daemon: newline-delimited JSON \
              requests (ping, version, analyze, run, stats, shutdown) in, \
-             versioned report envelopes out, with shared compiled-handle \
-             caches and one persistent worker pool across requests and \
-             clients")
+             versioned report envelopes out, with a file cache of \
+             compiled systems, a response cache and one persistent worker \
+             pool across requests and clients")
     Term.(const serve $ stdio $ socket $ jobs $ max_clients)
 
 (* ---- command wiring ---------------------------------------------------- *)

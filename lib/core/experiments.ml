@@ -543,12 +543,13 @@ let e9_graph_machinery ?(seed = 8) () =
         in
         let osr = Properties.is_k_osr g k in
         let sink = Properties.sink_of_exn g in
+        let h = Csr.of_graph g in
         let min_paths =
           Pid.Set.fold
             (fun i acc ->
               Pid.Set.fold
                 (fun j acc ->
-                  min acc (Connectivity.node_disjoint_paths g i j))
+                  min acc (Connectivity.node_disjoint_paths_csr h i j))
                 sink acc)
             (Pid.Set.diff (Digraph.vertices g) sink)
             max_int

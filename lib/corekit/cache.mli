@@ -1,42 +1,28 @@
 (** A generic keyed LRU cache with uniform, observable statistics.
 
-    This is the shared compiled-handle cache layer: the per-process
-    memos in front of [Fbqs.Quorum.Compiled] and [Graphkit.Csr] are
-    instances of it, as are the analysis daemon's file and response
-    caches. One implementation means one stats record shape
-    ({!type:stats}) everywhere and one capacity knob per instance
-    ({!set_capacity}, daemon-overridable); the daemon's [stats] verb
-    reports the {!stats} of every instance a request can reach: its
-    own two and the [Graphkit.Csr] memo.
+    The analysis daemon's file and response caches are its instances,
+    and its [stats] verb reports their {!stats}. The quorum and graph
+    kernels keep none: each caller compiles its own handle and holds
+    it for as long as it asks questions of it (DESIGN.md §14). The
+    two kernels' [cache_stats] stubs still return this record shape,
+    all zero, for the benchmark harness that reads them.
 
     Lookups are most-recently-used: a hit promotes the entry to the
     front, an insertion beyond capacity evicts the least recently used
-    entry. The cache is single-domain mutable state, like every other
-    registry in this codebase; all counters are plain integers, so
-    stats dumps are byte-deterministic.
+    entry. A cache is plain mutable state with no lock of its own: a
+    caller that shares one between domains runs every operation inside
+    [Simkit.Exec.protect], as the daemon does. All counters are plain
+    integers, so stats dumps are byte-deterministic.
 
     Keys are compared with the [equal] given at creation (default:
-    physical equality [( == )] — the right key for the handle caches,
-    whose keys are immutable compiled-from values). *)
+    physical equality [( == )]). *)
 
 type ('k, 'v) t
-
-type protector = { protect : 'a. (unit -> 'a) -> 'a }
-(** A critical section runner wrapped around every cache mutation. *)
-
-val set_protector : protector -> unit
-(** Installs the critical-section runner for {e all} caches (the
-    default runs the closure bare, costing nothing). [Simkit.Exec]
-    arms this with a mutex before its first domain spawn; nothing
-    else should call it — parallelism primitives stay behind the
-    executor seam. [find_or_add] computes outside the critical
-    section and re-probes before inserting, so a racing compute
-    yields one resident value, not two. *)
 
 type stats = {
   hits : int;  (** lookups answered from the cache *)
   misses : int;  (** lookups that found nothing; [hits + misses] = lookups *)
-  evictions : int;  (** entries dropped by capacity pressure or resize *)
+  evictions : int;  (** entries dropped by capacity pressure *)
   length : int;  (** current occupancy, [<= capacity] *)
   capacity : int;
 }
@@ -49,11 +35,6 @@ val create :
 val name : ('k, 'v) t -> string
 
 val capacity : ('k, 'v) t -> int
-
-val set_capacity : ('k, 'v) t -> int -> unit
-(** Shrinking below the current occupancy evicts least-recently-used
-    entries (counted in [evictions]).
-    @raise Invalid_argument if the new capacity is [< 1]. *)
 
 val length : ('k, 'v) t -> int
 

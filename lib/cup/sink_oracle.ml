@@ -2,10 +2,9 @@ open Graphkit
 
 type answer = { in_sink : bool; view : Pid.Set.t }
 
-(* [Condensation.unique_sink] runs on the compiled CSR handle memoized
-   per graph value, so repeated oracle queries against the same graph —
-   the common shape in sweeps and the per-process [get_sink] calls of a
-   run — condense it once, not once per query. *)
+(* Each entry point condenses its graph once: [get_sink] per call,
+   [shared] and [get_sink_restricted] at partial application, so a
+   run's per-process queries share one condensation. *)
 let sink_of g =
   match Condensation.unique_sink g with
   | Some s -> s
@@ -19,27 +18,28 @@ let shared g =
   let sink = sink_of g in
   fun i -> { in_sink = Pid.Set.mem i sink; view = sink }
 
-let get_sink_restricted ~seed ~f ~correct g i =
+let get_sink_restricted ~seed ~f ~correct g =
   let sink = sink_of g in
-  if Pid.Set.mem i sink then { in_sink = true; view = sink }
-  else begin
-    let rng = Random.State.make [| seed; i; 0x51c |] in
-    let pick k pool =
-      let arr = Array.of_list (Pid.Set.elements pool) in
-      let n = Array.length arr in
-      let k = min k n in
-      for idx = 0 to k - 1 do
-        let j = idx + Random.State.int rng (n - idx) in
-        let tmp = arr.(idx) in
-        arr.(idx) <- arr.(j);
-        arr.(j) <- tmp
-      done;
-      Pid.Set.of_list (Array.to_list (Array.sub arr 0 k))
-    in
-    let correct_sink = Pid.Set.inter sink correct in
-    let faulty_sink = Pid.Set.diff sink correct in
-    let view =
-      Pid.Set.union (pick (f + 1) correct_sink) (pick f faulty_sink)
-    in
-    { in_sink = false; view }
-  end
+  let correct_sink = Pid.Set.inter sink correct in
+  let faulty_sink = Pid.Set.diff sink correct in
+  fun i ->
+    if Pid.Set.mem i sink then { in_sink = true; view = sink }
+    else begin
+      let rng = Random.State.make [| seed; i; 0x51c |] in
+      let pick k pool =
+        let arr = Array.of_list (Pid.Set.elements pool) in
+        let n = Array.length arr in
+        let k = min k n in
+        for idx = 0 to k - 1 do
+          let j = idx + Random.State.int rng (n - idx) in
+          let tmp = arr.(idx) in
+          arr.(idx) <- arr.(j);
+          arr.(j) <- tmp
+        done;
+        Pid.Set.of_list (Array.to_list (Array.sub arr 0 k))
+      in
+      let view =
+        Pid.Set.union (pick (f + 1) correct_sink) (pick f faulty_sink)
+      in
+      { in_sink = false; view }
+    end

@@ -8,9 +8,9 @@
     checked against this oracle in the test suite.
 
     Sink detection runs on the compiled CSR graph kernel
-    ({!Graphkit.Csr}): the SCC partition and condensation are computed
-    once per graph value and memoized, so per-process oracle queries
-    against the same graph are cache hits. *)
+    ({!Graphkit.Csr}). {!get_sink} condenses its graph on every call;
+    {!shared} and {!get_sink_restricted} condense it once, at partial
+    application, and answer every process from that one sink. *)
 
 open Graphkit
 
@@ -34,4 +34,6 @@ val get_sink_restricted :
     the full [V_sink], but a non-sink member receives only a minimal
     view of [f + 1] correct sink members plus up to [f] faulty ones —
     the weakest answer Definition 8 permits. Deterministic in [seed] and
-    the queried process. *)
+    the queried process. Condenses the graph once, at partial
+    application.
+    @raise Invalid_argument like {!get_sink}, at partial application. *)

@@ -2,9 +2,8 @@ open Graphkit
 
 (* Each round halts every participant that the halted set blocks, one
    compiled v-blocking test per running participant. *)
-let blocking_cascade sys ~down =
-  let c = Quorum.compiled_of sys in
-  let parts = Quorum.participants sys in
+let blocking_cascade c ~down =
+  let parts = Quorum.participants (Quorum.Compiled.system c) in
   let rec go halted =
     let hd = Pid.Dense_set.of_set halted in
     let next =
@@ -48,10 +47,11 @@ let min_blocking_sets sys i =
           blocking
 
 let liveness_level sys =
+  let c = Quorum.Compiled.compile sys in
   let participants = Quorum.participants sys in
   let all = subsets_by_size participants in
   let halts_everything down =
-    Pid.Set.equal (blocking_cascade sys ~down) participants
+    Pid.Set.equal (blocking_cascade c ~down) participants
   in
   match List.find_opt halts_everything all with
   | Some s -> Pid.Set.cardinal s

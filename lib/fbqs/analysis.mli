@@ -11,12 +11,14 @@
 
 open Graphkit
 
-val blocking_cascade : Quorum.system -> down:Pid.Set.t -> Pid.Set.t
-(** The cascade of unavailability: starting from the [down] set, a node
-    halts when a halted set blocks it (every one of its slices contains
-    a halted node); halting nodes can halt further nodes. Returns the
-    full set of halted nodes (including [down]). This is the
-    "v-blocking closure" governing SCP liveness. *)
+val blocking_cascade : Quorum.Compiled.t -> down:Pid.Set.t -> Pid.Set.t
+(** The cascade of unavailability in the compiled system: starting
+    from the [down] set, a node halts when a halted set blocks it
+    (every one of its slices contains a halted node); halting nodes
+    can halt further nodes. Returns the full set of halted nodes
+    (including [down]). This is the "v-blocking closure" governing SCP
+    liveness. It takes a handle because its callers ask one system
+    about many [down] sets, and compiling costs more than a cascade. *)
 
 val min_blocking_sets : Quorum.system -> Pid.t -> Pid.Set.t list
 (** Inclusion-minimal sets that block the given node (intersect all its

@@ -1,23 +1,27 @@
 open Graphkit
 
-let quorum_available sys set =
+(* The public predicates compile per call; [maximal_clusters] compiles
+   once and asks the handle about every subset. *)
+let available c set =
   (not (Pid.Set.is_empty set))
-  && Pid.Set.equal
-       (Quorum.Compiled.greatest_quorum_within (Quorum.compiled_of sys) set)
-       set
+  && Pid.Set.equal (Quorum.Compiled.greatest_quorum_within c set) set
 
-let is_consensus_cluster sys ~correct ~mode set =
+let quorum_available sys set = available (Quorum.Compiled.compile sys) set
+
+let cluster c ~correct ~mode set =
   (not (Pid.Set.is_empty set))
   && Pid.Set.subset set correct
-  && quorum_available sys set
-  && Intertwine.set_intertwined sys mode set
+  && available c set
+  && Intertwine.set_intertwined (Quorum.Compiled.system c) mode set
+
+let is_consensus_cluster sys ~correct ~mode set =
+  cluster (Quorum.Compiled.compile sys) ~correct ~mode set
 
 let maximal_clusters sys ~correct ~mode () =
+  let c = Quorum.Compiled.compile sys in
   let clusters =
     Pid.Set.fold_subsets
-      (fun s acc ->
-        if is_consensus_cluster sys ~correct ~mode s then s :: acc
-        else acc)
+      (fun s acc -> if cluster c ~correct ~mode s then s :: acc else acc)
       correct []
   in
   List.filter

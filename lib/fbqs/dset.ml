@@ -3,10 +3,14 @@ open Graphkit
 (* Mazières' definition: V \ B must be a quorum of the ORIGINAL system
    (or B covers everything) — availability is judged before deletion,
    intersection after. *)
+let available_despite c b =
+  let survivors =
+    Pid.Set.diff (Quorum.participants (Quorum.Compiled.system c)) b
+  in
+  Pid.Set.is_empty survivors || Quorum.Compiled.is_quorum c survivors
+
 let quorum_availability_despite sys b =
-  let survivors = Pid.Set.diff (Quorum.participants sys) b in
-  Pid.Set.is_empty survivors
-  || Quorum.Compiled.is_quorum (Quorum.compiled_of sys) survivors
+  available_despite (Quorum.Compiled.compile sys) b
 
 (* Intersection runs on [Enum]'s branch-and-bound, which has no
    participant guard; the seed Gosper sweep it replaced is the test
@@ -14,13 +18,17 @@ let quorum_availability_despite sys b =
    test/test_enum.ml). [b] may name nodes outside the slice map (e.g.
    Byzantine processes that declared nothing): they belong to no
    quorum, so deleting them only prunes them out of others' slices. *)
-let is_dset sys b =
-  quorum_availability_despite sys b && Enum.quorum_intersection_despite sys b
+let dset c b =
+  available_despite c b
+  && Enum.quorum_intersection_despite (Quorum.Compiled.system c) b
+
+let is_dset sys b = dset (Quorum.Compiled.compile sys) b
 
 let all_dsets ?(extra = Pid.Set.empty) sys =
+  let c = Quorum.Compiled.compile sys in
   List.rev
     (Pid.Set.fold_subsets
-       (fun b acc -> if is_dset sys b then b :: acc else acc)
+       (fun b acc -> if dset c b then b :: acc else acc)
        (Pid.Set.union (Quorum.participants sys) extra)
        [])
 

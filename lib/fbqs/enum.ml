@@ -48,7 +48,6 @@ type tally = {
    the handle, and nothing keeps it alive once [t] is dropped. *)
 type t = {
   compiled : Quorum.Compiled.t;
-  sys : Quorum.system;
   parts : Pid.Set.t;
   tally : tally;
   mutable sccs : D.t list option;  (* memo of [quorum_sccs] *)
@@ -68,17 +67,18 @@ let new_tally ?metrics () =
     c_found = counter "fbqs_enum_quorums_found";
   }
 
-let prepare ?metrics sys =
+let of_compiled ?metrics compiled =
   {
-    compiled = Quorum.Compiled.compile sys;
-    sys;
-    parts = Quorum.participants sys;
+    compiled;
+    parts = Quorum.participants (Quorum.Compiled.system compiled);
     tally = new_tally ?metrics ();
     sccs = None;
     minimal = None;
   }
 
-let system t = t.sys
+let prepare ?metrics sys = of_compiled ?metrics (Quorum.Compiled.compile sys)
+
+let system t = Quorum.Compiled.system t.compiled
 
 let stats t : stats =
   {
@@ -255,7 +255,7 @@ let quorum_walk c ~bound ~accept tl ~frontier ~emit
    each component already shrunk to its own greatest quorum. Row [i]
    is [domain_d i ∩ W], ascending and inside [W], so the rows compile
    straight into a CSR handle with [Csr.of_rows]: no tree-set graph is
-   built, and no handle enters [Csr.get]'s cache. *)
+   built. *)
 let contract c parts =
   let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set parts) in
   if D.is_empty w then []
@@ -527,7 +527,7 @@ let minimal_splitting_sets ?metrics ?universe ?max_size ?(jobs = 1) t =
      return their tallies, which [sink] absorbs into [metrics]; so the
      counters come out identical at every [jobs] count. *)
   let sink = new_tally ?metrics () in
-  let sys = t.sys in
+  let sys = system t in
   let splits_checked b =
     let t' = prepare (Quorum.delete sys b) in
     (not (intersects ~jobs:1 t'), t'.tally)

@@ -49,10 +49,12 @@ open Graphkit
 
 type t
 (** A prepared analyzer: a compiled system plus search statistics.
-    The analyzer owns its compiled handle and shares it with no other
-    value. The contraction to quorum-bearing SCCs and the minimal
-    quorums are computed once on first demand and kept in [t], so
-    nothing of an analysis outlives its [t]. *)
+    The analyzer holds its compiled handle for its whole life; the
+    handle is immutable, so the caller that compiled it may keep and
+    reuse it (the daemon's file cache does). The contraction to
+    quorum-bearing SCCs and the minimal quorums are computed once on
+    first demand and kept in [t], so nothing of an analysis outlives
+    its [t]. *)
 
 type stats = {
   explored : int;  (** search-tree nodes visited *)
@@ -62,12 +64,14 @@ type stats = {
           enumeration, and at most one hit per intersection decision *)
 }
 
-val prepare : ?metrics:Obs.Metrics.t -> Quorum.system -> t
-(** Compiles the system with {!Quorum.Compiled.compile}, into a handle
-    only this analyzer holds. When [metrics] is given, the search also
-    drives the [fbqs_enum_explored] / [fbqs_enum_pruned] /
+val of_compiled : ?metrics:Obs.Metrics.t -> Quorum.Compiled.t -> t
+(** An analyzer over a compiled system. When [metrics] is given, the
+    search also drives the [fbqs_enum_explored] / [fbqs_enum_pruned] /
     [fbqs_enum_quorums_found] counters, so analysis runs are traceable
-    like every other subsystem.
+    like every other subsystem. *)
+
+val prepare : ?metrics:Obs.Metrics.t -> Quorum.system -> t
+(** {!of_compiled} on a fresh {!Quorum.Compiled.compile} of the system.
     @raise Invalid_argument when the system names a negative pid. *)
 
 val system : t -> Quorum.system

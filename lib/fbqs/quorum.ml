@@ -19,10 +19,9 @@ let participants = Pid.Map.keys
    an array load plus (for threshold slices) one popcount shared across
    every member with a structurally equal member set ("class").
 
-   Compilation is explicit ({!Compiled.compile}); callers that query
-   one live system value through many separate calls share its
-   handle through the bounded most-recently-compiled cache below,
-   keyed by physical equality. *)
+   Compilation is explicit ({!Compiled.compile}): a caller compiles
+   once and passes the handle down its own loops. Nothing here keeps
+   a handle. *)
 
 module D = Pid.Dense_set
 
@@ -35,7 +34,7 @@ type entry =
           [cls] indexes the shared member-set class. *)
 
 type compiled = {
-  csys : system;  (** the compiled system, also the cache key *)
+  csys : system;  (** the compiled system *)
   bound : int;  (** pids outside [0, bound) are [Absent] *)
   entries : entry array;
   class_sets : D.t array;  (** distinct threshold member sets *)
@@ -43,7 +42,7 @@ type compiled = {
 
 (* Process ids are non-negative (DESIGN.md §8): a negative owner is
    refused here, a negative slice member by [D.of_set]. *)
-let compile_raw sys =
+let compile sys =
   (match Pid.Map.min_binding_opt sys with
   | Some (i, _) when i < 0 ->
       invalid_arg "Quorum.Compiled.compile: negative process id"
@@ -112,7 +111,7 @@ let member_ok c counts qd i =
 module Compiled = struct
   type t = compiled
 
-  let compile = compile_raw
+  let compile = compile
   let system c = c.csys
 
   let is_quorum_d c qd =
@@ -169,27 +168,8 @@ module Compiled = struct
         sat && D.cardinal members - D.inter_cardinal members b < threshold
 end
 
-(* ---- shared compiled-handle cache ------------------------------------
-
-   Bounded most-recently-used cache over {!Core.Cache}, keyed by
-   physical equality of the system map; a miss costs one O(system)
-   compilation. Its clients are the small-system analyses
-   ({!enum_quorums}, [Cluster], [Dset], [Analysis]), which query one
-   system many times. Two callers keep handles of their own instead.
-   The {!Enum} analyzer holds one in its [t], which every search on
-   it shares; through this cache each analysis of a freshly parsed
-   system would miss, and the 64 entries would keep that many dead
-   systems alive. SCP federated voting keeps one per node
-   ([Scp.Fvoting]): its views evolve with every learned declaration,
-   and through a shared cache concurrent runs would count each
-   other's lookups. *)
-
-let cache : (system, compiled) Core.Cache.t =
-  Core.Cache.create ~name:"fbqs_quorum_compiled" ~capacity:64 ()
-
-let cache_stats () = Core.Cache.stats cache
-let set_cache_capacity n = Core.Cache.set_capacity cache n
-let compiled_of sys = Core.Cache.find_or_add cache sys (fun () -> compile_raw sys)
+let cache_stats () =
+  { Core.Cache.hits = 0; misses = 0; evictions = 0; length = 0; capacity = 0 }
 
 (* Mazières' delete operation: remove the nodes of [b] from the system
    and from every remaining slice. Lives here (rather than in {!Dset})
@@ -220,7 +200,7 @@ let delete sys b =
     sys
 
 let enum_quorums sys =
-  let c = compiled_of sys in
+  let c = Compiled.compile sys in
   Pid.Set.fold_subsets
     (fun s acc -> if Compiled.is_quorum c s then s :: acc else acc)
     (participants sys) []

@@ -9,8 +9,10 @@
     mid-run keeps its own handle (SCP federated voting recompiles its
     view when it learns a slice declaration, [Scp.Fvoting]), and so
     does the {!Enum} analyzer, whose handle lives exactly as long as
-    the analyzer. The small-system analyses share handles through
-    {!compiled_of}.
+    the analyzer. The small-system analyses ({!enum_quorums}, [Cluster],
+    [Dset], [Analysis]) compile once per call and pass the handle down
+    their own loops; nothing keeps a handle past the call that made
+    it.
     Process ids are non-negative: every query raises
     [Invalid_argument] on a system or candidate set naming a negative
     pid, as {!Pid.Dense_set} does. See DESIGN.md §8 and §9. *)
@@ -93,29 +95,10 @@ module Compiled : sig
       within [domain_d c i] minus [b]. *)
 end
 
-(** {2 The shared compiled-handle cache}
-
-    A process-wide {!Core.Cache} instance keyed by physical equality
-    of the system value, holding 64 entries. *)
-
-val compiled_of : system -> Compiled.t
-(** The cache lookup itself: the compiled handle for [sys], reused
-    while the same system value stays hot. For callers that ask one
-    live system many questions through separate calls: {!enum_quorums}
-    and the brute-force analyses of [Cluster], [Dset] and [Analysis].
-    A caller that holds its handle for as long as it needs it, as
-    {!Enum.prepare} does, calls {!Compiled.compile} instead, so that
-    no dead system stays cached. *)
-
 val cache_stats : unit -> Core.Cache.stats
-(** Cumulative shared-cache accounting for this process. The same
-    record shape as
-    {!Graphkit.Csr.cache_stats} and every other {!Core.Cache}
-    instance. *)
-
-val set_cache_capacity : int -> unit
-(** Resizes the shared cache (64 entries until called).
-    @raise Invalid_argument below 1. *)
+(** All zero: no process-wide cache of compiled handles exists. Kept
+    only because the benchmark harness still reads it (ROADMAP item 5
+    removes it with the harness's own next change). *)
 
 val delete : system -> Pid.Set.t -> system
 (** Mazières' delete operation: removes the nodes of [b] from the

@@ -1,12 +1,12 @@
-(* A condensation is a view of the memoized CSR handle: the SCC
-   partition and DAG are computed once per graph value and shared by
-   every query. Component ids, DAG successor lists and sink ids equal
-   the seed construction's (the oracle in [test/oracle]) — Csr's
-   determinism contract. *)
+(* A condensation is a view of a compiled CSR handle, which computes
+   the SCC partition and DAG once and keeps them for every query on
+   it. Component ids, DAG successor lists and sink ids equal the seed
+   construction's (the oracle in [test/oracle]) — Csr's determinism
+   contract. *)
 
 type t = Csr.t
 
-let make = Csr.get
+let make = Csr.of_graph
 let components = Csr.scc_component_sets
 
 let component_of h i =

@@ -6,13 +6,13 @@
     member of [C] to any vertex outside [C]. The k-OSR property requires
     the condensation to have exactly one sink.
 
-    Queries run on the compiled {!Csr} kernel: [make] is a memoized
-    handle lookup, so the consumers that condense per query (the sink
-    oracle, k-OSR checks, pipeline sweeps) compute the SCC partition
-    and DAG once per graph. It raises [Invalid_argument] on a graph
-    naming a negative pid. Component ids, DAG lists and sink ids equal
-    the seed tree-set construction's, which is the test oracle in
-    [test/oracle]. *)
+    Queries run on the compiled {!Csr} kernel: [make] compiles the
+    graph ({!Csr.of_graph}), and the handle computes the SCC partition
+    and DAG once for every query asked of it; a caller that asks one
+    graph many questions holds the handle. [make] raises
+    [Invalid_argument] on a graph naming a negative pid. Component ids,
+    DAG lists and sink ids equal the seed tree-set construction's, which
+    is the test oracle in [test/oracle]. *)
 
 type t
 

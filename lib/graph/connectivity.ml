@@ -32,42 +32,37 @@ let menger_masked h mask s t =
   done;
   Flow.max_flow net
 
-let node_disjoint_paths g src dst =
-  let h = Csr.get g in
+let node_disjoint_paths_csr h src dst =
   if Pid.equal src dst then 0
   else
     match (Csr.index_of h src, Csr.index_of h dst) with
     | Some s, Some t -> menger_masked h (Array.make (Csr.n_vertices h) true) s t
     | _ -> 0
 
-let is_k_strongly_connected g k =
-  let verts = Pid.Set.elements (Digraph.vertices g) in
-  match verts with
-  | [] | [ _ ] -> true
-  | _ ->
-      List.for_all
-        (fun i ->
-          List.for_all
-            (fun j -> Pid.equal i j || node_disjoint_paths g i j >= k)
-            verts)
-        verts
+let node_disjoint_paths g src dst =
+  node_disjoint_paths_csr (Csr.of_graph g) src dst
 
-let vertex_connectivity g =
-  let verts = Pid.Set.elements (Digraph.vertices g) in
-  match verts with
-  | [] | [ _ ] -> max_int
-  | _ ->
-      List.fold_left
-        (fun acc i ->
-          List.fold_left
-            (fun acc j ->
-              if Pid.equal i j then acc
-              else min acc (node_disjoint_paths g i j))
-            acc verts)
-        max_int verts
+(* The least count over ordered pairs of distinct vertices ([max_int]
+   below two vertices), on one handle; the scan stops at the first
+   pair under [floor]. *)
+let least_paths g ~floor =
+  let h = Csr.of_graph g in
+  let n = Csr.n_vertices h in
+  let full = Array.make n true in
+  let least = ref max_int in
+  for s = 0 to n - 1 do
+    for t = 0 to n - 1 do
+      if s <> t && !least >= floor then
+        least := min !least (menger_masked h full s t)
+    done
+  done;
+  !least
+
+let is_k_strongly_connected g k = least_paths g ~floor:k >= k
+let vertex_connectivity g = least_paths g ~floor:min_int
 
 let disjoint_paths_within g ~allowed src dst =
-  let h = Csr.get g in
+  let h = Csr.of_graph g in
   if Pid.equal src dst then 0
   else
     match (Csr.index_of h src, Csr.index_of h dst) with

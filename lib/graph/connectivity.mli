@@ -9,14 +9,19 @@
     Networks are built straight from the compiled {!Csr} rows (for the
     restricted variant, via a bool mask rather than an induced
     subgraph), so every count raises [Invalid_argument] on a graph
-    naming a negative pid. Max-flow values are unique, so the counts
-    equal the seed construction's, the test oracle in
-    [test/oracle]. *)
+    naming a negative pid. Each function compiles its graph once, and
+    the all-pairs checks run every pair on that one handle. Max-flow
+    values are unique, so the counts equal the seed construction's, the
+    test oracle in [test/oracle]. *)
 
 val node_disjoint_paths : Digraph.t -> Pid.t -> Pid.t -> int
 (** Maximum number of internally node-disjoint directed paths from the
     first vertex to the second. Returns 0 when either endpoint is absent
     or the endpoints are equal. A direct edge counts as one path. *)
+
+val node_disjoint_paths_csr : Csr.t -> Pid.t -> Pid.t -> int
+(** {!node_disjoint_paths} on a handle the caller compiled, for loops
+    that count paths between many pairs of one graph. *)
 
 val is_k_strongly_connected : Digraph.t -> int -> bool
 (** Condition 3 of Definition 6: every ordered pair of distinct vertices

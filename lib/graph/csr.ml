@@ -4,13 +4,12 @@
    construction, painful for whole-graph analysis: every Tarjan frame
    pays a [Pid.Set.elements], every neighbour probe a [Pid.Map.find].
    This module compiles a graph once into dense int arrays (the same
-   move [Fbqs.Quorum.Compiled] makes for quorum checks) and memoizes
-   the compiled handle per graph value, so the condensation-hungry
-   consumers (sink oracle, k-OSR checks, pipeline sweeps) stop
-   recomputing SCCs per query. A caller that already holds ascending
-   int rows, as the [Fbqs.Enum] contraction does, compiles them with
-   [of_rows] and builds no tree-set graph at all; [of_graph] feeds the
-   same compiler a digraph's rows.
+   move [Fbqs.Quorum.Compiled] makes for quorum checks); the handle
+   memoizes its SCC partition and condensation, and the caller that
+   compiled it holds it while it asks its questions. A caller that
+   already holds ascending int rows, as the [Fbqs.Enum] contraction
+   does, compiles them with [of_rows] and builds no tree-set graph at
+   all; [of_graph] feeds the same compiler a digraph's rows.
 
    Determinism contract: the dense index order is the ascending pid
    order and every adjacency row is sorted ascending, so the iterative
@@ -142,21 +141,8 @@ let of_graph g =
     g;
   compile "Csr.of_graph" ~length:Pid.Set.cardinal ~iter:Pid.Set.iter pids rows
 
-(* ---- per-graph memo -------------------------------------------------- *)
-
-(* Bounded most-recently-used {!Core.Cache} keyed by physical equality
-   of the graph value, the same shared cache layer as the quorum
-   kernel's compiled-handle cache. Graphs are immutable, so a hit can
-   never be stale; a hit is promoted to the front so a working set of
-   up to the capacity (a sweep's base graph plus the sink subgraphs of
-   its k-OSR checks) never thrashes. *)
-
-let cache : (Digraph.t, t) Core.Cache.t =
-  Core.Cache.create ~name:"graphkit_csr" ~capacity:16 ()
-
-let cache_stats () = Core.Cache.stats cache
-
-let get g = Core.Cache.find_or_add cache g (fun () -> of_graph g)
+let cache_stats () =
+  { Core.Cache.hits = 0; misses = 0; evictions = 0; length = 0; capacity = 0 }
 
 (* ---- strongly connected components ----------------------------------- *)
 

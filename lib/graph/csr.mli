@@ -4,10 +4,11 @@
     A {!Digraph.t} is compiled once into dense int arrays — a
     deterministic pid ↔ dense-index interning (ascending pid order) plus
     [succ]/[pred] adjacency rows behind offset arrays — and the handle
-    memoizes the SCC partition and the condensation, so the consumers
-    that condense the same graph once per query (the sink oracle of
-    Definition 8, the k-OSR checks, pipeline sweeps) pay for the
-    analysis once per graph instead. Results are guaranteed identical to
+    memoizes the SCC partition and the condensation. Nothing keeps a
+    handle but the caller that compiled it: a public graph function
+    compiles its argument once per call and passes the handle down its
+    own loops (the pair loops of the k-OSR checks, the sink oracle's
+    per-process answers). Results are guaranteed identical to
     the seed tree-set algorithms (the oracles in [test/oracle]),
     including SCC emission order and condensation successor-list order.
     Process ids are non-negative (DESIGN.md §8): a graph naming a
@@ -34,20 +35,10 @@ val of_graph : Digraph.t -> t
     reading each successor set in place: O(V + E).
     @raise Invalid_argument when some vertex is a negative pid. *)
 
-val get : Digraph.t -> t
-(** Memoized {!of_graph}: a bounded most-recently-used {!Core.Cache}
-    keyed by {e physical} equality of the graph value (graphs are
-    immutable, so hits can never be stale). This is the entry point of
-    the graph analyses that query one live graph many times, the sink
-    oracle and the k-OSR checks. A graph built for one question and
-    dropped after it is compiled with {!of_graph} or {!of_rows}, so
-    that no dead graph stays cached.
-    @raise Invalid_argument when some vertex is a negative pid. *)
-
 val cache_stats : unit -> Core.Cache.stats
-(** Cumulative shared-cache accounting for this process — the same
-    record shape as {!Fbqs.Quorum.cache_stats} and every other
-    {!Core.Cache} instance; reported by the daemon's [stats] verb. *)
+(** All zero: no process-wide cache of compiled graphs exists. Kept
+    only because the benchmark harness still reads it (ROADMAP item 5
+    removes it with the harness's own next change). *)
 
 val n_vertices : t -> int
 

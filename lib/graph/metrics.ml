@@ -12,7 +12,9 @@ type t = {
   sink_size : int option;
 }
 
+(* One handle answers every eccentricity, the SCC count and the sink. *)
 let compute g =
+  let h = Csr.of_graph g in
   let vs = Pid.Set.elements (Digraph.vertices g) in
   let n = List.length vs in
   let m = Digraph.n_edges g in
@@ -31,7 +33,7 @@ let compute g =
       Some
         (List.fold_left
            (fun acc v ->
-             match Traversal.eccentricity g v with
+             match Traversal.eccentricity_csr h v with
              | Some e -> max acc e
              | None -> acc)
            0 vs)
@@ -47,8 +49,11 @@ let compute g =
     density =
       (if n <= 1 then 0. else float_of_int m /. float_of_int (n * (n - 1)));
     diameter;
-    scc_count = List.length (Scc.components g);
-    sink_size = Option.map Pid.Set.cardinal (Condensation.unique_sink g);
+    scc_count = Csr.scc_count h;
+    sink_size =
+      (match Csr.dag_sinks h with
+      | [ k ] -> Some (Pid.Set.cardinal (Csr.scc_component_sets h).(k))
+      | _ -> None);
   }
 
 let pp ppf t =

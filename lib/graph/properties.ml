@@ -15,17 +15,21 @@ let pp_osr_failure ppf = function
       Format.fprintf ppf
         "only %d node-disjoint paths from non-sink %d to sink member %d" c i j
 
+(* One handle of [g] answers connectivity, the sink and every
+   non-sink × sink path count; the sink subgraph is compiled once for
+   its pairs. Its connectivity is below [k] exactly when it is not
+   k-strongly connected, so one scan decides and reports it. *)
 let check_k_osr g k =
-  if not (Traversal.is_connected_undirected g) then Error Not_connected
+  let h = Csr.of_graph g in
+  if not (Traversal.is_connected_undirected_csr h) then Error Not_connected
   else
-    match Condensation.sink_components g with
+    match Csr.dag_sinks h with
     | [] -> Error (Sink_count 0)
     | _ :: _ :: _ as cs -> Error (Sink_count (List.length cs))
-    | [ sink ] ->
-        let sink_graph = Digraph.subgraph sink g in
-        if not (Connectivity.is_k_strongly_connected sink_graph k) then
-          Error
-            (Sink_not_k_connected (Connectivity.vertex_connectivity sink_graph))
+    | [ s ] ->
+        let sink = (Csr.scc_component_sets h).(s) in
+        let c = Connectivity.vertex_connectivity (Digraph.subgraph sink g) in
+        if c < k then Error (Sink_not_k_connected c)
         else begin
           let non_sink = Pid.Set.diff (Digraph.vertices g) sink in
           let offending =
@@ -39,7 +43,9 @@ let check_k_osr g k =
                         match acc with
                         | Some _ -> acc
                         | None ->
-                            let c = Connectivity.node_disjoint_paths g i j in
+                            let c =
+                              Connectivity.node_disjoint_paths_csr h i j
+                            in
                             if c < k then Some (i, j, c) else None)
                       sink None)
               non_sink None

@@ -1,7 +1,7 @@
 (** Strongly connected components (Tarjan's algorithm).
 
-    Queries run on the compiled {!Csr} kernel (memoized per graph
-    value), so every function here raises [Invalid_argument] on a graph
+    Queries compile the graph into the {!Csr} kernel, so every
+    function here raises [Invalid_argument] on a graph
     naming a negative pid. The seed tree-set Tarjan is the test oracle
     in [test/oracle]; both emit identical results, ordering
     included. *)

@@ -42,7 +42,7 @@ let set_of_reached h dist =
 (* ---- public API -------------------------------------------------------- *)
 
 let bfs_layers g src =
-  let h = Csr.get g in
+  let h = Csr.of_graph g in
   match Csr.index_of h src with
   | None -> []
   | Some s ->
@@ -56,7 +56,7 @@ let bfs_layers g src =
       Array.to_list layers
 
 let reachable g src =
-  let h = Csr.get g in
+  let h = Csr.of_graph g in
   match Csr.index_of h src with
   | None -> Pid.Set.empty
   | Some s -> set_of_reached h (bfs_dist h s)
@@ -64,7 +64,7 @@ let reachable g src =
 let reachable_from_set g srcs =
   (* One multi-source BFS: the union of per-source reachable sets is
      exactly the set reached from all (present) sources at once. *)
-  let h = Csr.get g in
+  let h = Csr.of_graph g in
   let n = Csr.n_vertices h in
   let off = Csr.succ_off h and arr = Csr.succ_arr h in
   let dist = Array.make n (-1) in
@@ -94,7 +94,7 @@ let reachable_from_set g srcs =
   set_of_reached h dist
 
 let distance g src dst =
-  let h = Csr.get g in
+  let h = Csr.of_graph g in
   match (Csr.index_of h src, Csr.index_of h dst) with
   | Some s, Some t ->
       let d = (bfs_dist h s).(t) in
@@ -132,8 +132,7 @@ let shortest_path g src dst =
     in
     loop ()
 
-let is_connected_undirected g =
-  let h = Csr.get g in
+let is_connected_undirected_csr h =
   let n = Csr.n_vertices h in
   n = 0
   ||
@@ -166,8 +165,11 @@ let is_connected_undirected g =
   done;
   !tail = n
 
-let eccentricity g i =
-  let h = Csr.get g in
+let is_connected_undirected g = is_connected_undirected_csr (Csr.of_graph g)
+
+let eccentricity_csr h i =
   match Csr.index_of h i with
   | None -> None
   | Some s -> Some (Array.fold_left max 0 (bfs_dist h s))
+
+let eccentricity g i = eccentricity_csr (Csr.of_graph g) i

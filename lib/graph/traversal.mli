@@ -1,6 +1,8 @@
 (** Graph traversals and reachability queries.
 
-    Queries run as int-array BFS on the compiled {!Csr} kernel, so they
+    Queries run as int-array BFS on the compiled {!Csr} kernel: each
+    compiles its graph once, and the [_csr] variants take a handle the
+    caller compiled, for loops that ask one graph many questions. They
     raise [Invalid_argument] on a graph naming a negative pid
     ({!shortest_path} excepted: it walks the graph directly). The seed
     set-union implementations are the test oracle in [test/oracle];
@@ -32,3 +34,11 @@ val is_connected_undirected : Digraph.t -> bool
 val eccentricity : Digraph.t -> Pid.t -> int option
 (** Longest directed distance from the vertex to any vertex reachable
     from it; [None] when the vertex is absent from the graph. *)
+
+(** {2 On a compiled graph} *)
+
+val is_connected_undirected_csr : Csr.t -> bool
+(** {!is_connected_undirected} on a handle. *)
+
+val eccentricity_csr : Csr.t -> Pid.t -> int option
+(** {!eccentricity} on a handle. *)

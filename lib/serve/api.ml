@@ -122,13 +122,14 @@ type analysis = {
   registry : Obs.Metrics.t option;
 }
 
-let analyze opts sys =
+let analyze_compiled opts c =
   (* [opts.jobs] moves wall-clock only: every Enum entry point is
      byte-identical at every jobs count, and the payload never
      mentions jobs, so reports stay comparable across executors. *)
   let jobs = opts.jobs in
   let metrics = if opts.metrics then Some (Obs.Metrics.create ()) else None in
-  let t = Fbqs.Enum.prepare ?metrics sys in
+  let t = Fbqs.Enum.of_compiled ?metrics c in
+  let sys = Fbqs.Enum.system t in
   let participants = Fbqs.Quorum.participants sys in
   let minimal_quorums = Fbqs.Enum.minimal_quorums ~jobs t in
   let intersection = Fbqs.Enum.check_intersection ~jobs t in
@@ -162,6 +163,8 @@ let analyze opts sys =
     search = Fbqs.Enum.stats t;
     registry = metrics;
   }
+
+let analyze opts sys = analyze_compiled opts (Fbqs.Quorum.Compiled.compile sys)
 
 let pid_set_json s =
   Obs.Json.List (List.map (fun i -> Obs.Json.Int i) (Pid.Set.elements s))

@@ -86,10 +86,16 @@ type analysis = {
   registry : Obs.Metrics.t option;  (** present iff [metrics] was set *)
 }
 
+val analyze_compiled : analysis_options -> Fbqs.Quorum.Compiled.t -> analysis
+(** Runs the {!Fbqs.Enum} analyzer on a fresh [Enum.t] over the given
+    handle ({!Fbqs.Enum.of_compiled}). The handle is immutable and the
+    analysis keeps nothing of it once the call returns, so a caller
+    may keep one handle per system and analyze it again: the daemon's
+    file cache does. *)
+
 val analyze : analysis_options -> Fbqs.Quorum.system -> analysis
-(** Runs the {!Fbqs.Enum} analyzer on a fresh [Enum.t], which compiles
-    the system for itself: nothing of the analysis outlives the call,
-    and no process-wide cache is consulted. *)
+(** {!analyze_compiled} on a fresh {!Fbqs.Quorum.Compiled.compile} of
+    the system: nothing of the analysis outlives the call. *)
 
 val analysis_payload : analysis_options -> analysis -> Obs.Json.t
 (** The [fbas analyze --json] payload object (byte-identical to the

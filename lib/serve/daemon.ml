@@ -13,15 +13,15 @@
    caches) moves under {!Simkit.Exec.protect}, the one sanctioned
    mutual-exclusion seam outside lib/sim.
 
-   Two caches are the daemon's own:
-   - a file cache (path -> parsed system), so a repeated [analyze] of
-     the same file skips the parse; the analyzer compiles its own
-     handle per request and keeps nothing once it answers;
+   The daemon's two caches are the only caches in the process:
+   - a file cache (path -> compiled system), so a repeated [analyze]
+     of the same file skips the parse and the compile; the parse and
+     its handle are kept and evicted together, and each analysis
+     keeps nothing of the handle once it answers;
    - a response cache (canonical request, minus id -> payload and
      trace) that answers byte-identical repeats without re-running
      the engine.
-   [stats] also reports {!Graphkit.Csr.get}'s process-wide cache,
-   which [run] reaches through the sink oracle.
+   Every operation on either runs under {!Simkit.Exec.protect}.
 
    Byzantine fault tolerance of the service itself is out of scope:
    the daemon trusts its local client, exactly like the CLI trusts
@@ -40,7 +40,7 @@ type cached = {
 }
 
 type t = {
-  files : (string, Fbqs.Quorum.system) Core.Cache.t;
+  files : (string, Fbqs.Quorum.Compiled.t) Core.Cache.t;
   responses : (string, cached) Core.Cache.t;
   jobs : int;  (* default Enum parallelism for [analyze] *)
   mutable requests : int;
@@ -137,7 +137,11 @@ let version_payload =
     ]
 
 let stats_payload t =
-  let cache s = Core.Cache.stats_to_json s in
+  let cache c =
+    ( Core.Cache.name c,
+      Core.Cache.stats_to_json
+        (Simkit.Exec.protect (fun () -> Core.Cache.stats c)) )
+  in
   J.Obj
     [
       ("requests", J.Int t.requests);
@@ -150,22 +154,17 @@ let stats_payload t =
             ("active_clients", J.Int t.active_clients);
             ("clients_served", J.Int t.clients_served);
           ] );
-      ( "caches",
-        J.Obj
-          [
-            ("graphkit_csr", cache (Graphkit.Csr.cache_stats ()));
-            ( Core.Cache.name t.files,
-              cache (Core.Cache.stats t.files) );
-            ( Core.Cache.name t.responses,
-              cache (Core.Cache.stats t.responses) );
-          ] );
+      ("caches", J.Obj [ cache t.files; cache t.responses ]);
     ]
 
-let load_system t path =
-  Core.Cache.find_or_add t.files path (fun () ->
-      match Fbqs.Fbas_io.of_file path with
-      | Ok sys -> sys
-      | Error e -> bad "cannot read %s" e)
+(* The lock is held through a miss's parse and compile, which happen
+   once per file. *)
+let compiled_file t path =
+  Simkit.Exec.protect (fun () ->
+      Core.Cache.find_or_add t.files path (fun () ->
+          match Fbqs.Fbas_io.of_file path with
+          | Ok sys -> Fbqs.Quorum.Compiled.compile sys
+          | Error e -> bad "cannot read %s" e))
 
 let analyze_verb t fields =
   let path = req_string_field fields "file" in
@@ -186,8 +185,8 @@ let analyze_verb t fields =
       jobs = min t.jobs (max 1 (int_field fields "jobs" ~default:t.jobs));
     }
   in
-  let sys = load_system t path in
-  let payload = Api.analysis_payload opts (Api.analyze opts sys) in
+  let c = compiled_file t path in
+  let payload = Api.analysis_payload opts (Api.analyze_compiled opts c) in
   (payload, [])
 
 let run_verb fields =
@@ -287,10 +286,15 @@ let dispatch t fields =
          is an input condition, not a property of the request), so a
          fixed request replays byte-identically while the environment
          holds still — exactly the determinism the serve gate checks. *)
+      (* The lookup and the insert each take the lock; the compute
+         between them runs without it, since a run or an analysis may
+         call [Simkit.Exec.map]. *)
       let cacheable compute =
         let key = cache_key fields in
         let c =
-          match Core.Cache.find_opt t.responses key with
+          match
+            Simkit.Exec.protect (fun () -> Core.Cache.find_opt t.responses key)
+          with
           | Some c -> c
           | None ->
               let payload, trace = compute () in
@@ -298,7 +302,7 @@ let dispatch t fields =
                 { c_verb = verb; c_ok = true; c_payload = payload;
                   c_trace = trace }
               in
-              Core.Cache.add t.responses key c;
+              Simkit.Exec.protect (fun () -> Core.Cache.add t.responses key c);
               c
         in
         ok_lines ~id ~verb ~trace:c.c_trace c.c_payload

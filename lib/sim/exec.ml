@@ -18,20 +18,6 @@ let backend ~jobs n =
   else if fork_available then Fork
   else Sequential
 
-(* Shared mutable state reachable from jobs (the Core.Cache handle
-   memos and the lazy analysis fields inside compiled handles) is
-   written with idempotent, input-determined values, so racing on it
-   is output-deterministic; but the cache's entry-list/length pair
-   should still move atomically. The executor arms Core.Cache's
-   critical-section hook with the backend's lock the first time the
-   domain backend engages. The actual Mutex lives in
-   exec_domains_native.ml — stdlib on OCaml 5, a separate threads
-   library on 4.14, so this module never names it and no protocol or
-   analysis code ever touches locking directly. *)
-let arm_cache_protector =
-  lazy
-    (Core.Cache.set_protector { Core.Cache.protect = Exec_domains.locked })
-
 (* Chunks amortize dispatch overhead for many tiny jobs but cost load
    balance for few heavy ones; experiment sweeps are firmly in the
    second camp (tens of multi-millisecond simulations), so the default
@@ -39,7 +25,6 @@ let arm_cache_protector =
 let default_chunk ~jobs n = max 1 (min 1024 (n / (jobs * 32)))
 
 let map_domains ~chunk ~jobs f xs =
-  Lazy.force arm_cache_protector;
   let input = Array.of_list xs in
   let n = Array.length input in
   let slots = Array.make n None in
@@ -87,18 +72,11 @@ let jobs_from_env () =
       | Some j when j >= 1 -> Some j
       | _ -> None)
 
-let protect f =
-  Lazy.force arm_cache_protector;
-  Exec_domains.locked f
+let protect = Exec_domains.locked
 
 type task = Exec_domains.task
 
-let spawn_task f =
-  (* Detached tasks (daemon client handlers) race on the shared
-     Core.Cache handles exactly like pool workers do: arm the
-     protector before the first one starts. *)
-  Lazy.force arm_cache_protector;
-  Exec_domains.detach f
+let spawn_task = Exec_domains.detach
 
 let join_task = Exec_domains.join_task
 let concurrent_tasks = domains_available

@@ -21,16 +21,15 @@
     the one re-raised, on both backends (chunk claiming is monotonic,
     so that job was always attempted).
 
-    Shared state: the {!Core.Cache} handle memos (compiled quorum
-    systems, CSR graphs) are reachable from jobs. Their values are
-    pure functions of their keys and their internal lazy fields are
-    written idempotently, so races stay output-deterministic; the
-    executor additionally arms {!Core.Cache.set_protector} with the
-    backend's lock before the first domain spawn so the cache's
-    bookkeeping moves atomically. That lock lives in the
-    version-switched backend (identity on 4.14, where [Mutex] is not
-    even in the stdlib) — parallelism primitives stay behind this
-    seam (enforced by stellar-lint rule D6). *)
+    Shared state: none in [lib/]. The compiled quorum and graph
+    handles are immutable once built and owned by the call that
+    compiled them, so no job reaches another job's handle, and no
+    process-wide cache exists. State a caller does share between
+    concurrent tasks (the daemon's counters and caches) moves under
+    {!protect}, whose lock lives in the version-switched backend
+    (identity on 4.14, where [Mutex] is not even in the stdlib):
+    parallelism primitives stay behind this seam (enforced by
+    stellar-lint rule D6). *)
 
 exception Job_failed of string
 (** The same exception as {!Pool.Job_failed} (rebound, so either name
@@ -112,11 +111,12 @@ val jobs_from_env : unit -> int option
 (** {1 Detached tasks and shared-state protection} *)
 
 val protect : (unit -> 'a) -> 'a
-(** Runs the thunk inside the executor's global critical section (the
-    same lock {!Core.Cache} is armed with). The only sanctioned
-    mutual-exclusion seam outside [lib/sim] (stellar-lint D6): the
-    daemon guards its connection counters with it. Identity on 4.14,
-    where nothing runs concurrently. *)
+(** Runs the thunk inside the executor's global critical section. The
+    only sanctioned mutual-exclusion seam outside [lib/sim]
+    (stellar-lint D6): the daemon guards its counters and its two
+    caches with it. The lock is not reentrant: the thunk must not call
+    [protect], nor wait on a job that does. Identity on 4.14, where
+    nothing runs concurrently. *)
 
 type task
 (** A detached unit of work — the daemon's per-client connection

@@ -21,11 +21,10 @@
 
 let available = true
 
-(* The backend's global lock, used by {!Exec} to serialize Core.Cache
-   bookkeeping across domains. Lives here (not in exec.ml) because
-   [Mutex] is stdlib on OCaml 5 but a separate threads library on
-   4.14 — the stub's [locked] is the identity, so exec.ml never names
-   Mutex and compiles on both generations. *)
+(* The backend's global lock, behind {!Exec.protect}. Lives here (not
+   in exec.ml) because [Mutex] is stdlib on OCaml 5 but a separate
+   threads library on 4.14 — the stub's [locked] is the identity, so
+   exec.ml never names Mutex and compiles on both generations. *)
 let lock = Mutex.create ()
 
 let locked f =

@@ -14,9 +14,9 @@ val available : bool
     [false] in the stub). *)
 
 val locked : (unit -> 'a) -> 'a
-(** Runs the thunk inside the backend's global lock — the critical
-    section {!Exec} arms {!Core.Cache} with. The stub's version is the
-    identity: without domains there is nothing to race. *)
+(** Runs the thunk inside the backend's global lock: {!Exec.protect}.
+    The stub's version is the identity: without domains there is
+    nothing to race. *)
 
 val map_chunked :
   chunk:int -> domains:int -> (int -> unit) -> int -> (int * string) list

@@ -4,16 +4,12 @@
    the job position of Simkit.Exec.map / Simkit.Pool.map_persistent
    must not capture a variable of mutable type (ref, Hashtbl.t,
    Buffer.t, Bytes.t, arrays, queues/stacks, records with mutable
-   fields — through type aliases) defined outside the closure. Core.Cache.t captures are exempt: the
-   executor arms the cache's critical-section protector before its
-   first spawn, so cache traffic is the sanctioned way to share
-   state across job boundaries.
+   fields — through type aliases) defined outside the closure.
 
    R2 — parallel capture safety, module form: toplevel mutable state
    in any unit reachable (via the call graph) from a job function is
    flagged at the binding site, with the job site and witness chain
-   in the message. Core.Cache.t values are exempt for the same
-   reason.
+   in the message.
 
    P1 — determinism taint: starting from the D2 entropy sources
    (Unix.gettimeofday / Unix.time / Sys.time, Random.self_init,
@@ -47,8 +43,6 @@ let entropy_seed comps =
   | [ "Hashtbl"; "hash" ] ->
       true
   | _ -> false
-
-let cache_type comps = comps = [ "Core"; "Cache"; "t" ]
 
 let builtin_mutable comps =
   match comps with
@@ -153,9 +147,7 @@ let max_depth = 8
 
 (* Is [ty] (hereditarily) shared-mutable state? Follows aliases and
    recurses through tuples, type arguments and record fields, with a
-   visited set against recursive declarations. Core.Cache.t is
-   treated as immutable: its mutations run under the protector the
-   executor arms. *)
+   visited set against recursive declarations. *)
 let is_mutable_type decls ~mod_comps ty =
   let visiting = Hashtbl.create 8 in
   let rec go depth ty =
@@ -166,8 +158,7 @@ let is_mutable_type decls ~mod_comps ty =
       | Types.Tconstr (p, args, _) -> (
           let comps = Loader.path_comps p in
           let joined = String.concat "." comps in
-          if cache_type comps then false
-          else if builtin_mutable comps then true
+          if builtin_mutable comps then true
           else if Hashtbl.mem visiting joined then false
           else begin
             Hashtbl.add visiting joined ();
@@ -370,8 +361,9 @@ let run ?(lib_prefix = "lib/") (loaded : Loader.t) =
                         (Printf.sprintf
                            "job closure passed to %s captures mutable state \
                             %s : %s defined outside the closure; jobs must \
-                            not share unprotected state — route it through \
-                            Core.Cache or add (* lint: allow R1 — reason *)"
+                            not share unprotected state — guard it with \
+                            Simkit.Exec.protect, make it job-local, or add \
+                            (* lint: allow R1 — reason *)"
                            entry (Ident.name id)
                            (type_to_string vd.val_type))
                       ~chain:[])
@@ -426,8 +418,10 @@ let run ?(lib_prefix = "lib/") (loaded : Loader.t) =
                                        "toplevel mutable state %s : %s is \
                                         reachable from the parallel job at \
                                         %s; jobs must not share unprotected \
-                                        state — route it through Core.Cache \
-                                        or add (* lint: allow R2 — reason *)"
+                                        state — guard it with \
+                                        Simkit.Exec.protect, make it \
+                                        job-local, or add (* lint: allow R2 \
+                                        — reason *)"
                                        (Ident.name id) (type_to_string ty)
                                        site)
                                   ~chain

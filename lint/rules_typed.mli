@@ -6,12 +6,9 @@
       variable of mutable type (ref, [Hashtbl.t], [Buffer.t],
       [Bytes.t], arrays, queues/stacks, records with mutable fields —
       resolved through aliases) defined outside the closure.
-      [Core.Cache.t] captures are exempt: the executor arms the
-      cache's critical-section protector before its first spawn.
     - R2 — toplevel mutable state in a unit reachable through the
       call graph from a job function, flagged at the binding site
-      with the job site and witness chain in the message (same
-      [Core.Cache.t] exemption).
+      with the job site and witness chain in the message.
     - P1 — determinism taint: from the D2 entropy sources plus
       [Hashtbl.hash], propagated backward through the call graph; any
       tainted value exported from a [lib/**.mli] is reported at its

@@ -1,7 +1,11 @@
-(* Projects a report onto its answers (DESIGN.md §19): drops the work
+(* Projects reports onto their answers (DESIGN.md §19): drops the work
    column, [payload.stats] and the work counters of [payload.metrics]
    (an analyzer's [fbqs_enum_*], a run's quorum and v-blocking checks
    and view reuses), and prints every other byte as the report had it.
+   The input holds one envelope per line: a CLI report is one line, a
+   daemon session one line per response. In a daemon's [stats]
+   response only [requests], [active_clients] and [clients_served] are
+   answers; the pool's worker counts and the caches' counters go.
 
      answers.exe REPORT.json > REPORT.answers.json
 
@@ -49,22 +53,48 @@ let answers_of_payload = function
            fields)
   | other -> other
 
-let () =
-  let path = Sys.argv.(1) in
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  match Obs.Json.of_string text with
+let answers_of_daemon_stats = function
+  | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.filter_map
+           (function
+             | "pool", Obs.Json.Obj pool ->
+                 Some
+                   ( "pool",
+                     Obs.Json.Obj
+                       (List.filter
+                          (fun (k, _) ->
+                            k = "active_clients" || k = "clients_served")
+                          pool) )
+             | "caches", _ -> None
+             | field -> Some field)
+           fields)
+  | other -> other
+
+let answers_of_envelope path = function
   | Ok (Obs.Json.Obj fields) ->
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              (List.map
-                 (function
-                   | "payload", p -> ("payload", answers_of_payload p)
-                   | field -> field)
-                 fields)))
+      let payload =
+        match List.assoc_opt "verb" fields with
+        | Some (Obs.Json.String "stats") -> answers_of_daemon_stats
+        | _ -> answers_of_payload
+      in
+      Obs.Json.Obj
+        (List.map
+           (function "payload", p -> ("payload", payload p) | field -> field)
+           fields)
   | Ok _ ->
       prerr_endline (path ^ ": not a report envelope");
       exit 1
   | Error e ->
       prerr_endline (path ^ ": " ^ e);
       exit 1
+
+let () =
+  let path = Sys.argv.(1) in
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun line -> line <> "")
+  |> List.iter (fun line ->
+         print_endline
+           (Obs.Json.to_string
+              (answers_of_envelope path (Obs.Json.of_string line))))

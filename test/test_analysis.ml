@@ -12,13 +12,13 @@ let pbft n t =
        (Pid.Set.elements members))
 
 let test_blocking_cascade_threshold () =
-  let sys = pbft 4 3 in
+  let c = Quorum.Compiled.compile (pbft 4 3) in
   (* one node down: nobody else halts (3 of 4 still available) *)
   Alcotest.check pid_set "one down, no cascade" (set [ 1 ])
-    (Analysis.blocking_cascade sys ~down:(set [ 1 ]));
+    (Analysis.blocking_cascade c ~down:(set [ 1 ]));
   (* two down: each survivor's every 3-slice hits a down node -> all halt *)
   Alcotest.check pid_set "two down halts everyone" (Pid.Set.of_range 1 4)
-    (Analysis.blocking_cascade sys ~down:(set [ 1; 2 ]))
+    (Analysis.blocking_cascade c ~down:(set [ 1; 2 ]))
 
 let test_blocking_cascade_chain () =
   (* 1 trusts only 2, 2 trusts only 3: 3 down cascades through 2 to 1 *)
@@ -31,7 +31,7 @@ let test_blocking_cascade_chain () =
       ]
   in
   Alcotest.check pid_set "chain cascade" (set [ 1; 2; 3 ])
-    (Analysis.blocking_cascade sys ~down:(set [ 3 ]))
+    (Analysis.blocking_cascade (Quorum.Compiled.compile sys) ~down:(set [ 3 ]))
 
 let test_min_blocking_sets () =
   let sys = pbft 4 3 in
@@ -91,7 +91,9 @@ let test_fig1_analysis () =
   Alcotest.check pid_set "fig1 top tier" (set [ 5; 6; 7 ])
     (Enum.top_tier (Enum.prepare sys));
   (* killing 6 blocks 4 ({5,6},{6,8} both hit) and 5 and 7... *)
-  let cascade = Analysis.blocking_cascade sys ~down:(set [ 6 ]) in
+  let cascade =
+    Analysis.blocking_cascade (Quorum.Compiled.compile sys) ~down:(set [ 6 ])
+  in
   Alcotest.(check bool) "6 down halts 4" true (Pid.Set.mem 4 cascade)
 
 let test_algorithm2_levels () =
@@ -149,7 +151,7 @@ let prop_cascade_matches_oracle =
        gen_cascade_query)
     (fun (sys, down) ->
       Pid.Set.equal
-        (Analysis.blocking_cascade sys ~down)
+        (Analysis.blocking_cascade (Quorum.Compiled.compile sys) ~down)
         (Oracle.Analysis.blocking_cascade sys ~down))
 
 let suites =

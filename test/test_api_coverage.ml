@@ -28,7 +28,7 @@ let test_contains_quorum () =
          (fun i -> (i, Fbqs.Slice.threshold ~members ~threshold:3))
          (Pid.Set.elements members))
   in
-  let c = Fbqs.Quorum.compiled_of sys in
+  let c = Fbqs.Quorum.Compiled.compile sys in
   let contains_quorum s =
     not (Pid.Set.is_empty (Fbqs.Quorum.Compiled.greatest_quorum_within c s))
   in

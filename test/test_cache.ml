@@ -1,7 +1,7 @@
-(* Core.Cache: the shared LRU layer behind the compiled-handle memos
-   and the daemon's file/response caches (DESIGN.md §14). The qcheck
-   properties check the cache against a reference model: an association
-   list kept in most-recently-used-first order. *)
+(* Core.Cache: the LRU behind the daemon's file and response caches
+   (DESIGN.md §14). The qcheck properties check the cache against a
+   reference model: an association list kept in most-recently-used-first
+   order. *)
 
 let mk ?(capacity = 4) () =
   Core.Cache.create ~equal:Int.equal ~name:"test" ~capacity ()
@@ -61,23 +61,13 @@ let test_eviction_order () =
   Alcotest.(check bool) "3 evicted" true (Core.Cache.find_opt c 3 = None);
   Alcotest.(check bool) "2 survives" true (Core.Cache.find_opt c 2 <> None)
 
-let test_shrink_evicts () =
-  let c = run_keys ~capacity:4 [ 1; 2; 3; 4 ] in
-  Core.Cache.set_capacity c 2;
-  let s = Core.Cache.stats c in
-  Alcotest.(check int) "length clamped" 2 s.Core.Cache.length;
-  Alcotest.(check int) "evictions counted" 2 s.Core.Cache.evictions;
-  Alcotest.(check (list int)) "MRU half kept" [ 4; 3 ]
-    (List.map fst (Core.Cache.to_list c))
-
 let test_stats_json_shape () =
   let c = run_keys ~capacity:2 [ 1; 1; 2; 3 ] in
   Alcotest.(check string) "stats dump"
     {|{"hits":1,"misses":3,"evictions":1,"length":2,"capacity":2}|}
     (Obs.Json.to_string (Core.Cache.stats_to_json (Core.Cache.stats c)))
 
-(* [stats] follows every operation: lookups, insertions, evictions by
-   insertion and by shrinking. *)
+(* [stats] follows every operation: lookups, insertions and evictions. *)
 let test_stats_in_step () =
   let c = mk ~capacity:2 () in
   let check what (hits, misses, evictions, length) =
@@ -94,10 +84,8 @@ let test_stats_in_step () =
   ignore (Core.Cache.find_or_add c 2 (fun () -> 14));
   ignore (Core.Cache.find_or_add c 3 (fun () -> 21));
   check "insert beyond capacity evicts" (1, 3, 1, 2);
-  Core.Cache.set_capacity c 1;
-  check "shrinking evicts" (1, 3, 2, 1);
   Core.Cache.add c 4 28;
-  check "add counts no lookup" (1, 3, 3, 1)
+  check "add counts no lookup" (1, 3, 2, 2)
 
 let prop_matches_model =
   QCheck.Test.make ~count:200 ~name:"cache contents match the LRU model"
@@ -141,8 +129,6 @@ let suites =
           test_create_rejects_bad_capacity;
         Alcotest.test_case "find_or_add memoizes" `Quick test_memoizes;
         Alcotest.test_case "LRU eviction order" `Quick test_eviction_order;
-        Alcotest.test_case "shrinking capacity evicts" `Quick
-          test_shrink_evicts;
         Alcotest.test_case "stats JSON shape" `Quick test_stats_json_shape;
         Alcotest.test_case "metrics stay in step" `Quick test_stats_in_step;
         QCheck_alcotest.to_alcotest prop_matches_model;

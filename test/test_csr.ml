@@ -69,11 +69,6 @@ let test_compile_structure () =
       (row (Csr.pred_off h) (Csr.pred_arr h) v)
   done
 
-let test_memo_is_physical () =
-  let g = Digraph.of_edges [ (1, 2); (2, 1) ] in
-  Alcotest.(check bool) "same handle on repeat get" true
-    (Csr.get g == Csr.get g)
-
 let test_empty_and_singleton () =
   let h = Csr.of_graph Digraph.empty in
   Alcotest.(check int) "empty has 0 vertices" 0 (Csr.n_vertices h);
@@ -327,8 +322,6 @@ let suites =
     ( "csr",
       [
         Alcotest.test_case "compiled structure" `Quick test_compile_structure;
-        Alcotest.test_case "handle memo is physical" `Quick
-          test_memo_is_physical;
         Alcotest.test_case "empty and singleton" `Quick
           test_empty_and_singleton;
         Alcotest.test_case "negative-pid fallback" `Quick

@@ -4,15 +4,15 @@ open Fbqs
 let set = Pid.Set.of_list
 let pid_set = Alcotest.testable Pid.Set.pp Pid.Set.equal
 
-(* The kernel's queries on the shared handle of each system value. *)
-let is_quorum sys q = Quorum.Compiled.is_quorum (Quorum.compiled_of sys) q
+(* The kernel's queries, each on a handle compiled for it. *)
+let is_quorum sys q = Quorum.Compiled.is_quorum (Quorum.Compiled.compile sys) q
 let is_quorum_of sys i q = Pid.Set.mem i q && is_quorum sys q
 
 let greatest_quorum_within sys s =
-  Quorum.Compiled.greatest_quorum_within (Quorum.compiled_of sys) s
+  Quorum.Compiled.greatest_quorum_within (Quorum.Compiled.compile sys) s
 
 let is_v_blocking sys i b =
-  Quorum.Compiled.is_v_blocking_d (Quorum.compiled_of sys) i
+  Quorum.Compiled.is_v_blocking_d (Quorum.Compiled.compile sys) i
     (Pid.Dense_set.of_set b)
 
 (* The Section III-D running example on the Fig. 1 graph. *)

@@ -1,7 +1,6 @@
 (* The first-class Quorum.Compiled API: compile-once handles must
    agree everywhere with the seed's tree-set Algorithm 1
-   ([Oracle.Quorum]), and the shared [compiled_of] cache must hand out
-   one handle per live system value. *)
+   ([Oracle.Quorum]). *)
 
 open Graphkit
 open Fbqs
@@ -42,41 +41,6 @@ let test_compiled_matches_oracle_on_fig1 () =
     candidates;
   Alcotest.(check bool) "system round-trips" true
     (Quorum.Compiled.system c == fig1_system)
-
-let threshold_system n t =
-  let members = Pid.Set.of_range 1 n in
-  Quorum.system_of_list
-    (List.map
-       (fun i -> (i, Slice.threshold ~members ~threshold:t))
-       (Pid.Set.elements members))
-
-(* The cache keys on physical equality: one handle per live system
-   value, and a fresh one for a structurally equal copy. *)
-let test_one_handle_per_system_value () =
-  let sys = threshold_system 7 5 in
-  let c = Quorum.compiled_of sys in
-  Alcotest.(check bool) "compiled from this value" true
-    (Quorum.Compiled.system c == sys);
-  Alcotest.(check bool) "same value, same handle" true
-    (Quorum.compiled_of sys == c);
-  let copy = threshold_system 7 5 in
-  let c' = Quorum.compiled_of copy in
-  Alcotest.(check bool) "equal copy, fresh handle" false (c' == c);
-  Alcotest.(check bool) "fresh handle compiled from the copy" true
-    (Quorum.Compiled.system c' == copy);
-  Alcotest.(check bool) "both handles answer alike" true
-    (Quorum.Compiled.is_quorum c (Pid.Set.of_range 1 5)
-    && Quorum.Compiled.is_quorum c' (Pid.Set.of_range 1 5))
-
-let test_compiled_of_cache_accounting () =
-  let sys = threshold_system 5 4 in
-  let before = Quorum.cache_stats () in
-  ignore (Quorum.compiled_of sys);
-  ignore (Quorum.compiled_of sys);
-  let after = Quorum.cache_stats () in
-  Alcotest.(check int) "a new value misses once" 1
-    (after.misses - before.misses);
-  Alcotest.(check int) "then hits" 1 (after.hits - before.hits)
 
 (* Random slice systems: processes 1..n, each declaring one or two
    random explicit slices over the universe. *)
@@ -296,10 +260,6 @@ let suites =
       [
         Alcotest.test_case "Compiled = wrappers on fig1" `Quick
           test_compiled_matches_oracle_on_fig1;
-        Alcotest.test_case "per-handle stats" `Quick
-          test_one_handle_per_system_value;
-        Alcotest.test_case "wrapper cache accounting" `Quick
-          test_compiled_of_cache_accounting;
         QCheck_alcotest.to_alcotest prop_oracle_agrees_with_compiled;
         QCheck_alcotest.to_alcotest prop_keeping_decides;
         QCheck_alcotest.to_alcotest prop_compiled_domain;

@@ -206,9 +206,8 @@ let prop_random_byzantine_safe_graphs_consensus =
       o.all_decided && o.agreement && o.validity)
 
 (* A run's metrics are a function of the run alone: each node counts
-   its own compiled-view reuses and compiles, so neither runs in flight
-   beside it nor the process-wide compiled-handle cache's capacity may
-   move them. *)
+   its own compiled-view reuses and compiles, so no run in flight
+   beside it may move them. *)
 let run_metrics ~n ~t seed =
   let metrics = Obs.Metrics.create () in
   let d = Runner.default_cfg in
@@ -229,24 +228,14 @@ let test_overlapping_runs_metrics () =
     (List.map (metrics_json ~n:7 ~t:5) seeds)
     (Simkit.Exec.map ~jobs:2 (metrics_json ~n:7 ~t:5) seeds)
 
-let test_metrics_independent_of_cache_capacity () =
+(* A node recompiles its view only when it learns a new origin's
+   slices, at most n times, so a run of n nodes compiles at most n^2
+   views. *)
+let test_view_compiles_bounded () =
   let n = 4 in
-  let capacity = (Fbqs.Quorum.cache_stats ()).capacity in
-  let at cap =
-    Fbqs.Quorum.set_cache_capacity cap;
-    run_metrics ~n ~t:3 1
-  in
-  let small, large =
-    Fun.protect
-      ~finally:(fun () -> Fbqs.Quorum.set_cache_capacity capacity)
-      (fun () ->
-        let small = at 2 in
-        (small, at 64))
-  in
-  let json m = Obs.Json.to_string (Obs.Metrics.to_json m) in
-  Alcotest.(check string) "capacity 2 = capacity 64" (json large) (json small);
   let misses =
-    Obs.Metrics.counter_value (Obs.Metrics.counter small "fbqs_cache_misses")
+    Obs.Metrics.counter_value
+      (Obs.Metrics.counter (run_metrics ~n ~t:3 1) "fbqs_cache_misses")
   in
   Alcotest.(check bool)
     (Printf.sprintf "%d compiles <= n^2" misses)
@@ -280,7 +269,7 @@ let suites =
           prop_random_byzantine_safe_graphs_consensus;
         Alcotest.test_case "overlapping runs keep their metrics" `Quick
           test_overlapping_runs_metrics;
-        Alcotest.test_case "metrics independent of cache capacity" `Quick
-          test_metrics_independent_of_cache_capacity;
+        Alcotest.test_case "view compiles at most n*n" `Quick
+          test_view_compiles_bounded;
       ] );
   ]

@@ -1,12 +1,8 @@
 (* The analysis daemon: protocol shape, determinism, the shared
    response cache and hostile input (DESIGN.md §14).
 
-   These tests drive [Serve.Daemon.handle_line] in-process. The
-   process-wide handle caches ([Fbqs.Quorum.compiled_of],
-   [Graphkit.Csr.get]) are shared with every other suite, so nothing
-   here asserts their absolute counters: the analyzer must not consult
-   them at all, which one case checks as a difference of lookups, and
-   the rest check the daemon-local caches and the response bytes. *)
+   These tests drive [Serve.Daemon.handle_line] in-process and check
+   the daemon's own caches and the response bytes. *)
 
 let fixture = "fixtures/live_network.fbas"
 
@@ -245,18 +241,10 @@ let analyze_behind_weak_pointer () =
 
 let test_analyze_keeps_nothing () =
   (* An analysis owns its compiled system and its contraction graph:
-     once it has answered, a full major collection frees the system,
-     and neither process-wide handle cache saw a lookup. *)
-  let lookups (s : Core.Cache.stats) = s.hits + s.misses in
-  let q0 = lookups (Fbqs.Quorum.cache_stats ())
-  and c0 = lookups (Graphkit.Csr.cache_stats ()) in
+     once it has answered, a full major collection frees the system. *)
   let w = analyze_behind_weak_pointer () in
   Gc.full_major ();
-  Alcotest.(check bool) "system collected" false (Weak.check w 0);
-  Alcotest.(check int) "no compiled-quorum lookup" q0
-    (lookups (Fbqs.Quorum.cache_stats ()));
-  Alcotest.(check int) "no csr lookup" c0
-    (lookups (Graphkit.Csr.cache_stats ()))
+  Alcotest.(check bool) "system collected" false (Weak.check w 0)
 
 (* ---- the concurrent socket transport ----------------------------------- *)
 

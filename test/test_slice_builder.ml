@@ -41,7 +41,10 @@ let test_fig2_availability () =
   (* Theorem 4 on fig2: whatever single process is faulty, every correct
      process keeps an all-correct quorum. *)
   let f = 1 in
-  let sys = Slice_builder.system_via_oracle ~f Builtin.fig2 in
+  let c =
+    Fbqs.Quorum.Compiled.compile
+      (Slice_builder.system_via_oracle ~f Builtin.fig2)
+  in
   Pid.Set.iter
     (fun faulty_one ->
       let correct =
@@ -49,10 +52,7 @@ let test_fig2_availability () =
       in
       Pid.Set.iter
         (fun i ->
-          let gq =
-            Fbqs.Quorum.Compiled.greatest_quorum_within
-              (Fbqs.Quorum.compiled_of sys) correct
-          in
+          let gq = Fbqs.Quorum.Compiled.greatest_quorum_within c correct in
           Alcotest.(check bool)
             (Printf.sprintf "faulty=%d: %d has all-correct quorum" faulty_one i)
             true
@@ -94,7 +94,7 @@ let prop_theorems_on_random_graphs =
       Fbqs.Intertwine.set_intertwined sys (Threshold f) all
       && Pid.Set.subset correct
            (Fbqs.Quorum.Compiled.greatest_quorum_within
-              (Fbqs.Quorum.compiled_of sys) correct))
+              (Fbqs.Quorum.Compiled.compile sys) correct))
 
 let suites =
   [

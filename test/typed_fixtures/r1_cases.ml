@@ -14,8 +14,8 @@ let uses_table xs =
       x)
     xs
 
-(* R1-negative: Core.Cache captures are exempt — the executor arms the
-   cache protector before its first spawn. *)
+(* R1-positive: a captured Core.Cache is mutable state like any
+   other; no lock guards it. *)
 let uses_cache xs =
   Simkit.Exec.map ~jobs:2
     (fun x -> Core.Cache.find_or_add cache x (fun () -> x * 2))
