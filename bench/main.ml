@@ -328,7 +328,7 @@ let subject_dset_enum_baseline = "dset/is_dset-enum-baseline n=10"
 let enum_baseline_is_dset sys b =
   Fbqs.Dset.quorum_availability_despite sys b
   &&
-  let quorums = Fbqs.Quorum.enum_quorums (Fbqs.Quorum.delete sys b) in
+  let quorums = Fbqs.Quorum.enum_quorums (Oracle.Quorum.delete sys b) in
   List.for_all
     (fun q1 ->
       List.for_all

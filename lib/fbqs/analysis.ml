@@ -3,7 +3,7 @@ open Graphkit
 (* Each round halts every participant that the halted set blocks, one
    compiled v-blocking test per running participant. *)
 let blocking_cascade c ~down =
-  let parts = Quorum.participants (Quorum.Compiled.system c) in
+  let parts = Pid.Dense_set.to_set (Quorum.Compiled.participants_d c) in
   let rec go halted =
     let hd = Pid.Dense_set.of_set halted in
     let next =

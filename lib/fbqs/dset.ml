@@ -5,7 +5,7 @@ open Graphkit
    intersection after. *)
 let available_despite c b =
   let survivors =
-    Pid.Set.diff (Quorum.participants (Quorum.Compiled.system c)) b
+    Pid.Set.diff (Pid.Dense_set.to_set (Quorum.Compiled.participants_d c)) b
   in
   Pid.Set.is_empty survivors || Quorum.Compiled.is_quorum c survivors
 
@@ -17,10 +17,10 @@ let quorum_availability_despite sys b =
    oracle in [test/oracle] (equivalence is property-tested in
    test/test_enum.ml). [b] may name nodes outside the slice map (e.g.
    Byzantine processes that declared nothing): they belong to no
-   quorum, so deleting them only prunes them out of others' slices. *)
-let dset c b =
-  available_despite c b
-  && Enum.quorum_intersection_despite (Quorum.Compiled.system c) b
+   quorum, so deleting them only prunes them out of others' slices.
+   The deletion runs on the compiled handle ([Quorum.Compiled.delete]),
+   so one compile serves every candidate of [all_dsets]. *)
+let dset c b = available_despite c b && Enum.intersects_despite c b
 
 let is_dset sys b = dset (Quorum.Compiled.compile sys) b
 

@@ -21,9 +21,9 @@ val quorum_availability_despite : Quorum.system -> Pid.Set.t -> bool
 
 val is_dset : Quorum.system -> Pid.Set.t -> bool
 (** [b] is dispensable: {!quorum_availability_despite} holds, and every
-    two quorums of [Quorum.delete sys b] intersect
-    ({!Enum.quorum_intersection_despite}, which scales to live-network
-    topologies). *)
+    two quorums of the system with [b] deleted
+    ({!Quorum.Compiled.delete}) intersect ({!Enum.intersects_despite},
+    which scales to live-network topologies). *)
 
 val minimal_dsets : Quorum.system -> Pid.Set.t list
 (** All inclusion-minimal DSets, by enumeration (guarded to systems of

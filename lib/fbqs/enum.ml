@@ -48,7 +48,7 @@ type tally = {
    the handle, and nothing keeps it alive once [t] is dropped. *)
 type t = {
   compiled : Quorum.Compiled.t;
-  parts : Pid.Set.t;
+  parts : D.t;
   tally : tally;
   mutable sccs : D.t list option;  (* memo of [quorum_sccs] *)
   mutable minimal : Pid.Set.t list option;  (* cache, canonical order *)
@@ -70,7 +70,7 @@ let new_tally ?metrics () =
 let of_compiled ?metrics compiled =
   {
     compiled;
-    parts = Quorum.participants (Quorum.Compiled.system compiled);
+    parts = Quorum.Compiled.participants_d compiled;
     tally = new_tally ?metrics ();
     sccs = None;
     minimal = None;
@@ -78,7 +78,7 @@ let of_compiled ?metrics compiled =
 
 let prepare ?metrics sys = of_compiled ?metrics (Quorum.Compiled.compile sys)
 
-let system t = Quorum.Compiled.system t.compiled
+let participants t = D.to_set t.parts
 
 let stats t : stats =
   {
@@ -138,9 +138,10 @@ let canonical sets =
    mutable state no job may touch), folded back by [absorb]. Subtrees
    are independent and finds merge through {!canonical}, so results,
    [stats] and metrics are byte-identical at every [jobs] count. Nodes
-   are dense sets and a job captures only the walk's compiled system
-   or quorum-incidence arrays (plain data), so jobs survive the fork
-   backend's closure [Marshal] unchanged. Both are immutable: jobs
+   are words or dense sets, and a job captures only the walk's view
+   (a word view, or the compiled system and its SCC) or
+   quorum-incidence arrays (plain data), so jobs survive the fork
+   backend's closure [Marshal] unchanged. All are immutable: jobs
    share no mutable state.
 
    A finite [limit] stops the walk at the [limit]-th find and keeps the
@@ -152,16 +153,13 @@ exception Stop
 (* One deferred call, walked to the bottom: the body of every job. *)
 let finish walk node =
   let tl = new_tally () and found = ref [] in
-  ignore
-    (walk tl ~frontier:max_int
-       ~emit:(fun x -> found := D.to_set x :: !found)
-       node);
+  ignore (walk tl ~frontier:max_int ~emit:(fun x -> found := x :: !found) node);
   (!found, tl)
 
 let search ?(limit = max_int) ~jobs ~frontier tl walk roots =
   let found = ref [] and count = ref 0 in
   let emit x =
-    found := D.to_set x :: !found;
+    found := x :: !found;
     incr count;
     if !count >= limit then raise Stop
   in
@@ -186,69 +184,180 @@ let search ?(limit = max_int) ~jobs ~frontier tl walk roots =
   in
   (canonical !found, complete)
 
-(* ---- minimal quorums -------------------------------------------------- *)
+(* ---- one quorum walk, two set representations -------------------------- *)
 
-(* [q] is minimal iff every member [v] is essential: [q \ v] holds no
-   quorum. Members are tried in ascending order and the ones already
-   shown essential are passed as [keep]: a fixpoint that drops an
-   essential [w] proves [gq (q \ v) ⊆ gq (q \ w) = ∅], so only the
-   first member runs its fixpoint to the end. *)
-let minimal_quorum c q =
-  let essential = ref D.empty in
-  D.for_all
-    (fun v ->
-      match
-        Quorum.Compiled.greatest_quorum_keeping_d c ~keep:!essential
-          (D.remove v q)
-      with
-      | Some gq when not (D.is_empty gq) -> false
-      | _ ->
-          essential := D.add v !essential;
-          true)
-    q
+(* The quorum searches walk sets of candidates inside one
+   quorum-bearing SCC [u]. A [KERNEL] is one representation of such
+   sets with the two quorum queries on it: [Word] holds a set in one
+   machine word of a {!Quorum.Compiled.words} view of [u] (at most 62
+   members), [Dense] in a dense bitset. Both enumerate members in
+   ascending pid order, so the walk below, written once, visits the
+   same tree, ticks the same counts and finds the same quorums on
+   either; the word instance allocates nothing per node. *)
+module type KERNEL = sig
+  type view
+  type set
+  type elt
 
-(* Depth-first walk over the quorums inside a universe already
-   contracted to a greatest quorum. A node is (selection, remaining
-   candidates, available pool). Candidates branch in ascending pid
-   order, so the emission order — and with it every downstream report
-   — is deterministic. A selection that is a quorum ends its branch
-   (its supersets are quorums too) and is emitted when [accept] holds;
-   a selection of [bound] members that is not a quorum ends it too.
-   Enumeration passes [max_int] and {!minimal_quorum}; the
-   intersection decision below passes half the universe and a
-   complement test. *)
-let quorum_walk c ~bound ~accept tl ~frontier ~emit
-    (selection, remaining, available) =
-  let deferred = ref [] in
-  let rec go depth size selection remaining available =
-    if depth >= frontier then
-      deferred := (selection, remaining, available) :: !deferred
-    else begin
-      tick_explored tl;
-      if Quorum.Compiled.is_quorum_d c selection then begin
-        if accept selection then begin
-          tick_found tl;
-          emit selection
+  val universe : view -> set
+  val empty : set
+  val is_empty : set -> bool
+  val cardinal : set -> int
+  val lowest : set -> elt
+  val add : elt -> set -> set
+  val remove : elt -> set -> set
+  val inter : set -> set -> set
+  val diff : set -> set -> set
+  val subset : set -> set -> bool
+  val is_quorum : view -> set -> bool
+
+  val keeping : view -> keep:set -> set -> set
+  (** The greatest quorum within the set when it contains [keep];
+      otherwise a set that misses a member of [keep]. *)
+
+  val to_set : view -> set -> Pid.Set.t
+end
+
+module Word = struct
+  module C = Quorum.Compiled
+
+  type view = C.words
+  type set = int
+  type elt = int (* a one-bit word *)
+
+  let universe = C.universe_w
+  let empty = 0
+  let is_empty s = s = 0
+  let cardinal = D.popcount
+  let lowest s = s land -s
+  let add b s = s lor b
+  let remove b s = s land lnot b
+  let inter a b = a land b
+  let diff a b = a land lnot b
+  let subset a b = a land lnot b = 0
+  let is_quorum = C.is_quorum_w
+
+  (* [-1] is the prune, and [keep] is non-empty there. *)
+  let keeping w ~keep s =
+    let g = C.greatest_quorum_keeping_w w ~keep s in
+    if g < 0 then 0 else g
+
+  let to_set = C.set_of_word
+end
+
+module Dense = struct
+  type view = { c : Quorum.Compiled.t; u : D.t }
+  type set = D.t
+  type elt = int
+
+  let universe v = v.u
+  let empty = D.empty
+  let is_empty = D.is_empty
+  let cardinal = D.cardinal
+  let lowest s = Option.get (D.min_elt_opt s)
+  let add = D.add
+  let remove = D.remove
+  let inter = D.inter
+  let diff = D.diff
+  let subset = D.subset
+  let is_quorum v s = Quorum.Compiled.is_quorum_d v.c s
+
+  let keeping v ~keep s =
+    match Quorum.Compiled.greatest_quorum_keeping_d v.c ~keep s with
+    | Some g -> g
+    | None -> D.empty
+
+  let to_set _ s = D.to_set s
+end
+
+(* What a quorum selection must pass to be emitted: minimality, for
+   the enumeration, or a quorum in its complement, for the
+   intersection decision. *)
+type hook = Minimal | Outside
+
+module Walk (K : KERNEL) = struct
+  (* [q] is minimal iff every member [x] is essential: [q \ x] holds
+     no quorum. Members are tried in ascending order and the ones
+     already shown essential are passed as [keep]: a fixpoint that
+     drops an essential [y] proves [gq (q \ x) ⊆ gq (q \ y) = ∅], so
+     only the first member runs its fixpoint to the end. *)
+  let rec essential v q keep rest =
+    K.is_empty rest
+    ||
+    let x = K.lowest rest in
+    let g = K.keeping v ~keep (K.remove x q) in
+    ((not (K.subset keep g)) || K.is_empty g)
+    && essential v q (K.add x keep) (K.remove x rest)
+
+  let accepts v hook s =
+    match hook with
+    | Minimal -> essential v s K.empty s
+    | Outside ->
+        not (K.is_empty (K.keeping v ~keep:K.empty (K.diff (K.universe v) s)))
+
+  (* Depth-first walk over the quorums inside a universe already
+     contracted to a greatest quorum. A node is (selection, remaining
+     candidates, available pool). Candidates branch in ascending pid
+     order, so the emission order — and with it every downstream
+     report — is deterministic. A selection that is a quorum ends its
+     branch (its supersets are quorums too) and is emitted when it
+     passes [hook]; a selection of [bound] members that is not a
+     quorum ends it too. Enumeration passes [max_int] and [Minimal];
+     the intersection decision below passes half the universe and
+     [Outside]. *)
+  let walk v ~bound ~hook tl ~frontier ~emit (selection, remaining, available)
+      =
+    let deferred = ref [] in
+    let rec go depth size selection remaining available =
+      if depth >= frontier then
+        deferred := (selection, remaining, available) :: !deferred
+      else begin
+        tick_explored tl;
+        if K.is_quorum v selection then begin
+          if accepts v hook selection then begin
+            tick_found tl;
+            emit (K.to_set v selection)
+          end
+        end
+        else if size < bound && not (K.is_empty remaining) then begin
+          let x = K.lowest remaining in
+          let rest = K.remove x remaining in
+          go (depth + 1) (size + 1) (K.add x selection) rest available;
+          let g = K.keeping v ~keep:selection (K.remove x available) in
+          if K.subset selection g then
+            go (depth + 1) size selection (K.inter rest g) g
+          else tick_pruned tl
         end
       end
-      else if size < bound then
-        match remaining with
-        | [] -> ()
-        | v :: rest ->
-            go (depth + 1) (size + 1) (D.add v selection) rest available;
-            match
-              Quorum.Compiled.greatest_quorum_keeping_d c ~keep:selection
-                (D.remove v available)
-            with
-            | Some gq ->
-                go (depth + 1) size selection
-                  (List.filter (fun u -> D.mem u gq) rest)
-                  gq
-            | None -> tick_pruned tl
-    end
-  in
-  go 0 (D.cardinal selection) selection remaining available;
-  List.rev !deferred
+    in
+    go 0 (K.cardinal selection) selection remaining available;
+    List.rev !deferred
+
+  let root v =
+    let u = K.universe v in
+    (K.empty, u, u)
+end
+
+module Word_walk = Walk (Word)
+module Dense_walk = Walk (Dense)
+
+(* The search tree is deep and narrow ("pid in / pid out"), so its
+   frontier sits five decisions down. *)
+let quorum_frontier_depth = 5
+
+(* The quorum walk over one quorum-bearing SCC [u], on the word view
+   whenever [u] fits in a word. *)
+let quorum_search ?limit ~jobs tl c u ~bound ~hook =
+  if D.cardinal u <= Quorum.Compiled.word_bits then
+    let w = Quorum.Compiled.words c u in
+    search ?limit ~jobs ~frontier:quorum_frontier_depth tl
+      (Word_walk.walk w ~bound ~hook)
+      [ Word_walk.root w ]
+  else
+    let v = { Dense.c; u } in
+    search ?limit ~jobs ~frontier:quorum_frontier_depth tl
+      (Dense_walk.walk v ~bound ~hook)
+      [ Dense_walk.root v ]
 
 (* The SCCs of the trust graph restricted to the greatest quorum, kept
    only when they contain a quorum — the contraction step. Returns
@@ -257,7 +366,7 @@ let quorum_walk c ~bound ~accept tl ~frontier ~emit
    straight into a CSR handle with [Csr.of_rows]: no tree-set graph is
    built. *)
 let contract c parts =
-  let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set parts) in
+  let w = Quorum.Compiled.greatest_quorum_within_d c parts in
   if D.is_empty w then []
   else begin
     let row i = (i, D.elements (D.inter (Quorum.Compiled.domain_d c i) w)) in
@@ -276,22 +385,21 @@ let quorum_sccs t =
       t.sccs <- Some sccs;
       sccs
 
-(* The search tree is deep and narrow ("pid in / pid out"), so its
-   frontier sits five decisions down. *)
-let quorum_frontier_depth = 5
-
+(* One search per quorum-bearing SCC; every minimal quorum lies in
+   exactly one, so their finds merge through {!canonical}. *)
 let minimal_quorums ?(jobs = 1) t =
   match t.minimal with
   | Some q -> q
   | None ->
-      let result =
+      let per_scc u =
         fst
-          (search ~jobs ~frontier:quorum_frontier_depth t.tally
-             (quorum_walk t.compiled ~bound:max_int
-                ~accept:(minimal_quorum t.compiled))
-             (List.map
-                (fun universe -> (D.empty, D.elements universe, universe))
-                (quorum_sccs t)))
+          (quorum_search ~jobs t.tally t.compiled u ~bound:max_int
+             ~hook:Minimal)
+      in
+      let result =
+        match List.map per_scc (quorum_sccs t) with
+        | [ found ] -> found
+        | found -> canonical (List.concat found)
       in
       t.minimal <- Some result;
       result
@@ -313,7 +421,7 @@ let verdict t quorums =
   let tier =
     List.fold_left (fun acc q -> D.union acc (D.of_set q)) D.empty quorums
   in
-  let parts = D.of_set t.parts in
+  let parts = t.parts in
   List.find_map
     (fun q ->
       let qd = D.of_set q in
@@ -358,21 +466,18 @@ let intersects ~jobs t =
   | [] -> true
   | _ :: _ :: _ -> false
   | [ u ] -> (
-      let c = t.compiled in
-      let outside s =
-        not
-          (D.is_empty (Quorum.Compiled.greatest_quorum_within_d c (D.diff u s)))
-      in
       match
-        search ~limit:1 ~jobs ~frontier:quorum_frontier_depth t.tally
-          (quorum_walk c ~bound:(D.cardinal u / 2) ~accept:outside)
-          [ (D.empty, D.elements u, u) ]
+        quorum_search ~limit:1 ~jobs t.tally t.compiled u
+          ~bound:(D.cardinal u / 2) ~hook:Outside
       with
       | [], _ -> true
       | _ :: _, _ -> false)
 
-let quorum_intersection_despite ?metrics ?(jobs = 1) sys b =
-  intersects ~jobs (prepare ?metrics (Quorum.delete sys b))
+let intersects_despite ?metrics ?(jobs = 1) c b =
+  intersects ~jobs (of_compiled ?metrics (Quorum.Compiled.delete c b))
+
+let quorum_intersection_despite ?metrics ?jobs sys b =
+  intersects_despite ?metrics ?jobs (Quorum.Compiled.compile sys) b
 
 (* ---- minimal blocking sets -------------------------------------------- *)
 
@@ -453,7 +558,7 @@ let blocking_walk inc tl ~frontier ~emit (chosen, uncovered, excluded) =
     else begin
       tick_explored tl;
       if D.is_empty uncovered then begin
-        if bk_minimal inc chosen then emit chosen
+        if bk_minimal inc chosen then emit (D.to_set chosen)
       end
       else
         let usable = bk_best inc uncovered excluded in
@@ -527,9 +632,8 @@ let minimal_splitting_sets ?metrics ?universe ?max_size ?(jobs = 1) t =
      return their tallies, which [sink] absorbs into [metrics]; so the
      counters come out identical at every [jobs] count. *)
   let sink = new_tally ?metrics () in
-  let sys = system t in
   let splits_checked b =
-    let t' = prepare (Quorum.delete sys b) in
+    let t' = of_compiled (Quorum.Compiled.delete t.compiled b) in
     (not (intersects ~jobs:1 t'), t'.tally)
   in
   let hit0, tl0 = splits_checked Pid.Set.empty in

@@ -17,7 +17,10 @@
       one [greatest_quorum_within] call: a branch can still yield a
       quorum iff its committed members survive in the greatest quorum
       of its remaining pool (exact, because quorums are closed under
-      union).
+      union). The walk is written once and runs on one machine word per
+      set when the quorum-bearing SCC has at most 62 members
+      ({!Quorum.Compiled.words}), on dense bitsets past that; both visit
+      the same tree.
 
     Everything downstream — intersection checking, blocking sets,
     splitting sets, top tier — is built on that streaming enumeration,
@@ -74,7 +77,8 @@ val prepare : ?metrics:Obs.Metrics.t -> Quorum.system -> t
 (** {!of_compiled} on a fresh {!Quorum.Compiled.compile} of the system.
     @raise Invalid_argument when the system names a negative pid. *)
 
-val system : t -> Quorum.system
+val participants : t -> Pid.Set.t
+(** The compiled system's participants ({!Quorum.participants}). *)
 
 val stats : t -> stats
 (** Cumulative counters for this analyzer value. *)
@@ -105,16 +109,23 @@ val quorum_intersection :
   ?metrics:Obs.Metrics.t -> ?jobs:int -> Quorum.system -> intersection
 (** One-shot [check_intersection] on a freshly prepared system. *)
 
+val intersects_despite :
+  ?metrics:Obs.Metrics.t -> ?jobs:int -> Quorum.Compiled.t -> Pid.Set.t -> bool
+(** Whether the system after [Quorum.Compiled.delete c b] enjoys
+    intersection — the scalable engine behind the despite checks and
+    {!Dset.is_dset}. Decided, not enumerated: with one quorum-bearing
+    SCC [U], the walk builds selections of at most ⌊|U|/2⌋ members and
+    stops at the first quorum [s] with a quorum in [U \ s]; zero or
+    several such SCCs answer without a search. The answer is
+    {!check_intersection}'s, with no witness and a far smaller tree.
+    The decision stops at its first hit, so it runs sequentially at
+    every [jobs] count. [c] is left as it is, so a caller holding a
+    handle asks any number of deletions of it. *)
+
 val quorum_intersection_despite :
   ?metrics:Obs.Metrics.t -> ?jobs:int -> Quorum.system -> Pid.Set.t -> bool
-(** Whether [Quorum.delete sys b] enjoys intersection — the scalable
-    engine behind {!Dset.is_dset}. Decided, not enumerated: with one
-    quorum-bearing SCC [U], the walk builds selections of at most
-    ⌊|U|/2⌋ members and stops at the first quorum [s] with a quorum in
-    [U \ s]; zero or several such SCCs answer without a search. The
-    answer is {!check_intersection}'s, with no witness and a far
-    smaller tree. The decision stops at its first hit, so it runs
-    sequentially at every [jobs] count. *)
+(** {!intersects_despite} on a fresh {!Quorum.Compiled.compile} of the
+    system. *)
 
 type blocking = {
   sets : Pid.Set.t list;

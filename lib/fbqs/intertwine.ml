@@ -15,12 +15,12 @@ let pair_intertwined sys mode i j =
   let qj = Quorum.minimal_quorums_of sys j in
   List.for_all (fun q -> List.for_all (fun q' -> mode_ok mode q q') qj) qi
 
-let violating_pair sys mode set =
-  let quorums =
-    List.map
-      (fun i -> (i, Quorum.minimal_quorums_of sys i))
-      (Pid.Set.elements set)
-  in
+let member_quorums sys set =
+  List.map
+    (fun i -> (i, Quorum.minimal_quorums_of sys i))
+    (Pid.Set.elements set)
+
+let violation mode quorums =
   let rec scan = function
     | [] -> None
     | (i, qis) :: rest ->
@@ -40,6 +40,8 @@ let violating_pair sys mode set =
         | None -> scan rest)
   in
   scan quorums
+
+let violating_pair sys mode set = violation mode (member_quorums sys set)
 
 let set_intertwined sys mode set =
   Option.is_none (violating_pair sys mode set)

@@ -30,5 +30,17 @@ val violating_pair :
 (** A witness [(i, Q_i, j, Q_j)] of an intersection violation inside the
     given set, if any — the shape of the Theorem 2 counter-example. *)
 
+val member_quorums : Quorum.system -> Pid.Set.t -> (Pid.t * Pid.Set.t list) list
+(** Each member of the set, ascending, with its inclusion-minimal
+    quorums ({!Quorum.minimal_quorums_of}). *)
+
+val violation :
+  mode ->
+  (Pid.t * Pid.Set.t list) list ->
+  (Pid.t * Pid.Set.t * Pid.t * Pid.Set.t) option
+(** {!violating_pair} on lists {!member_quorums} computed: a caller
+    that asks about many subsets of one set computes the lists once
+    and hands down the members of each subset, in the same order. *)
+
 val threshold_pair_ok : f:int -> Pid.Set.t -> Pid.Set.t -> bool
 (** The raw Section III-F test: [|q ∩ q'| > f]. *)

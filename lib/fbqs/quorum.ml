@@ -34,7 +34,7 @@ type entry =
           [cls] indexes the shared member-set class. *)
 
 type compiled = {
-  csys : system;  (** the compiled system *)
+  parts : D.t;  (** the participants: every owner of a declared slice set *)
   bound : int;  (** pids outside [0, bound) are [Absent] *)
   entries : entry array;
   class_sets : D.t array;  (** distinct threshold member sets *)
@@ -64,8 +64,10 @@ let compile sys =
         class_sets := d :: !class_sets;
         c
   in
+  let owners = ref [] in
   Pid.Map.iter
     (fun i slice ->
+      owners := i :: !owners;
       entries.(i) <-
         (match slice with
         | Slice.Explicit [] -> Absent
@@ -81,7 +83,7 @@ let compile sys =
             Threshold_d { sat; threshold; cls = class_of (D.of_set members) }))
     sys;
   {
-    csys = sys;
+    parts = D.of_list !owners;
     bound;
     entries;
     class_sets = Array.of_list (List.rev !class_sets);
@@ -112,7 +114,7 @@ module Compiled = struct
   type t = compiled
 
   let compile = compile
-  let system c = c.csys
+  let participants_d c = c.parts
 
   let is_quorum_d c qd =
     (not (D.is_empty qd))
@@ -166,38 +168,153 @@ module Compiled = struct
     | Threshold_d { sat; threshold; cls } ->
         let members = c.class_sets.(cls) in
         sat && D.cardinal members - D.inter_cardinal members b < threshold
+
+  (* Mazières' delete operation on the compiled form: the members of
+     [b] leave the participants and every remaining slice. An explicit
+     slice loses its members in [b] (one that [b] empties is met by
+     every candidate). Deleting [b] from "all t-subsets of members"
+     leaves the sets [s \ b], whose weakest elements are the
+     (t - |members ∩ b|)-subsets of the survivors, so a threshold entry
+     keeps its form over its class minus [b], with the threshold
+     reduced by the members it lost; [sat] is unchanged. Each class is
+     cut once, for all the entries that share it. Negative pids name
+     no process, so they delete nothing. *)
+  let delete c b =
+    let b = D.of_set (Pid.Set.filter (fun i -> i >= 0) b) in
+    let entry i e =
+      if D.mem i b then Absent
+      else
+        match e with
+        | Absent -> Absent
+        | Explicit_d { slices; domain } ->
+            Explicit_d
+              {
+                slices =
+                  D.family
+                    (List.map (fun s -> D.diff s b) (D.family_members slices));
+                domain = D.diff domain b;
+              }
+        | Threshold_d { sat; threshold; cls } ->
+            let hit = D.inter_cardinal c.class_sets.(cls) b in
+            Threshold_d { sat; threshold = max 0 (threshold - hit); cls }
+    in
+    {
+      parts = D.diff c.parts b;
+      bound = c.bound;
+      entries = Array.mapi entry c.entries;
+      class_sets = Array.map (fun m -> D.diff m b) c.class_sets;
+    }
+
+  (* ---- the word view ---------------------------------------------------
+
+     A search that never leaves a member set [u] of at most [word_bits]
+     pids runs on one machine word: bit [k] stands for the [k]-th
+     smallest pid of [u], so bit order is pid order. Each member keeps
+     only what a candidate inside [u] can meet: the explicit slices that
+     lie within [u], or its threshold class cut down to [u] (a candidate
+     inside [u] meets the rest of the class nowhere). Per member [k],
+     [need.(k)] is the threshold over [class_w.(k)], or [-1] for explicit
+     slices, which are [slice_w.(slices_at.(k))] up to
+     [slice_w.(slices_at.(k + 1))]; a member that can never be satisfied
+     needs [max_int]. *)
+
+  let word_bits = 62
+
+  type words = {
+    pids : int array;  (* bit -> pid, ascending *)
+    need : int array;
+    class_w : int array;
+    slices_at : int array;
+    slice_w : int array;
+  }
+
+  let ntz b = D.popcount (b - 1)
+
+  (* The bits of the members of [d] among [pids]. *)
+  let bits_of pids d =
+    let r = ref 0 in
+    Array.iteri (fun k i -> if D.mem i d then r := !r lor (1 lsl k)) pids;
+    !r
+
+  let words c u =
+    let n = D.cardinal u in
+    if n > word_bits then
+      invalid_arg "Quorum.Compiled.words: more than 62 members";
+    let pids = Array.of_list (D.elements u) in
+    let need = Array.make n max_int and class_w = Array.make n 0 in
+    let slices_at = Array.make (n + 1) 0 and slices = ref [] and count = ref 0 in
+    Array.iteri
+      (fun k i ->
+        (if i < c.bound then
+           match c.entries.(i) with
+           | Absent -> ()
+           | Explicit_d { slices = f; _ } ->
+               need.(k) <- -1;
+               List.iter
+                 (fun s ->
+                   if D.subset s u then begin
+                     slices := bits_of pids s :: !slices;
+                     incr count
+                   end)
+                 (D.family_members f)
+           | Threshold_d { sat; threshold; cls } ->
+               if sat then begin
+                 need.(k) <- max 0 threshold;
+                 class_w.(k) <- bits_of pids c.class_sets.(cls)
+               end);
+        slices_at.(k + 1) <- !count)
+      pids;
+    { pids; need; class_w; slices_at; slice_w = Array.of_list (List.rev !slices) }
+
+  (* Algorithm 1's per-member test for bit [k] of candidate [q]. *)
+  let member_ok_w w k q =
+    let need = w.need.(k) in
+    if need >= 0 then D.popcount (q land w.class_w.(k)) >= need
+    else begin
+      let j = ref w.slices_at.(k) and stop = w.slices_at.(k + 1) in
+      while !j < stop && w.slice_w.(!j) land lnot q <> 0 do
+        incr j
+      done;
+      !j < stop
+    end
+
+  let is_quorum_w w q =
+    q <> 0
+    &&
+    let x = ref q in
+    while !x <> 0 && member_ok_w w (ntz (!x land - !x)) q do
+      x := !x land (!x - 1)
+    done;
+    !x = 0
+
+  let universe_w w = (1 lsl Array.length w.pids) - 1
+
+  let set_of_word w q =
+    let s = ref Pid.Set.empty and x = ref q in
+    while !x <> 0 do
+      let b = !x land - !x in
+      s := Pid.Set.add w.pids.(ntz b) !s;
+      x := !x lxor b
+    done;
+    !s
+
+  (* The rounds of [greatest_quorum_keeping_d] on words; [-1], which no
+     view's set equals, stands for [None]. *)
+  let rec greatest_quorum_keeping_w w ~keep q =
+    let next = ref 0 and x = ref q in
+    while !x <> 0 do
+      let b = !x land - !x in
+      if member_ok_w w (ntz b) q then next := !next lor b;
+      x := !x lxor b
+    done;
+    let next = !next in
+    if keep land lnot next <> 0 then -1
+    else if next = q then q
+    else greatest_quorum_keeping_w w ~keep next
 end
 
 let cache_stats () =
   { Core.Cache.hits = 0; misses = 0; evictions = 0; length = 0; capacity = 0 }
-
-(* Mazières' delete operation: remove the nodes of [b] from the system
-   and from every remaining slice. Lives here (rather than in {!Dset})
-   so that the {!Enum} analyzer can delete without depending on the
-   DSet layer it accelerates. *)
-let delete sys b =
-  Pid.Map.filter_map
-    (fun i slices ->
-      if Pid.Set.mem i b then None
-      else
-        Some
-          (match slices with
-          | Slice.Explicit l ->
-              Slice.Explicit (List.map (fun s -> Pid.Set.diff s b) l)
-          | Slice.Threshold { members; threshold } ->
-              (* Deleting [b] from "all t-subsets of members" yields the
-                 set {s \ b}, whose weakest elements are the
-                 (t - |members ∩ b|)-subsets of the survivors; both
-                 has_slice_within and all_slices_intersect depend only
-                 on those, so the result is exactly a threshold slice
-                 over the survivors with the reduced threshold. *)
-              let hit = Pid.Set.cardinal (Pid.Set.inter members b) in
-              Slice.Threshold
-                {
-                  members = Pid.Set.diff members b;
-                  threshold = max 0 (threshold - hit);
-                }))
-    sys
 
 let enum_quorums sys =
   let c = Compiled.compile sys in

@@ -5,7 +5,10 @@
     system ({!Pid.Dense_set}): threshold slice sets reduce to one
     popcount per distinct member set and candidate. Compilation is a
     first-class step — {!Compiled.compile} once, query many times —
-    and the compiled value is immutable. A caller whose system evolves
+    and the compiled value is immutable and stands alone: it keeps its
+    participants and its slices as bitsets, not the system it was
+    compiled from, and {!Compiled.delete} removes nodes from it
+    directly. A caller whose system evolves
     mid-run keeps its own handle (SCP federated voting recompiles its
     view when it learns a slice declaration, [Scp.Fvoting]), and so
     does the {!Enum} analyzer, whose handle lives exactly as long as
@@ -44,8 +47,20 @@ module Compiled : sig
   (** @raise Invalid_argument when the system names a negative pid, as
       an owner or as a slice member. *)
 
-  val system : t -> system
-  (** The system this value was compiled from. *)
+  val participants_d : t -> Pid.Dense_set.t
+  (** The processes with a declared slice set, [Explicit []] included:
+      {!participants} of the compiled system. *)
+
+  val delete : t -> Pid.Set.t -> t
+  (** [delete c b] is Mazières' delete operation on the compiled form:
+      the nodes of [b] leave the participants and every slice of the
+      remaining nodes, and a threshold slice keeps its symbolic form,
+      its threshold reduced by the number of deleted members. Every
+      query answers on [delete (compile sys) b] as on the compiled
+      tree-set deletion of [sys] ([Oracle.Quorum.delete] in
+      [test/oracle]). A negative pid in [b] deletes nothing. It serves
+      the despite checks, the splitting candidates of {!Enum} and
+      [Dset]. *)
 
   val is_quorum : t -> Pid.Set.t -> bool
   (** Algorithm 1: [Q] is a quorum iff it is non-empty and every
@@ -84,7 +99,7 @@ module Compiled : sig
       greatest quorum contains: the same fixpoint, run to the end. *)
 
   val domain_d : t -> Pid.t -> Pid.Dense_set.t
-  (** The compiled [Slice.domain (slices_of (system c) i)]: the union
+  (** The compiled [Slice.domain (slices_of sys i)]: the union
       of [i]'s explicit slices, or its threshold member set when that
       threshold can be met; empty for a process with no slices. *)
 
@@ -93,19 +108,47 @@ module Compiled : sig
       meets every slice of [i] (with no slices nothing can be accepted
       through blocking). Exact, because a slice avoids [b] iff it lies
       within [domain_d c i] minus [b]. *)
+
+  (** {3 The word view}
+
+      A search that never leaves a member set [u] of at most
+      {!word_bits} pids runs on one machine word per candidate: bit [k]
+      is the [k]-th smallest pid of [u], so ascending bit order is
+      ascending pid order, and each member of [u] keeps only its
+      slices inside [u] (an explicit slice reaching outside [u] is
+      contained in no candidate, and a threshold class meets a
+      candidate only inside [u]). {!is_quorum_w} and
+      {!greatest_quorum_keeping_w} are exact on every candidate inside
+      [u] and allocate nothing. *)
+
+  type words
+  (** The word view of one member set. Immutable. *)
+
+  val word_bits : int
+  (** 62: the largest member set with a word view. *)
+
+  val words : t -> Pid.Dense_set.t -> words
+  (** [words c u]: the view of [c] restricted to [u].
+      @raise Invalid_argument when [u] has more than {!word_bits}
+      members. *)
+
+  val universe_w : words -> int
+  (** The view's whole member set: its [n] lowest bits. *)
+
+  val set_of_word : words -> int -> Pid.Set.t
+
+  val is_quorum_w : words -> int -> bool
+  (** {!is_quorum_d} on the candidate the bits name. *)
+
+  val greatest_quorum_keeping_w : words -> keep:int -> int -> int
+  (** {!greatest_quorum_keeping_d} on the sets the bits name, with
+      [-1] (a word no view's set equals) for [None]. *)
 end
 
 val cache_stats : unit -> Core.Cache.stats
 (** All zero: no process-wide cache of compiled handles exists. Kept
     only because the benchmark harness still reads it (ROADMAP item 5
     removes it with the harness's own next change). *)
-
-val delete : system -> Pid.Set.t -> system
-(** Mazières' delete operation: removes the nodes of [b] from the
-    system and from every slice of the remaining nodes (threshold
-    slices keep their symbolic form, with the threshold reduced by the
-    number of deleted members). It lives here so the {!Enum} analyzer
-    and the {!Dset} layer share one definition. *)
 
 (** {2 Enumeration} *)
 

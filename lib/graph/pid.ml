@@ -238,6 +238,11 @@ module Dense_set = struct
     done;
     !w = stride
 
+  let family_members f =
+    List.init
+      (Array.length f.words / f.stride)
+      (fun k -> normalize (Array.sub f.words (k * f.stride) f.stride))
+
   let iter f t =
     for w = 0 to Array.length t - 1 do
       let base = w * bits_per_word in

@@ -77,6 +77,10 @@ module Dense_set : sig
       the intersection: one fused popcount pass. This is the whole cost
       of the symbolic quorum-membership test. *)
 
+  val popcount : int -> int
+  (** The number of set bits of one word, the sign bit included: the
+      cardinal of a set held in a single machine word. *)
+
   val subset : t -> t -> bool
 
   val disjoint : t -> t -> bool
@@ -96,6 +100,10 @@ module Dense_set : sig
       build has no flambda, so a per-member [subset] call is never
       inlined. False on the empty family; true whenever a member is
       empty. *)
+
+  val family_members : family -> t list
+  (** The members, in the order {!family} was given them:
+      [family_members (family l)] equals [l] element-wise. *)
 
   val iter : (int -> unit) -> t -> unit
   (** Ascending id order, like [Set.iter]. *)

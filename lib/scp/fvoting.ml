@@ -15,8 +15,8 @@ type t = {
   self : Pid.t;
   keep : D.t;  (* {self}: the member a quorum check must keep *)
   system : unit -> Fbqs.Quorum.system;
-  mutable view : Compiled.t option;
-      (* compiled from the last value [system ()] returned *)
+  mutable view : (Fbqs.Quorum.system * Compiled.t) option;
+      (* the last value [system ()] returned, and its compiled view *)
   mutable flags_for : Fbqs.Quorum.system option;
       (* the system value the clean flags were last checked against *)
   mutable tallies : tally Statement.Map.t;
@@ -113,13 +113,13 @@ let bump = function Some c -> Obs.Metrics.incr c | None -> ()
 let view t ~hits ~misses =
   let sys = t.system () in
   match t.view with
-  | Some c when Compiled.system c == sys ->
+  | Some (seen, c) when seen == sys ->
       bump hits;
       c
   | Some _ | None ->
       bump misses;
       let c = Compiled.compile sys in
-      t.view <- Some c;
+      t.view <- Some (sys, c);
       c
 
 (* Rule (a) of accept and the confirm rule demand a quorum containing

@@ -129,8 +129,7 @@ let analyze_compiled opts c =
   let jobs = opts.jobs in
   let metrics = if opts.metrics then Some (Obs.Metrics.create ()) else None in
   let t = Fbqs.Enum.of_compiled ?metrics c in
-  let sys = Fbqs.Enum.system t in
-  let participants = Fbqs.Quorum.participants sys in
+  let participants = Fbqs.Enum.participants t in
   let minimal_quorums = Fbqs.Enum.minimal_quorums ~jobs t in
   let intersection = Fbqs.Enum.check_intersection ~jobs t in
   let top_tier = Fbqs.Enum.top_tier ~jobs t in
@@ -149,7 +148,7 @@ let analyze_compiled opts c =
     List.map
       (fun ids ->
         let b = Pid.Set.of_list ids in
-        (b, Fbqs.Enum.quorum_intersection_despite ?metrics ~jobs sys b))
+        (b, Fbqs.Enum.intersects_despite ?metrics ~jobs c b))
       opts.despite
   in
   {

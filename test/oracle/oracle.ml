@@ -349,6 +349,34 @@ module Quorum = struct
     | Fbqs.Slice.Explicit [] -> false
     | s when Fbqs.Slice.slice_count s = 0 -> false
     | s -> Fbqs.Slice.all_slices_intersect s b
+
+  (* Mazières' delete operation on the tree-set system: remove the
+     nodes of [b] from the system and from every remaining slice; the
+     reference for [Fbqs.Quorum.Compiled.delete]. *)
+  let delete sys b =
+    Pid.Map.filter_map
+      (fun i slices ->
+        if Pid.Set.mem i b then None
+        else
+          Some
+            (match slices with
+            | Fbqs.Slice.Explicit l ->
+                Fbqs.Slice.Explicit (List.map (fun s -> Pid.Set.diff s b) l)
+            | Fbqs.Slice.Threshold { members; threshold } ->
+                (* Deleting [b] from "all t-subsets of members" yields
+                   the set {s \ b}, whose weakest elements are the
+                   (t - |members ∩ b|)-subsets of the survivors; both
+                   has_slice_within and all_slices_intersect depend
+                   only on those, so the result is exactly a threshold
+                   slice over the survivors with the reduced
+                   threshold. *)
+                let hit = Pid.Set.cardinal (Pid.Set.inter members b) in
+                Fbqs.Slice.Threshold
+                  {
+                    members = Pid.Set.diff members b;
+                    threshold = max 0 (threshold - hit);
+                  }))
+      sys
 end
 
 (* A Gosper sweep over the survivors. *)
@@ -378,7 +406,7 @@ module Dset = struct
      exists iff the complement of [q] still contains a quorum. Guarded to
      20 survivors. *)
   let quorum_intersection_despite sys b =
-    let deleted = Fbqs.Quorum.delete sys b in
+    let deleted = Quorum.delete sys b in
     let parts = Fbqs.Quorum.participants deleted in
     let elts = Array.of_list (Pid.Set.elements parts) in
     let n = Array.length elts in
@@ -863,7 +891,7 @@ module Fvoting = struct
     self : Pid.t;
     keep : D.t;
     system : unit -> Fbqs.Quorum.system;
-    mutable view : Compiled.t option;
+    mutable view : (Fbqs.Quorum.system * Compiled.t) option;
     mutable tallies : tally Statement.Map.t;
     c_quorum_checks : Obs.Metrics.counter option;
     c_vblocking_checks : Obs.Metrics.counter option;
@@ -926,13 +954,13 @@ module Fvoting = struct
   let view t ~hits ~misses =
     let sys = t.system () in
     match t.view with
-    | Some c when Compiled.system c == sys ->
+    | Some (seen, c) when seen == sys ->
         bump hits;
         c
     | Some _ | None ->
         bump misses;
         let c = Compiled.compile sys in
-        t.view <- Some c;
+        t.view <- Some (sys, c);
         c
 
   let quorum_within t s =

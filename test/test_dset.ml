@@ -13,7 +13,7 @@ let pbft4 =
        (Pid.Set.elements members))
 
 let test_delete_threshold () =
-  let deleted = Quorum.delete pbft4 (set [ 4 ]) in
+  let deleted = Oracle.Quorum.delete pbft4 (set [ 4 ]) in
   (match Quorum.slices_of deleted 1 with
   | Slice.Threshold { members; threshold } ->
       Alcotest.check pid_set "members shrink" (set [ 1; 2; 3 ]) members;
@@ -32,7 +32,7 @@ let test_delete_explicit () =
         (4, Slice.explicit [ set [ 1 ] ]);
       ]
   in
-  let deleted = Quorum.delete sys (set [ 3 ]) in
+  let deleted = Oracle.Quorum.delete sys (set [ 3 ]) in
   match Quorum.slices_of deleted 1 with
   | Slice.Explicit [ a; b ] ->
       Alcotest.check pid_set "first slice" (set [ 2 ]) a;
@@ -124,7 +124,7 @@ let prop_intersection_matches_enum =
         Pid.Set.filter (fun i -> bmask land (1 lsl (i - 1)) <> 0) members
       in
       let brute =
-        let quorums = Quorum.enum_quorums (Quorum.delete sys b) in
+        let quorums = Quorum.enum_quorums (Oracle.Quorum.delete sys b) in
         List.for_all
           (fun q1 ->
             List.for_all

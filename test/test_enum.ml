@@ -163,7 +163,7 @@ let test_fixture_analysis () =
       (match Enum.check_intersection t with
       | Enum.Intersects -> ()
       | Enum.Disjoint _ -> Alcotest.fail "fixture enjoys intersection");
-      let t' = Enum.prepare (Quorum.delete sys (set [ 0; 1; 2 ])) in
+      let t' = Enum.prepare (Oracle.Quorum.delete sys (set [ 0; 1; 2 ])) in
       (match Enum.check_intersection t' with
       | Enum.Intersects -> ()
       | Enum.Disjoint _ -> Alcotest.fail "intersection despite {0,1,2}");
@@ -183,6 +183,58 @@ let test_fixture_analysis () =
              "fbqs_enum_pruned";
              "fbqs_enum_quorums_found";
            ])
+
+(* A quorum-bearing SCC past 62 members runs the dense instance of the
+   quorum walk; every system above fits the word instance. 64
+   processes each declaring [threshold 63 of 0..63] have 64 minimal
+   quorums of 63, all intersecting. Deleting one process leaves 63
+   members (dense again), deleting two leaves 62, the largest SCC the
+   word view takes. Both instances visit the same tree, so the pinned
+   counts hold on either side of the bound and at every jobs count. *)
+let test_dense_walk () =
+  let members = Pid.Set.of_range 0 63 in
+  let sys =
+    Quorum.system_of_list
+      (List.map
+         (fun i -> (i, Slice.threshold ~members ~threshold:63))
+         (Pid.Set.elements members))
+  in
+  let ticks metrics =
+    List.map
+      (fun name -> Obs.Metrics.counter_value (Obs.Metrics.counter metrics name))
+      [ "fbqs_enum_explored"; "fbqs_enum_pruned"; "fbqs_enum_quorums_found" ]
+  in
+  List.iter
+    (fun jobs ->
+      let at what = Printf.sprintf "jobs %d: %s" jobs what in
+      let metrics = Obs.Metrics.create () in
+      let t = Enum.prepare ~metrics sys in
+      let quorums = Enum.minimal_quorums ~jobs t in
+      Alcotest.(check int) (at "minimal quorums") 64 (List.length quorums);
+      Alcotest.(check bool) (at "each of 63") true
+        (List.for_all (fun q -> Pid.Set.cardinal q = 63) quorums);
+      (match Enum.check_intersection ~jobs t with
+      | Enum.Intersects -> ()
+      | Enum.Disjoint _ -> Alcotest.fail (at "quorums intersect"));
+      let s = Enum.stats t in
+      Alcotest.(check (list int))
+        (at "explored, pruned, found")
+        [ 2144; 2015; 64 ]
+        [ s.Enum.explored; s.Enum.pruned; s.Enum.found ];
+      Alcotest.(check (list int)) (at "metrics = stats") [ 2144; 2015; 64 ]
+        (ticks metrics);
+      List.iter
+        (fun deleted ->
+          let metrics = Obs.Metrics.create () in
+          Alcotest.(check bool)
+            (at (Printf.sprintf "despite %d deleted" (List.length deleted)))
+            true
+            (Enum.quorum_intersection_despite ~metrics ~jobs sys (set deleted));
+          Alcotest.(check (list int))
+            (at (Printf.sprintf "despite %d deleted: ticks" (List.length deleted)))
+            [ 560; 495; 0 ] (ticks metrics))
+        [ [ 0 ]; [ 0; 1 ] ])
+    [ 1; 2; 4 ]
 
 (* ---- random systems ---------------------------------------------------- *)
 
@@ -448,7 +500,7 @@ let prop_decided_enumerated =
        gen_planted)
     (fun (sys, deleted, boundary) ->
       let enumerated =
-        match Enum.quorum_intersection (Quorum.delete sys deleted) with
+        match Enum.quorum_intersection (Oracle.Quorum.delete sys deleted) with
         | Enum.Intersects -> true
         | Enum.Disjoint _ -> false
       in
@@ -699,6 +751,8 @@ let suites =
           test_fixture_provenance;
         Alcotest.test_case "fixture full-scale analysis" `Quick
           test_fixture_analysis;
+        Alcotest.test_case "dense walk past 62 members" `Quick
+          test_dense_walk;
         QCheck_alcotest.to_alcotest prop_minimal_quorums_equiv;
         QCheck_alcotest.to_alcotest prop_intersection_equiv;
         QCheck_alcotest.to_alcotest prop_despite_equiv;

@@ -39,8 +39,9 @@ let test_compiled_matches_oracle_on_fig1 () =
         (Oracle.Quorum.greatest_quorum_within fig1_system s)
         (Quorum.Compiled.greatest_quorum_within c s))
     candidates;
-  Alcotest.(check bool) "system round-trips" true
-    (Quorum.Compiled.system c == fig1_system)
+  Alcotest.check pid_set "participants survive compilation"
+    (Quorum.participants fig1_system)
+    (D.to_set (Quorum.Compiled.participants_d c))
 
 (* Random slice systems: processes 1..n, each declaring one or two
    random explicit slices over the universe. *)
@@ -254,6 +255,212 @@ let test_is_v_blocking_d_edges () =
   Alcotest.(check bool) "a slice avoids 150" false
     (Quorum.Compiled.is_v_blocking_d c 7 (D.of_set (set [ 150 ])))
 
+(* ---- the word view --------------------------------------------------
+
+   Systems over up to 100 sparse pids below 200, and a member set [u]
+   of at most 62 pids drawn from the participants and from strangers,
+   so views range up to the full word. The word queries must agree
+   with the dense ones on subsets of [u] (half of them [u] less a few
+   members, where quorums are common), with [keep] empty, inside the
+   candidate, or anywhere in [u]. *)
+
+let gen_word_query =
+  QCheck.Gen.(
+    let* pids = list_size (int_range 1 100) (int_bound 200) in
+    let pool = List.sort_uniq Int.compare pids in
+    let subset_of_pool =
+      let* l = list_size (int_range 1 6) (oneofl pool) in
+      return (Pid.Set.of_list l)
+    in
+    let* assoc =
+      flatten_l
+        (List.map
+           (fun i ->
+             let* kind = int_bound 2 in
+             match kind with
+             | 0 ->
+                 let* slices = list_size (int_bound 4) subset_of_pool in
+                 return (Some (i, Slice.explicit slices))
+             | 1 ->
+                 let* members = subset_of_pool in
+                 let* threshold =
+                   int_range (-1) (Pid.Set.cardinal members + 1)
+                 in
+                 return (Some (i, Slice.threshold ~members ~threshold))
+             | _ -> return None)
+           pool)
+    in
+    let* inside = list_size (int_bound 150) (oneofl pool) in
+    let* strangers = list_size (int_bound 3) (int_bound 200) in
+    let u =
+      List.filteri (fun k _ -> k < 62) (List.sort_uniq Int.compare (inside @ strangers))
+    in
+    let subset l =
+      let* keep = flatten_l (List.map (fun _ -> bool) l) in
+      return (List.filteri (fun k _ -> List.nth keep k) l)
+    in
+    let nearly_all =
+      match u with
+      | [] -> return []
+      | _ ->
+          let* drop = list_size (int_bound 3) (oneofl u) in
+          return (List.filter (fun i -> not (List.mem i drop)) u)
+    in
+    let* candidates =
+      list_repeat 8
+        (let* s = oneof [ subset u; nearly_all ] in
+         let* keep = oneof [ return []; subset s; subset u ] in
+         return (Pid.Set.of_list s, Pid.Set.of_list keep))
+    in
+    return
+      ( Quorum.system_of_list (List.filter_map Fun.id assoc),
+        Pid.Set.of_list u,
+        candidates ))
+
+let print_word (sys, u, candidates) =
+  Format.asprintf "system=%a u=%a candidates=%s" (Pid.Map.pp Slice.pp) sys
+    Pid.Set.pp u
+    (String.concat "; "
+       (List.map
+          (fun (s, keep) ->
+            Format.asprintf "%a keep %a" Pid.Set.pp s Pid.Set.pp keep)
+          candidates))
+
+let prop_word_view =
+  QCheck.Test.make ~count:300 ~name:"word view = dense queries inside u"
+    (QCheck.make ~print:print_word gen_word_query)
+    (fun (sys, u, candidates) ->
+      let c = Quorum.Compiled.compile sys in
+      let w = Quorum.Compiled.words c (D.of_set u) in
+      (* Bit k is the k-th smallest pid of [u]. *)
+      let bits s =
+        List.fold_left
+          (fun (acc, k) i ->
+            ((if Pid.Set.mem i s then acc lor (1 lsl k) else acc), k + 1))
+          (0, 0) (Pid.Set.elements u)
+        |> fst
+      in
+      Quorum.Compiled.universe_w w = bits u
+      && List.for_all
+           (fun (s, keep) ->
+             Pid.Set.equal (Quorum.Compiled.set_of_word w (bits s)) s
+             && Bool.equal
+                  (Quorum.Compiled.is_quorum_w w (bits s))
+                  (Quorum.Compiled.is_quorum_d c (D.of_set s))
+             &&
+             let g =
+               Quorum.Compiled.greatest_quorum_keeping_w w ~keep:(bits keep)
+                 (bits s)
+             in
+             match
+               Quorum.Compiled.greatest_quorum_keeping_d c
+                 ~keep:(D.of_set keep) (D.of_set s)
+             with
+             | Some gd -> g = bits (D.to_set gd)
+             | None -> g = -1)
+           candidates)
+
+let test_word_bound () =
+  let c =
+    Quorum.Compiled.compile
+      (Quorum.system_of_list
+         [ (0, Slice.threshold ~members:(Pid.Set.of_range 0 62) ~threshold:1) ])
+  in
+  Alcotest.(check int) "62 members: the full word" max_int
+    (Quorum.Compiled.universe_w (Quorum.Compiled.words c (D.of_range 0 61)));
+  Alcotest.check_raises "63 members"
+    (Invalid_argument "Quorum.Compiled.words: more than 62 members")
+    (fun () -> ignore (Quorum.Compiled.words c (D.of_range 0 62)))
+
+(* ---- delete on the compiled form ---------------------------------------
+
+   [Compiled.delete c b] against the compiled tree-set deletion
+   ([Oracle.Quorum.delete]): the same participants, domains, quorum
+   answers, greatest quorums and v-blocking answers, on every pid up to
+   201 and on probes that may name deleted nodes. *)
+
+let agrees_after_delete sys b probes =
+  let c = Quorum.Compiled.delete (Quorum.Compiled.compile sys) b in
+  let sys' = Oracle.Quorum.delete sys b in
+  let c' = Quorum.Compiled.compile sys' in
+  D.equal (Quorum.Compiled.participants_d c) (D.of_set (Quorum.participants sys'))
+  && List.for_all
+       (fun i ->
+         D.equal (Quorum.Compiled.domain_d c i) (Quorum.Compiled.domain_d c' i))
+       (List.init 202 Fun.id)
+  && List.for_all
+       (fun p ->
+         let pd = D.of_set p in
+         Bool.equal (Quorum.Compiled.is_quorum c p) (Quorum.Compiled.is_quorum c' p)
+         && Pid.Set.equal
+              (Quorum.Compiled.greatest_quorum_within c p)
+              (Quorum.Compiled.greatest_quorum_within c' p)
+         && List.for_all
+              (fun i ->
+                Bool.equal
+                  (Quorum.Compiled.is_v_blocking_d c i pd)
+                  (Quorum.Compiled.is_v_blocking_d c' i pd))
+              (List.init 202 Fun.id))
+       probes
+
+let gen_delete_query =
+  QCheck.Gen.(
+    let* sys, _, b = gen_blocking_query in
+    let pool = 0 :: Pid.Set.elements (Quorum.participants sys) in
+    let* probes =
+      list_repeat 4
+        (let* l =
+           list_size (int_bound 10) (oneof [ oneofl pool; int_bound 200 ])
+         in
+         return (Pid.Set.of_list l))
+    in
+    return (sys, b, probes))
+
+let prop_delete =
+  QCheck.Test.make ~count:300 ~name:"Compiled.delete = compiled tree-set delete"
+    (QCheck.make
+       ~print:(fun (sys, b, probes) ->
+         Format.asprintf "system=%a b=%a probes=%s" (Pid.Map.pp Slice.pp) sys
+           Pid.Set.pp b
+           (String.concat "; " (List.map Pid.Set.to_string probes)))
+       gen_delete_query)
+    (fun (sys, b, probes) -> agrees_after_delete sys b probes)
+
+let test_delete_cuts () =
+  (* [b] cuts the threshold class of 1 and 2 ({1,2,3} loses 2, so 2 of
+     3 becomes 1 of {1,3}) and empties 3's slice {4}, which every
+     candidate then meets; 4's slice {4,5} keeps 5. *)
+  let sys =
+    Quorum.system_of_list
+      [
+        (1, Slice.threshold ~members:(set [ 1; 2; 3 ]) ~threshold:2);
+        (2, Slice.threshold ~members:(set [ 1; 2; 3 ]) ~threshold:2);
+        (3, Slice.explicit [ set [ 4 ]; set [ 1; 5 ] ]);
+        (5, Slice.explicit [ set [ 4; 5 ] ]);
+      ]
+  in
+  let b = set [ 2; 4 ] in
+  let c = Quorum.Compiled.delete (Quorum.Compiled.compile sys) b in
+  Alcotest.check pid_set "participants" (set [ 1; 3; 5 ])
+    (D.to_set (Quorum.Compiled.participants_d c));
+  Alcotest.(check bool) "{1} meets 1 of {1,3}" true
+    (Quorum.Compiled.is_quorum c (set [ 1 ]));
+  Alcotest.(check bool) "{3} meets an emptied slice" true
+    (Quorum.Compiled.is_quorum c (set [ 3 ]));
+  Alcotest.(check bool) "{5} meets {5}" true
+    (Quorum.Compiled.is_quorum c (set [ 5 ]));
+  Alcotest.(check bool) "a deleted node is in no quorum" false
+    (Quorum.Compiled.is_quorum c (set [ 1; 2 ]));
+  Alcotest.check pid_set "class cut to {1,3}" (set [ 1; 3 ])
+    (D.to_set (Quorum.Compiled.domain_d c 1));
+  Alcotest.(check bool) "nothing blocks an emptied slice" false
+    (Quorum.Compiled.is_v_blocking_d c 3 (D.of_set (set [ 1; 5 ])));
+  Alcotest.(check bool) "{1,3} blocks 1 of {1,3}" true
+    (Quorum.Compiled.is_v_blocking_d c 1 (D.of_set (set [ 1; 3 ])));
+  Alcotest.(check bool) "= compiled tree-set delete" true
+    (agrees_after_delete sys b
+       (List.map set [ []; [ 1 ]; [ 3 ]; [ 1; 3 ]; [ 1; 2; 3 ]; [ 3; 5 ]; [ 1; 3; 4; 5 ] ]))
+
 let suites =
   [
     ( "quorum_compiled",
@@ -266,5 +473,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_is_v_blocking_d;
         Alcotest.test_case "is_v_blocking_d edge cases" `Quick
           test_is_v_blocking_d_edges;
+        QCheck_alcotest.to_alcotest prop_word_view;
+        Alcotest.test_case "word view holds 62 members" `Quick test_word_bound;
+        QCheck_alcotest.to_alcotest prop_delete;
+        Alcotest.test_case "delete cuts a class and empties a slice" `Quick
+          test_delete_cuts;
       ] );
   ]
