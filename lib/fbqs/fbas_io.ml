@@ -59,11 +59,16 @@ let to_file path sys =
 let tokens line =
   String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
 
-(* Process ids index the dense kernels (DESIGN.md §8), so a negative
-   one is refused here rather than by every kernel downstream. *)
+(* Process ids index the dense kernels (DESIGN.md §8), which size
+   themselves by the largest id, so a negative or huge one is refused
+   here rather than by every kernel downstream. *)
 let parse_pid lineno tok =
   match int_of_string_opt tok with
-  | Some i when i >= 0 -> Ok i
+  | Some i when i >= 0 && i < Parse.id_bound -> Ok i
+  | Some i when i >= 0 ->
+      Error
+        (Printf.sprintf "line %d: process id %d is not below %d" lineno i
+           Parse.id_bound)
   | _ -> Error (Printf.sprintf "line %d: %S is not a process id" lineno tok)
 
 (* [{ 1 2 } { 3 }] -> explicit slice list *)

@@ -23,7 +23,9 @@ val to_file : string -> Quorum.system -> unit
 
 val of_string : string -> (Quorum.system, string) result
 (** Parse errors name the offending line. Process ids follow
-    [int_of_string] and must be non-negative. *)
+    [int_of_string] and must lie in [[0, 2^20)]
+    ({!Graphkit.Parse.id_bound}): the compiled system is a dense bitset
+    per slice, sized by the largest id. *)
 
 val of_file : string -> (Quorum.system, string) result
 (** [Graphkit.Parse.parse_file of_string]: every error is

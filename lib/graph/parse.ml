@@ -4,9 +4,13 @@
    itself (the seed split/trim/filter_map pipeline allocated several
    intermediate strings and lists per line). Ids are read with
    [int_of_string] semantics (so [+2], hex and underscored forms
-   parse) and must come out non-negative: process ids index the dense
-   kernels (DESIGN.md §8), so a negative one is a line-numbered error
-   here rather than a second code path in every kernel. *)
+   parse) and must come out in [[0, id_bound)]: process ids index the
+   dense kernels (DESIGN.md §8), which size themselves by the largest
+   id, so a negative or huge one is a line-numbered error here rather
+   than a second code path, or a gigabyte allocation, in every
+   kernel. *)
+
+let id_bound = 1 lsl 20
 
 let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
 
@@ -78,6 +82,11 @@ let of_string text =
               Some
                 (Printf.sprintf "line %d: bad vertex id %S" !lineno
                    (String.sub text !a (!ve - !a)))
+        | Some v when v >= id_bound ->
+            err :=
+              Some
+                (Printf.sprintf "line %d: vertex id %d is not below %d" !lineno
+                   v id_bound)
         | Some v ->
             (* Successor tokens: split on ' ', trim each of the
                remaining whitespace, skip empties. *)
@@ -100,13 +109,21 @@ let of_string text =
                 done;
                 if !ts < !te then
                   match parse_int text !ts !te with
-                  | None -> ok := false
+                  | None ->
+                      err :=
+                        Some (Printf.sprintf "line %d: bad successor id" !lineno);
+                      ok := false
+                  | Some s when s >= id_bound ->
+                      err :=
+                        Some
+                          (Printf.sprintf
+                             "line %d: successor id %d is not below %d" !lineno
+                             s id_bound);
+                      ok := false
                   | Some s -> succs := s :: !succs
               end
             done;
-            if not !ok then
-              err := Some (Printf.sprintf "line %d: bad successor id" !lineno)
-            else
+            if !ok then
               g :=
                 List.fold_left
                   (fun g s -> Digraph.add_edge v s g)

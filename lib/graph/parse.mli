@@ -9,11 +9,18 @@
     8:          # a vertex with no outgoing knowledge
     v} *)
 
+val id_bound : int
+(** [2^20]. The dense kernels size their arrays by the largest process
+    id, so a file's ids must lie below this bound; a file naming a
+    larger one would make a kernel allocate for every id up to it. *)
+
 val of_string : string -> (Digraph.t, string) result
 (** Parses the adjacency format; returns a human-readable error message
     naming the offending line otherwise. Ids follow [int_of_string] and
-    must be non-negative: a negative id is a [bad vertex id] or [bad
-    successor id] error. *)
+    must lie in [[0, id_bound)]: a negative id is a [bad vertex id] or
+    [bad successor id] error, and one at or above {!id_bound} a [vertex
+    id N is not below 1048576] or [successor id N is not below 1048576]
+    error. *)
 
 val parse_file :
   (string -> ('a, string) result) -> string -> ('a, string) result

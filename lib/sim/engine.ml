@@ -27,7 +27,8 @@ type 'm t = {
      nothing, and a pop relinks rows instead of sifting a heap. Its
      contract is that no push precedes the last pop: [send] and
      [set_timer] schedule at least one tick past the clock, and [run]
-     pushes every start before its first pop. *)
+     pushes every start before its first pop. [run] releases it when
+     it returns, so its rows serve the domain's next engine. *)
   queue : 'm Event_heap.t;
   (* The node registry: a dense array indexed by pid holding the
      behaviour together with a preallocated ctx, so the per-event path
@@ -39,6 +40,7 @@ type 'm t = {
   trace : Obs.Trace.sink option;
   max_time : int;
   mutable clock : int;
+  mutable ran : bool;
   mutable messages_sent : int;
   mutable messages_delivered : int;
   mutable messages_dropped : int;
@@ -122,6 +124,7 @@ let create_cfg ?pp_msg (cfg : Run_config.t) =
     trace = cfg.trace;
     max_time = cfg.max_time;
     clock = 0;
+    ran = false;
     messages_sent = 0;
     messages_delivered = 0;
     messages_dropped = 0;
@@ -202,6 +205,8 @@ let dispatch t =
   end
 
 let run ?(stop = fun () -> false) t =
+  if t.ran then invalid_arg "Simkit.Engine.run: an engine runs once";
+  t.ran <- true;
   (* Start events go out in ascending pid order — the slot index is
      the pid — so the time-0 schedule (and with it the per-run delay
      stream) depends on the registered set alone. *)
@@ -223,6 +228,7 @@ let run ?(stop = fun () -> false) t =
     end
   in
   loop ();
+  Event_heap.release t.queue;
   {
     messages_sent = t.messages_sent;
     messages_delivered = t.messages_delivered;

@@ -75,8 +75,12 @@ val run : ?stop:(unit -> bool) -> 'm t -> stats
 (** Starts every registered process, in ascending pid order, and
     processes events in timestamp order until the queue drains,
     [stop ()] holds (checked after every event), or the clock passes
-    the config's [max_time]. Returns the execution statistics. An
-    engine runs once: its queue refuses an event earlier than the last
-    one popped, so a second call, which pushes the starts at time 0
-    again, raises [Invalid_argument] if the first popped an event past
-    time 0. *)
+    the config's [max_time]. Returns the execution statistics.
+
+    An engine runs once: a second call raises [Invalid_argument],
+    however early the first one stopped. On return the engine gives its
+    event queue's rows back to the calling domain for the next engine
+    it creates ({!Event_heap.release}), and the events still pending
+    are dropped. A [send] or [set_timer] through a finished engine's
+    [ctx] schedules an event that is never delivered and touches no
+    other engine. *)

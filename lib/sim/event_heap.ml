@@ -26,9 +26,21 @@
 
    Row slots are recycled through a free list threaded through the
    link array, so steady-state push/pop touches no allocator, and the
-   arrays are sized by the pending events, never by their times. Pop
-   is cursor-style: it parks the minimum event's row id and the
-   accessors read that row until the next pop recycles it. *)
+   arrays are sized by backlogs, never by the span of pending times.
+   Pop is cursor-style: it parks the minimum event's row id and the
+   accessors read that row until the next pop recycles it.
+
+   Rows outlive the queue (DESIGN.md §20). [create] takes the six
+   typed row arrays its domain has spare and [release] gives them
+   back, so a domain that runs engine after engine grows them to its
+   largest backlog once, not in every run: an array past 256 words
+   goes straight into the major heap, and regrowing the rows was most
+   of what a run allocated there. A domain keeps rows for at most
+   [spare_bound] events. Nothing is cleared: a queue starts its
+   buckets, free list and [alloc_top] fresh, and a row it hands out
+   has every field written by its push ([push_row], [append],
+   [push_deliver]) before any pop or [refill] reads it. The payload
+   array stays per queue, since ['m] differs from queue to queue. *)
 
 module Kind = struct
   type t = int
@@ -67,14 +79,45 @@ type 'm t = {
   mutable hw : int;
 }
 
-let create () =
+(* A domain's spare rows, kept between queues. *)
+type rows = {
+  r_times : int array;
+  r_links : int array;
+  r_kinds : int array;
+  r_na : int array;
+  r_nb : int array;
+  r_tags : string array;
+}
+
+(* lint: allow R2 — a zero-length array has no cell to write *)
+let no_rows =
   {
-    times = [||];
-    links = [||];
-    kinds = [||];
-    na = [||];
-    nb = [||];
-    tags = [||];
+    r_times = [||];
+    r_links = [||];
+    r_kinds = [||];
+    r_na = [||];
+    r_nb = [||];
+    r_tags = [||];
+  }
+
+(* A domain keeps rows for at most 2^16 events (about 3 MB): a sweep's
+   queues stay under 2^14, and a daemon that served one huge run does
+   not hold its hundreds of MB afterwards. *)
+let spare_bound = 1 lsl 16
+
+(* lint: allow R2 — each domain reads and writes only its own cell, and no result depends on a stale row *)
+let spare = Domain_local.make (fun () -> no_rows)
+
+let create () =
+  let r = Domain_local.get spare in
+  Domain_local.set spare no_rows;
+  {
+    times = r.r_times;
+    links = r.r_links;
+    kinds = r.r_kinds;
+    na = r.r_na;
+    nb = r.r_nb;
+    tags = r.r_tags;
     payloads = [||];
     heads = Array.make buckets (-1);
     tails = Array.make buckets (-1);
@@ -243,3 +286,36 @@ let node_a t = t.na.(t.cursor)
 let node_b t = t.nb.(t.cursor)
 let tag t = t.tags.(t.cursor)
 let payload t = t.payloads.(t.cursor)
+
+(* Hands the rows to the domain's spare, unless they are past the
+   bound or the spare already holds longer ones, and leaves the queue
+   empty with no storage of its own: a later push grows fresh rows, so
+   it cannot write into rows another queue now owns. *)
+let release t =
+  let cap = Array.length t.times in
+  if
+    cap <= spare_bound
+    && cap > Array.length (Domain_local.get spare).r_times
+  then
+    Domain_local.set spare
+      {
+        r_times = t.times;
+        r_links = t.links;
+        r_kinds = t.kinds;
+        r_na = t.na;
+        r_nb = t.nb;
+        r_tags = t.tags;
+      };
+  t.times <- [||];
+  t.links <- [||];
+  t.kinds <- [||];
+  t.na <- [||];
+  t.nb <- [||];
+  t.tags <- [||];
+  t.payloads <- [||];
+  Array.fill t.heads 0 buckets (-1);
+  Array.fill t.tails 0 buckets (-1);
+  t.size <- 0;
+  t.free_head <- -1;
+  t.alloc_top <- 0;
+  t.cursor <- -1

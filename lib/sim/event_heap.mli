@@ -6,8 +6,8 @@
     here writes one row across preallocated parallel arrays (row slots
     are recycled through an intrusive free list) and links it into one
     of 32 FIFO buckets, each of which keeps its least time; the
-    per-event hot path allocates nothing, and memory is proportional to
-    the pending events whatever their times.
+    per-event hot path allocates nothing, and memory follows the
+    backlog of pending events, whatever their times.
 
     Ordering is identical to that queue's: strictly by
     [(time, push sequence)], so equal times pop in push order, and
@@ -20,7 +20,14 @@
     land at least one tick after the current clock, and starts are
     pushed before the first pop. The generic queue, which has no such
     contract, is now a test oracle in [test/oracle], and the bench
-    baseline this module is measured against. *)
+    baseline this module is measured against.
+
+    {b Rows outlive the queue.} {!create} takes the row arrays its
+    domain has spare and {!release} gives them back, so on one domain
+    the arrays grow to the largest backlog once, not in every run. A
+    domain keeps rows for at most {!spare_bound} events. Reused rows
+    are never cleared and need not be: a queue hands out no row before
+    its push writes every field. *)
 
 module Kind : sig
   type t = private int
@@ -36,6 +43,20 @@ end
 type 'm t
 
 val create : unit -> 'm t
+(** An empty queue on the calling domain's spare rows, if it has any;
+    the spare is left empty until a {!release}. *)
+
+val release : 'm t -> unit
+(** Gives the queue's row arrays to the calling domain's spare, if
+    they hold at most {!spare_bound} rows and more than the spare
+    holds, and leaves the queue empty and without storage of its own
+    (its {!high_water} is kept). A later push on it grows fresh rows,
+    so it never writes into rows a newer queue has taken. *)
+
+val spare_bound : int
+(** [2^16]: a domain keeps rows for at most this many events, about
+    3 MB. *)
+
 val length : 'm t -> int
 val is_empty : 'm t -> bool
 

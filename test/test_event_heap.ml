@@ -137,10 +137,49 @@ let test_wide_span_small () =
     (Printf.sprintf "allocated %.0f bytes, under 8 KiB" allocated)
     true (allocated < 8192.)
 
+let test_release_hands_rows_on () =
+  (* A released queue's rows serve the next queue created on this
+     domain, and pushes on the released queue land on rows of its own,
+     never on the rows it gave away. *)
+  let old = H.create () in
+  for i = 0 to 99 do
+    H.push_timer old ~time:i ~owner:i "old"
+  done;
+  Alcotest.(check bool) "pop" true (H.pop old);
+  H.release old;
+  Alcotest.(check int) "a released queue is empty" 0 (H.length old);
+  Alcotest.(check int) "and keeps its high water" 100 (H.high_water old);
+  let fresh = H.create () in
+  for i = 0 to 9 do
+    H.push_deliver fresh ~time:i ~src:i ~dst:(i + 1) (string_of_int i)
+  done;
+  for i = 0 to 99 do
+    H.push_timer old ~time:(100 + i) ~owner:7 "stale"
+  done;
+  let row t a b tag payload =
+    Printf.sprintf "%d %d %d %S %S" t a b tag payload
+  in
+  let rec rows acc =
+    if H.pop fresh then
+      rows
+        (row (H.time fresh) (H.node_a fresh) (H.node_b fresh) (H.tag fresh)
+           (H.payload fresh)
+        :: acc)
+    else List.rev acc
+  in
+  Alcotest.(check (list string))
+    "the new queue pops what it was given"
+    (List.init 10 (fun i -> row i i (i + 1) "" (string_of_int i)))
+    (rows []);
+  Alcotest.(check int) "the stale pushes stay in the released queue" 100
+    (H.length old)
+
 (* Random monotone interleavings against Oracle.Event_queue. A push's
    time is drawn relative to the last pop: at it (many equal times), a
    few ticks past it (the engine's shape), up to a thousand past it,
-   or anywhere up to 2^31 - 1. *)
+   or anywhere up to 2^31 - 1. Each draw releases its queue when it
+   ends, so the next draw's queue starts on the same rows, every slot
+   still holding an earlier draw's times, links, kinds and tags. *)
 type op = Pop | Push of int * int * int (* kind, time class, draw *)
 
 let time_of ~last cls draw =
@@ -215,6 +254,7 @@ let replay ops =
   while not (H.is_empty h && Oracle.Event_queue.is_empty q) do
     pop_both ()
   done;
+  H.release h;
   !lengths_agree && List.rev !from_heap = List.rev !from_oracle
 
 let prop_matches_oracle =
@@ -241,6 +281,8 @@ let suites =
           test_monotone_guard;
         Alcotest.test_case "times 0 and 2^31-1 allocate O(1)" `Quick
           test_wide_span_small;
+        Alcotest.test_case "released rows serve the next queue only" `Quick
+          test_release_hands_rows_on;
         QCheck_alcotest.to_alcotest prop_matches_oracle;
       ] );
   ]

@@ -57,6 +57,12 @@ let test_malformed_inputs () =
     "line 1: bad successor id" (err "1: 0x10 +2 -3 1_0\n");
   Alcotest.(check string) "negative vertex id"
     "line 1: bad vertex id \"-1\"" (err "-1: 2\n");
+  (* Ids size the dense kernels, so one just past 2^20 is refused. *)
+  Alcotest.(check string) "vertex id at the bound"
+    "line 1: vertex id 1048576 is not below 1048576" (err "1048576: 2\n");
+  Alcotest.(check string) "successor id at the bound"
+    "line 2: successor id 1048576 is not below 1048576"
+    (err "0: 1\n1: 0 0x100000\n");
   (* Accepted edge cases, unchanged from the seed parser. *)
   let ok text = match Parse.of_string text with
     | Ok g -> g
@@ -66,6 +72,9 @@ let test_malformed_inputs () =
   Alcotest.check pid_set "int_of_string successor forms"
     (Pid.Set.of_list [ 16; 2; 10 ])
     (Digraph.succs g 1);
+  Alcotest.check pid_set "the id below the bound"
+    (Pid.Set.singleton 0)
+    (Digraph.succs (ok "1048575: 0\n") 1048575);
   let g = ok "  7  :\t8   9 # tail\n" in
   Alcotest.check pid_set "whitespace-heavy line"
     (Pid.Set.of_list [ 8; 9 ])

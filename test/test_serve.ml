@@ -156,30 +156,40 @@ let test_oversized_splitting_is_an_error () =
   | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
 
 let test_negative_pid_is_an_error () =
-  (* A file naming pid -1 is refused by the parser with its line
-     number; the daemon answers with one error envelope and keeps
-     serving. *)
-  let path = Filename.temp_file "stellar_cup_negative" ".fbas" in
-  let oc = open_out path in
-  output_string oc "0 threshold 1 of 0 -1\n";
-  close_out oc;
+  (* A file naming pid -1, or one just past the parsers' 2^20 bound, is
+     refused with its line number, whether an [analyze] reads it as an
+     FBAS or a [run] reads it as a graph; the daemon answers each with
+     one error envelope and keeps serving. *)
   let d = Serve.Daemon.create () in
-  let answer =
-    Serve.Daemon.handle_line d
-      (req 1 "analyze" [ ("file", Printf.sprintf "%S" path) ])
-  in
-  Sys.remove path;
-  (match answer with
-  | [ line ] ->
-      Alcotest.(check bool) "not ok" true (contains ~affix:{|"ok":false|} line);
-      Alcotest.(check bool) "names the line" true
-        (contains ~affix:"line 1" line)
-  | l -> Alcotest.failf "expected one error line, got %d" (List.length l));
-  match Serve.Daemon.handle_line d (req 2 "ping" []) with
-  | [ line ] ->
-      Alcotest.(check bool) "next request ok" true
-        (contains ~affix:{|"ok":true|} line)
-  | l -> Alcotest.failf "expected one ping line, got %d" (List.length l)
+  List.iteri
+    (fun i (verb, content) ->
+      let path = Filename.temp_file "stellar_cup_bad_pid" ".txt" in
+      let oc = open_out path in
+      output_string oc content;
+      close_out oc;
+      let args =
+        if verb = "analyze" then [ ("file", Printf.sprintf "%S" path) ]
+        else [ ("graph", Printf.sprintf "%S" ("file:" ^ path)) ]
+      in
+      let answer = Serve.Daemon.handle_line d (req (2 * i) verb args) in
+      Sys.remove path;
+      (match answer with
+      | [ line ] ->
+          Alcotest.(check bool) (content ^ ": not ok") true
+            (contains ~affix:{|"ok":false|} line);
+          Alcotest.(check bool) (content ^ ": names the line") true
+            (contains ~affix:"line 1" line)
+      | l -> Alcotest.failf "expected one error line, got %d" (List.length l));
+      match Serve.Daemon.handle_line d (req ((2 * i) + 1) "ping" []) with
+      | [ line ] ->
+          Alcotest.(check bool) "next request ok" true
+            (contains ~affix:{|"ok":true|} line)
+      | l -> Alcotest.failf "expected one ping line, got %d" (List.length l))
+    [
+      ("analyze", "0 threshold 1 of 0 -1\n");
+      ("analyze", "0 threshold 1 of 0 1048576\n");
+      ("run", "0: 1048576\n");
+    ]
 
 let test_empty_family_sink_is_an_error () =
   (* A family graph with no sink members is an input error: one error
