@@ -118,13 +118,11 @@ let run_stack stack ~cfg ~graph ~f ~faulty ~initial_value_of =
 
 let sweep ?(jobs = 1) ?(cfg = Simkit.Run_config.default) ~stack ~graph ~f
     ~faulty ~initial_value_of seeds =
-  (* Graph analyses inside a sweep (sink detection, quorum checks) run
-     against the same physical [graph] value every seed, so they hit the
-     per-process {!Graphkit.Csr} memo: the graph is compiled and
-     condensed once, not once per run. Domain workers share the parent's
-     heap and hit the memo directly (Exec arms the cache's mutex before
-     spawning); fork workers inherit a memo the parent has already
-     warmed for free. *)
+  (* Every seed's run reads the same immutable [graph]: domain workers
+     share it in the parent's heap, fork workers inherit it. A graph
+     analysis inside a run (sink detection, quorum checks) compiles
+     what it needs for that run alone (no process-wide memo exists,
+     DESIGN.md §12), so the runs share no mutable state. *)
   (* Observability sinks are per-run mutable state; a sweep's fork
      workers each live in their own process (sinks attached to the
      parent's config would silently collect nothing), and domain

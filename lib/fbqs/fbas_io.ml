@@ -7,7 +7,7 @@ open Graphkit
      1 slices { 0 1 2 } { 1 2 4 }
      2 none
 
-   Whitespace-separated tokens; blank lines and '#' lines are
+   Whitespace-separated tokens; blank lines and '#' comments are
    ignored. The format is the on-disk shape of [Quorum.system], so a
    parse/print round trip is the identity (property-tested in
    test/test_enum.ml). *)
@@ -56,96 +56,67 @@ let to_file path sys =
   output_string oc (to_string sys);
   close_out oc
 
-let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
+let ( let* ) = Result.bind
 
-(* Process ids index the dense kernels (DESIGN.md §8), which size
-   themselves by the largest id, so a negative or huge one is refused
-   here rather than by every kernel downstream. *)
-let parse_pid lineno tok =
-  match int_of_string_opt tok with
-  | Some i when i >= 0 && i < Parse.id_bound -> Ok i
-  | Some i when i >= 0 ->
-      Error
-        (Printf.sprintf "line %d: process id %d is not below %d" lineno i
-           Parse.id_bound)
-  | _ -> Error (Printf.sprintf "line %d: %S is not a process id" lineno tok)
+(* Line splitting, comments, tokens and the id rule are [Parse]'s; this
+   is the grammar of one line, whose errors [Parse.fold_lines] numbers.
+   [not_a_pid tok v] words the classifier's verdict [v] on a token that
+   is not an id. *)
+let not_a_pid tok = function
+  | Parse.Too_large i ->
+      Error (Printf.sprintf "process id %d is not below %d" i Parse.id_bound)
+  | Id _ | Not_an_id -> Error (Printf.sprintf "%S is not a process id" tok)
 
 (* [{ 1 2 } { 3 }] -> explicit slice list *)
-let parse_slices lineno toks =
+let slices toks =
   let rec outer acc = function
     | [] -> Ok (List.rev acc)
     | "{" :: rest -> inner Pid.Set.empty acc rest
-    | tok :: _ ->
-        Error (Printf.sprintf "line %d: expected '{', found %S" lineno tok)
+    | tok :: _ -> Error (Printf.sprintf "expected '{', found %S" tok)
   and inner cur acc = function
     | "}" :: rest -> outer (cur :: acc) rest
-    | [] -> Error (Printf.sprintf "line %d: unclosed '{'" lineno)
+    | [] -> Error "unclosed '{'"
     | tok :: rest -> (
-        match parse_pid lineno tok with
-        | Ok i -> inner (Pid.Set.add i cur) acc rest
-        | Error _ as e -> e)
+        match Parse.id tok with
+        | Id i -> inner (Pid.Set.add i cur) acc rest
+        | v -> not_a_pid tok v)
   in
   outer [] toks
 
-let parse_line lineno line =
-  match tokens line with
-  | [] -> Ok None
-  | pid_tok :: rest -> (
-      match parse_pid lineno pid_tok with
-      | Error _ as e -> e
-      | Ok pid -> (
-          match rest with
-          | [ "none" ] -> Ok (Some (pid, Slice.Explicit []))
-          | "slices" :: toks -> (
-              match parse_slices lineno toks with
-              | Ok [] ->
-                  Error
-                    (Printf.sprintf "line %d: 'slices' needs at least one {...}"
-                       lineno)
-              | Ok slices -> Ok (Some (pid, Slice.Explicit slices))
-              | Error e -> Error e)
-          | "threshold" :: t :: "of" :: members -> (
-              match int_of_string_opt t with
-              | None ->
-                  Error
-                    (Printf.sprintf "line %d: threshold %S is not an integer"
-                       lineno t)
-              | Some threshold -> (
-                  let rec collect acc = function
-                    | [] -> Ok acc
-                    | tok :: rest -> (
-                        match parse_pid lineno tok with
-                        | Ok i -> collect (Pid.Set.add i acc) rest
-                        | Error _ as e -> e)
-                  in
-                  match collect Pid.Set.empty members with
-                  | Ok members ->
-                      Ok (Some (pid, Slice.Threshold { members; threshold }))
-                  | Error e -> Error e))
-          | _ ->
-              Error
-                (Printf.sprintf
-                   "line %d: expected 'none', 'slices {...}...' or 'threshold \
-                    T of ...'"
-                   lineno)))
+let rec members acc = function
+  | [] -> Ok acc
+  | tok :: rest -> (
+      match Parse.id tok with
+      | Id i -> members (Pid.Set.add i acc) rest
+      | v -> not_a_pid tok v)
 
-let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno sys = function
-    | [] -> Ok sys
-    | line :: rest -> (
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go (lineno + 1) sys rest
-        else
-          match parse_line lineno line with
-          | Ok None -> go (lineno + 1) sys rest
-          | Ok (Some (pid, slice)) ->
-              if Pid.Map.mem pid sys then
-                Error (Printf.sprintf "line %d: duplicate process %d" lineno pid)
-              else go (lineno + 1) (Pid.Map.add pid slice sys) rest
-          | Error e -> Error e)
-  in
-  go 1 Pid.Map.empty lines
+let slice = function
+  | [ "none" ] -> Ok (Slice.Explicit [])
+  | "slices" :: toks -> (
+      match slices toks with
+      | Ok [] -> Error "'slices' needs at least one {...}"
+      | r -> Result.map (fun s -> Slice.Explicit s) r)
+  | "threshold" :: t :: "of" :: toks -> (
+      match int_of_string_opt t with
+      | None -> Error (Printf.sprintf "threshold %S is not an integer" t)
+      | Some t when t < 0 -> Error (Printf.sprintf "threshold %d is negative" t)
+      | Some threshold ->
+          let* members = members Pid.Set.empty toks in
+          Ok (Slice.Threshold { members; threshold }))
+  | _ -> Error "expected 'none', 'slices {...}...' or 'threshold T of ...'"
+
+let entry line sys =
+  match Parse.tokens line with
+  | [] -> Ok sys
+  | tok :: rest -> (
+      match Parse.id tok with
+      | Id owner ->
+          let* slice = slice rest in
+          if Pid.Map.mem owner sys then
+            Error (Printf.sprintf "duplicate process %d" owner)
+          else Ok (Pid.Map.add owner slice sys)
+      | v -> not_a_pid tok v)
+
+let of_string = Parse.fold_lines entry Pid.Map.empty
 
 let of_file = Parse.parse_file of_string

@@ -9,23 +9,25 @@
     2 none
     v}
 
-    [threshold T of ...] is the symbolic Algorithm-2 form, [slices
-    { ... } ...] an explicit slice list, [none] a process with no
-    declared slices. Blank lines and [#] comments are ignored on input;
-    output is in ascending pid order with a version header, so printing
-    is deterministic and round trips through parsing. The committed
-    live-network fixture under [test/fixtures/] uses this format, and
-    the [fbas] CLI verbs read and write it. *)
+    [threshold T of ...] is the symbolic Algorithm-2 form ([T >= 0]),
+    [slices { ... } ...] an explicit slice list, [none] a process with
+    no declared slices. Input is read by {!Graphkit.Parse}'s shared
+    reader: tokens are separated by any whitespace (tabs included), a
+    [#] starts a comment anywhere on a line, and blank lines are
+    ignored. Output is in ascending pid order with a version header, so
+    printing is deterministic and round trips through parsing. The
+    committed live-network fixture under [test/fixtures/] uses this
+    format, and the [fbas] CLI verbs read and write it. *)
 
 val to_string : Quorum.system -> string
 
 val to_file : string -> Quorum.system -> unit
 
 val of_string : string -> (Quorum.system, string) result
-(** Parse errors name the offending line. Process ids follow
-    [int_of_string] and must lie in [[0, 2^20)]
-    ({!Graphkit.Parse.id_bound}): the compiled system is a dense bitset
-    per slice, sized by the largest id. *)
+(** Parse errors name the offending line. Process ids are
+    {!Graphkit.Parse.id}'s: [int_of_string] integers in [[0, 2^20)],
+    since the compiled system is a dense bitset per slice, sized by the
+    largest id. A negative threshold is an error too. *)
 
 val of_file : string -> (Quorum.system, string) result
 (** [Graphkit.Parse.parse_file of_string]: every error is

@@ -177,10 +177,18 @@ module Compiled = struct
      (t - |members ∩ b|)-subsets of the survivors, so a threshold entry
      keeps its form over its class minus [b], with the threshold
      reduced by the members it lost; [sat] is unchanged. Each class is
-     cut once, for all the entries that share it. Negative pids name
-     no process, so they delete nothing. *)
+     cut once, for all the entries that share it. A pid the system
+     never names (a negative one included) deletes nothing, so it is
+     dropped before [D.of_set], which would size [b] by it. *)
+  let names c i =
+    D.mem i c.parts
+    || Array.exists (D.mem i) c.class_sets
+    || Array.exists
+         (function Explicit_d { domain; _ } -> D.mem i domain | _ -> false)
+         c.entries
+
   let delete c b =
-    let b = D.of_set (Pid.Set.filter (fun i -> i >= 0) b) in
+    let b = D.of_set (Pid.Set.filter (names c) b) in
     let entry i e =
       if D.mem i b then Absent
       else

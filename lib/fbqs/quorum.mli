@@ -58,9 +58,11 @@ module Compiled : sig
       its threshold reduced by the number of deleted members. Every
       query answers on [delete (compile sys) b] as on the compiled
       tree-set deletion of [sys] ([Oracle.Quorum.delete] in
-      [test/oracle]). A negative pid in [b] deletes nothing. It serves
-      the despite checks, the splitting candidates of {!Enum} and
-      [Dset]. *)
+      [test/oracle]). A pid of [b] that [c] never names, as owner or
+      slice member (a negative one, say), deletes nothing, and the
+      bitset built from [b] is sized by [c]'s ids, not by [b]'s. It
+      serves the despite checks, the splitting candidates of {!Enum}
+      and [Dset]. *)
 
   val is_quorum : t -> Pid.Set.t -> bool
   (** Algorithm 1: [Q] is a quorum iff it is non-empty and every

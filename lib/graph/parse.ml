@@ -1,143 +1,81 @@
-(* A single-pass scanner over the raw text: line splitting, comment
-   stripping, trimming and token parsing all work on index ranges into
-   the input, so a parse allocates nothing per line beyond the graph
-   itself (the seed split/trim/filter_map pipeline allocated several
-   intermediate strings and lists per line). Ids are read with
-   [int_of_string] semantics (so [+2], hex and underscored forms
-   parse) and must come out in [[0, id_bound)]: process ids index the
-   dense kernels (DESIGN.md §8), which size themselves by the largest
-   id, so a negative or huge one is a line-numbered error here rather
-   than a second code path, or a gigabyte allocation, in every
-   kernel. *)
+(* The reader both line-based formats share: this graph format and
+   [Fbqs.Fbas_io]'s slice systems. Process ids index the dense kernels
+   (DESIGN.md §8), which size themselves by the largest id, so a
+   negative or huge one is a line-numbered error here rather than a
+   second code path, or a gigabyte allocation, in every kernel. *)
 
 let id_bound = 1 lsl 20
 
-let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
+(* [String.trim]'s whitespace, so trimming and tokenizing agree. Every
+   such byte is at most [' '], so most bytes take one comparison. *)
+let[@inline] is_space c =
+  c <= ' ' && (c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012')
 
-(* A process id in [text[s..e)]: [int_of_string_opt], [None] when
-   negative, with an allocation-free fast path for the all-digit tokens
-   that dominate real inputs (18 digits always fit in an OCaml int). *)
-let parse_int text s e =
-  let len = e - s in
-  if len = 0 then None
-  else begin
-    let all_digits = ref (len <= 18) in
-    let i = ref s in
-    while !all_digits && !i < e do
-      let c = String.unsafe_get text !i in
-      if c < '0' || c > '9' then all_digits := false else incr i
-    done;
-    if !all_digits then begin
-      let v = ref 0 in
-      for j = s to e - 1 do
-        v := (!v * 10) + (Char.code (String.unsafe_get text j) - Char.code '0')
-      done;
-      Some !v
-    end
-    else
-      match int_of_string_opt (String.sub text s len) with
-      | Some v when v >= 0 -> Some v
-      | _ -> None
-  end
+let fold_lines f init text =
+  let rec go lineno acc = function
+    | [] -> Ok acc
+    | line :: rest -> (
+        let line =
+          match String.index_opt line '#' with
+          | Some i -> String.sub line 0 i
+          | None -> line
+        in
+        match String.trim line with
+        | "" -> go (lineno + 1) acc rest
+        | line -> (
+            match f line acc with
+            | Ok acc -> go (lineno + 1) acc rest
+            | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)))
+  in
+  go 1 init (String.split_on_char '\n' text)
+
+(* Right to left, so the list comes out in order. *)
+let tokens line =
+  let rec skip acc j =
+    if j > 0 && is_space line.[j - 1] then skip acc (j - 1) else word acc j j
+  and word acc i j =
+    if i > 0 && not (is_space line.[i - 1]) then word acc (i - 1) j
+    else if i = j then acc
+    else skip (String.sub line i (j - i) :: acc) i
+  in
+  skip [] (String.length line)
+
+type id = Id of int | Too_large of int | Not_an_id
+
+let id tok =
+  match int_of_string_opt tok with
+  | Some i when i >= 0 -> if i < id_bound then Id i else Too_large i
+  | _ -> Not_an_id
+
+(* One row per line, [vertex: succ...]; the graph is built once from
+   all of them. *)
+let row line rows =
+  match String.index_opt line ':' with
+  | None -> Error "expected 'vertex: succ...'"
+  | Some colon -> (
+      let v = String.trim (String.sub line 0 colon) in
+      match id v with
+      | Not_an_id -> Error (Printf.sprintf "bad vertex id %S" v)
+      | Too_large v ->
+          Error (Printf.sprintf "vertex id %d is not below %d" v id_bound)
+      | Id v ->
+          let rec succs acc = function
+            | [] -> Ok ((v, acc) :: rows)
+            | tok :: rest -> (
+                match id tok with
+                | Id s -> succs (s :: acc) rest
+                | Too_large s ->
+                    Error
+                      (Printf.sprintf "successor id %d is not below %d" s
+                         id_bound)
+                | Not_an_id -> Error "bad successor id")
+          in
+          succs []
+            (tokens
+               (String.sub line (colon + 1) (String.length line - colon - 1))))
 
 let of_string text =
-  let len = String.length text in
-  let g = ref Digraph.empty in
-  let err = ref None in
-  let pos = ref 0 in
-  let lineno = ref 1 in
-  let running = ref true in
-  while !running do
-    let ls = !pos in
-    let le =
-      match String.index_from_opt text ls '\n' with Some i -> i | None -> len
-    in
-    (* Cut the line at the first '#', then trim both ends. *)
-    let ce = ref ls in
-    while !ce < le && text.[!ce] <> '#' do
-      incr ce
-    done;
-    let a = ref ls and b = ref !ce in
-    while !a < !b && is_space text.[!a] do
-      incr a
-    done;
-    while !b > !a && is_space text.[!b - 1] do
-      decr b
-    done;
-    if !a < !b then begin
-      let colon = ref !a in
-      while !colon < !b && text.[!colon] <> ':' do
-        incr colon
-      done;
-      if !colon = !b then
-        err := Some (Printf.sprintf "line %d: expected 'vertex: succ...'" !lineno)
-      else begin
-        let ve = ref !colon in
-        while !ve > !a && is_space text.[!ve - 1] do
-          decr ve
-        done;
-        match parse_int text !a !ve with
-        | None ->
-            err :=
-              Some
-                (Printf.sprintf "line %d: bad vertex id %S" !lineno
-                   (String.sub text !a (!ve - !a)))
-        | Some v when v >= id_bound ->
-            err :=
-              Some
-                (Printf.sprintf "line %d: vertex id %d is not below %d" !lineno
-                   v id_bound)
-        | Some v ->
-            (* Successor tokens: split on ' ', trim each of the
-               remaining whitespace, skip empties. *)
-            let succs = ref [] in
-            let ok = ref true in
-            let i = ref (!colon + 1) in
-            while !ok && !i < !b do
-              if text.[!i] = ' ' then incr i
-              else begin
-                let ts = ref !i in
-                while !i < !b && text.[!i] <> ' ' do
-                  incr i
-                done;
-                let te = ref !i in
-                while !ts < !te && is_space text.[!ts] do
-                  incr ts
-                done;
-                while !te > !ts && is_space text.[!te - 1] do
-                  decr te
-                done;
-                if !ts < !te then
-                  match parse_int text !ts !te with
-                  | None ->
-                      err :=
-                        Some (Printf.sprintf "line %d: bad successor id" !lineno);
-                      ok := false
-                  | Some s when s >= id_bound ->
-                      err :=
-                        Some
-                          (Printf.sprintf
-                             "line %d: successor id %d is not below %d" !lineno
-                             s id_bound);
-                      ok := false
-                  | Some s -> succs := s :: !succs
-              end
-            done;
-            if !ok then
-              g :=
-                List.fold_left
-                  (fun g s -> Digraph.add_edge v s g)
-                  (Digraph.add_vertex v !g)
-                  (List.rev !succs)
-      end
-    end;
-    if Option.is_some !err || le >= len then running := false
-    else begin
-      pos := le + 1;
-      incr lineno
-    end
-  done;
-  match !err with Some e -> Error e | None -> Ok !g
+  Result.map Digraph.of_adjacency (fold_lines row [] text)
 
 let parse_file parse path =
   let text =

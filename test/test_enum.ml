@@ -721,6 +721,8 @@ let test_fbas_io_malformed () =
     "0 slices\n";
   check "non-integer threshold" {|line 1: threshold "two" is not an integer|}
     "0 threshold two of 0 1\n";
+  check "negative threshold" "line 1: threshold -1 is negative"
+    "0 threshold -1 of 1 2\n1 threshold 2 of 0 1 2\n2 threshold 2 of 0 1 2\n";
   check "unknown keyword"
     "line 1: expected 'none', 'slices {...}...' or 'threshold T of ...'"
     "0 quorum 1\n";
@@ -736,7 +738,19 @@ let test_fbas_io_malformed () =
             true
             (String.starts_with ~prefix:(path ^ ": ") e)
       | Ok _ -> Alcotest.failf "expected an error for %S" path)
-    [ "/nonexistent/system.fbas"; Filename.current_dir_name ]
+    [ "/nonexistent/system.fbas"; Filename.current_dir_name ];
+  (* The reader is [Parse]'s: any whitespace separates tokens, and a [#]
+     starts a comment anywhere on a line. *)
+  match Fbas_io.of_string "0\tthreshold 0 of\t1 # two\n1 none#\n" with
+  | Ok sys ->
+      Alcotest.(check bool) "tabs and mid-line comments" true
+        (Pid.Map.equal Slice.equal sys
+           (Quorum.system_of_list
+              [
+                (0, Slice.threshold ~members:(set [ 1 ]) ~threshold:0);
+                (1, Slice.explicit []);
+              ]))
+  | Error e -> Alcotest.failf "tabs and mid-line comments: %s" e
 
 let suites =
   [

@@ -31,9 +31,9 @@ let test_errors_name_the_line () =
         (String.length e > 0)
   | Ok _ -> Alcotest.fail "expected bad successor error"
 
-(* The single-pass scanner must keep the seed's exact error strings and
-   its [int_of_string] token semantics (hex, a leading [+],
-   underscores), except that a negative id is an error. *)
+(* The reader keeps the seed's exact error strings and its
+   [int_of_string] token semantics (hex, a leading [+], underscores),
+   except that a negative id is an error. *)
 let test_malformed_inputs () =
   let err text = match Parse.of_string text with
     | Error e -> e
@@ -79,6 +79,9 @@ let test_malformed_inputs () =
   Alcotest.check pid_set "whitespace-heavy line"
     (Pid.Set.of_list [ 8; 9 ])
     (Digraph.succs g 7);
+  Alcotest.check pid_set "any whitespace separates successors"
+    (Pid.Set.of_list [ 8; 9; 10 ])
+    (Digraph.succs (ok "7: 8\t9\r\01210\n") 7);
   Alcotest.(check bool) "huge id falls back to int_of_string" true
     (match Parse.of_string "1: 99999999999999999999999999\n" with
     | Error _ -> true

@@ -406,6 +406,9 @@ let agrees_after_delete sys b probes =
 let gen_delete_query =
   QCheck.Gen.(
     let* sys, _, b = gen_blocking_query in
+    (* Ids no system names, far past the bound of the dense kernels. *)
+    let* far = list_size (int_bound 2) (int_range 100_000_000 max_int) in
+    let b = Pid.Set.union b (Pid.Set.of_list far) in
     let pool = 0 :: Pid.Set.elements (Quorum.participants sys) in
     let* probes =
       list_repeat 4
@@ -461,6 +464,35 @@ let test_delete_cuts () =
     (agrees_after_delete sys b
        (List.map set [ []; [ 1 ]; [ 3 ]; [ 1; 3 ]; [ 1; 2; 3 ]; [ 3; 5 ]; [ 1; 3; 4; 5 ] ]))
 
+(* Words allocated, minor and major, not counting promotions twice. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_delete_far_id () =
+  (* A far id deletes nothing, so [delete] must not size a bitset by it:
+     4e8 would take 6.3 M words. *)
+  let members = set [ 0; 1; 2; 3 ] in
+  let sys =
+    Quorum.system_of_list
+      (List.map
+         (fun i -> (i, Slice.threshold ~members ~threshold:3))
+         (Pid.Set.elements members))
+  in
+  let c = Quorum.Compiled.compile sys in
+  let b = set [ 0; 400_000_000 ] in
+  let before = allocated_words () in
+  let d = Quorum.Compiled.delete c b in
+  let words = allocated_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated" words)
+    true (words < 100_000.);
+  Alcotest.(check bool) "answers as delete c {0}" true
+    (D.equal (Quorum.Compiled.participants_d d)
+       (Quorum.Compiled.participants_d (Quorum.Compiled.delete c (set [ 0 ])))
+    && agrees_after_delete sys b
+         (List.map set [ [ 1; 2 ]; [ 0; 1; 2 ]; [ 1; 2; 3 ] ]))
+
 let suites =
   [
     ( "quorum_compiled",
@@ -478,5 +510,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_delete;
         Alcotest.test_case "delete cuts a class and empties a slice" `Quick
           test_delete_cuts;
+        Alcotest.test_case "delete ignores an id the system never names"
+          `Quick test_delete_far_id;
       ] );
   ]
