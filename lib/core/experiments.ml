@@ -93,18 +93,16 @@ let e1_fig1_example () =
 (* ---------------------------------------------------------------- E2 *)
 
 let e2_is_quorum ?(seed = 7) () =
-  let rng = Random.State.make [| seed; 0xe2 |] in
+  let rng = Rng.make [| seed; 0xe2 |] in
   let small_row n =
     let members = Pid.Set.of_range 1 n in
     let probes = 500 in
     let agree = ref 0 in
     for _ = 1 to probes do
-      let threshold = 1 + Random.State.int rng n in
+      let threshold = 1 + Rng.int rng n in
       let sym = Fbqs.Slice.threshold ~members ~threshold in
       let exp = Fbqs.Slice.explicit (Fbqs.Slice.enumerate sym) in
-      let q =
-        Pid.Set.filter (fun _ -> Random.State.bool rng) members
-      in
+      let q = Pid.Set.filter (fun _ -> Rng.bool rng) members in
       if
         Fbqs.Slice.has_slice_within sym q
         = Fbqs.Slice.has_slice_within exp q

@@ -25,18 +25,11 @@ let get_sink_restricted ~seed ~f ~correct g =
   fun i ->
     if Pid.Set.mem i sink then { in_sink = true; view = sink }
     else begin
-      let rng = Random.State.make [| seed; i; 0x51c |] in
+      let rng = Rng.make [| seed; i; 0x51c |] in
       let pick k pool =
-        let arr = Array.of_list (Pid.Set.elements pool) in
-        let n = Array.length arr in
-        let k = min k n in
-        for idx = 0 to k - 1 do
-          let j = idx + Random.State.int rng (n - idx) in
-          let tmp = arr.(idx) in
-          arr.(idx) <- arr.(j);
-          arr.(j) <- tmp
-        done;
-        Pid.Set.of_list (Array.to_list (Array.sub arr 0 k))
+        Pid.Set.of_list
+          (Array.to_list
+             (Rng.sample rng k (Array.of_list (Pid.Set.elements pool))))
       in
       let view =
         Pid.Set.union (pick (f + 1) correct_sink) (pick f faulty_sink)

@@ -91,18 +91,18 @@ let rec members acc = function
       | v -> not_a_pid tok v)
 
 let slice = function
-  | [ "none" ] -> Ok (Slice.Explicit [])
+  | [ "none" ] -> Ok (Slice.explicit [])
   | "slices" :: toks -> (
       match slices toks with
       | Ok [] -> Error "'slices' needs at least one {...}"
-      | r -> Result.map (fun s -> Slice.Explicit s) r)
+      | r -> Result.map Slice.explicit r)
   | "threshold" :: t :: "of" :: toks -> (
       match int_of_string_opt t with
       | None -> Error (Printf.sprintf "threshold %S is not an integer" t)
       | Some t when t < 0 -> Error (Printf.sprintf "threshold %d is negative" t)
       | Some threshold ->
           let* members = members Pid.Set.empty toks in
-          Ok (Slice.Threshold { members; threshold }))
+          Ok (Slice.threshold ~members ~threshold))
   | _ -> Error "expected 'none', 'slices {...}...' or 'threshold T of ...'"
 
 let entry line sys =

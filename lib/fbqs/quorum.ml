@@ -6,7 +6,7 @@ let system_of_list l =
   List.fold_left (fun m (i, s) -> Pid.Map.add i s m) Pid.Map.empty l
 
 let slices_of sys i =
-  Option.value ~default:(Slice.Explicit []) (Pid.Map.find_opt i sys)
+  Option.value ~default:(Slice.explicit []) (Pid.Map.find_opt i sys)
 
 let participants = Pid.Map.keys
 
@@ -267,7 +267,7 @@ module Compiled = struct
                  (D.family_members f)
            | Threshold_d { sat; threshold; cls } ->
                if sat then begin
-                 need.(k) <- max 0 threshold;
+                 need.(k) <- threshold;
                  class_w.(k) <- bits_of pids c.class_sets.(cls)
                end);
         slices_at.(k + 1) <- !count)

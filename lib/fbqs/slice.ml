@@ -5,7 +5,10 @@ type t =
   | Threshold of { members : Pid.Set.t; threshold : int }
 
 let explicit slices = Explicit slices
-let threshold ~members ~threshold = Threshold { members; threshold }
+
+let threshold ~members ~threshold =
+  if threshold < 0 then invalid_arg "Slice.threshold: negative threshold";
+  Threshold { members; threshold }
 
 let pp ppf = function
   | Explicit slices ->
@@ -54,7 +57,7 @@ let enumerate = function
   | Threshold { members; threshold } as t ->
       if slice_count t > 100_000 then
         invalid_arg "Slice.enumerate: symbolic slice set too large";
-      if threshold <= 0 then [ Pid.Set.empty ]
+      if threshold = 0 then [ Pid.Set.empty ]
       else
         let elts = Array.of_list (Pid.Set.elements members) in
         let n = Array.length elts in
@@ -101,7 +104,7 @@ let all_slices_intersect t b =
   | Threshold { members; threshold } ->
       if threshold > Pid.Set.cardinal members then true
         (* no slices: vacuous *)
-      else if threshold <= 0 then false (* the empty slice avoids any b *)
+      else if threshold = 0 then false (* the empty slice avoids any b *)
       else Pid.Set.cardinal (Pid.Set.diff members b) < threshold
 
 let has_slice_avoiding t b =

@@ -11,7 +11,7 @@
 
 open Graphkit
 
-type t =
+type t = private
   | Explicit of Pid.Set.t list
       (** A literal list of slices. The empty list means "no slice",
           i.e. this process can never be part of a quorum. *)
@@ -23,6 +23,8 @@ type t =
 val explicit : Pid.Set.t list -> t
 
 val threshold : members:Pid.Set.t -> threshold:int -> t
+(** A threshold of 0 denotes the one empty slice.
+    @raise Invalid_argument on a negative [threshold]. *)
 
 val pp : Format.formatter -> t -> unit
 

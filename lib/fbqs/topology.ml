@@ -74,7 +74,7 @@ let stellarbeat_like ?(orgs = 7) ?(validators_per_org = 3) ?(mid = 63)
       List.init n_slices (fun _ ->
           org_slice ~n_orgs:(min orgs ((2 * orgs / 3) + 1)) ~own:(Some o) v)
     in
-    (v, Slice.Explicit slices)
+    (v, Slice.explicit slices)
   in
   let mid_node m_idx =
     let v = top + m_idx in
@@ -91,7 +91,7 @@ let stellarbeat_like ?(orgs = 7) ?(validators_per_org = 3) ?(mid = 63)
           List.fold_left (fun s p -> Pid.Set.add p s) base
             (match peers with a :: b :: _ -> [ a; b ] | l -> l))
     in
-    (v, Slice.Explicit slices)
+    (v, Slice.explicit slices)
   in
   let leaf_node l_idx =
     let v = top + mid + l_idx in
@@ -104,7 +104,7 @@ let stellarbeat_like ?(orgs = 7) ?(validators_per_org = 3) ?(mid = 63)
           in
           List.fold_left (fun s p -> Pid.Set.add p s) base mids)
     in
-    (v, Slice.Explicit slices)
+    (v, Slice.explicit slices)
   in
   Quorum.system_of_list
     (List.init top top_node

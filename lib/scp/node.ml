@@ -73,6 +73,10 @@ let make_obs ?metrics ?trace () =
 
 let bump = function Some c -> Obs.Metrics.incr c | None -> ()
 
+(* Call sites build their fields only [if tracing st], as [Engine]
+   does: an untraced run formats no statement or ballot. *)
+let tracing st = Option.is_some st.obs.trace
+
 let obs_event st ctx name fields =
   match st.obs.trace with
   | None -> ()
@@ -155,7 +159,7 @@ let vote st ctx stmt =
     Fvoting.set_voted st.fv stmt;
     Fvoting.record_vote st.fv stmt st.cfg.self;
     bump st.obs.c_votes;
-    obs_event st ctx "vote" (stmt_field stmt);
+    if tracing st then obs_event st ctx "vote" (stmt_field stmt);
     emit_own st ctx (Msg.vote st.cfg.self ~slices:st.cfg.my_slices stmt)
   end
 
@@ -163,7 +167,7 @@ let accept st ctx stmt =
   Fvoting.mark_accepted st.fv stmt;
   Fvoting.record_accept st.fv stmt st.cfg.self;
   bump st.obs.c_accepts;
-  obs_event st ctx "accept" (stmt_field stmt);
+  if tracing st then obs_event st ctx "accept" (stmt_field stmt);
   emit_own st ctx (Msg.accept st.cfg.self ~slices:st.cfg.my_slices stmt)
 
 (* ---- prepared-statement tallies with counter subsumption ------------- *)
@@ -243,8 +247,9 @@ let next_ballot_value st =
 let enter_ballot st ctx b =
   st.current <- Some b;
   bump st.obs.c_ballots;
-  obs_event st ctx "enter_ballot"
-    [ ("ballot", Obs.Json.String (Format.asprintf "%a" Ballot.pp b)) ];
+  if tracing st then
+    obs_event st ctx "enter_ballot"
+      [ ("ballot", Obs.Json.String (Format.asprintf "%a" Ballot.pp b)) ];
   vote st ctx (Statement.Prepare b);
   arm_ballot_timer st ctx
 
@@ -280,12 +285,14 @@ let on_confirmed st ctx stmt =
         in
         st.decided <- Some d;
         bump st.obs.c_decides;
-        obs_event st ctx "decide"
-          [
-            ("value", Obs.Json.String (Format.asprintf "%a" Value.pp d.value));
-            ( "ballot",
-              Obs.Json.String (Format.asprintf "%a" Ballot.pp d.ballot) );
-          ];
+        if tracing st then
+          obs_event st ctx "decide"
+            [
+              ( "value",
+                Obs.Json.String (Format.asprintf "%a" Value.pp d.value) );
+              ( "ballot",
+                Obs.Json.String (Format.asprintf "%a" Ballot.pp d.ballot) );
+            ];
         st.cfg.on_decide st.cfg.self d
       end
 
@@ -309,7 +316,7 @@ let rec progress st ctx =
       if can_confirm st stmt tl then begin
         Fvoting.mark_confirmed st.fv stmt;
         bump st.obs.c_confirms;
-        obs_event st ctx "confirm" (stmt_field stmt);
+        if tracing st then obs_event st ctx "confirm" (stmt_field stmt);
         on_confirmed st ctx stmt;
         changed := true
       end)
@@ -351,7 +358,9 @@ let start_nomination st ctx =
 let bump_nomination_round st ctx timeout =
   st.nom_round <- st.nom_round + 1;
   bump st.obs.c_nom_rounds;
-  obs_event st ctx "nomination_round" [ ("round", Obs.Json.Int st.nom_round) ];
+  if tracing st then
+    obs_event st ctx "nomination_round"
+      [ ("round", Obs.Json.Int st.nom_round) ];
   let ls = leaders st in
   if Pid.Set.mem st.cfg.self ls then
     vote st ctx (Statement.Nominate st.cfg.initial_value);

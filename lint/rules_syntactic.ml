@@ -5,6 +5,7 @@ open Parsetree
 (* ------------------------------------------------------------------ *)
 
 let in_bench rel = String.starts_with ~prefix:"bench/" rel
+let in_lib rel = String.starts_with ~prefix:"lib/" rel
 let in_obs rel = String.starts_with ~prefix:"lib/obs/" rel
 
 (* The executor library (Simkit.Exec and its Simkit.Pool fork backend)
@@ -72,6 +73,12 @@ let entropy_path comps =
   | Some ("Unix", ("gettimeofday" | "time"))
   | Some ("Sys", "time") ->
       true
+  | _ -> false
+
+(* The stdlib's Random draws other streams on OCaml 4.14 than on 5;
+   lib/ draws from Graphkit.Rng, which is the same on both. *)
+let random_path = function
+  | "Random" :: _ | "Stdlib" :: "Random" :: _ -> true
   | _ -> false
 
 let marshal_or_obj comps =
@@ -187,6 +194,14 @@ let run_expr_rules ~rel structure =
   (* Depth of enclosing applications whose head is an ordering step:
      inside [List.sort cmp (Hashtbl.fold ...)] the fold is fine. *)
   let ordered_depth = ref 0 in
+  let random_in_lib loc comps =
+    if in_lib rel && random_path comps then
+      add loc "D2"
+        (Printf.sprintf
+           "%s: lib/ draws from Graphkit.Rng, whose seeded stream is the \
+            same on every compiler"
+           (String.concat "." comps))
+  in
   let expr it e =
     (match e.pexp_desc with
     | Pexp_ident _ -> (
@@ -198,7 +213,8 @@ let run_expr_rules ~rel structure =
                 (Printf.sprintf
                    "%s: wall-clock/ambient entropy is banned outside bench/ \
                     (thread the seed through Run_config instead)"
-                   (String.concat "." comps));
+                   (String.concat "." comps))
+            else random_in_lib e.pexp_loc comps;
             (match marshal_or_obj comps with
             | Some `Marshal when not (marshal_home rel) ->
                 add e.pexp_loc "D4"
@@ -259,7 +275,19 @@ let run_expr_rules ~rel structure =
     Ast_iterator.default_iterator.expr it e;
     if entered then decr ordered_depth
   in
-  let it = { Ast_iterator.default_iterator with expr } in
+  let typ it ty =
+    (match ty.ptyp_desc with
+    | Ptyp_constr ({ txt; _ }, _) -> random_in_lib ty.ptyp_loc (flatten txt)
+    | _ -> ());
+    Ast_iterator.default_iterator.typ it ty
+  in
+  let module_expr it m =
+    (match m.pmod_desc with
+    | Pmod_ident { txt; _ } -> random_in_lib m.pmod_loc (flatten txt)
+    | _ -> ());
+    Ast_iterator.default_iterator.module_expr it m
+  in
+  let it = { Ast_iterator.default_iterator with expr; typ; module_expr } in
   it.structure it structure;
   !findings
 

@@ -10,7 +10,9 @@
       the enumeration, or a conversion through a [Set]/[Map] submodule
       (e.g. folding into [Pid.Map.add]).
     - D2 — wall-clock and ambient entropy ([Random.self_init],
-      [Unix.gettimeofday], [Unix.time], [Sys.time]) outside [bench/].
+      [Unix.gettimeofday], [Unix.time], [Sys.time]) outside [bench/],
+      and any [Random] value, type or module path under [lib/], which
+      draws from [Graphkit.Rng].
     - D3 — polymorphic [compare]/[(=)]/[(<>)]/[Hashtbl.hash] applied
       to [Pid.Set]/[Pid.Map]/[Slice] values, judged from each
       argument's head only. Superseded by the typed rule T1

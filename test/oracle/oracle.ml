@@ -361,7 +361,7 @@ module Quorum = struct
           Some
             (match slices with
             | Fbqs.Slice.Explicit l ->
-                Fbqs.Slice.Explicit (List.map (fun s -> Pid.Set.diff s b) l)
+                Fbqs.Slice.explicit (List.map (fun s -> Pid.Set.diff s b) l)
             | Fbqs.Slice.Threshold { members; threshold } ->
                 (* Deleting [b] from "all t-subsets of members" yields
                    the set {s \ b}, whose weakest elements are the
@@ -371,11 +371,9 @@ module Quorum = struct
                    slice over the survivors with the reduced
                    threshold. *)
                 let hit = Pid.Set.cardinal (Pid.Set.inter members b) in
-                Fbqs.Slice.Threshold
-                  {
-                    members = Pid.Set.diff members b;
-                    threshold = max 0 (threshold - hit);
-                  }))
+                Fbqs.Slice.threshold
+                  ~members:(Pid.Set.diff members b)
+                  ~threshold:(max 0 (threshold - hit))))
       sys
 end
 

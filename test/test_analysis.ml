@@ -106,7 +106,7 @@ let test_algorithm2_levels () =
     (Analysis.safety_level sys >= 2)
 
 (* Random systems over pids up to 40: explicit slices (possibly
-   [Explicit []] or holding an empty slice), thresholds from -1 to above
+   [Explicit []] or holding an empty slice), thresholds from 0 to above
    the member count (satisfiable and not), and absent pids, which may
    also appear in slices and in [down]. *)
 let gen_cascade_query =
@@ -130,7 +130,7 @@ let gen_cascade_query =
              | 1 ->
                  let* members = subset in
                  let* threshold =
-                   int_range (-1) (Pid.Set.cardinal members + 1)
+                   int_range 0 (Pid.Set.cardinal members + 1)
                  in
                  return (Some (i, Slice.threshold ~members ~threshold))
              | _ -> return None)

@@ -46,7 +46,7 @@ let test_negative_rejected () =
     (fun () ->
       ignore
         (Fbqs.Quorum.Compiled.compile
-           (Fbqs.Quorum.system_of_list [ (-1, Fbqs.Slice.Explicit []) ])));
+           (Fbqs.Quorum.system_of_list [ (-1, Fbqs.Slice.explicit []) ])));
   Alcotest.check_raises "Engine.add_node"
     (Invalid_argument "Engine.add_node: negative process id") (fun () ->
       Simkit.Engine.add_node

@@ -1,9 +1,9 @@
 (* stellar-lint self-tests, syntactic phase: every rule fires on its
    positive fixture and stays silent on the negative one, per-site
-   allow comments suppress, and the path scoping (bench/, lib/obs/,
-   the lib/sim executor library) is honoured. Fixtures are parsed by
-   compiler-libs only — they are never compiled, so they can violate
-   the rules freely. The typed phase (R1/R2/P1/T1) is covered by
+   allow comments suppress, and the path scoping (bench/, lib/,
+   lib/obs/, the lib/sim executor library) is honoured. Fixtures are
+   parsed by compiler-libs only — they are never compiled, so they can
+   violate the rules freely. The typed phase (R1/R2/P1/T1) is covered by
    Test_lint_typed over the compiled typed_fixtures corpus. *)
 
 let fx name = Filename.concat "lint_fixtures" name
@@ -33,9 +33,17 @@ let test_d2 () =
   check_active "d2 positives"
     [ (2, "D2"); (3, "D2"); (4, "D2"); (5, "D2") ]
     (run "d2_pos.ml");
-  check_active "d2 negatives" [] (run "d2_neg.ml");
+  check_active "d2 negatives" [] (run ~rel:"test/fixture.ml" "d2_neg.ml");
   check_active "entropy is legal in bench/" []
     (run ~rel:"bench/fixture.ml" "d2_pos.ml")
+
+let test_d2_lib () =
+  check_active "Random under lib/"
+    [ (2, "D2"); (3, "D2"); (4, "D2"); (5, "D2") ]
+    (run "d2_lib_pos.ml");
+  check_active "Rng under lib/" [] (run "d2_lib_neg.ml");
+  check_active "Random is legal outside lib/" []
+    (run ~rel:"test/fixture.ml" "d2_lib_pos.ml")
 
 let test_d3 () =
   check_active "d3 positives"
@@ -153,6 +161,7 @@ let suites =
         Alcotest.test_case "D1 fires and passes ordering steps" `Quick test_d1;
         Alcotest.test_case "D1 per-site allow" `Quick test_d1_allow;
         Alcotest.test_case "D2 entropy, bench/ scoped" `Quick test_d2;
+        Alcotest.test_case "D2 Random, lib/ scoped" `Quick test_d2_lib;
         Alcotest.test_case "D3 polymorphic comparison" `Quick test_d3;
         Alcotest.test_case "D4 Marshal/Obj, Pool scoped" `Quick test_d4;
         Alcotest.test_case "D5 float formats in lib/obs" `Quick test_d5;

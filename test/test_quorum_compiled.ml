@@ -180,8 +180,8 @@ let prop_compiled_domain =
         (List.init 202 Fun.id))
 
 (* Systems for the v-blocking test: explicit slices that may include
-   an empty slice (or be [Explicit []]), and thresholds from negative
-   to above the member count, over pids up to 200. A query asks about
+   an empty slice (or be [Explicit []]), and thresholds from 0 to
+   above the member count, over pids up to 200. A query asks about
    participants and absent pids alike. *)
 let gen_blocking_query =
   QCheck.Gen.(
@@ -203,7 +203,7 @@ let gen_blocking_query =
              | 1 ->
                  let* members = subset_of_pool in
                  let* threshold =
-                   int_range (-2) (Pid.Set.cardinal members + 2)
+                   int_range 0 (Pid.Set.cardinal members + 2)
                  in
                  return (Some (i, Slice.threshold ~members ~threshold))
              | _ -> return None)
@@ -235,7 +235,6 @@ let test_is_v_blocking_d_edges () =
         (1, Slice.explicit []);
         (2, Slice.explicit [ set [ 3 ]; Pid.Set.empty ]);
         (3, Slice.threshold ~members:m ~threshold:0);
-        (4, Slice.threshold ~members:m ~threshold:(-1));
         (5, Slice.threshold ~members:m ~threshold:4);
         (6, Slice.threshold ~members:m ~threshold:2);
         (7, Slice.explicit [ set [ 1; 150 ]; set [ 2 ] ]);
@@ -284,7 +283,7 @@ let gen_word_query =
              | 1 ->
                  let* members = subset_of_pool in
                  let* threshold =
-                   int_range (-1) (Pid.Set.cardinal members + 1)
+                   int_range 0 (Pid.Set.cardinal members + 1)
                  in
                  return (Some (i, Slice.threshold ~members ~threshold))
              | _ -> return None)

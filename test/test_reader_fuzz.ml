@@ -63,7 +63,7 @@ let gen_system =
       oneof
         [
           map Slice.explicit (list_size (int_bound 3) set);
-          map2 threshold set (int_range (-1) 5);
+          map2 threshold set (int_range 0 5);
         ]
     in
     map Quorum.system_of_list (list_size (int_bound 8) (pair id slice)))

@@ -65,6 +65,11 @@ let test_empty_slice_set () =
   Alcotest.(check bool) "nothing avoids" false
     (Slice.has_slice_avoiding s (set [ 1 ]))
 
+let test_negative_threshold () =
+  Alcotest.check_raises "threshold -1"
+    (Invalid_argument "Slice.threshold: negative threshold") (fun () ->
+      ignore (Slice.threshold ~members:(set [ 1; 2 ]) ~threshold:(-1)))
+
 (* Symbolic/explicit equivalence: the threshold form must agree with
    its own enumeration on every operation. *)
 let arb_threshold_case =
@@ -115,6 +120,8 @@ let suites =
         Alcotest.test_case "has_slice_within" `Quick test_has_slice_within;
         Alcotest.test_case "blocking arithmetic" `Quick test_blocking;
         Alcotest.test_case "empty slice set" `Quick test_empty_slice_set;
+        Alcotest.test_case "negative threshold refused" `Quick
+          test_negative_threshold;
         QCheck_alcotest.to_alcotest prop_within_equiv;
         QCheck_alcotest.to_alcotest prop_intersect_equiv;
         QCheck_alcotest.to_alcotest prop_avoiding_equiv;
