@@ -115,13 +115,13 @@ let absorb into (tl : tally) =
   into.found <- into.found + tl.found;
   bump into.c_found tl.found
 
+(* By cardinal, then by [Pid.Set.compare]. Each set's cardinal is taken
+   once, not at every comparison. *)
 let canonical sets =
-  List.sort
-    (fun a b ->
-      match Int.compare (Pid.Set.cardinal a) (Pid.Set.cardinal b) with
-      | 0 -> Pid.Set.compare a b
-      | c -> c)
-    sets
+  List.map (fun s -> (Pid.Set.cardinal s, s)) sets
+  |> List.sort (fun (m, a) (n, b) ->
+         match Int.compare m n with 0 -> Pid.Set.compare a b | c -> c)
+  |> List.map snd
 
 (* ---- one walk per search, at any jobs count ---------------------------- *)
 

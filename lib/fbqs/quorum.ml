@@ -126,18 +126,18 @@ module Compiled = struct
 
   (* Discard members with no slice inside the current candidate until
      a fixpoint. Since the union of two quorums is a quorum, the
-     fixpoint is the union of all quorums within [set]. Rounds only
-     shrink the candidate, so once one drops a member of [keep], the
-     fixpoint cannot hold [keep] and the remaining rounds are skipped. *)
-  let greatest_quorum_keeping_d c ~keep set =
-    let rec go qd =
-      let counts = Array.make (Array.length c.class_sets) (-1) in
-      let next = D.filter (member_ok c counts qd) qd in
-      if not (D.subset keep next) then None
-      else if D.equal next qd then Some qd
-      else go next
-    in
-    go set
+     fixpoint is the union of all quorums within [set]. A member that
+     fails a round lies outside that fixpoint, so each round tests the
+     members of [keep] first and gives up at the first one that fails;
+     only a round they all pass tests the rest. *)
+  let rec greatest_quorum_keeping_d c ~keep set =
+    let counts = Array.make (Array.length c.class_sets) (-1) in
+    let ok = member_ok c counts set in
+    if not (D.subset keep set && D.for_all ok keep) then None
+    else
+      let next = D.union keep (D.filter ok (D.diff set keep)) in
+      if D.equal next set then Some set
+      else greatest_quorum_keeping_d c ~keep next
 
   let greatest_quorum_within_d c set =
     Option.get (greatest_quorum_keeping_d c ~keep:D.empty set)
@@ -286,14 +286,15 @@ module Compiled = struct
       !j < stop
     end
 
-  let is_quorum_w w q =
-    q <> 0
-    &&
-    let x = ref q in
+  (* Whether every member of [x] passes the test against [q]. *)
+  let all_ok_w w x q =
+    let x = ref x in
     while !x <> 0 && member_ok_w w (ntz (!x land - !x)) q do
       x := !x land (!x - 1)
     done;
     !x = 0
+
+  let is_quorum_w w q = q <> 0 && all_ok_w w q q
 
   let universe_w w = (1 lsl Array.length w.pids) - 1
 
@@ -306,19 +307,20 @@ module Compiled = struct
     done;
     !s
 
-  (* The rounds of [greatest_quorum_keeping_d] on words; [-1], which no
-     view's set equals, stands for [None]. *)
+  (* The rounds of [greatest_quorum_keeping_d] on words, [keep] first;
+     [-1], which no view's set equals, stands for [None]. *)
   let rec greatest_quorum_keeping_w w ~keep q =
-    let next = ref 0 and x = ref q in
-    while !x <> 0 do
-      let b = !x land - !x in
-      if member_ok_w w (ntz b) q then next := !next lor b;
-      x := !x lxor b
-    done;
-    let next = !next in
-    if keep land lnot next <> 0 then -1
-    else if next = q then q
-    else greatest_quorum_keeping_w w ~keep next
+    if keep land lnot q <> 0 || not (all_ok_w w keep q) then -1
+    else begin
+      let next = ref keep and x = ref (q land lnot keep) in
+      while !x <> 0 do
+        let b = !x land - !x in
+        if member_ok_w w (ntz b) q then next := !next lor b;
+        x := !x lxor b
+      done;
+      let next = !next in
+      if next = q then q else greatest_quorum_keeping_w w ~keep next
+    end
 end
 
 let cache_stats () =

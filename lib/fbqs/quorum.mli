@@ -90,11 +90,12 @@ module Compiled : sig
     t -> keep:Pid.Dense_set.t -> Pid.Dense_set.t -> Pid.Dense_set.t option
   (** [greatest_quorum_keeping_d c ~keep s] is [Some g] when the
       greatest quorum [g] within [s] contains [keep], and [None]
-      otherwise. It runs the rounds of {!greatest_quorum_within} but
-      stops at the first round that drops a member of [keep]: rounds
-      only shrink the candidate, so from then on [keep ⊄ g] is
-      decided. The branch bound and the minimality check of {!Enum}
-      need only this answer. *)
+      otherwise. It runs the rounds of {!greatest_quorum_within}, but
+      answers [None] at once when [keep ⊄ s], and each round tests the
+      members of [keep] first and answers [None] at the first one that
+      fails: a member that fails a round lies outside [g]. The branch
+      bound and the minimality check of {!Enum}, and SCP's quorum
+      check, need only this answer. *)
 
   val greatest_quorum_within_d : t -> Pid.Dense_set.t -> Pid.Dense_set.t
   (** {!greatest_quorum_keeping_d} with an empty [keep], which every

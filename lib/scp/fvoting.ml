@@ -125,8 +125,8 @@ let view t ~hits ~misses =
 (* Rule (a) of accept and the confirm rule demand a quorum containing
    this node all of whose members assert the statement — the node's own
    assertion is part of the tally (recorded when it broadcasts), so no
-   special-casing of [self] here. [self ∈ gq(s)] is decided by the
-   first fixpoint round that drops [self]. *)
+   special-casing of [self] here. Each fixpoint round tests [self]
+   first, so [self ∉ gq(s)] is decided at the first round it fails. *)
 let quorum_within t s =
   bump t.c_quorum_checks;
   let c = view t ~hits:t.c_view_hits ~misses:t.c_view_misses in

@@ -57,6 +57,8 @@ type state = {
   mutable high_prepared : Ballot.t option;  (* highest confirmed prepared *)
   mutable decided : decision option;
   mutable nom_round : int;  (* leader-priority nomination round *)
+  mutable jump_due : bool;
+      (* a prepare was accepted since [maybe_jump] last walked *)
 }
 
 let make_obs ?metrics ?trace () =
@@ -105,6 +107,7 @@ let make_state ?metrics ?trace cfg =
     high_prepared = None;
     decided = None;
     nom_round = 1;
+    jump_due = false;
   }
 
 (* The leader set for the current round: the [nom_round]
@@ -165,6 +168,9 @@ let vote st ctx stmt =
 
 let accept st ctx stmt =
   Fvoting.mark_accepted st.fv stmt;
+  (match stmt with
+  | Statement.Prepare _ -> st.jump_due <- true
+  | Statement.Nominate _ | Statement.Commit _ -> ());
   Fvoting.record_accept st.fv stmt st.cfg.self;
   bump st.obs.c_accepts;
   if tracing st then obs_event st ctx "accept" (stmt_field stmt);
@@ -324,20 +330,26 @@ let rec progress st ctx =
   if !changed then progress st ctx
 
 (* Catching up: accepting a prepare above our ballot pulls us onto it
-   (the v-blocking "jump" of concrete SCP). *)
+   (the v-blocking "jump" of concrete SCP). A walk leaves [current] at
+   or above every accepted prepare, and [current] never decreases, so
+   the next walk can enter a ballot only if [accept] took a prepare in
+   between: otherwise it is skipped. *)
 let maybe_jump st ctx =
-  Fvoting.iter
-    (fun stmt (tl : Fvoting.tally) ->
-      match stmt with
-      | Statement.Prepare b ->
-          let above_current =
-            match st.current with
-            | None -> true
-            | Some cur -> Ballot.compare b cur > 0
-          in
-          if tl.i_accepted && above_current then enter_ballot st ctx b
-      | Statement.Nominate _ | Statement.Commit _ -> ())
-    st.fv
+  if st.jump_due then begin
+    st.jump_due <- false;
+    Fvoting.iter
+      (fun stmt (tl : Fvoting.tally) ->
+        match stmt with
+        | Statement.Prepare b ->
+            let above_current =
+              match st.current with
+              | None -> true
+              | Some cur -> Ballot.compare b cur > 0
+            in
+            if tl.i_accepted && above_current then enter_ballot st ctx b
+        | Statement.Nominate _ | Statement.Commit _ -> ())
+      st.fv
+  end
 
 (* ---- the behaviour ---------------------------------------------------- *)
 

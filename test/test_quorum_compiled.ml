@@ -325,20 +325,22 @@ let print_word (sys, u, candidates) =
             Format.asprintf "%a keep %a" Pid.Set.pp s Pid.Set.pp keep)
           candidates))
 
+(* The word of [s] in the view over [u]: bit k is the k-th smallest pid
+   of [u]. *)
+let bits_in u s =
+  List.fold_left
+    (fun (acc, k) i ->
+      ((if Pid.Set.mem i s then acc lor (1 lsl k) else acc), k + 1))
+    (0, 0) (Pid.Set.elements u)
+  |> fst
+
 let prop_word_view =
   QCheck.Test.make ~count:300 ~name:"word view = dense queries inside u"
     (QCheck.make ~print:print_word gen_word_query)
     (fun (sys, u, candidates) ->
       let c = Quorum.Compiled.compile sys in
       let w = Quorum.Compiled.words c (D.of_set u) in
-      (* Bit k is the k-th smallest pid of [u]. *)
-      let bits s =
-        List.fold_left
-          (fun (acc, k) i ->
-            ((if Pid.Set.mem i s then acc lor (1 lsl k) else acc), k + 1))
-          (0, 0) (Pid.Set.elements u)
-        |> fst
-      in
+      let bits = bits_in u in
       Quorum.Compiled.universe_w w = bits u
       && List.for_all
            (fun (s, keep) ->
@@ -370,6 +372,55 @@ let test_word_bound () =
   Alcotest.check_raises "63 members"
     (Invalid_argument "Quorum.Compiled.words: more than 62 members")
     (fun () -> ignore (Quorum.Compiled.words c (D.of_range 0 62)))
+
+(* ---- keep first ---------------------------------------------------------
+
+   On the chain 1: {1,2}, 2: {2,3}, 3: {3,4}, where 4 declares nothing,
+   the rounds on {1,2,3} drop 3, then 2, then 1. Both kernels must prune
+   whenever [keep] is lost, in whichever round, or is not inside the
+   candidate, and answer alike. *)
+
+let chain extra =
+  Quorum.system_of_list
+    (List.map
+       (fun (i, slice) -> (i, Slice.explicit [ set slice ]))
+       ([ (1, [ 1; 2 ]); (2, [ 2; 3 ]); (3, [ 3; 4 ]) ] @ extra))
+
+(* [greatest_quorum_keeping_d] and [_w], the word view over [u], on one
+   query; [None] is the prune. *)
+let keeping_both sys ~u ~keep s =
+  let c = Quorum.Compiled.compile sys in
+  let w = Quorum.Compiled.words c (D.of_set u) in
+  let dense =
+    Quorum.Compiled.greatest_quorum_keeping_d c ~keep:(D.of_set keep)
+      (D.of_set s)
+  in
+  let word =
+    match
+      Quorum.Compiled.greatest_quorum_keeping_w w ~keep:(bits_in u keep)
+        (bits_in u s)
+    with
+    | -1 -> None
+    | g -> Some (Quorum.Compiled.set_of_word w g)
+  in
+  (Option.map D.to_set dense, word)
+
+let test_keeping_keep_first () =
+  let check name sys ~u ~keep s expected =
+    let dense, word = keeping_both sys ~u:(set u) ~keep:(set keep) (set s) in
+    Alcotest.(check (option pid_set)) (name ^ ", dense") expected dense;
+    Alcotest.(check (option pid_set)) (name ^ ", word = dense") dense word
+  in
+  let s = [ 1; 2; 3 ] in
+  check "keep {1}, lost in round 3" (chain []) ~u:s ~keep:[ 1 ] s None;
+  check "keep {2}, lost in round 2" (chain []) ~u:s ~keep:[ 2 ] s None;
+  check "empty keep" (chain []) ~u:s ~keep:[] s (Some Pid.Set.empty);
+  let sys = chain [ (4, [ 4 ]) ] and s = [ 1; 2; 3; 4 ] in
+  check "keep {1} with 4: {4}" sys ~u:s ~keep:[ 1 ] s (Some (set s));
+  (* {4} is a quorum, and 5 lies inside [u] but outside it. 5's one
+     slice {4} lies inside the candidate, so only [keep ⊄ s] prunes. *)
+  let sys = chain [ (4, [ 4 ]); (5, [ 4 ]) ] in
+  check "keep outside s" sys ~u:[ 1; 2; 3; 4; 5 ] ~keep:[ 5 ] [ 4 ] None
 
 (* ---- delete on the compiled form ---------------------------------------
 
@@ -506,6 +557,8 @@ let suites =
           test_is_v_blocking_d_edges;
         QCheck_alcotest.to_alcotest prop_word_view;
         Alcotest.test_case "word view holds 62 members" `Quick test_word_bound;
+        Alcotest.test_case "keeping tests keep first, in both kernels" `Quick
+          test_keeping_keep_first;
         QCheck_alcotest.to_alcotest prop_delete;
         Alcotest.test_case "delete cuts a class and empties a slice" `Quick
           test_delete_cuts;

@@ -108,7 +108,7 @@ let prop_count_matches_enumeration =
     QCheck.(pair (list_of_size (QCheck.Gen.int_bound 6) (int_bound 9)) (int_bound 7))
     (fun (members, threshold) ->
       let s = Slice.threshold ~members:(Pid.Set.of_list members) ~threshold in
-      threshold < 0 || Slice.slice_count s = List.length (Slice.enumerate s))
+      Slice.slice_count s = List.length (Slice.enumerate s))
 
 let suites =
   [
