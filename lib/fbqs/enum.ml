@@ -22,13 +22,15 @@ module D = Pid.Dense_set
      (quorums are closed under union), so the test is exact, and the
      branch's candidate pool shrinks to that greatest quorum.
 
-   Found quorums are confirmed minimal on the spot (dropping any single
-   member must leave no quorum), so no superset bookkeeping or global
-   minimisation pass is needed — which is what makes the
-   quorum-intersection check on a n=200-validator topology answer in
-   well under a second. A question that wants only intersection's yes
-   or no runs the same walk bounded at half the quorum-bearing SCC and
-   stops at its first hit ([intersects] below). *)
+   The walk emits every quorum selection it reaches. It reaches every
+   minimal quorum, and a selection it reaches that is not minimal holds
+   a minimal one, so one subset filter over its finds keeps exactly the
+   minimal quorums ([Walks.minimal] below); no fixpoint runs per member
+   of a find. A question that wants only intersection's yes or no runs
+   the same walk bounded at half the quorum-bearing SCC and stops at
+   its first hit ([intersects] below). Every search sorts and filters
+   its finds in its kernel's own sets and builds a [Pid.Set.t] only for
+   the sets it returns. *)
 
 type stats = { explored : int; pruned : int; found : int }
 
@@ -51,6 +53,7 @@ type t = {
   parts : D.t;
   tally : tally;
   mutable sccs : D.t list option;  (* memo of [quorum_sccs] *)
+  mutable views : (D.t * Quorum.Compiled.words) list;  (* memo of [on_kernel] *)
   mutable minimal : Pid.Set.t list option;  (* cache, canonical order *)
 }
 
@@ -73,6 +76,7 @@ let of_compiled ?metrics compiled =
     parts = Quorum.Compiled.participants_d compiled;
     tally = new_tally ?metrics ();
     sccs = None;
+    views = [];
     minimal = None;
   }
 
@@ -115,13 +119,15 @@ let absorb into (tl : tally) =
   into.found <- into.found + tl.found;
   bump into.c_found tl.found
 
-(* By cardinal, then by [Pid.Set.compare]. Each set's cardinal is taken
-   once, not at every comparison. *)
-let canonical sets =
-  List.map (fun s -> (Pid.Set.cardinal s, s)) sets
+(* By cardinal, then by [compare]. Each set's cardinal is taken once,
+   not at every comparison. *)
+let sort_canonical cardinal compare sets =
+  List.map (fun s -> (cardinal s, s)) sets
   |> List.sort (fun (m, a) (n, b) ->
-         match Int.compare m n with 0 -> Pid.Set.compare a b | c -> c)
+         match Int.compare m n with 0 -> compare a b | c -> c)
   |> List.map snd
+
+let canonical = sort_canonical Pid.Set.cardinal Pid.Set.compare
 
 (* ---- one walk per search, at any jobs count ---------------------------- *)
 
@@ -130,19 +136,20 @@ let canonical sets =
    passing every find to [emit], except that calls reaching depth
    [frontier] are returned, in visiting order, instead of descended.
 
-   [search] runs a walk at any [jobs] count. At [jobs = 1] it walks
-   every root to the bottom on the analyzer's own tally. At [jobs > 1]
-   it walks them down to [frontier] the same way, then runs each
-   deferred call as a {!Simkit.Exec.map} job: the same walk, to the
-   bottom, on a fresh tally with no counters (a live registry is shared
-   mutable state no job may touch), folded back by [absorb]. Subtrees
-   are independent and finds merge through {!canonical}, so results,
-   [stats] and metrics are byte-identical at every [jobs] count. Nodes
-   are words or dense sets, and a job captures only the walk's view
-   (a word view, or the compiled system and its SCC) or
-   quorum-incidence arrays (plain data), so jobs survive the fork
-   backend's closure [Marshal] unchanged. All are immutable: jobs
-   share no mutable state.
+   [run] runs a walk at any [jobs] count. At [jobs = 1] it walks the
+   root to the bottom on the analyzer's own tally. At [jobs > 1] it
+   walks it down to [frontier] the same way, then runs each deferred
+   call as a {!Simkit.Exec.map} job: the same walk, to the bottom, on a
+   fresh tally with no counters (a live registry is shared mutable
+   state no job may touch), folded back by [absorb]. Subtrees are
+   independent and the caller sorts the merged finds into a canonical
+   order, so results, [stats] and metrics are byte-identical at every
+   [jobs] count. Nodes are words or dense sets, and a job captures only
+   the walk's view (a word view, or the compiled system and its SCC)
+   or quorum-incidence arrays (plain data), so jobs survive the fork
+   backend's closure [Marshal] unchanged. All are immutable: a walk
+   that needs scratch space makes its own, so jobs share no mutable
+   state.
 
    A finite [limit] stops the walk at the [limit]-th find and keeps the
    sequential path: which finds survive a truncation depends on
@@ -156,7 +163,7 @@ let finish walk node =
   ignore (walk tl ~frontier:max_int ~emit:(fun x -> found := x :: !found) node);
   (!found, tl)
 
-let search ?(limit = max_int) ~jobs ~frontier tl walk roots =
+let run ?(limit = max_int) ~jobs ~frontier tl walk root =
   let found = ref [] and count = ref 0 in
   let emit x =
     found := x :: !found;
@@ -165,35 +172,33 @@ let search ?(limit = max_int) ~jobs ~frontier tl walk roots =
   in
   let complete =
     if jobs > 1 && limit = max_int then begin
-      let deferred = List.concat_map (walk tl ~frontier ~emit) roots in
       List.iter
         (fun (sets, job) ->
           found := List.rev_append sets !found;
           absorb tl job)
-        (Simkit.Exec.map ~jobs (finish walk) deferred);
+        (Simkit.Exec.map ~jobs (finish walk) (walk tl ~frontier ~emit root));
       true
     end
     else
-      match
-        List.iter
-          (fun root -> ignore (walk tl ~frontier:max_int ~emit root))
-          roots
-      with
-      | () -> true
+      match walk tl ~frontier:max_int ~emit root with
+      | (_ : _ list) -> true
       | exception Stop -> false
   in
-  (canonical !found, complete)
+  (!found, complete)
 
-(* ---- one quorum walk, two set representations -------------------------- *)
+(* ---- the kernels ------------------------------------------------------- *)
 
-(* The quorum searches walk sets of candidates inside one
-   quorum-bearing SCC [u]. A [KERNEL] is one representation of such
-   sets with the two quorum queries on it: [Word] holds a set in one
-   machine word of a {!Quorum.Compiled.words} view of [u] (at most 62
-   members), [Dense] in a dense bitset. Both enumerate members in
-   ascending pid order, so the walk below, written once, visits the
-   same tree, ticks the same counts and finds the same quorums on
-   either; the word instance allocates nothing per node. *)
+(* Every search walks sets of pids inside one member set [u]: a
+   quorum-bearing SCC for the quorum walks, the top tier or the SCC
+   holding it for the hitting-set walk. A [KERNEL] is one representation of such sets,
+   with the two quorum queries on it: [Word] holds a set in one machine
+   word of a {!Quorum.Compiled.words} view of [u] (at most 62 members),
+   [Dense] in a dense bitset. Both enumerate members in ascending pid
+   order, so each walk below, written once, visits the same tree, ticks
+   the same counts and finds the same sets on either; the word instance
+   allocates nothing per node. [compare] orders two sets of equal
+   cardinal as {!Pid.Set.compare} does, so a search sorts its finds
+   into the canonical order before it converts them. *)
 module type KERNEL = sig
   type view
   type set
@@ -203,20 +208,31 @@ module type KERNEL = sig
   val empty : set
   val is_empty : set -> bool
   val cardinal : set -> int
+  val compare : set -> set -> int
   val lowest : set -> elt
+
+  val index : elt -> int
+  (** A non-negative number per member of the view, for tables indexed
+      by member: its bit on words, its pid on dense sets. *)
+
   val add : elt -> set -> set
   val remove : elt -> set -> set
   val inter : set -> set -> set
   val diff : set -> set -> set
   val subset : set -> set -> bool
+  val inter_cardinal : set -> set -> int
   val is_quorum : view -> set -> bool
 
   val keeping : view -> keep:set -> set -> set
   (** The greatest quorum within the set when it contains [keep];
       otherwise a set that misses a member of [keep]. *)
 
+  val of_set : view -> Pid.Set.t -> set
   val to_set : view -> set -> Pid.Set.t
 end
+
+(* Trailing zeros of a one-bit word. *)
+let ntz b = D.popcount (b - 1)
 
 module Word = struct
   module C = Quorum.Compiled
@@ -229,12 +245,15 @@ module Word = struct
   let empty = 0
   let is_empty s = s = 0
   let cardinal = D.popcount
+  let compare = D.compare_word
   let lowest s = s land -s
+  let index = ntz
   let add b s = s lor b
   let remove b s = s land lnot b
   let inter a b = a land b
   let diff a b = a land lnot b
   let subset a b = a land lnot b = 0
+  let inter_cardinal a b = D.popcount (a land b)
   let is_quorum = C.is_quorum_w
 
   (* [-1] is the prune, and [keep] is non-empty there. *)
@@ -242,6 +261,7 @@ module Word = struct
     let g = C.greatest_quorum_keeping_w w ~keep s in
     if g < 0 then 0 else g
 
+  let of_set = C.word_of_set
   let to_set = C.set_of_word
 end
 
@@ -254,12 +274,15 @@ module Dense = struct
   let empty = D.empty
   let is_empty = D.is_empty
   let cardinal = D.cardinal
+  let compare = D.compare
   let lowest s = Option.get (D.min_elt_opt s)
+  let index i = i
   let add = D.add
   let remove = D.remove
   let inter = D.inter
   let diff = D.diff
   let subset = D.subset
+  let inter_cardinal = D.inter_cardinal
   let is_quorum v s = Quorum.Compiled.is_quorum_d v.c s
 
   let keeping v ~keep s =
@@ -267,33 +290,64 @@ module Dense = struct
     | Some g -> g
     | None -> D.empty
 
+  let of_set _ s = D.of_set s
   let to_set _ s = D.to_set s
 end
 
-(* What a quorum selection must pass to be emitted: minimality, for
-   the enumeration, or a quorum in its complement, for the
-   intersection decision. *)
-type hook = Minimal | Outside
+(* ---- quorum-index rows ------------------------------------------------- *)
 
-module Walk (K : KERNEL) = struct
-  (* [q] is minimal iff every member [x] is essential: [q \ x] holds
-     no quorum. Members are tried in ascending order and the ones
-     already shown essential are passed as [keep]: a fixpoint that
-     drops an essential [y] proves [gq (q \ x) ⊆ gq (q \ y) = ∅], so
-     only the first member runs its fixpoint to the end. *)
-  let rec essential v q keep rest =
-    K.is_empty rest
-    ||
-    let x = K.lowest rest in
-    let g = K.keeping v ~keep (K.remove x q) in
-    ((not (K.subset keep g)) || K.is_empty g)
-    && essential v q (K.add x keep) (K.remove x rest)
+(* The hitting-set walk names the minimal quorums by their index in
+   canonical order. A row is a set of such indices as a fixed-width
+   word array (bit [k mod row_bits] of word [k / row_bits] for index
+   [k]), every row of one search as wide as its quorum count needs, so
+   a walk's scratch rows fit every row it meets, deferred nodes' rows
+   included. *)
+let row_bits = Sys.int_size
 
-  let accepts v hook s =
-    match hook with
-    | Minimal -> essential v s K.empty s
-    | Outside ->
-        not (K.is_empty (K.keeping v ~keep:K.empty (K.diff (K.universe v) s)))
+let full_row n =
+  let r = Array.make ((n + row_bits - 1) / row_bits) 0 in
+  for k = 0 to n - 1 do
+    r.(k / row_bits) <- r.(k / row_bits) lor (1 lsl (k mod row_bits))
+  done;
+  r
+
+let row_is_empty r =
+  let w = ref 0 in
+  while !w < Array.length r && r.(!w) = 0 do
+    incr w
+  done;
+  !w = Array.length r
+
+let row_diff a b =
+  let r = Array.make (Array.length a) 0 in
+  for w = 0 to Array.length a - 1 do
+    r.(w) <- a.(w) land lnot b.(w)
+  done;
+  r
+
+(* The quorum tree is deep and narrow ("pid in / pid out"), so its
+   frontier sits five decisions down. The hitting-set tree branches
+   much wider (one child per usable member of the pivot quorum), so its
+   frontier sits shallower. *)
+let quorum_frontier_depth = 5
+let blocking_frontier_depth = 3
+
+(* What a quorum selection must pass to be emitted: nothing, for the
+   enumeration, whose caller keeps the minimal ones; or a quorum in its
+   complement, for the intersection decision. *)
+type hook = Reached | Outside
+
+module Walks (K : KERNEL) = struct
+  let canonical = sort_canonical K.cardinal K.compare
+
+  let search ?limit ~jobs ~frontier tl walk root =
+    let found, complete = run ?limit ~jobs ~frontier tl walk root in
+    (canonical found, complete)
+
+  (* ---- the quorum walk ---- *)
+
+  let outside v s =
+    not (K.is_empty (K.keeping v ~keep:K.empty (K.diff (K.universe v) s)))
 
   (* Depth-first walk over the quorums inside a universe already
      contracted to a greatest quorum. A node is (selection, remaining
@@ -302,7 +356,7 @@ module Walk (K : KERNEL) = struct
      report — is deterministic. A selection that is a quorum ends its
      branch (its supersets are quorums too) and is emitted when it
      passes [hook]; a selection of [bound] members that is not a
-     quorum ends it too. Enumeration passes [max_int] and [Minimal];
+     quorum ends it too. Enumeration passes [max_int] and [Reached];
      the intersection decision below passes half the universe and
      [Outside]. *)
   let walk v ~bound ~hook tl ~frontier ~emit (selection, remaining, available)
@@ -314,10 +368,13 @@ module Walk (K : KERNEL) = struct
       else begin
         tick_explored tl;
         if K.is_quorum v selection then begin
-          if accepts v hook selection then begin
-            tick_found tl;
-            emit (K.to_set v selection)
-          end
+          match hook with
+          | Reached -> emit selection
+          | Outside ->
+              if outside v selection then begin
+                tick_found tl;
+                emit selection
+              end
         end
         else if size < bound && not (K.is_empty remaining) then begin
           let x = K.lowest remaining in
@@ -333,31 +390,201 @@ module Walk (K : KERNEL) = struct
     go 0 (K.cardinal selection) selection remaining available;
     List.rev !deferred
 
-  let root v =
+  let quorum_search ?limit ~jobs tl v ~bound ~hook =
     let u = K.universe v in
-    (K.empty, u, u)
+    search ?limit ~jobs ~frontier:quorum_frontier_depth tl
+      (walk v ~bound ~hook) (K.empty, u, u)
+
+  (* The sets of [sorted], which is in canonical order, that hold none
+     of the others. A proper subset has fewer members, so it comes
+     first, and each set is tested against the kept ones of smaller
+     cardinal only: a set that holds a dropped one holds that set's
+     kept subset too. *)
+  let minimal sorted =
+    let kept = Array.make (List.length sorted) K.empty in
+    let sizes = Array.make (Array.length kept) 0 and n = ref 0 in
+    List.iter
+      (fun s ->
+        let c = K.cardinal s in
+        let i = ref 0 in
+        while !i < !n && sizes.(!i) < c && not (K.subset kept.(!i) s) do
+          incr i
+        done;
+        if !i = !n || sizes.(!i) >= c then begin
+          kept.(!n) <- s;
+          sizes.(!n) <- c;
+          incr n
+        end)
+      sorted;
+    Array.to_list (Array.sub kept 0 !n)
+
+  (* The walk reaches every minimal quorum of [u] (DESIGN §13), and
+     every quorum selection it reaches holds one, so the reached
+     selections holding no other reached one are exactly the minimal
+     quorums. [found] counts them. *)
+  let minimal_quorums ~jobs tl v =
+    let reached, _ = quorum_search ~jobs tl v ~bound:max_int ~hook:Reached in
+    let kept = minimal reached in
+    List.iter (fun _ -> tick_found tl) kept;
+    List.map (K.to_set v) kept
+
+  (* Whether the walk bounded at half the universe finds a quorum
+     selection with a quorum in its complement (see [intersects]). *)
+  let disjoint_quorums ~jobs tl v =
+    match
+      quorum_search ~limit:1 ~jobs tl v
+        ~bound:(K.cardinal (K.universe v) / 2)
+        ~hook:Outside
+    with
+    | [], _ -> false
+    | _ :: _, _ -> true
+
+  (* ---- the hitting-set walk ---- *)
+
+  (* The minimal quorums as sets of the view, their sizes, and per
+     member index the row of the quorums that contain it. An index no
+     quorum holds keeps an empty array, which the walk never reads: on
+     the dense view an index is a pid, and the tier's pids may be
+     sparse. *)
+  type incidence = {
+    quorums : K.set array;
+    sizes : int array;
+    hits : int array array;
+    width : int;  (* words per row *)
+  }
+
+  let incidence v quorums =
+    let quorums = Array.of_list (List.map (K.of_set v) quorums) in
+    let n = Array.length quorums in
+    let rec members s acc =
+      if K.is_empty s then acc
+      else
+        let x = K.lowest s in
+        members (K.remove x s) (K.index x :: acc)
+    in
+    let of_quorum = Array.map (fun q -> members q []) quorums in
+    let bound =
+      Array.fold_left (List.fold_left (fun b i -> max b (i + 1))) 0 of_quorum
+    in
+    let width = (n + row_bits - 1) / row_bits in
+    let hits = Array.make bound [||] in
+    Array.iteri
+      (fun k ->
+        List.iter (fun i ->
+            if Array.length hits.(i) = 0 then hits.(i) <- Array.make width 0;
+            let h = hits.(i) in
+            h.(k / row_bits) <- h.(k / row_bits) lor (1 lsl (k mod row_bits))))
+      of_quorum;
+    { quorums; sizes = Array.map K.cardinal quorums; hits; width }
+
+  (* The usable members of the uncovered quorum with the fewest of them;
+     the first such quorum wins ties (deterministic). *)
+  let best inc uncovered excluded =
+    let best = ref 0 and best_usable = ref max_int in
+    for w = 0 to inc.width - 1 do
+      let x = ref uncovered.(w) in
+      while !x <> 0 do
+        let b = !x land - !x in
+        let k = (w * row_bits) + ntz b in
+        let usable =
+          inc.sizes.(k) - K.inter_cardinal inc.quorums.(k) excluded
+        in
+        if usable < !best_usable then begin
+          best := k;
+          best_usable := usable
+        end;
+        x := !x lxor b
+      done
+    done;
+    K.diff inc.quorums.(!best) excluded
+
+  (* Each member must be the sole hitter of some quorum, that is, hit a
+     quorum outside [twice], the quorums hit by two or more members.
+     [once] and [twice] are the walk's scratch rows. *)
+  let sole_hitters inc ~once ~twice chosen =
+    Array.fill once 0 inc.width 0;
+    Array.fill twice 0 inc.width 0;
+    let s = ref chosen in
+    while not (K.is_empty !s) do
+      let x = K.lowest !s in
+      let h = inc.hits.(K.index x) in
+      for w = 0 to inc.width - 1 do
+        twice.(w) <- twice.(w) lor (once.(w) land h.(w));
+        once.(w) <- once.(w) lor h.(w)
+      done;
+      s := K.remove x !s
+    done;
+    let s = ref chosen and sole = ref true in
+    while !sole && not (K.is_empty !s) do
+      let x = K.lowest !s in
+      let h = inc.hits.(K.index x) in
+      let w = ref 0 in
+      while !w < inc.width && h.(!w) land lnot twice.(!w) = 0 do
+        incr w
+      done;
+      sole := !w < inc.width;
+      s := K.remove x !s
+    done;
+    !sole
+
+  (* The minimal-hitting-set search. A node is (chosen pids, uncovered
+     quorum indices, excluded pids); a node branches on each usable
+     member of [best]'s quorum in ascending order, excluding it from
+     the branches after it, so each hitting set is reached once. *)
+  let blocking_walk inc tl ~frontier ~emit (chosen, uncovered, excluded) =
+    let once = Array.make inc.width 0 and twice = Array.make inc.width 0 in
+    let deferred = ref [] in
+    let rec go depth chosen uncovered excluded =
+      if depth >= frontier then
+        deferred := (chosen, uncovered, excluded) :: !deferred
+      else begin
+        tick_explored tl;
+        if row_is_empty uncovered then begin
+          if sole_hitters inc ~once ~twice chosen then emit chosen
+        end
+        else
+          let usable = best inc uncovered excluded in
+          if K.is_empty usable then tick_pruned tl
+          else branch depth chosen uncovered excluded usable
+      end
+    and branch depth chosen uncovered excluded usable =
+      let v = K.lowest usable in
+      go (depth + 1) (K.add v chosen)
+        (row_diff uncovered inc.hits.(K.index v))
+        excluded;
+      let usable = K.remove v usable in
+      if not (K.is_empty usable) then
+        branch depth chosen uncovered (K.add v excluded) usable
+    in
+    go 0 chosen uncovered excluded;
+    List.rev !deferred
+
+  let blocking ?limit ~jobs tl v quorums =
+    let sets, complete =
+      search ?limit ~jobs ~frontier:blocking_frontier_depth tl
+        (blocking_walk (incidence v quorums))
+        (K.empty, full_row (List.length quorums), K.empty)
+    in
+    (List.map (K.to_set v) sets, complete)
 end
 
-module Word_walk = Walk (Word)
-module Dense_walk = Walk (Dense)
+module Word_walks = Walks (Word)
+module Dense_walks = Walks (Dense)
 
-(* The search tree is deep and narrow ("pid in / pid out"), so its
-   frontier sits five decisions down. *)
-let quorum_frontier_depth = 5
-
-(* The quorum walk over one quorum-bearing SCC [u], on the word view
-   whenever [u] fits in a word. *)
-let quorum_search ?limit ~jobs tl c u ~bound ~hook =
-  if D.cardinal u <= Quorum.Compiled.word_bits then
-    let w = Quorum.Compiled.words c u in
-    search ?limit ~jobs ~frontier:quorum_frontier_depth tl
-      (Word_walk.walk w ~bound ~hook)
-      [ Word_walk.root w ]
+(* The word instance whenever [u] fits in a word, the dense one past
+   that. An analyzer builds the word view of a universe once, since
+   building it scans every member's slices: the blocking walk reuses
+   the view its quorum search built. *)
+let on_kernel t u ~word ~dense =
+  if D.cardinal u > Quorum.Compiled.word_bits then
+    dense { Dense.c = t.compiled; u }
   else
-    let v = { Dense.c; u } in
-    search ?limit ~jobs ~frontier:quorum_frontier_depth tl
-      (Dense_walk.walk v ~bound ~hook)
-      [ Dense_walk.root v ]
+    match List.find_opt (fun (v, _) -> D.equal u v) t.views with
+    | Some (_, w) -> word w
+    | None ->
+        let w = Quorum.Compiled.words t.compiled u in
+        t.views <- (u, w) :: t.views;
+        word w
 
 (* The SCCs of the trust graph restricted to the greatest quorum, kept
    only when they contain a quorum — the contraction step. Returns
@@ -392,9 +619,9 @@ let minimal_quorums ?(jobs = 1) t =
   | Some q -> q
   | None ->
       let per_scc u =
-        fst
-          (quorum_search ~jobs t.tally t.compiled u ~bound:max_int
-             ~hook:Minimal)
+        on_kernel t u
+          ~word:(Word_walks.minimal_quorums ~jobs t.tally)
+          ~dense:(Dense_walks.minimal_quorums ~jobs t.tally)
       in
       let result =
         match List.map per_scc (quorum_sccs t) with
@@ -459,19 +686,17 @@ let quorum_intersection ?metrics ?jobs sys =
    proper prefix of a minimal quorum on its walk path is a quorum, so
    the walk bounded there reaches it; testing each quorum selection
    [s] it reaches for a quorum in [u \ s] needs no minimality check,
-   and the first hit ends the walk. The finite limit keeps [search]
+   and the first hit ends the walk. The finite limit keeps the search
    sequential at every [jobs] count. *)
 let intersects ~jobs t =
   match quorum_sccs t with
   | [] -> true
   | _ :: _ :: _ -> false
-  | [ u ] -> (
-      match
-        quorum_search ~limit:1 ~jobs t.tally t.compiled u
-          ~bound:(D.cardinal u / 2) ~hook:Outside
-      with
-      | [], _ -> true
-      | _ :: _, _ -> false)
+  | [ u ] ->
+      not
+        (on_kernel t u
+           ~word:(Word_walks.disjoint_quorums ~jobs t.tally)
+           ~dense:(Dense_walks.disjoint_quorums ~jobs t.tally))
 
 let intersects_despite ?metrics ?(jobs = 1) c b =
   intersects ~jobs (of_compiled ?metrics (Quorum.Compiled.delete c b))
@@ -489,112 +714,26 @@ type blocking = { sets : Pid.Set.t list; complete : bool }
    hitting sets of the minimal-quorum family, enumerated by branching
    on the members of an uncovered quorum with the usual
    "exclude-previous-branches" discipline (each hitting set is reached
-   exactly once).
-
-   The search runs on quorum-incidence bitsets: quorums are named by
-   their index in the canonical minimal-quorum array, [hits.(v)] is the
-   set of indices of the quorums that contain pid [v], and a node's
-   uncovered quorums are a set of indices, so choosing [v] uncovers
-   [D.diff uncovered hits.(v)]. *)
-
-type incidence = {
-  quorums : D.t array;
-  sizes : int array;  (* [D.cardinal quorums.(k)] *)
-  hits : D.t array;  (* pid -> indices of the quorums containing it *)
-}
-
-let incidence quorums =
-  let bound =
-    Array.fold_left
-      (fun b q ->
-        match D.max_elt_opt q with Some v -> max b (v + 1) | None -> b)
-      0 quorums
-  in
-  let hits = Array.make bound [] in
-  Array.iteri
-    (fun k q -> D.iter (fun v -> hits.(v) <- k :: hits.(v)) q)
-    quorums;
-  {
-    quorums;
-    sizes = Array.map D.cardinal quorums;
-    hits = Array.map D.of_list hits;
-  }
-
-(* Each member must be the sole hitter of some quorum, that is, hit a
-   quorum outside [twice], the quorums hit by two or more members. *)
-let bk_minimal inc chosen =
-  let _, twice =
-    D.fold
-      (fun b (once, twice) ->
-        let h = inc.hits.(b) in
-        (D.union once h, D.union twice (D.inter once h)))
-      chosen (D.empty, D.empty)
-  in
-  D.for_all (fun b -> not (D.subset inc.hits.(b) twice)) chosen
-
-(* The usable members of the uncovered quorum with the fewest of them;
-   the first such quorum wins ties (deterministic). *)
-let bk_best inc uncovered excluded =
-  let best = ref 0 and best_usable = ref max_int in
-  D.iter
-    (fun k ->
-      let usable =
-        inc.sizes.(k) - D.inter_cardinal inc.quorums.(k) excluded
-      in
-      if usable < !best_usable then begin
-        best := k;
-        best_usable := usable
-      end)
-    uncovered;
-  D.diff inc.quorums.(!best) excluded
-
-(* The minimal-hitting-set search. A node is (chosen pids, uncovered
-   quorum indices, excluded pids). *)
-let blocking_walk inc tl ~frontier ~emit (chosen, uncovered, excluded) =
-  let deferred = ref [] in
-  let rec go depth chosen uncovered excluded =
-    if depth >= frontier then
-      deferred := (chosen, uncovered, excluded) :: !deferred
-    else begin
-      tick_explored tl;
-      if D.is_empty uncovered then begin
-        if bk_minimal inc chosen then emit (D.to_set chosen)
-      end
-      else
-        let usable = bk_best inc uncovered excluded in
-        if D.is_empty usable then tick_pruned tl
-        else
-          ignore
-            (D.fold
-               (fun v excluded ->
-                 go (depth + 1) (D.add v chosen)
-                   (D.diff uncovered inc.hits.(v))
-                   excluded;
-                 D.add v excluded)
-               usable excluded)
-    end
-  in
-  go 0 chosen uncovered excluded;
-  List.rev !deferred
-
-(* The hitting-set tree branches much wider than the quorum search
-   (one child per usable member of the pivot quorum), so its frontier
-   sits shallower. *)
-let blocking_frontier_depth = 3
-
+   exactly once). Every member of a minimal hitting set lies in a
+   minimal quorum, so the walk runs on the kernel of the top tier; or,
+   with one quorum-bearing SCC that fits in a word, on that SCC's,
+   which holds every minimal quorum and whose view the quorum search
+   built. *)
 let minimal_blocking_sets ?limit ?(jobs = 1) t =
-  let quorums =
-    List.map D.of_set (minimal_quorums ~jobs t) |> Array.of_list
-  in
-  let n = Array.length quorums in
-  if n = 0 then { sets = []; complete = true }
-  else
-    let sets, complete =
-      search ?limit ~jobs ~frontier:blocking_frontier_depth t.tally
-        (blocking_walk (incidence quorums))
-        [ (D.empty, D.of_range 0 (n - 1), D.empty) ]
-    in
-    { sets; complete }
+  match minimal_quorums ~jobs t with
+  | [] -> { sets = []; complete = true }
+  | quorums ->
+      let u =
+        match quorum_sccs t with
+        | [ u ] when D.cardinal u <= Quorum.Compiled.word_bits -> u
+        | _ -> D.of_set (top_tier ~jobs t)
+      in
+      let sets, complete =
+        on_kernel t u
+          ~word:(fun v -> Word_walks.blocking ?limit ~jobs t.tally v quorums)
+          ~dense:(fun v -> Dense_walks.blocking ?limit ~jobs t.tally v quorums)
+      in
+      { sets; complete }
 
 (* ---- minimal splitting sets -------------------------------------------- *)
 
@@ -651,8 +790,11 @@ let minimal_splitting_sets ?metrics ?universe ?max_size ?(jobs = 1) t =
          in ascending mask order. *)
       let candidates = ref [] in
       let mask = ref ((1 lsl !k) - 1) in
-      let limit = 1 lsl n in
-      while !mask < limit do
+      (* The sweep ends at the first mask past the universe's [n] bits.
+         At [n = 62] that is the sign bit, so the bound is a bit test:
+         [1 lsl 62] is [min_int], below every mask. *)
+      let outside = lnot ((1 lsl n) - 1) in
+      while !mask land outside = 0 do
         let m = !mask in
         if not (List.exists (fun f -> m land f = f) !found_masks) then
           candidates := m :: !candidates;

@@ -20,10 +20,14 @@
       union). The walk is written once and runs on one machine word per
       set when the quorum-bearing SCC has at most 62 members
       ({!Quorum.Compiled.words}), on dense bitsets past that; both visit
-      the same tree.
+      the same tree;
+    - keep the minimal quorums with one subset filter over the quorum
+      selections the walk reaches (it reaches every minimal quorum, and
+      every selection it reaches holds one), in the walk's own sets.
 
     Everything downstream — intersection checking, blocking sets,
-    splitting sets, top tier — is built on that streaming enumeration,
+    splitting sets, top tier — is built on that enumeration (the
+    blocking sets by a second walk on the top tier's sets),
     except the questions that want only intersection's yes or no
     ({!quorum_intersection_despite} and the splitting candidates). They
     run the same walk bounded at half the quorum-bearing SCC and stop
@@ -63,8 +67,8 @@ type stats = {
   explored : int;  (** search-tree nodes visited *)
   pruned : int;  (** branches cut by the viability bound *)
   found : int;
-      (** quorums the walks emitted: every minimal quorum of an
-          enumeration, and at most one hit per intersection decision *)
+      (** the minimal quorums an enumeration kept, and at most one hit
+          per intersection decision *)
 }
 
 val of_compiled : ?metrics:Obs.Metrics.t -> Quorum.Compiled.t -> t

@@ -298,6 +298,11 @@ module Compiled = struct
 
   let universe_w w = (1 lsl Array.length w.pids) - 1
 
+  let word_of_set w s =
+    let r = ref 0 in
+    Array.iteri (fun k i -> if Pid.Set.mem i s then r := !r lor (1 lsl k)) w.pids;
+    !r
+
   let set_of_word w q =
     let s = ref Pid.Set.empty and x = ref q in
     while !x <> 0 do

@@ -140,6 +140,10 @@ module Compiled : sig
 
   val set_of_word : words -> int -> Pid.Set.t
 
+  val word_of_set : words -> Pid.Set.t -> int
+  (** The bits of the set's members that lie in the view's member set:
+      {!set_of_word}'s inverse on subsets of it. *)
+
   val is_quorum_w : words -> int -> bool
   (** {!is_quorum_d} on the candidate the bits name. *)
 

@@ -203,6 +203,22 @@ module Dense_set = struct
     done;
     !i = l
 
+  (* The set holding the lowest bit of [a lxor b] is the smaller. Below
+     that bit both sets agree, so on equal cardinals the ascending
+     element lists first differ there, as [Set.compare] sees them. *)
+  let compare_word (a : int) b =
+    let x = a lxor b in
+    if x = 0 then 0 else if a land (x land -x) <> 0 then -1 else 1
+
+  let compare (a : t) (b : t) =
+    let word t i = if i < Array.length t then t.(i) else 0 in
+    let l = max (Array.length a) (Array.length b) in
+    let i = ref 0 in
+    while !i < l && word a !i = word b !i do
+      incr i
+    done;
+    compare_word (word a !i) (word b !i)
+
   (* A family of sets packed into one word array, each member padded
      to the width of the widest one, so that [exists_subset] scans it
      in one loop with no call per member. A non-empty family has a

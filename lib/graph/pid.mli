@@ -87,6 +87,15 @@ module Dense_set : sig
 
   val equal : t -> t -> bool
 
+  val compare : t -> t -> int
+  (** A total order: of two distinct sets, the one holding the lowest
+      id of their symmetric difference is the smaller. On sets of equal
+      cardinal this is {!Set.compare}'s order. *)
+
+  val compare_word : int -> int -> int
+  (** {!compare} on two sets held in single machine words, bit [k]
+      standing for the [k]-th id of some ascending list. *)
+
   type family
   (** A fixed list of sets packed into one flat word array, every
       member padded to the widest member's width: the explicit slices

@@ -39,8 +39,12 @@
    [spare_bound] events. Nothing is cleared: a queue starts its
    buckets, free list and [alloc_top] fresh, and a row it hands out
    has every field written by its push ([push_row], [append],
-   [push_deliver]) before any pop or [refill] reads it. The payload
-   array stays per queue, since ['m] differs from queue to queue. *)
+   [push_deliver]) before any pop or [refill] reads it. Payloads stay
+   per queue, since ['m] differs from queue to queue, and they are kept
+   in chunks of [chunk] rows that a queue makes as its deliveries reach
+   them: the store grows with the rows this queue hands out, not with
+   the rows its domain lent it, and a chunk is small enough for the
+   minor heap. *)
 
 module Kind = struct
   type t = int
@@ -64,10 +68,11 @@ type 'm t = {
   mutable na : int array; (* started pid / timer owner / deliver src *)
   mutable nb : int array; (* deliver dst *)
   mutable tags : string array; (* timer tag; "" elsewhere *)
-  mutable payloads : 'm array;
-      (* physically [[||]] until the first deliver is pushed: ['m] has
-         no witness value before that, and a queue of starts and timers
-         never needs the array at all. *)
+  mutable payloads : 'm array array;
+      (* chunk [c] holds the payloads of rows [c * chunk] to
+         [c * chunk + chunk - 1], and is physically [[||]] until a
+         deliver row in that range is pushed: ['m] has no witness value
+         before that, and a queue of starts and timers needs none. *)
   heads : int array; (* per bucket: first row, -1 when empty *)
   tails : int array; (* per bucket: last row *)
   mins : int array; (* per bucket: least time of its rows *)
@@ -149,9 +154,7 @@ let grow t =
   t.kinds <- grow t.kinds 0;
   t.na <- grow t.na 0;
   t.nb <- grow t.nb 0;
-  t.tags <- grow t.tags "";
-  if Array.length t.payloads > 0 then
-    t.payloads <- grow t.payloads t.payloads.(0)
+  t.tags <- grow t.tags ""
 
 let alloc_row t =
   if t.free_head >= 0 then begin
@@ -232,14 +235,26 @@ let push_timer t ~time ~owner tag =
   let (_ : int) = push_row t ~time Kind.timer owner (-1) tag in
   ()
 
+(* 256 rows: a chunk of 256 words is the largest block the minor heap
+   takes, so a run's payloads never go straight into the major heap. *)
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
+
 let push_deliver t ~time ~src ~dst payload =
   let r = push_row t ~time Kind.deliver src dst "" in
-  if Array.length t.payloads = 0 then
-    (* First payload ever: materialize the array, using it as its own
-       fill value (every slot of ['m] needs a witness; slots of other
-       kinds are never read). *)
-    t.payloads <- Array.make (Array.length t.times) payload
-  else t.payloads.(r) <- payload
+  let c = r lsr chunk_bits in
+  let n = Array.length t.payloads in
+  if c >= n then begin
+    let table = Array.make (max (c + 1) (2 * n)) [||] in
+    Array.blit t.payloads 0 table 0 n;
+    t.payloads <- table
+  end;
+  let p = t.payloads.(c) in
+  if Array.length p = 0 then
+    (* The chunk's first payload is its fill value: every slot of ['m]
+       needs a witness, and slots of other kinds are never read. *)
+    t.payloads.(c) <- Array.make chunk payload
+  else p.(r land (chunk - 1)) <- payload
 
 (* Bucket 0 is empty and some row is pending: advance [last] to the
    least pending time and redistribute the bucket holding it. *)
@@ -285,7 +300,7 @@ let kind t = t.kinds.(t.cursor)
 let node_a t = t.na.(t.cursor)
 let node_b t = t.nb.(t.cursor)
 let tag t = t.tags.(t.cursor)
-let payload t = t.payloads.(t.cursor)
+let payload t = t.payloads.(t.cursor lsr chunk_bits).(t.cursor land (chunk - 1))
 
 (* Hands the rows to the domain's spare, unless they are past the
    bound or the spare already holds longer ones, and leaves the queue

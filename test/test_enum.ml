@@ -184,6 +184,16 @@ let test_fixture_analysis () =
              "fbqs_enum_quorums_found";
            ])
 
+(* 64 processes, pids [0], [stride], ..., [63 * stride], each
+   [threshold 63] of all of them: every 63 of them form a minimal
+   quorum, and the top tier is past the word bound. *)
+let all_but_one ~stride =
+  let members = Pid.Set.of_list (List.init 64 (fun i -> i * stride)) in
+  Quorum.system_of_list
+    (List.map
+       (fun i -> (i, Slice.threshold ~members ~threshold:63))
+       (Pid.Set.elements members))
+
 (* A quorum-bearing SCC past 62 members runs the dense instance of the
    quorum walk; every system above fits the word instance. 64
    processes each declaring [threshold 63 of 0..63] have 64 minimal
@@ -192,13 +202,7 @@ let test_fixture_analysis () =
    word view takes. Both instances visit the same tree, so the pinned
    counts hold on either side of the bound and at every jobs count. *)
 let test_dense_walk () =
-  let members = Pid.Set.of_range 0 63 in
-  let sys =
-    Quorum.system_of_list
-      (List.map
-         (fun i -> (i, Slice.threshold ~members ~threshold:63))
-         (Pid.Set.elements members))
-  in
+  let sys = all_but_one ~stride:1 in
   let ticks metrics =
     List.map
       (fun name -> Obs.Metrics.counter_value (Obs.Metrics.counter metrics name))
@@ -550,6 +554,108 @@ let prop_memo_call_order =
       && Enum.stats first_quorums = stats
       && (Enum.stats verdict_only = stats || Enum.stats verdict_only = zero))
 
+(* ---- minimality by a filter -------------------------------------------- *)
+
+(* The quorum walk on tree sets, as [Enum] runs it: on each
+   quorum-bearing SCC of the trust graph inside the greatest quorum,
+   shrunk to its own greatest quorum, branching on members in ascending
+   order. Returns the quorum selections it reaches with its explored
+   and pruned counts. *)
+let reference_walk sys =
+  let gq = Oracle.Quorum.greatest_quorum_within sys in
+  let w = gq (Quorum.participants sys) in
+  let trust =
+    Digraph.of_adjacency
+      (List.map
+         (fun i ->
+           ( i,
+             Pid.Set.elements
+               (Pid.Set.inter (Slice.domain (Quorum.slices_of sys i)) w) ))
+         (Pid.Set.elements w))
+  in
+  let reached = ref [] and explored = ref 0 and pruned = ref 0 in
+  let rec go selection remaining available =
+    incr explored;
+    if Oracle.Quorum.is_quorum sys selection then
+      reached := selection :: !reached
+    else
+      match Pid.Set.min_elt_opt remaining with
+      | None -> ()
+      | Some x ->
+          let rest = Pid.Set.remove x remaining in
+          go (Pid.Set.add x selection) rest available;
+          let g = gq (Pid.Set.remove x available) in
+          if Pid.Set.subset selection g then
+            go selection (Pid.Set.inter rest g) g
+          else incr pruned
+  in
+  List.iter
+    (fun scc ->
+      let u = gq scc in
+      if not (Pid.Set.is_empty u) then go Pid.Set.empty u u)
+    (if Pid.Set.is_empty w then [] else Scc.components trust);
+  (!reached, !explored, !pruned)
+
+let filtered_cases = ref 0
+
+let prop_minimal_filter =
+  QCheck.Test.make ~count:100 ~name:"reached-set filter = Gosper, jobs 1 and 4"
+    QCheck.(
+      map
+        (fun (seed, n) -> (seed, n, random_system seed n))
+        (pair (int_range 0 100000) (int_range 8 12))
+      |> set_print (fun (seed, n, _) -> Printf.sprintf "seed=%d n=%d" seed n))
+    (fun (_, _, sys) ->
+      let gosper = canonical (Quorum.minimal_quorums sys) in
+      let reached, explored, pruned = reference_walk sys in
+      if List.length reached > List.length gosper then incr filtered_cases;
+      let t1 = Enum.prepare sys and t4 = Enum.prepare sys in
+      sets_equal (Enum.minimal_quorums ~jobs:1 t1) gosper
+      && sets_equal (Enum.minimal_quorums ~jobs:4 t4) gosper
+      && Enum.stats t1 = Enum.stats t4
+      && Enum.stats t1 = { explored; pruned; found = List.length gosper })
+
+(* The qcheck case, then a check that its walks reached quorum
+   selections that are not minimal, which only the filter drops. *)
+let test_minimal_filter =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_minimal_filter in
+  ( name,
+    speed,
+    fun () ->
+      filtered_cases := 0;
+      run ();
+      Alcotest.(check bool)
+        (Printf.sprintf "%d walks reach non-minimal quorums" !filtered_cases)
+        true (!filtered_cases > 0) )
+
+(* Two [k]-subsets of [0..n-1], [n] at most 62, and an offset: the
+   word instance orders the subsets' words and the dense one the
+   subsets shifted by the offset, which spreads them over up to four
+   words. Both must order them as [Pid.Set.compare] does. *)
+let prop_kernel_order =
+  QCheck.Test.make ~count:500 ~name:"kernel-set order = Pid.Set.compare"
+    (QCheck.make
+       ~print:(fun (a, b, offset) ->
+         Format.asprintf "%a %a +%d" Pid.Set.pp a Pid.Set.pp b offset)
+       QCheck.Gen.(
+         let* n = int_range 1 62 in
+         let* k = int_bound n in
+         let pick =
+           map
+             (fun l -> Pid.Set.of_list (List.filteri (fun i _ -> i < k) l))
+             (shuffle_l (List.init n Fun.id))
+         in
+         let* a = pick and* b = pick in
+         let* offset = oneofl [ 0; 1; 60; 126 ] in
+         return (a, b, offset)))
+    (fun (a, b, offset) ->
+      let sign x = Int.compare x 0 in
+      let word s = Pid.Set.fold (fun i w -> w lor (1 lsl i)) s 0 in
+      let shift s = Pid.Dense_set.of_set (Pid.Set.map (( + ) offset) s) in
+      let want = sign (Pid.Set.compare a b) in
+      sign (Pid.Dense_set.compare_word (word a) (word b)) = want
+      && sign (Pid.Dense_set.compare (shift a) (shift b)) = want)
+
 (* ---- blocking sets against the list-based reference walk -------------- *)
 
 (* A list-based reference for Enum's minimal-hitting-set walk: a node's
@@ -617,42 +723,89 @@ module Blocking_reference = struct
 end
 
 let test_blocking_reference () =
-  (* 18 top validators and 105 minimal quorums: the quorum-index
-     bitsets span two words. *)
-  let sys =
-    Topology.stellarbeat_like ~orgs:6 ~validators_per_org:3 ~mid:6 ~leaves:6
-      ()
+  (* Systems whose quorum-index rows span two words: 18 top validators
+     with 105 minimal quorums run the word instance, and the 64
+     processes of [all_but_one], 64 minimal quorums, the dense one. On
+     the dense view a member's row is indexed by its pid, so the even
+     pids leave every odd pid below 127 without a row. Each walk makes
+     its own scratch rows, so a job that starts from a deferred node
+     finds them as wide as every row it meets. *)
+  let systems =
+    [
+      ( "18 validators",
+        Topology.stellarbeat_like ~orgs:6 ~validators_per_org:3 ~mid:6
+          ~leaves:6 () );
+      ("64 processes", all_but_one ~stride:1);
+      ("64 processes, even pids", all_but_one ~stride:2);
+    ]
   in
-  let quorums =
-    Array.of_list
-      (List.map Pid.Dense_set.of_set (Enum.minimal_quorums (Enum.prepare sys)))
-  in
-  Alcotest.(check bool) "more minimal quorums than one word holds" true
-    (Array.length quorums > Sys.int_size);
   List.iter
-    (fun (jobs, limit) ->
-      let case field =
-        Printf.sprintf "jobs=%d limit=%s: %s" jobs
-          (Option.fold ~none:"none" ~some:string_of_int limit)
-          field
+    (fun (what, sys) ->
+      let quorums =
+        Array.of_list
+          (List.map Pid.Dense_set.of_set
+             (Enum.minimal_quorums (Enum.prepare sys)))
       in
-      let sets, complete, explored, pruned =
-        Blocking_reference.run ?limit quorums
-      in
-      let t = Enum.prepare sys in
-      ignore (Enum.minimal_quorums ~jobs t);
-      let before = Enum.stats t in
-      let r = Enum.minimal_blocking_sets ?limit ~jobs t in
-      let after = Enum.stats t in
-      Alcotest.check pid_sets (case "sets") sets r.Enum.sets;
-      Alcotest.(check bool) (case "complete") complete r.Enum.complete;
-      Alcotest.(check int) (case "explored") explored
-        (after.Enum.explored - before.Enum.explored);
-      Alcotest.(check int) (case "pruned") pruned
-        (after.Enum.pruned - before.Enum.pruned);
-      Alcotest.(check int) (case "found") 0
-        (after.Enum.found - before.Enum.found))
-    [ (1, None); (2, None); (1, Some 1); (1, Some 150); (2, Some 150) ]
+      Alcotest.(check bool)
+        (what ^ ": more minimal quorums than one word holds")
+        true
+        (Array.length quorums > Sys.int_size);
+      List.iter
+        (fun (jobs, limit) ->
+          let case field =
+            Printf.sprintf "%s, jobs=%d limit=%s: %s" what jobs
+              (Option.fold ~none:"none" ~some:string_of_int limit)
+              field
+          in
+          let sets, complete, explored, pruned =
+            Blocking_reference.run ?limit quorums
+          in
+          let t = Enum.prepare sys in
+          ignore (Enum.minimal_quorums ~jobs t);
+          let before = Enum.stats t in
+          let r = Enum.minimal_blocking_sets ?limit ~jobs t in
+          let after = Enum.stats t in
+          Alcotest.check pid_sets (case "sets") sets r.Enum.sets;
+          Alcotest.(check bool) (case "complete") complete r.Enum.complete;
+          Alcotest.(check int) (case "explored") explored
+            (after.Enum.explored - before.Enum.explored);
+          Alcotest.(check int) (case "pruned") pruned
+            (after.Enum.pruned - before.Enum.pruned);
+          Alcotest.(check int) (case "found") 0
+            (after.Enum.found - before.Enum.found))
+        [
+          (1, None); (2, None); (4, None); (1, Some 1); (1, Some 150);
+          (4, Some 150);
+        ])
+    systems
+
+(* A hub [0] and two groups, [1..30] and [31..last]: a group member's
+   one slice is the hub and its group, and the hub has both slices. So
+   the two groups with the hub are the minimal quorums, the top tier is
+   [0..last], and deleting the hub splits the system. At [last = 61]
+   the sweep's universe has 62 pids, one below the sign bit. *)
+let hub_and_groups last =
+  let g1 = List.init 30 (fun i -> i + 1)
+  and g2 = List.init (last - 30) (fun i -> i + 31) in
+  let slice g = Pid.Set.of_list (0 :: g) in
+  Quorum.system_of_list
+    ((0, Slice.explicit [ slice g1; slice g2 ])
+    :: List.map (fun i -> (i, Slice.explicit [ slice g1 ])) g1
+    @ List.map (fun i -> (i, Slice.explicit [ slice g2 ])) g2)
+
+let test_splitting_62 () =
+  List.iter
+    (fun (last, jobs) ->
+      let t = Enum.prepare (hub_and_groups last) in
+      Alcotest.(check int)
+        (Printf.sprintf "top tier of 0..%d" last)
+        (last + 1)
+        (Pid.Set.cardinal (Enum.top_tier t));
+      Alcotest.check pid_sets
+        (Printf.sprintf "0..%d, jobs %d: the hub splits" last jobs)
+        [ set [ 0 ] ]
+        (Enum.minimal_splitting_sets ~max_size:1 ~jobs t))
+    [ (60, 1); (61, 1); (61, 2) ]
 
 let prop_splitting_equiv =
   QCheck.Test.make ~count:100 ~name:"splitting sets = baseline"
@@ -774,9 +927,13 @@ let suites =
         test_decided_enumerated;
         QCheck_alcotest.to_alcotest prop_memo_call_order;
         QCheck_alcotest.to_alcotest prop_blocking_equiv;
+        test_minimal_filter;
+        QCheck_alcotest.to_alcotest prop_kernel_order;
         Alcotest.test_case "blocking = reference walk, two words" `Quick
           test_blocking_reference;
         QCheck_alcotest.to_alcotest prop_splitting_equiv;
+        Alcotest.test_case "splitting sweep over 62 pids" `Quick
+          test_splitting_62;
         QCheck_alcotest.to_alcotest prop_fbas_io_roundtrip;
         QCheck_alcotest.to_alcotest prop_fbas_io_threshold_roundtrip;
         Alcotest.test_case "fbas_io malformed inputs" `Quick

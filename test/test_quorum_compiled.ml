@@ -345,6 +345,7 @@ let prop_word_view =
       && List.for_all
            (fun (s, keep) ->
              Pid.Set.equal (Quorum.Compiled.set_of_word w (bits s)) s
+             && Quorum.Compiled.word_of_set w s = bits s
              && Bool.equal
                   (Quorum.Compiled.is_quorum_w w (bits s))
                   (Quorum.Compiled.is_quorum_d c (D.of_set s))
